@@ -5,7 +5,7 @@
 /// independently on the jwgqbjzs workload (the most closure-heavy one):
 ///
 ///   * full OptOctagon (everything on),
-///   * vectorization off (scalar Algorithm 3 / scalar kernels),
+///   * vectorization off (the pinned-scalar SIMD tier for every kernel),
 ///   * sparse closure off (dense closures regardless of density),
 ///   * decomposition off (monolithic matrices, no components),
 ///   * sparsity threshold sweep (t in {0.5, 0.75, 0.9}),
@@ -17,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "oct/config.h"
+#include "oct/simd_dispatch.h"
 #include "support/table.h"
 #include "workloads/harness.h"
 
@@ -42,8 +43,7 @@ int main() {
   };
   const Config Configs[] = {
       {"full OptOctagon", [] {}},
-      {"no vectorization",
-       [] { octConfig().EnableVectorization = false; }},
+      {"no vectorization", [] { simdForceTier(SimdTier::Scalar); }},
       {"no sparse closure", [] { octConfig().EnableSparse = false; }},
       {"no decomposition",
        [] { octConfig().EnableDecomposition = false; }},
@@ -51,7 +51,7 @@ int main() {
        [] {
          octConfig().EnableDecomposition = false;
          octConfig().EnableSparse = false;
-         octConfig().EnableVectorization = false;
+         simdForceTier(SimdTier::Scalar);
        }},
       {"threshold t = 0.5", [] { octConfig().SparsityThreshold = 0.5; }},
       {"threshold t = 0.9", [] { octConfig().SparsityThreshold = 0.9; }},
@@ -62,8 +62,10 @@ int main() {
   TextTable Table({"Configuration", "analysis ms", "#closures",
                    "closure Mcycles"});
   OctConfig Saved = octConfig();
+  SimdTier SavedTier = activeSimdTier();
   for (const Config &C : Configs) {
     octConfig() = Saved;
+    simdForceTier(SavedTier);
     C.Apply();
     RunResult R = runWorkload(*Spec, Library::OptOctagon);
     Table.addRow({C.Name, TextTable::num(R.WallSeconds * 1e3, 1),
@@ -72,6 +74,7 @@ int main() {
                                  1)});
   }
   octConfig() = Saved;
+  simdForceTier(SavedTier);
   RunResult Apron = runWorkload(*Spec, Library::Apron);
   Table.addRow({"APRON baseline", TextTable::num(Apron.WallSeconds * 1e3, 1),
                 std::to_string(Apron.NumClosures),

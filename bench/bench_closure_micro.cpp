@@ -13,8 +13,8 @@
 #include "oct/closure_dense.h"
 #include "oct/closure_reference.h"
 #include "oct/closure_sparse.h"
-#include "oct/config.h"
 #include "oct/dbm.h"
+#include "oct/simd_dispatch.h"
 #include "support/random.h"
 
 #include <benchmark/benchmark.h>
@@ -73,8 +73,8 @@ BENCHMARK(BM_ClosureFW)->Arg(16)->Arg(32)->Arg(64)->Arg(96);
 
 void BM_ClosureDenseScalar(benchmark::State &State) {
   unsigned N = static_cast<unsigned>(State.range(0));
-  bool Saved = octConfig().EnableVectorization;
-  octConfig().EnableVectorization = false;
+  SimdTier Saved = activeSimdTier();
+  simdForceTier(SimdTier::Scalar);
   HalfDbm Input = makeInput(N, 0.9);
   HalfDbm Work(N);
   ClosureScratch Scratch;
@@ -82,7 +82,7 @@ void BM_ClosureDenseScalar(benchmark::State &State) {
     Work = Input;
     benchmark::DoNotOptimize(closureDense(Work, Scratch));
   }
-  octConfig().EnableVectorization = Saved;
+  simdForceTier(Saved);
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_ClosureDenseScalar)->Arg(16)->Arg(32)->Arg(64)->Arg(96);

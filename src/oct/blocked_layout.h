@@ -7,7 +7,7 @@
 /// component's variables renumbered 0..m-1), and pack() gathers it into
 /// a contiguous scratch block with one pass through the coherence index.
 /// The lattice operators (oct/octagon_ops.cpp) then run the flat span
-/// kernels of oct/vector_ops.h over a whole block — or over many small
+/// kernels of oct/simd_kernels.h over a whole block — or over many small
 /// components' blocks laid end to end, so k tiny components pay one
 /// kernel dispatch instead of k — and scatter() writes the results back
 /// to the same slots pack() read.

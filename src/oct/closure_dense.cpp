@@ -2,7 +2,7 @@
 
 #include "oct/closure_dense.h"
 
-#include "oct/vector_min.h"
+#include "oct/simd_dispatch.h"
 #include "support/budget.h"
 #include "support/faultinject.h"
 
@@ -17,6 +17,7 @@ void optoct::shortestPathDense(HalfDbm &M, ClosureScratch &Scratch) {
   double *ColK1 = Scratch.ColK1.data();
   double *RowK = Scratch.RowK.data();
   double *RowK1 = Scratch.RowK1.data();
+  const SpanKernels &Kern = activeSpanKernels();
 
   for (unsigned K = 0, N = M.numVars(); K != N; ++K) {
     // O(n) work per pivot pair; one budget poll here is noise, yet it
@@ -86,7 +87,7 @@ void optoct::shortestPathDense(HalfDbm &M, ClosureScratch &Scratch) {
     for (unsigned I = 0; I != D; ++I) {
       double C1 = ColK[I];
       double C2 = ColK1[I];
-      minPlusRow2(M.row(I), RowK, C1, RowK1, C2, (I | 1u) + 1);
+      Kern.MinPlusRow2(M.row(I), RowK, C1, RowK1, C2, (I | 1u) + 1);
     }
   }
 }
@@ -103,8 +104,9 @@ void optoct::strengthenDense(HalfDbm &M, ClosureScratch &Scratch) {
   for (unsigned J = 0; J != D; ++J)
     T[J] = M.get(J ^ 1u, J);
 
+  const SpanKernels &Kern = activeSpanKernels();
   for (unsigned I = 0; I != D; ++I)
-    strengthenRow(M.row(I), T, T[I ^ 1u], (I | 1u) + 1);
+    Kern.StrengthenRow(M.row(I), T, T[I ^ 1u], (I | 1u) + 1);
 }
 
 bool optoct::closureDense(HalfDbm &M, ClosureScratch &Scratch) {

@@ -19,7 +19,7 @@
 ///   * Scalar replacement: the two column operands of a row are loaded
 ///     once per row.
 ///   * Vectorization: the inner update and the strengthening step run on
-///     AVX kernels (vector_min.h).
+///     SIMD kernels (oct/simd_kernels.h).
 ///
 /// Total operation count: 8n^3 + O(n^2) min operations versus
 /// 16n^3 + O(n^2) for APRON's Algorithm 2.

@@ -4,7 +4,7 @@
 
 #include "oct/closure_dense.h"
 #include "oct/closure_sparse.h"
-#include "oct/vector_min.h"
+#include "oct/simd_dispatch.h"
 #include "support/budget.h"
 #include "support/faultinject.h"
 
@@ -55,8 +55,9 @@ void pivotPassDense(HalfDbm &M, unsigned K, ClosureScratch &Scratch) {
     RowK[J] = ColK1[J ^ 1u];
     RowK1[J] = ColK[J ^ 1u];
   }
+  const SpanKernels &Kern = activeSpanKernels();
   for (unsigned I = 0; I != D; ++I)
-    minPlusRow2(M.row(I), RowK, ColK[I], RowK1, ColK1[I], (I | 1u) + 1);
+    Kern.MinPlusRow2(M.row(I), RowK, ColK[I], RowK1, ColK1[I], (I | 1u) + 1);
 }
 
 } // namespace

@@ -2,7 +2,7 @@
 
 #include "oct/closure_reference.h"
 
-#include "oct/vector_min.h"
+#include "oct/simd_dispatch.h"
 
 using namespace optoct;
 
@@ -61,6 +61,7 @@ bool optoct::closureFullReference(FullDbm &O) {
 
 bool optoct::closureFullVectorized(FullDbm &O) {
   unsigned D = O.dim();
+  const SpanKernels &Kern = activeSpanKernels();
 
   // Floyd-Warshall with scalar replacement of the column operand and a
   // vectorized row update (the pivot row is already contiguous in the
@@ -72,7 +73,7 @@ bool optoct::closureFullVectorized(FullDbm &O) {
       // full operation count and gains only from vectorization,
       // locality, and scalar replacement.
       double Cik = O.at(I, K);
-      minPlusRow1(O.row(I), RowK, Cik, D);
+      Kern.MinPlusRow1(O.row(I), RowK, Cik, D);
     }
   }
 
@@ -82,7 +83,7 @@ bool optoct::closureFullVectorized(FullDbm &O) {
   for (unsigned J = 0; J != D; ++J)
     T[J] = O.at(J ^ 1u, J);
   for (unsigned I = 0; I != D; ++I)
-    strengthenRow(O.row(I), T.data(), T[I ^ 1u], D);
+    Kern.StrengthenRow(O.row(I), T.data(), T[I ^ 1u], D);
 
   for (unsigned I = 0; I != D; ++I)
     if (O.at(I, I) < 0.0)

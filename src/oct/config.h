@@ -5,7 +5,6 @@
 /// the ablation benchmarks (bench_ablation) can toggle each optimization
 /// independently:
 ///   * SparsityThreshold — the t in "use Dense if D < t" (Section 3.5).
-///   * EnableVectorization — AVX kernels vs scalar loops (Section 5.2).
 ///   * EnableDecomposition — maintain independent components (Section 3.3).
 ///   * EnableSparse — use the sparse closure for sparse DBMs (Section 5.3).
 ///   * LazyStrengthening — optional extension (follow-on ELINA work): skip
@@ -17,14 +16,14 @@
 /// so CI legs and external harnesses can force a configuration without
 /// recompiling (the benches record these variables in their JSON
 /// headers for cross-machine comparability):
-///   * OPTOCT_VECTORIZE=0            — scalar fallback kernels only
 ///   * OPTOCT_DECOMPOSITION=0        — no independent components
 ///   * OPTOCT_SPARSE=0               — no sparse closure
 ///   * OPTOCT_LAZY_STRENGTHENING=1   — enable the post-2015 extension
 ///   * OPTOCT_SPARSITY_THRESHOLD=t   — the Section 3.5 threshold, in [0,1]
-///   * OPTOCT_BLOCK_CUTOFF=m         — blocked-layout batching cutoff (vars)
 ///   * OPTOCT_SIMD=scalar|avx2|avx512 — force a kernel tier (this one is
 ///     read by oct/simd_dispatch.cpp at startup, not through octConfig())
+/// The scalar/vector ablation (Section 5.2) is the SIMD tier alone:
+/// OPTOCT_SIMD=scalar, or simdForceTier(SimdTier::Scalar) in-process.
 /// For the boolean flags, "0" means off and any other non-empty value
 /// means on; unset/empty keeps the built-in default. The variables are
 /// read once, on first use of octConfig(); later writes through
@@ -49,9 +48,6 @@ struct OctConfig {
   /// D = 1 - nni/(2n^2+2n) is treated as dense when D < t.
   double SparsityThreshold = 0.75;
 
-  /// Use AVX kernels in dense closure/strengthening and dense operators.
-  bool EnableVectorization = true;
-
   /// Maintain and exploit independent components (online decomposition).
   bool EnableDecomposition = true;
 
@@ -61,18 +57,6 @@ struct OctConfig {
   /// Extension beyond the 2015 paper: leave cross-component entailed
   /// constraints implicit during decomposed strengthening.
   bool LazyStrengthening = false;
-
-  /// Components with fewer variables than this are gathered into the
-  /// contiguous blocked layout (oct/blocked_layout.h) and batched into
-  /// one span-kernel pass per operator call; components at or above it
-  /// stream their row runs directly. Defaults to 0 (never batch): the
-  /// BENCH_operators k-sweep measured the per-component path ahead of
-  /// or tied with batching at every component count — the extra
-  /// pack/scatter traffic of the shared block costs more than the
-  /// saved kernel dispatches. The knob (OPTOCT_BLOCK_CUTOFF) remains
-  /// for machines where dispatch overhead dominates, and the
-  /// differential tests sweep it to keep the batched legs correct.
-  unsigned BlockedCutoffVars = 0;
 };
 
 /// Library-wide configuration instance.

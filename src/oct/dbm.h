@@ -100,7 +100,7 @@ public:
   /// Number of stored entries in row \p I: columns j = 0..(I|1). Both
   /// rows of a variable pair (2v, 2v+1) store the same (I|1)+1 columns,
   /// so row(I)[0 .. rowEntries(I)) is the contiguous span the flat
-  /// operator kernels (oct/vector_ops.h) stream over.
+  /// operator kernels (oct/simd_kernels.h) stream over.
   static unsigned rowEntries(unsigned I) { return (I | 1u) + 1; }
 
   /// Pointer to the start of stored row \p I (entries j = 0..(I|1)).

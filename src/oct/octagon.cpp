@@ -8,7 +8,6 @@
 #include "oct/closure_reference.h"
 #include "oct/closure_sparse.h"
 #include "oct/config.h"
-#include "oct/vector_min.h"
 #include "support/audit.h"
 #include "support/budget.h"
 #include "support/faultinject.h"
@@ -36,7 +35,6 @@ bool envFlag(const char *Name, bool Default) {
 /// can exist, so the read-mostly contract of octConfig() holds.
 OctConfig configFromEnv() {
   OctConfig C;
-  C.EnableVectorization = envFlag("OPTOCT_VECTORIZE", C.EnableVectorization);
   C.EnableDecomposition =
       envFlag("OPTOCT_DECOMPOSITION", C.EnableDecomposition);
   C.EnableSparse = envFlag("OPTOCT_SPARSE", C.EnableSparse);
@@ -47,12 +45,6 @@ OctConfig configFromEnv() {
     double Value = std::strtod(T, &End);
     if (End != T && Value >= 0.0 && Value <= 1.0)
       C.SparsityThreshold = Value;
-  }
-  if (const char *T = std::getenv("OPTOCT_BLOCK_CUTOFF")) {
-    char *End = nullptr;
-    unsigned long Value = std::strtoul(T, &End, 10);
-    if (End != T && *End == '\0')
-      C.BlockedCutoffVars = static_cast<unsigned>(Value);
   }
   return C;
 }

@@ -10,34 +10,27 @@
 /// All operators stream over contiguous packed half-DBM spans instead
 /// of per-element coherence-indexed at() calls: row i stores columns
 /// j = 0..(i|1) consecutively, so the Dense case is one flat pass over
-/// the 2n(n+1) buffer. The Decomposed case uses the blocked component
-/// layout (oct/blocked_layout.h): each component's sub-DBM is packed
-/// into contiguous scratch, all components below the
-/// octConfig().BlockedCutoffVars cutoff are laid end to end, and one
-/// span-kernel dispatch covers the whole batch — k tiny components pay
-/// one call, not k × rows × runs. Components at or above the cutoff
-/// stream their row runs directly (walkComponentSpans), where the
-/// kernel already amortizes and pack+scatter would only add traffic.
-/// Union-merged partitions (meet, narrowing on partial inputs,
-/// inclusion/equality against Decomposed receivers) pack through
-/// entry()'s implicit-trivia semantics instead of falling back to
-/// scalar element loops.
+/// the 2n(n+1) buffer. In the Decomposed case, join and widening stream
+/// each refined component's row runs directly (walkComponentSpans),
+/// where both inputs' buffers are initialized. Union-merged partitions
+/// (meet, narrowing on partial inputs) pack every component through
+/// entry()'s implicit-trivia semantics into the blocked component
+/// layout (oct/blocked_layout.h), end to end, so one span-kernel
+/// dispatch covers the whole batch; inclusion and equality pack one
+/// row pair at a time to keep their early exit cheap.
 ///
-/// With octConfig().EnableVectorization off, every operator instead runs
-/// the original pointwise implementation (dense copy + in-place min/max,
-/// coherence-indexed at()/entry() loops elsewhere), kept verbatim and
-/// pinned scalar: the ablation measures the whole optimization —
-/// restructuring plus SIMD — against the code it replaced, and the
-/// differential tests (tests/test_vector_ops.cpp, tests/test_blocked.cpp)
-/// check both legs agree on every observable (DBM entries, nni,
-/// partition, emptiness).
+/// Every kernel call goes through the active SIMD tier's table
+/// (oct/simd_kernels.h); pinning the scalar tier (OPTOCT_SIMD=scalar)
+/// is the scalar/vector ablation. tests/test_differential.cpp checks
+/// every operator, under every supported tier, against the pointwise
+/// APRON-style baseline (baseline::ApronOctagon) on every observable:
+/// DBM entries before and after closure, nni, emptiness and verdicts.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "oct/blocked_layout.h"
-#include "oct/config.h"
 #include "oct/octagon.h"
-#include "oct/vector_ops.h"
+#include "oct/simd_dispatch.h"
 
 #include <algorithm>
 #include <cassert>
@@ -45,62 +38,6 @@
 using namespace optoct;
 
 namespace {
-
-/// Applies \p Fn(I, J) to every stored (lower-triangle) full-DBM slot
-/// whose variable pair lies inside \p Vars. Scalar fallback iteration
-/// for the paths that must go through entry()'s implicit trivia.
-template <typename FnT>
-void forEachComponentSlot(const std::vector<unsigned> &Vars, FnT Fn) {
-  for (std::size_t A = 0; A != Vars.size(); ++A)
-    for (std::size_t B = 0; B <= A; ++B) {
-      unsigned Hi = Vars[A], Lo = Vars[B];
-      for (unsigned R = 0; R != 2; ++R)
-        for (unsigned S = 0; S != 2; ++S)
-          Fn(2 * Hi + R, 2 * Lo + S);
-    }
-}
-
-/// The pre-span-kernel element loops, preserved as the
-/// EnableVectorization=off leg. OPTOCT_SCALAR_KERNEL keeps -O3 from
-/// quietly re-vectorizing them, so the ablation baseline stays honest.
-OPTOCT_SCALAR_KERNEL
-void scalarMinRows(double *Dst, const double *Src, std::size_t Len) {
-  for (std::size_t J = 0; J != Len; ++J)
-    if (Src[J] < Dst[J])
-      Dst[J] = Src[J];
-}
-
-OPTOCT_SCALAR_KERNEL
-void scalarMaxRows(double *Dst, const double *Src, std::size_t Len) {
-  for (std::size_t J = 0; J != Len; ++J)
-    if (Src[J] > Dst[J])
-      Dst[J] = Src[J];
-}
-
-OPTOCT_SCALAR_KERNEL
-std::size_t scalarCountFinite(const double *P, std::size_t Len) {
-  std::size_t Count = 0;
-  for (std::size_t J = 0; J != Len; ++J)
-    Count += isFinite(P[J]);
-  return Count;
-}
-
-/// Join over one refined component, reading the raw buffers (both are
-/// initialized inside a refined component) through the coherence index.
-OPTOCT_SCALAR_KERNEL
-std::size_t scalarMaxComponent(HalfDbm &RM, const HalfDbm &AM,
-                               const HalfDbm &BM,
-                               const std::vector<unsigned> &Vars) {
-  std::size_t Count = 0;
-  forEachComponentSlot(Vars, [&](unsigned I, unsigned J) {
-    double VA = AM.at(I, J);
-    double VB = BM.at(I, J);
-    double V = VA > VB ? VA : VB;
-    RM.at(I, J) = V;
-    Count += isFinite(V);
-  });
-  return Count;
-}
 
 /// A maximal run of consecutive variables in a sorted component. The
 /// run [First, First+Count) owns the contiguous packed columns
@@ -126,10 +63,8 @@ void componentRuns(const std::vector<unsigned> &Vars,
 /// calls \p Fn(I, J0, Len) for every contiguous packed column span
 /// relating Hi to the component's variables <= Hi — the complete runs
 /// below Hi, then the partial run ending in Hi's own diagonal block.
-/// \p Fn returns false to stop the walk (the early-exit predicates);
-/// returns false iff stopped.
 template <typename FnT>
-bool walkComponentSpans(const std::vector<unsigned> &Vars,
+void walkComponentSpans(const std::vector<unsigned> &Vars,
                         const std::vector<VarRun> &Runs, FnT Fn) {
   std::size_t RunIdx = 0;
   unsigned InRun = 0; // variables of Runs[RunIdx] already walked
@@ -141,15 +76,12 @@ bool walkComponentSpans(const std::vector<unsigned> &Vars,
     for (unsigned R = 0; R != 2; ++R) {
       unsigned I = 2 * Hi + R;
       for (std::size_t Q = 0; Q != RunIdx; ++Q)
-        if (!Fn(I, 2 * Runs[Q].First, 2 * Runs[Q].Count))
-          return false;
+        Fn(I, 2 * Runs[Q].First, 2 * Runs[Q].Count);
       // Partial current run, including Hi's 2-wide diagonal block.
-      if (!Fn(I, 2 * Runs[RunIdx].First, 2 * InRun + 2))
-        return false;
+      Fn(I, 2 * Runs[RunIdx].First, 2 * InRun + 2);
     }
     ++InRun;
   }
-  return true;
 }
 
 /// Like walkComponentSpans, but reports the 2-wide diagonal-block span
@@ -180,37 +112,46 @@ void walkComponentSpansSplit(const std::vector<unsigned> &Vars,
   }
 }
 
-/// The components one operator call batches through the blocked layout:
-/// their blocks are packed end to end in the per-thread scratch and a
-/// single kernel dispatch covers Total doubles.
-struct BlockBatch {
-  std::vector<const std::vector<unsigned> *> Comps;
+/// A two-source counting span kernel (MinSpanCount, NarrowSpanCount).
+using SpanCountFn = std::size_t (*)(double *Dst, const double *A,
+                                    const double *B, std::size_t Len);
+
+/// Meet and narrowing over the union-merged partition \p RP, which can
+/// relate pairs that neither input materialized: every component is
+/// packed from both inputs through entry()'s implicit trivia (pure span
+/// copies whenever a component sits inside one block of an input — the
+/// common case of agreeing partitions), the blocks are laid end to end
+/// in the per-thread scratch, one \p Kernel dispatch covers the whole
+/// batch, and the results are scattered into \p RM. All components
+/// batch regardless of size: the alternative here is a per-element
+/// entry() loop, not a direct span walk. Returns the finite count.
+std::size_t batchedEntryPass(SpanCountFn Kernel, const Partition &RP,
+                             HalfDbm &RM, const HalfDbm &AM,
+                             const Partition &AP, bool AInit,
+                             const HalfDbm &BM, const Partition &BP,
+                             bool BInit) {
   std::size_t Total = 0;
-
-  void add(const std::vector<unsigned> &Vars) {
-    Comps.push_back(&Vars);
-    Total += blockSize(Vars.size());
-  }
-  bool empty() const { return Comps.empty(); }
-};
-
-/// Scatters the batched result blocks in \p S.R back into \p RM.
-void scatterBatch(const BlockBatch &Batch, const BlockScratch &S, HalfDbm &RM) {
+  for (std::size_t C = 0, E = RP.numComponents(); C != E; ++C)
+    Total += blockSize(RP.component(C).size());
+  if (Total == 0)
+    return 0;
+  BlockScratch &S = blockScratch();
+  S.ensure(Total);
   std::size_t Off = 0;
-  for (const std::vector<unsigned> *Vars : Batch.Comps) {
-    scatterComponent(S.R.data() + Off, RM, *Vars);
-    Off += blockSize(Vars->size());
+  for (std::size_t C = 0, E = RP.numComponents(); C != E; ++C) {
+    const std::vector<unsigned> &Vars = RP.component(C);
+    packComponentEntry(S.A.data() + Off, AM, AP, AInit, Vars);
+    packComponentEntry(S.B.data() + Off, BM, BP, BInit, Vars);
+    Off += blockSize(Vars.size());
   }
-}
-
-/// The per-element widening rule (identical to the kernels'): keep a
-/// stable bound, jump a grown one to the smallest dominating threshold
-/// of the sorted table, +inf when none dominates.
-double widenBound(double VO, double VN, const double *Thr, std::size_t ThrN) {
-  if (VN <= VO)
-    return VO;
-  const double *It = std::lower_bound(Thr, Thr + ThrN, VN);
-  return It == Thr + ThrN ? Infinity : *It;
+  std::size_t Count = Kernel(S.R.data(), S.A.data(), S.B.data(), Total);
+  Off = 0;
+  for (std::size_t C = 0, E = RP.numComponents(); C != E; ++C) {
+    const std::vector<unsigned> &Vars = RP.component(C);
+    scatterComponent(S.R.data() + Off, RM, Vars);
+    Off += blockSize(Vars.size());
+  }
+  return Count;
 }
 
 } // namespace
@@ -227,68 +168,25 @@ Octagon Octagon::meet(const Octagon &A, const Octagon &B) {
 
   Octagon R(N, PrivateTag{});
   R.P = Partition::unionMerge(A.P, B.P);
+  const SpanKernels &Kern = activeSpanKernels();
 
   if (A.FullyInit && B.FullyInit) {
     // Dense fast path (Table 1: meet with a Dense input yields Dense
     // with O(n^2) vectorized work over the packed buffer). Two-source
     // kernels write the result directly — no preparatory buffer copy.
     R.FullyInit = true;
-    if (!octConfig().EnableVectorization) {
-      // Ablation leg: the original copy + in-place pointwise min, plus
-      // a separate counting scan where the count must be exact.
-      R.M = A.M;
-      scalarMinRows(R.M.data(), B.M.data(), R.M.size());
-      R.NniExplicit = (A.P.isWhole() || B.P.isWhole())
-                          ? R.M.size() // Section 4.1 over-approximation
-                          : scalarCountFinite(R.M.data(), R.M.size());
-    } else if (A.P.isWhole() || B.P.isWhole()) {
-      minSpan(R.M.data(), A.M.data(), B.M.data(), R.M.size());
+    if (A.P.isWhole() || B.P.isWhole()) {
+      Kern.MinSpan(R.M.data(), A.M.data(), B.M.data(), R.M.size());
       R.NniExplicit = R.M.size(); // Section 4.1 over-approximation
     } else {
       // The same pass also yields the exact count (no re-scan).
       R.NniExplicit =
-          minSpanCount(R.M.data(), A.M.data(), B.M.data(), R.M.size());
+          Kern.MinSpanCount(R.M.data(), A.M.data(), B.M.data(), R.M.size());
     }
-  } else if (octConfig().EnableVectorization) {
-    // The union-merged partition can relate pairs that neither input
-    // materialized, so the packs read through entry()'s implicit trivia
-    // (pure span copies whenever a component sits inside one block of
-    // an input — the common case of agreeing partitions). All
-    // components batch into one kernel dispatch regardless of size:
-    // the alternative here is the per-element entry() loop, not a
-    // direct span walk.
-    BlockBatch Batch;
-    for (std::size_t C = 0, E = R.P.numComponents(); C != E; ++C)
-      Batch.add(R.P.component(C));
-    std::size_t Count = 0;
-    if (!Batch.empty()) {
-      BlockScratch &S = blockScratch();
-      S.ensure(Batch.Total);
-      std::size_t Off = 0;
-      for (const std::vector<unsigned> *Vars : Batch.Comps) {
-        packComponentEntry(S.A.data() + Off, A.M, A.P, A.FullyInit, *Vars);
-        packComponentEntry(S.B.data() + Off, B.M, B.P, B.FullyInit, *Vars);
-        Off += blockSize(Vars->size());
-      }
-      Count = minSpanCount(S.R.data(), S.A.data(), S.B.data(), Batch.Total);
-      scatterBatch(Batch, S, R.M);
-    }
-    R.FullyInit = R.P.isWhole();
-    R.NniExplicit = Count;
   } else {
-    // Ablation leg: per-element reads through entry()'s implicit
-    // trivia, as in the original operator.
-    std::size_t Count = 0;
-    for (std::size_t C = 0, E = R.P.numComponents(); C != E; ++C)
-      forEachComponentSlot(R.P.component(C), [&](unsigned I, unsigned J) {
-        double VA = A.entry(I, J);
-        double VB = B.entry(I, J);
-        double V = VA < VB ? VA : VB;
-        R.M.at(I, J) = V;
-        Count += isFinite(V);
-      });
+    R.NniExplicit = batchedEntryPass(Kern.MinSpanCount, R.P, R.M, A.M, A.P,
+                                     A.FullyInit, B.M, B.P, B.FullyInit);
     R.FullyInit = R.P.isWhole();
-    R.NniExplicit = Count;
   }
 
   R.Closed = false;
@@ -314,64 +212,30 @@ Octagon Octagon::join(Octagon &A, Octagon &B) {
 
   Octagon R(N, PrivateTag{});
   R.P = Partition::refine(A.P, B.P);
+  const SpanKernels &Kern = activeSpanKernels();
 
   if (A.FullyInit && B.FullyInit && A.P.isWhole() && B.P.isWhole()) {
     // Dense/Dense fast path: one flat vectorized max over the packed
-    // buffers, written straight into the result. The ablation leg keeps
-    // the original copy + in-place pointwise max.
-    if (octConfig().EnableVectorization) {
-      maxSpan(R.M.data(), A.M.data(), B.M.data(), R.M.size());
-    } else {
-      R.M = A.M;
-      scalarMaxRows(R.M.data(), B.M.data(), R.M.size());
-    }
+    // buffers, written straight into the result.
+    Kern.MaxSpan(R.M.data(), A.M.data(), B.M.data(), R.M.size());
     R.FullyInit = true;
     R.NniExplicit = R.M.size(); // Section 4.1 over-approximation
-  } else if (!octConfig().EnableVectorization) {
-    // Ablation leg: the original coherence-indexed loop over each
-    // refined component.
-    std::size_t Count = 0;
-    for (std::size_t C = 0, E = R.P.numComponents(); C != E; ++C)
-      Count += scalarMaxComponent(R.M, A.M, B.M, R.P.component(C));
-    R.FullyInit = R.P.isWhole();
-    R.NniExplicit = Count;
   } else {
     // Only the submatrices of the *intersected* components are read and
     // written (Fig. 4); everything else is implicitly trivial. A pair
     // inside a refined component lies inside one component of *each*
-    // input, so both buffers are initialized there and the pure-copy
-    // pack / direct row streaming are valid. The kernels count finite
-    // lanes as they go, keeping nni exact without a second pass.
+    // input, so both buffers are initialized there and the row spans
+    // stream directly. The kernels count finite lanes as they go,
+    // keeping nni exact without a second pass.
     std::size_t Count = 0;
     std::vector<VarRun> Runs;
-    const unsigned Cutoff = octConfig().BlockedCutoffVars;
-    BlockBatch Batch;
     for (std::size_t C = 0, E = R.P.numComponents(); C != E; ++C) {
       const std::vector<unsigned> &Vars = R.P.component(C);
-      if (Vars.size() >= Cutoff) {
-        componentRuns(Vars, Runs);
-        walkComponentSpans(Vars, Runs,
-                           [&](unsigned I, unsigned J0, unsigned Len) {
-                             Count += maxSpanCount(R.M.row(I) + J0,
-                                                   A.M.row(I) + J0,
-                                                   B.M.row(I) + J0, Len);
-                             return true;
-                           });
-      } else {
-        Batch.add(Vars);
-      }
-    }
-    if (!Batch.empty()) {
-      BlockScratch &S = blockScratch();
-      S.ensure(Batch.Total);
-      std::size_t Off = 0;
-      for (const std::vector<unsigned> *Vars : Batch.Comps) {
-        packComponent(S.A.data() + Off, A.M, *Vars);
-        packComponent(S.B.data() + Off, B.M, *Vars);
-        Off += blockSize(Vars->size());
-      }
-      Count += maxSpanCount(S.R.data(), S.A.data(), S.B.data(), Batch.Total);
-      scatterBatch(Batch, S, R.M);
+      componentRuns(Vars, Runs);
+      walkComponentSpans(Vars, Runs, [&](unsigned I, unsigned J0, unsigned Len) {
+        Count += Kern.MaxSpanCount(R.M.row(I) + J0, A.M.row(I) + J0,
+                                   B.M.row(I) + J0, Len);
+      });
     }
     R.FullyInit = R.P.isWhole();
     R.NniExplicit = Count;
@@ -408,6 +272,7 @@ Octagon Octagon::widenWithThresholds(const Octagon &Old, Octagon &New,
 
   Octagon R(N, PrivateTag{});
   R.P = Partition::refine(Old.P, New.P);
+  const SpanKernels &Kern = activeSpanKernels();
 
   // Thresholds are variable-level bounds: unary DBM entries (which
   // encode 2x the variable bound) land on 2t, binary entries on t. Both
@@ -429,95 +294,28 @@ Octagon Octagon::widenWithThresholds(const Octagon &Old, Octagon &New,
   // the same pass. As in join, refined pairs are covered by both
   // inputs' components, so the raw row spans are valid.
   std::size_t Count = 0;
-  if (!octConfig().EnableVectorization) {
-    // Ablation leg: the original per-element widening rule over the
-    // refined components (same hoisted threshold prep; the binary
-    // search still runs only for entries that actually grew).
-    for (std::size_t C = 0, E = R.P.numComponents(); C != E; ++C)
-      forEachComponentSlot(R.P.component(C), [&](unsigned I, unsigned J) {
-        double VO = Old.M.at(I, J);
-        double VN = New.M.at(I, J);
-        bool Unary = I / 2 == J / 2;
-        const double *Thr = Unary ? UnThr : BinThr;
-        std::size_t ThrN = Unary ? UnN : BinN;
-        double V;
-        if (VN <= VO) {
-          V = VO; // stable: keep the old bound
-        } else {
-          const double *It = std::lower_bound(Thr, Thr + ThrN, VN);
-          V = It == Thr + ThrN ? Infinity : *It;
-        }
-        R.M.at(I, J) = V;
-        Count += isFinite(V);
-      });
-  } else if (BinN == 0 && R.P.isWhole()) {
+  if (BinN == 0 && R.P.isWhole()) {
     // Dense fast path: with no thresholds the unary and binary rules
     // coincide, so the whole packed buffer is a single span (a whole
     // refined partition means both inputs' buffers are fully
     // meaningful).
-    Count = widenSpanCount(R.M.data(), Old.M.data(), New.M.data(),
-                           R.M.size(), nullptr, 0);
+    Count = Kern.WidenSpanCount(R.M.data(), Old.M.data(), New.M.data(),
+                                R.M.size(), nullptr, 0);
   } else {
     std::vector<VarRun> Runs;
-    const unsigned Cutoff = octConfig().BlockedCutoffVars;
-    BlockBatch Batch;
     for (std::size_t C = 0, E = R.P.numComponents(); C != E; ++C) {
       const std::vector<unsigned> &Vars = R.P.component(C);
-      if (Vars.size() >= Cutoff) {
-        componentRuns(Vars, Runs);
-        walkComponentSpansSplit(
-            Vars, Runs,
-            [&](unsigned I, unsigned J0, unsigned Len) {
-              Count += widenSpanCount(R.M.row(I) + J0, Old.M.row(I) + J0,
-                                      New.M.row(I) + J0, Len, BinThr, BinN);
-            },
-            [&](unsigned I, unsigned J0) {
-              Count += widenSpanCount(R.M.row(I) + J0, Old.M.row(I) + J0,
-                                      New.M.row(I) + J0, 2, UnThr, UnN);
-            });
-      } else {
-        Batch.add(Vars);
-      }
-    }
-    if (!Batch.empty()) {
-      // One kernel dispatch widens every small component under the
-      // binary thresholds; the unary diagonal-block slots (two per
-      // variable, which must widen against the doubled set) are then
-      // patched with the identical scalar rule, adjusting the finite
-      // count by the delta. With no thresholds the two rules coincide
-      // and the patch pass is skipped.
-      BlockScratch &S = blockScratch();
-      S.ensure(Batch.Total);
-      std::size_t Off = 0;
-      for (const std::vector<unsigned> *Vars : Batch.Comps) {
-        packComponent(S.A.data() + Off, Old.M, *Vars);
-        packComponent(S.B.data() + Off, New.M, *Vars);
-        Off += blockSize(Vars->size());
-      }
-      Count += widenSpanCount(S.R.data(), S.A.data(), S.B.data(), Batch.Total,
-                              BinThr, BinN);
-      if (BinN != 0) {
-        Off = 0;
-        for (const std::vector<unsigned> *Vars : Batch.Comps) {
-          for (std::size_t A = 0, NumV = Vars->size(); A != NumV; ++A) {
-            unsigned UpRow = 2 * static_cast<unsigned>(A);
-            const std::size_t Slots[2] = {
-                Off + HalfDbm::index(UpRow, UpRow + 1),
-                Off + HalfDbm::index(UpRow + 1, UpRow)};
-            for (std::size_t Idx : Slots) {
-              double V = widenBound(S.A[Idx], S.B[Idx], UnThr, UnN);
-              double Cur = S.R[Idx];
-              if (V != Cur) {
-                Count -= isFinite(Cur);
-                Count += isFinite(V);
-                S.R[Idx] = V;
-              }
-            }
-          }
-          Off += blockSize(Vars->size());
-        }
-      }
-      scatterBatch(Batch, S, R.M);
+      componentRuns(Vars, Runs);
+      walkComponentSpansSplit(
+          Vars, Runs,
+          [&](unsigned I, unsigned J0, unsigned Len) {
+            Count += Kern.WidenSpanCount(R.M.row(I) + J0, Old.M.row(I) + J0,
+                                         New.M.row(I) + J0, Len, BinThr, BinN);
+          },
+          [&](unsigned I, unsigned J0) {
+            Count += Kern.WidenSpanCount(R.M.row(I) + J0, Old.M.row(I) + J0,
+                                         New.M.row(I) + J0, 2, UnThr, UnN);
+          });
     }
   }
   R.FullyInit = R.P.isWhole();
@@ -540,52 +338,21 @@ Octagon Octagon::narrow(Octagon &Old, const Octagon &New) {
 
   Octagon R(N, PrivateTag{});
   R.P = Partition::unionMerge(Old.P, New.P);
+  const SpanKernels &Kern = activeSpanKernels();
 
   // Standard narrowing: refine only the unbounded entries.
-  if (Old.FullyInit && New.FullyInit && octConfig().EnableVectorization &&
-      R.P.isWhole()) {
+  if (Old.FullyInit && New.FullyInit && R.P.isWhole()) {
     // Both buffers fully meaningful and one component covering every
     // variable: one flat select over the packed storage materializes
     // the result and counts it in the same pass.
-    R.NniExplicit =
-        narrowSpanCount(R.M.data(), Old.M.data(), New.M.data(), R.M.size());
+    R.NniExplicit = Kern.NarrowSpanCount(R.M.data(), Old.M.data(),
+                                         New.M.data(), R.M.size());
     R.FullyInit = true;
-  } else if (octConfig().EnableVectorization) {
-    // Fragmented or partial inputs: the union-merged components pack
-    // through entry()'s implicit trivia (pure copies when fully
-    // initialized or block-aligned) and one kernel dispatch covers the
-    // whole batch, as in meet.
-    BlockBatch Batch;
-    for (std::size_t C = 0, E = R.P.numComponents(); C != E; ++C)
-      Batch.add(R.P.component(C));
-    std::size_t Count = 0;
-    if (!Batch.empty()) {
-      BlockScratch &S = blockScratch();
-      S.ensure(Batch.Total);
-      std::size_t Off = 0;
-      for (const std::vector<unsigned> *Vars : Batch.Comps) {
-        packComponentEntry(S.A.data() + Off, Old.M, Old.P, Old.FullyInit,
-                           *Vars);
-        packComponentEntry(S.B.data() + Off, New.M, New.P, New.FullyInit,
-                           *Vars);
-        Off += blockSize(Vars->size());
-      }
-      Count = narrowSpanCount(S.R.data(), S.A.data(), S.B.data(), Batch.Total);
-      scatterBatch(Batch, S, R.M);
-    }
-    R.FullyInit = R.P.isWhole();
-    R.NniExplicit = Count;
   } else {
-    std::size_t Count = 0;
-    for (std::size_t C = 0, E = R.P.numComponents(); C != E; ++C)
-      forEachComponentSlot(R.P.component(C), [&](unsigned I, unsigned J) {
-        double VO = Old.entry(I, J);
-        double V = isFinite(VO) ? VO : New.entry(I, J);
-        R.M.at(I, J) = V;
-        Count += isFinite(V);
-      });
+    R.NniExplicit =
+        batchedEntryPass(Kern.NarrowSpanCount, R.P, R.M, Old.M, Old.P,
+                         Old.FullyInit, New.M, New.P, New.FullyInit);
     R.FullyInit = R.P.isWhole();
-    R.NniExplicit = Count;
   }
   R.Closed = false;
   R.Kind = R.P.empty()    ? DbmKind::Top
@@ -609,43 +376,30 @@ bool Octagon::leq(Octagon &Other) {
   // (Other is deliberately not closed here: the test is sound either
   // way, and closing a stored widening iterate would endanger
   // termination.)
-  if (octConfig().EnableVectorization && FullyInit && Other.FullyInit) {
+  const SpanKernels &Kern = activeSpanKernels();
+  if (FullyInit && Other.FullyInit) {
     // Both buffers fully meaningful: one flat early-exit predicate over
     // the packed storage. Other's slots outside its components hold
     // materialized trivial values, which cannot fabricate a violation
     // (anything <= +inf; both diagonals are 0).
-    return spanLeq(M.data(), Other.M.data(), M.size());
+    return Kern.SpanLeq(M.data(), Other.M.data(), M.size());
   }
+  BlockScratch &S = blockScratch();
   for (std::size_t C = 0, E = Other.P.numComponents(); C != E; ++C) {
     const std::vector<unsigned> &Vars = Other.P.component(C);
-    if (octConfig().EnableVectorization) {
-      // Pack and compare one row pair at a time: this side through
-      // entry()'s implicit trivia (the receiver's partition may split
-      // Other's component), Other with pure copies (its own component
-      // rows are materialized by definition). Flushing per row pair
-      // keeps the pointwise leg's early-exit profile — a violation in
-      // the first rows costs one tiny pack and one kernel call, not a
-      // whole-component gather.
-      BlockScratch &S = blockScratch();
-      S.ensure(4 * Vars.size());
-      for (std::size_t A = 0, NumV = Vars.size(); A != NumV; ++A) {
-        std::size_t Len = packRowPairEntry(S.A.data(), M, P, FullyInit, Vars, A);
-        packRowPair(S.B.data(), Other.M, Vars, A);
-        if (!spanLeq(S.A.data(), S.B.data(), Len))
-          return false;
-      }
-      continue;
+    // Pack and compare one row pair at a time: this side through
+    // entry()'s implicit trivia (the receiver's partition may split
+    // Other's component), Other with pure copies (its own component
+    // rows are materialized by definition). Flushing per row pair keeps
+    // the early exit cheap — a violation in the first rows costs one
+    // tiny pack and one kernel call, not a whole-component gather.
+    S.ensure(4 * Vars.size());
+    for (std::size_t A = 0, NumV = Vars.size(); A != NumV; ++A) {
+      std::size_t Len = packRowPairEntry(S.A.data(), M, P, FullyInit, Vars, A);
+      packRowPair(S.B.data(), Other.M, Vars, A);
+      if (!Kern.SpanLeq(S.A.data(), S.B.data(), Len))
+        return false;
     }
-    // Ablation leg: per-element reads through entry()'s implicit
-    // trivia, as in the original operator.
-    for (std::size_t A = 0; A != Vars.size(); ++A)
-      for (std::size_t B = 0; B <= A; ++B)
-        for (unsigned R = 0; R != 2; ++R)
-          for (unsigned S = 0; S != 2; ++S) {
-            unsigned I = 2 * Vars[A] + R, J = 2 * Vars[B] + S;
-            if (entry(I, J) > Other.M.at(I, J))
-              return false;
-          }
   }
   // When Other is fully materialized but its partition lags behind (it
   // over-approximates), uncovered entries are still genuinely trivial,
@@ -660,56 +414,48 @@ bool Octagon::equals(Octagon &Other) {
   if (Empty || Other.Empty)
     return Empty == Other.Empty;
   // The strongly closed form is canonical for non-empty octagons.
-  if (octConfig().EnableVectorization && FullyInit && Other.FullyInit) {
+  const SpanKernels &Kern = activeSpanKernels();
+  if (FullyInit && Other.FullyInit) {
     // Closure materialized both buffers (including the trivial slots
     // outside their exact partitions), so canonical equality is one
     // flat early-exit compare of the packed storage.
-    return spanEq(M.data(), Other.M.data(), M.size());
+    return Kern.SpanEq(M.data(), Other.M.data(), M.size());
   }
-  if (octConfig().EnableVectorization) {
-    // Any non-trivial entry of either side lies inside a component of
-    // its own partition, so two one-sided sweeps cover every pair that
-    // could differ: first all pairs inside Other's components (the
-    // receiver read through entry()'s implicit trivia), then pairs
-    // inside this side's components — skipping blocks the first sweep
-    // already verified in full because they exist identically in
-    // Other's partition (the common fixpoint-iterate case). Pairs
-    // covered by neither partition are trivial on both sides. No
-    // merged partition is materialized, so equality stays
-    // allocation-free, and flushing one row pair per kernel call keeps
-    // the pointwise leg's early-exit profile on unequal inputs.
-    BlockScratch &S = blockScratch();
-    for (std::size_t C = 0, E = Other.P.numComponents(); C != E; ++C) {
-      const std::vector<unsigned> &Vars = Other.P.component(C);
-      S.ensure(4 * Vars.size());
-      for (std::size_t A = 0, NumV = Vars.size(); A != NumV; ++A) {
-        std::size_t Len = packRowPairEntry(S.A.data(), M, P, FullyInit, Vars, A);
-        packRowPair(S.B.data(), Other.M, Vars, A);
-        if (!spanEq(S.A.data(), S.B.data(), Len))
-          return false;
-      }
-    }
-    for (std::size_t C = 0, E = P.numComponents(); C != E; ++C) {
-      const std::vector<unsigned> &Vars = P.component(C);
-      int CB = Other.P.componentOf(Vars[0]);
-      if (CB >= 0 && Other.P.component(static_cast<std::size_t>(CB)) == Vars)
-        continue;
-      S.ensure(4 * Vars.size());
-      for (std::size_t A = 0, NumV = Vars.size(); A != NumV; ++A) {
-        std::size_t Len = packRowPair(S.A.data(), M, Vars, A);
-        packRowPairEntry(S.B.data(), Other.M, Other.P, Other.FullyInit, Vars,
-                         A);
-        if (!spanEq(S.A.data(), S.B.data(), Len))
-          return false;
-      }
-    }
-    return true;
-  }
-  // Ablation leg: the original full coherence scan through entry().
-  unsigned D = M.dim();
-  for (unsigned I = 0; I != D; ++I)
-    for (unsigned J = 0; J <= (I | 1u); ++J)
-      if (entry(I, J) != Other.entry(I, J))
+  // Any non-trivial entry of either side lies inside a component of
+  // its own partition, so two one-sided sweeps cover every pair that
+  // could differ: first all pairs inside Other's components (the
+  // receiver read through entry()'s implicit trivia), then pairs
+  // inside this side's components — skipping blocks the first sweep
+  // already verified in full because they exist identically in
+  // Other's partition (the common fixpoint-iterate case). Pairs
+  // covered by neither partition are trivial on both sides. No merged
+  // partition is materialized, so equality stays allocation-free, and
+  // flushing one row pair per kernel call keeps the early exit cheap
+  // on unequal inputs.
+  BlockScratch &S = blockScratch();
+  for (std::size_t C = 0, E = Other.P.numComponents(); C != E; ++C) {
+    const std::vector<unsigned> &Vars = Other.P.component(C);
+    S.ensure(4 * Vars.size());
+    for (std::size_t A = 0, NumV = Vars.size(); A != NumV; ++A) {
+      std::size_t Len = packRowPairEntry(S.A.data(), M, P, FullyInit, Vars, A);
+      packRowPair(S.B.data(), Other.M, Vars, A);
+      if (!Kern.SpanEq(S.A.data(), S.B.data(), Len))
         return false;
+    }
+  }
+  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C) {
+    const std::vector<unsigned> &Vars = P.component(C);
+    int CB = Other.P.componentOf(Vars[0]);
+    if (CB >= 0 && Other.P.component(static_cast<std::size_t>(CB)) == Vars)
+      continue;
+    S.ensure(4 * Vars.size());
+    for (std::size_t A = 0, NumV = Vars.size(); A != NumV; ++A) {
+      std::size_t Len = packRowPair(S.A.data(), M, Vars, A);
+      packRowPairEntry(S.B.data(), Other.M, Other.P, Other.FullyInit, Vars,
+                       A);
+      if (!Kern.SpanEq(S.A.data(), S.B.data(), Len))
+        return false;
+    }
+  }
   return true;
 }

@@ -12,7 +12,7 @@
 /// initialized to the scalar table before any dynamic initializer runs
 /// and upgraded by this TU's dynamic initializer while the process is
 /// still single-threaded. Readers use relaxed loads — the table
-/// contents are immutable — so the hot-path wrappers cost one indirect
+/// contents are immutable — so fetching the table costs one indirect
 /// load; TSan runs the Blocked/SimdDispatch test groups over it.
 /// simdForceTier() exists for tests and benches and must only be called
 /// while no analysis thread is running (same contract as octConfig()).

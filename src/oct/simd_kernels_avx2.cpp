@@ -2,7 +2,7 @@
 ///
 /// \file
 /// The AVX2 tier of the runtime-dispatched kernel table: the 256-bit
-/// intrinsic bodies of oct/vector_ops.h and oct/vector_min.h, compiled
+/// intrinsic bodies of the oct/simd_kernels.h table, compiled
 /// with function target attributes instead of a global -mavx2, so a
 /// portable (OPTOCT_NATIVE=OFF) build still carries them and
 /// simd_dispatch.cpp can select them at startup on any AVX2 machine.
@@ -287,32 +287,6 @@ void strengthenRowAvx2(double *Dst, const double *T, double Di,
   }
 }
 
-OPTOCT_TARGET_AVX2
-void minRowsAvx2(double *Dst, const double *Src, std::size_t Len) {
-  std::size_t J = 0;
-  for (; J + 4 <= Len; J += 4) {
-    __m256d D = _mm256_loadu_pd(Dst + J);
-    __m256d S = _mm256_loadu_pd(Src + J);
-    _mm256_storeu_pd(Dst + J, _mm256_min_pd(D, S));
-  }
-  for (; J != Len; ++J)
-    if (Src[J] < Dst[J])
-      Dst[J] = Src[J];
-}
-
-OPTOCT_TARGET_AVX2
-void maxRowsAvx2(double *Dst, const double *Src, std::size_t Len) {
-  std::size_t J = 0;
-  for (; J + 4 <= Len; J += 4) {
-    __m256d D = _mm256_loadu_pd(Dst + J);
-    __m256d S = _mm256_loadu_pd(Src + J);
-    _mm256_storeu_pd(Dst + J, _mm256_max_pd(D, S));
-  }
-  for (; J != Len; ++J)
-    if (Src[J] > Dst[J])
-      Dst[J] = Src[J];
-}
-
 } // namespace
 
 const SpanKernels SpanKernelsAvx2 = {
@@ -328,8 +302,6 @@ const SpanKernels SpanKernelsAvx2 = {
     minPlusRow2Avx2,
     minPlusRow1Avx2,
     strengthenRowAvx2,
-    minRowsAvx2,
-    maxRowsAvx2,
 };
 
 } // namespace optoct

@@ -294,32 +294,6 @@ void strengthenRowAvx512(double *Dst, const double *T, double Di,
   }
 }
 
-OPTOCT_TARGET_AVX512
-void minRowsAvx512(double *Dst, const double *Src, std::size_t Len) {
-  std::size_t J = 0;
-  for (; J + 8 <= Len; J += 8) {
-    __m512d D = _mm512_loadu_pd(Dst + J);
-    __m512d S = _mm512_loadu_pd(Src + J);
-    _mm512_storeu_pd(Dst + J, _mm512_min_pd(D, S));
-  }
-  for (; J != Len; ++J)
-    if (Src[J] < Dst[J])
-      Dst[J] = Src[J];
-}
-
-OPTOCT_TARGET_AVX512
-void maxRowsAvx512(double *Dst, const double *Src, std::size_t Len) {
-  std::size_t J = 0;
-  for (; J + 8 <= Len; J += 8) {
-    __m512d D = _mm512_loadu_pd(Dst + J);
-    __m512d S = _mm512_loadu_pd(Src + J);
-    _mm512_storeu_pd(Dst + J, _mm512_max_pd(D, S));
-  }
-  for (; J != Len; ++J)
-    if (Src[J] > Dst[J])
-      Dst[J] = Src[J];
-}
-
 } // namespace
 
 const SpanKernels SpanKernelsAvx512 = {
@@ -335,8 +309,6 @@ const SpanKernels SpanKernelsAvx512 = {
     minPlusRow2Avx512,
     minPlusRow1Avx512,
     strengthenRowAvx512,
-    minRowsAvx512,
-    maxRowsAvx512,
 };
 
 } // namespace optoct

@@ -6,7 +6,7 @@
 /// against compiler auto-vectorization (OPTOCT_SCALAR_KERNEL): this tier
 /// is simultaneously the portable fallback for CPUs without AVX2, the
 /// OPTOCT_SIMD=scalar override target, and the honest baseline the
-/// ablation benchmarks (OPTOCT_VECTORIZE=0 closure) measure against.
+/// ablation benchmarks (simdForceTier(SimdTier::Scalar)) measure against.
 ///
 /// Bitwise contract with the AVX tiers: ties resolve to the second
 /// operand (like MAXPD/MINPD), widening's threshold jump is
@@ -162,22 +162,6 @@ void strengthenRowScalar(double *Dst, const double *T, double Di,
   }
 }
 
-OPTOCT_SCALAR_KERNEL
-void minRowsScalar(double *Dst, const double *Src, std::size_t Len) {
-  OPTOCT_SCALAR_LOOP
-  for (std::size_t J = 0; J != Len; ++J)
-    if (Src[J] < Dst[J])
-      Dst[J] = Src[J];
-}
-
-OPTOCT_SCALAR_KERNEL
-void maxRowsScalar(double *Dst, const double *Src, std::size_t Len) {
-  OPTOCT_SCALAR_LOOP
-  for (std::size_t J = 0; J != Len; ++J)
-    if (Src[J] > Dst[J])
-      Dst[J] = Src[J];
-}
-
 } // namespace
 
 const SpanKernels SpanKernelsScalar = {
@@ -193,8 +177,6 @@ const SpanKernels SpanKernelsScalar = {
     minPlusRow2Scalar,
     minPlusRow1Scalar,
     strengthenRowScalar,
-    minRowsScalar,
-    maxRowsScalar,
 };
 
 } // namespace optoct

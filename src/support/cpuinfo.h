@@ -23,8 +23,8 @@ extern char **environ;
 namespace optoct::support {
 
 /// What the silicon offers vs what the binary was compiled to use. The
-/// kernels run their AVX bodies only when both compiled_avx and the
-/// runtime EnableVectorization flag hold.
+/// kernel tier itself is chosen at runtime by oct/simd_dispatch.h from
+/// its own CPU probes, independent of the Compiled* flags.
 struct CpuFeatures {
   bool Avx = false;            ///< CPU supports AVX (runtime probe).
   bool Avx2 = false;           ///< CPU supports AVX2 (runtime probe).

@@ -4,7 +4,8 @@
 /// Random coherent DBM / octagon generation for the differential and
 /// property test suites. Bounds are small integers so every closure
 /// arithmetic result is exact in double precision and matrices can be
-/// compared with operator==.
+/// compared with operator==. Also the SIMD-tier loop the kernel,
+/// closure and operator suites run their checks under.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +14,7 @@
 
 #include "oct/closure_reference.h"
 #include "oct/dbm.h"
+#include "oct/simd_dispatch.h"
 #include "support/random.h"
 
 #include <gtest/gtest.h>
@@ -20,6 +22,26 @@
 #include <vector>
 
 namespace optoct::test {
+
+/// Every SIMD tier this machine can execute, scalar first.
+inline std::vector<SimdTier> supportedSimdTiers() {
+  std::vector<SimdTier> Tiers;
+  for (SimdTier T : {SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512})
+    if (simdTierSupported(T))
+      Tiers.push_back(T);
+  return Tiers;
+}
+
+/// Runs \p Fn(Tier) once with each supported tier installed
+/// (simdForceTier), then reinstalls the tier that was active before.
+template <typename FnT> void forEachSimdTier(FnT Fn) {
+  SimdTier Saved = activeSimdTier();
+  for (SimdTier T : supportedSimdTiers()) {
+    simdForceTier(T);
+    Fn(T);
+  }
+  simdForceTier(Saved);
+}
 
 /// Fills \p M as a random coherent half DBM: each conceptual inequality
 /// is finite with probability \p Density, with an integer bound in

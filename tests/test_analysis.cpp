@@ -8,6 +8,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "oct_test_util.h"
+
 #include "analysis/engine.h"
 
 #include "baseline/apron_octagon.h"
@@ -274,14 +276,14 @@ TEST(Analysis, AblationConfigsAgreeOnPrograms) {
   OctConfig Saved = octConfig();
   std::vector<unsigned> ProvenCounts;
   for (bool Decomp : {true, false})
-    for (bool Vec : {true, false})
-      for (bool Sparse : {true, false}) {
-        octConfig().EnableDecomposition = Decomp;
-        octConfig().EnableVectorization = Vec;
-        octConfig().EnableSparse = Sparse;
+    for (bool Sparse : {true, false}) {
+      octConfig().EnableDecomposition = Decomp;
+      octConfig().EnableSparse = Sparse;
+      test::forEachSimdTier([&](SimdTier) {
         auto R = analyze<Octagon>(G);
         ProvenCounts.push_back(R.assertsProven());
-      }
+      });
+    }
   octConfig() = Saved;
   for (unsigned C : ProvenCounts)
     EXPECT_EQ(C, ProvenCounts[0]);

@@ -1,31 +1,25 @@
 //===- tests/test_blocked.cpp - Blocked component layout ------------------===//
 ///
 /// \file
-/// Covers oct/blocked_layout.h and the blocked operator legs of
-/// oct/octagon_ops.cpp:
+/// Covers oct/blocked_layout.h:
 ///
 ///   * pack/scatter unit tests against a slot-by-slot reference mapping
 ///     (contiguous, fragmented, and fully interleaved components), and
 ///     scatter touching exactly the slots pack read;
 ///   * packComponentEntry against replicated Octagon::entry() semantics
 ///     on union-merged components whose cross pairs were never
-///     materialized;
-///   * operator-level differentials on adversarial partitions
-///     (singletons, one giant component, interleaved variable indices,
-///     top, bottom) sweeping the batching cutoff so every operator runs
-///     both its direct-walk and its batched-block path;
-///   * the same differential under every supported SIMD tier — the
-///     pack -> kernel -> scatter pipeline must be bitwise identical to
-///     the scalar pointwise leg on every tier, nni included.
+///     materialized.
+///
+/// The operators that run on this layout are checked against the
+/// APRON-style baseline on adversarial partitions (singletons, one
+/// giant component, interleaved variable indices, stripes, top,
+/// bottom) under every SIMD tier in tests/test_differential.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "oct/blocked_layout.h"
 
-#include "oct/config.h"
-#include "oct/constraint.h"
-#include "oct/octagon.h"
-#include "oct/simd_dispatch.h"
+#include "oct/partition.h"
 #include "oct/value.h"
 #include "support/random.h"
 
@@ -197,212 +191,6 @@ TEST(Blocked, PackEntryMatchesEntrySemanticsOnMergedComponents) {
     packComponent(Pure.data(), M, CV);
     packComponentEntry(Entry.data(), M, P, /*FullyInit=*/false, CV);
     EXPECT_EQ(Entry, Pure);
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Operator-level differentials on adversarial partitions.
-//===----------------------------------------------------------------------===//
-
-/// Partition shapes chosen to stress the blocked legs, not precision.
-enum class PartShape {
-  Singletons,  ///< every covered variable its own component
-  Giant,       ///< one chain component over all variables
-  Interleaved, ///< two components with alternating variable indices
-  Stripes,     ///< several 2-3 variable components, gaps between them
-  Top,         ///< no constraints
-  Bottom,      ///< contradictory constraints
-};
-
-Octagon adversarialOct(unsigned N, PartShape S, Rng &R) {
-  Octagon O(N);
-  std::vector<OctCons> Cs;
-  switch (S) {
-  case PartShape::Singletons:
-    for (unsigned I = 0; I != N; ++I)
-      if (R.chance(0.8))
-        Cs.push_back(OctCons::upper(I, R.intIn(-2, 24)));
-    break;
-  case PartShape::Giant:
-    for (unsigned I = 0; I + 1 != N; ++I)
-      Cs.push_back(OctCons::diff(I + 1, I, R.intIn(-2, 24)));
-    break;
-  case PartShape::Interleaved:
-    // Evens chained together, odds chained together: every pack chunk
-    // is a single variable.
-    for (unsigned I = 0; I + 2 < N; ++I)
-      if (R.chance(0.9))
-        Cs.push_back(OctCons::sum(I + 2, I, R.intIn(-2, 24)));
-    break;
-  case PartShape::Stripes: {
-    unsigned V = 0;
-    while (V + 1 < N) {
-      unsigned Size = std::min<unsigned>(R.chance(0.5) ? 2 : 3, N - V);
-      for (unsigned A = 1; A != Size; ++A)
-        Cs.push_back(OctCons::diff(V + A, V + A - 1, R.intIn(-2, 24)));
-      V += Size + 1; // always leave an uncovered gap variable
-    }
-    break;
-  }
-  case PartShape::Top:
-    break;
-  case PartShape::Bottom:
-    Cs.push_back(OctCons::upper(0, -1));
-    Cs.push_back(OctCons::lower(0, 0));
-    break;
-  }
-  O.addConstraints(Cs);
-  return O;
-}
-
-/// Same contract as test_vector_ops.cpp's expectOctIdentical.
-void expectOctIdentical(Octagon &Vec, Octagon &Scalar, const char *What) {
-  ASSERT_EQ(Vec.numVars(), Scalar.numVars()) << What;
-  EXPECT_EQ(Vec.kind(), Scalar.kind()) << What;
-  EXPECT_EQ(Vec.isClosed(), Scalar.isClosed()) << What;
-  EXPECT_TRUE(Vec.partition() == Scalar.partition()) << What;
-  bool VecBottom = Vec.isBottom();
-  ASSERT_EQ(VecBottom, Scalar.isBottom()) << What;
-  if (VecBottom)
-    return;
-  EXPECT_EQ(Vec.nni(), Scalar.nni()) << What;
-  unsigned D = 2 * Vec.numVars();
-  for (unsigned I = 0; I != D; ++I)
-    for (unsigned J = 0; J != D; ++J)
-      ASSERT_EQ(Vec.entry(I, J), Scalar.entry(I, J))
-          << What << ": entry (" << I << "," << J << ")";
-}
-
-class BlockedDifferentialTest : public ::testing::Test {
-protected:
-  void SetUp() override {
-    SavedVec = octConfig().EnableVectorization;
-    SavedCutoff = octConfig().BlockedCutoffVars;
-    SavedTier = activeSimdTier();
-  }
-  void TearDown() override {
-    octConfig().EnableVectorization = SavedVec;
-    octConfig().BlockedCutoffVars = SavedCutoff;
-    simdForceTier(SavedTier);
-  }
-
-  /// Runs \p Op blocked/vectorized (current tier + cutoff) vs the
-  /// pointwise scalar leg and asserts identical results, including the
-  /// in-place closures the operator performed on its arguments.
-  template <typename OpT>
-  void diffOp(const Octagon &A, const Octagon &B, OpT Op, const char *What) {
-    octConfig().EnableVectorization = true;
-    Octagon CA = A, CB = B;
-    Octagon Vec = Op(CA, CB);
-    octConfig().EnableVectorization = false;
-    Octagon SA = A, SB = B;
-    Octagon Scalar = Op(SA, SB);
-    expectOctIdentical(Vec, Scalar, What);
-    expectOctIdentical(CA, SA, What);
-    expectOctIdentical(CB, SB, What);
-  }
-
-  template <typename PredT>
-  void diffPred(const Octagon &A, const Octagon &B, PredT Pred,
-                const char *What) {
-    octConfig().EnableVectorization = true;
-    Octagon CA = A, CB = B;
-    bool Vec = Pred(CA, CB);
-    octConfig().EnableVectorization = false;
-    Octagon SA = A, SB = B;
-    bool Scalar = Pred(SA, SB);
-    EXPECT_EQ(Vec, Scalar) << What;
-    expectOctIdentical(CA, SA, What);
-    expectOctIdentical(CB, SB, What);
-  }
-
-  void runAllOps(const Octagon &A, const Octagon &B) {
-    const std::vector<double> Thresholds = {-2.0, 0.0, 1.0, 5.0, 10.0, 20.0};
-    diffOp(A, B,
-           [](Octagon &X, Octagon &Y) { return Octagon::meet(X, Y); }, "meet");
-    diffOp(A, B,
-           [](Octagon &X, Octagon &Y) { return Octagon::join(X, Y); }, "join");
-    diffOp(A, B,
-           [](Octagon &X, Octagon &Y) { return Octagon::widen(X, Y); },
-           "widen");
-    diffOp(A, B,
-           [&](Octagon &X, Octagon &Y) {
-             return Octagon::widenWithThresholds(X, Y, Thresholds);
-           },
-           "widenWithThresholds");
-    diffOp(A, B,
-           [](Octagon &X, Octagon &Y) { return Octagon::narrow(X, Y); },
-           "narrow");
-    diffPred(A, B, [](Octagon &X, Octagon &Y) { return X.leq(Y); }, "leq");
-    diffPred(A, B, [](Octagon &X, Octagon &Y) { return X.equals(Y); },
-             "equals");
-  }
-
-  bool SavedVec;
-  unsigned SavedCutoff;
-  SimdTier SavedTier;
-};
-
-TEST_F(BlockedDifferentialTest, AdversarialPartitionsAcrossCutoffs) {
-  // Cutoff 0: every component takes the direct per-span walk. Cutoff
-  // 1000: every component is batched into the shared block. Cutoff 4:
-  // mixed — small components batch while larger ones walk, within one
-  // operator call.
-  const PartShape Shapes[] = {PartShape::Singletons, PartShape::Giant,
-                              PartShape::Interleaved, PartShape::Stripes,
-                              PartShape::Top, PartShape::Bottom};
-  for (unsigned Cutoff : {0u, 4u, 1000u}) {
-    octConfig().BlockedCutoffVars = Cutoff;
-    for (unsigned N : {5u, 9u})
-      for (PartShape SA : Shapes)
-        for (PartShape SB : Shapes) {
-          Rng R(N * 100 + static_cast<unsigned>(SA) * 10 +
-                static_cast<unsigned>(SB));
-          Octagon A = adversarialOct(N, SA, R);
-          Octagon B = adversarialOct(N, SB, R);
-          runAllOps(A, B);
-        }
-  }
-}
-
-TEST_F(BlockedDifferentialTest, EveryTierMatchesPointwiseScalar) {
-  // The acceptance property for runtime dispatch: under every tier this
-  // machine can run, the blocked legs produce DBMs and nni bitwise
-  // identical to the pointwise scalar leg.
-  std::vector<SimdTier> Tiers{SimdTier::Scalar};
-  if (simdTierSupported(SimdTier::Avx2))
-    Tiers.push_back(SimdTier::Avx2);
-  if (simdTierSupported(SimdTier::Avx512))
-    Tiers.push_back(SimdTier::Avx512);
-  const PartShape Shapes[] = {PartShape::Giant, PartShape::Interleaved,
-                              PartShape::Stripes};
-  for (SimdTier Tier : Tiers) {
-    simdForceTier(Tier);
-    for (unsigned Cutoff : {0u, 1000u}) {
-      octConfig().BlockedCutoffVars = Cutoff;
-      for (PartShape SA : Shapes)
-        for (PartShape SB : Shapes) {
-          Rng R(9000 + static_cast<unsigned>(SA) * 10 +
-                static_cast<unsigned>(SB));
-          Octagon A = adversarialOct(13, SA, R);
-          Octagon B = adversarialOct(13, SB, R);
-          runAllOps(A, B);
-        }
-    }
-  }
-}
-
-TEST_F(BlockedDifferentialTest, FuzzRandomShapesAndCutoffs) {
-  for (unsigned Seed = 0; Seed != 20; ++Seed) {
-    Rng R(31337 + Seed * 7);
-    unsigned N = 3 + static_cast<unsigned>(R.indexBelow(18));
-    const unsigned Cutoffs[] = {0u, 2u, 4u, 8u, 1000u};
-    octConfig().BlockedCutoffVars = Cutoffs[R.indexBelow(5)];
-    PartShape SA = static_cast<PartShape>(R.indexBelow(6));
-    PartShape SB = static_cast<PartShape>(R.indexBelow(6));
-    Octagon A = adversarialOct(N, SA, R);
-    Octagon B = adversarialOct(N, SB, R);
-    runAllOps(A, B);
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include "oct/serialize.h"
 
+#include "oct_test_util.h"
+
 #include "oct/config.h"
 #include "support/random.h"
 
@@ -205,18 +207,14 @@ TEST(Serialize, MutationFuzzSmokeNeverCrashes) {
 
 // The daemon's invariant cache replays serialized results byte for
 // byte across processes whose kernel configuration may differ (a cache
-// file written under OPTOCT_VECTORIZE=0 must hit under the AVX build
+// file written under OPTOCT_SIMD=scalar must hit under the AVX-512 tier
 // and vice versa). That only holds if serializeOctagon is a pure
 // function of the abstract element — bit-identical output across the
-// vectorized/scalar kernels and the dense/decomposed representations.
+// SIMD tiers and the dense/decomposed representations.
 TEST(Serialize, ByteStableAcrossKernelAndRepresentationConfigs) {
   struct ConfigSaver {
-    bool Vec = octConfig().EnableVectorization;
     bool Dec = octConfig().EnableDecomposition;
-    ~ConfigSaver() {
-      octConfig().EnableVectorization = Vec;
-      octConfig().EnableDecomposition = Dec;
-    }
+    ~ConfigSaver() { octConfig().EnableDecomposition = Dec; }
   } Saved;
 
   // Constraint scripts are generated once, as plain data, so every
@@ -259,10 +257,9 @@ TEST(Serialize, ByteStableAcrossKernelAndRepresentationConfigs) {
     Scripts.push_back(std::move(S));
   }
 
-  // Replay under one configuration: closure of A (serialize closes),
+  // Replay under the installed tier: closure of A (serialize closes),
   // plus a join and a widening to route through the binary kernels.
-  auto Replay = [&](bool Vec, bool Dec) {
-    octConfig().EnableVectorization = Vec;
+  auto Replay = [&](bool Dec) {
     octConfig().EnableDecomposition = Dec;
     std::vector<std::string> Bytes;
     for (const Script &S : Scripts) {
@@ -280,25 +277,19 @@ TEST(Serialize, ByteStableAcrossKernelAndRepresentationConfigs) {
     return Bytes;
   };
 
-  const std::vector<std::string> Baseline =
-      Replay(/*Vec=*/true, /*Dec=*/true);
-  const struct {
-    bool Vec, Dec;
-    const char *Label;
-  } Configs[] = {
-      {true, false, "vectorized dense"},
-      {false, true, "scalar decomposed"},
-      {false, false, "scalar dense"},
-  };
-  for (const auto &Cfg : Configs) {
-    std::vector<std::string> Got = Replay(Cfg.Vec, Cfg.Dec);
-    ASSERT_EQ(Got.size(), Baseline.size());
-    for (std::size_t I = 0; I != Got.size(); ++I) {
-      EXPECT_EQ(Got[I], Baseline[I])
-          << Cfg.Label << " diverged from vectorized decomposed on case "
-          << I;
+  // Baseline: the startup tier, decomposed.
+  const std::vector<std::string> Baseline = Replay(/*Dec=*/true);
+  test::forEachSimdTier([&](SimdTier Tier) {
+    for (bool Dec : {true, false}) {
+      std::vector<std::string> Got = Replay(Dec);
+      ASSERT_EQ(Got.size(), Baseline.size());
+      for (std::size_t I = 0; I != Got.size(); ++I) {
+        EXPECT_EQ(Got[I], Baseline[I])
+            << simdTierName(Tier) << (Dec ? " decomposed" : " dense")
+            << " diverged from the startup tier on case " << I;
+      }
     }
-  }
+  });
 }
 
 TEST(Serialize, PreservesFractionalBounds) {

@@ -163,8 +163,6 @@ TEST_F(SimdDispatchTest, AllTierTablesAreFullyPopulated) {
     EXPECT_NE(K.MinPlusRow2, nullptr) << K.Name;
     EXPECT_NE(K.MinPlusRow1, nullptr) << K.Name;
     EXPECT_NE(K.StrengthenRow, nullptr) << K.Name;
-    EXPECT_NE(K.MinRows, nullptr) << K.Name;
-    EXPECT_NE(K.MaxRows, nullptr) << K.Name;
   };
   CheckTable(SpanKernelsScalar);
 #if OPTOCT_SIMD_X86

@@ -1,5 +1,7 @@
 //===- tests/test_thresholds.cpp - Threshold widening tests ----------------===//
 
+#include "oct_test_util.h"
+
 #include "analysis/engine.h"
 
 #include "baseline/apron_octagon.h"
@@ -10,6 +12,7 @@
 #include <gtest/gtest.h>
 
 using namespace optoct;
+using optoct::test::forEachSimdTier;
 
 namespace {
 
@@ -122,6 +125,45 @@ TEST(ThresholdWidening, StillTerminatesOnDivergentLoops) {
   auto R = analysis::analyze<Octagon>(G, Opts);
   EXPECT_EQ(R.assertsProven(), 1u);
   EXPECT_LT(R.BlockVisits, 100u);
+}
+
+//===----------------------------------------------------------------------===//
+// Entry-level semantics, under every SIMD tier.
+//===----------------------------------------------------------------------===//
+
+TEST(WidenThresholdsSemantics, UnaryBoundsUseDoubledThresholds) {
+  forEachSimdTier([](SimdTier Tier) {
+    unsigned N = 2;
+    Octagon Old(N), New(N);
+    Old.addConstraint(OctCons::upper(0, 5));
+    New.addConstraint(OctCons::upper(0, 7));
+    // Variable-level thresholds {6, 10}: x0's bound grew 5 -> 7, so it
+    // jumps to the smallest dominating threshold 10. The DBM entry
+    // encodes 2x the bound, so the kernel must search the *doubled* set
+    // {12, 20} with the raw entry 14 — searching the undoubled set
+    // would wrongly return 6 at entry level (bound 3, unsound).
+    Octagon W = Octagon::widenWithThresholds(Old, New, {6.0, 10.0});
+    EXPECT_EQ(W.boundOf(OctCons::upper(0, 0)), 20.0) << simdTierName(Tier);
+  });
+}
+
+TEST(WidenThresholdsSemantics, BinaryBoundsUseRawThresholds) {
+  forEachSimdTier([](SimdTier Tier) {
+    unsigned N = 2;
+    Octagon Old(N), New(N);
+    Old.addConstraint(OctCons::diff(0, 1, 3));
+    New.addConstraint(OctCons::diff(0, 1, 4));
+    // x0 - x1 grew 3 -> 4: jumps to threshold 6 (raw, not doubled).
+    Octagon W = Octagon::widenWithThresholds(Old, New, {6.0, 10.0});
+    EXPECT_EQ(W.boundOf(OctCons::diff(0, 1, 0)), 6.0) << simdTierName(Tier);
+
+    // Stable bounds survive unchanged even with thresholds present.
+    Octagon Old2(N), New2(N);
+    Old2.addConstraint(OctCons::diff(0, 1, 4));
+    New2.addConstraint(OctCons::diff(0, 1, 3));
+    Octagon W2 = Octagon::widenWithThresholds(Old2, New2, {6.0, 10.0});
+    EXPECT_EQ(W2.boundOf(OctCons::diff(0, 1, 0)), 4.0) << simdTierName(Tier);
+  });
 }
 
 } // namespace

@@ -12,7 +12,6 @@
 ///     --stats               closure count/cycles, octagon time
 ///     --dump-cfg            print the control-flow graph
 ///     --no-decomposition    disable online decomposition
-///     --no-vectorization    disable the AVX kernels
 ///     --no-sparse           disable the sparse closure
 ///     --threshold=<t>       sparsity threshold (default 0.75)
 ///     --widening-delay=<k>  joins before widening (default 2)
@@ -90,8 +89,7 @@ void usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s <file.imp> [--library=opt|apron] [--invariants]\n"
                "       [--loop-invariants] [--stats] [--dump-cfg]\n"
-               "       [--no-decomposition] [--no-vectorization] "
-               "[--no-sparse]\n"
+               "       [--no-decomposition] [--no-sparse]\n"
                "       [--threshold=<t>] [--widening-delay=<k>] "
                "[--narrowing=<k>]\n",
                Argv0);
@@ -114,8 +112,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.UseApron = true;
     else if (Arg == "--no-decomposition")
       octConfig().EnableDecomposition = false;
-    else if (Arg == "--no-vectorization")
-      octConfig().EnableVectorization = false;
     else if (Arg == "--no-sparse")
       octConfig().EnableSparse = false;
     else if (Arg.rfind("--threshold=", 0) == 0) {
