@@ -147,9 +147,12 @@ struct BatchOptions {
   /// Process isolation (the third rung of the recovery ladder; see the
   /// file comment). Thread mode ignores the three knobs below it.
   IsolationMode Isolation = IsolationMode::Thread;
-  /// Per-worker address-space limit in MiB (RLIMIT_AS); 0 = unlimited.
-  /// Ignored in sanitizer builds, whose shadow mappings need the whole
-  /// address space. Process mode only.
+  /// Per-worker address-space growth limit in MiB: RLIMIT_AS is set to
+  /// the address space the worker maps at fork plus this much, so what
+  /// a worker inherits from its parent (a warm daemon's cache) does not
+  /// count against it. 0 = unlimited. Ignored in sanitizer builds,
+  /// whose shadow mappings need the whole address space. Process mode
+  /// only.
   std::uint64_t MaxRssMb = 0;
   /// Workers are retired and respawned after this many jobs, bounding
   /// leak accumulation in long batches; 0 = never recycle.

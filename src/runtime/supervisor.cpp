@@ -77,12 +77,34 @@ std::string describeSignal(int Sig) {
   return "signal " + std::to_string(Sig);
 }
 
+/// The address space this process has mapped, in bytes: VmSize, the
+/// first field of /proc/self/statm, in pages. 0 if it cannot be read.
+/// Raw syscalls only: it runs in a freshly forked child.
+std::uint64_t mappedBytes() {
+  int Fd = ::open("/proc/self/statm", O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
+    return 0;
+  char Buf[64];
+  ssize_t N = ::read(Fd, Buf, sizeof(Buf));
+  ::close(Fd);
+  std::uint64_t Pages = 0;
+  for (ssize_t I = 0; I < N && Buf[I] >= '0' && Buf[I] <= '9'; ++I)
+    Pages = Pages * 10 + static_cast<std::uint64_t>(Buf[I] - '0');
+  return Pages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
 /// Child-side resource fences, applied before the first job.
 void applyWorkerLimits(const BatchOptions &Opts) {
   if (Opts.MaxRssMb != 0 && !OPTOCT_SANITIZED) {
+    // The fence is MaxRssMb *beyond* what the worker inherited at fork:
+    // a worker forked from a warm daemon already maps the parent's
+    // cache, which it never touches and which must not eat its budget.
+    std::uint64_t Inherited = mappedBytes();
+    rlim_t Limit = RLIM_INFINITY;
+    if (Opts.MaxRssMb <= (RLIM_INFINITY - Inherited) >> 20)
+      Limit = static_cast<rlim_t>(Inherited + (Opts.MaxRssMb << 20));
     struct rlimit RL;
-    RL.rlim_cur = RL.rlim_max =
-        static_cast<rlim_t>(Opts.MaxRssMb) << 20; // MiB -> bytes
+    RL.rlim_cur = RL.rlim_max = Limit;
     ::setrlimit(RLIMIT_AS, &RL);
   }
   if (Opts.Budget.DeadlineMs != 0) {
@@ -609,7 +631,7 @@ std::string optoct::runtime::describeWorkerDeath(int WaitStatus,
     std::string What = "killed by " + describeSignal(Sig);
     if (Sig == SIGABRT && Opts.MaxRssMb != 0 && !OPTOCT_SANITIZED)
       What += " (allocation failure under RLIMIT_AS " +
-              std::to_string(Opts.MaxRssMb) + " MiB)";
+              std::to_string(Opts.MaxRssMb) + " MiB past fork)";
     else if (Sig == SIGKILL)
       What += " (external kill — kernel OOM killer?)";
     else if (Sig == SIGXCPU)

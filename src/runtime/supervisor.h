@@ -38,8 +38,9 @@
 /// correct reading.
 ///
 /// Resource fencing per worker (applied in the child before any job):
-/// RLIMIT_AS from BatchOptions::MaxRssMb (skipped in sanitizer builds,
-/// whose shadow mappings need the whole address space) and an
+/// RLIMIT_AS at the address space mapped at fork plus
+/// BatchOptions::MaxRssMb (skipped in sanitizer builds, whose shadow
+/// mappings need the whole address space) and an
 /// RLIMIT_CPU backstop derived from the deadline, for the case where
 /// the supervisor itself is wedged.
 ///

@@ -20,9 +20,17 @@
 /// record as a torn tail, never an error. A daemon killed mid-save
 /// leaves either the old cache file or the new one, nothing in between.
 ///
+/// load() streams: it reads the file through a fixed buffer one entry
+/// at a time, reads each record body straight into the string the cache
+/// keeps, checks that record's checksum, and moves it in. No copy of the
+/// whole file is held, so a warm start peaks at the cache's own bytes
+/// plus the buffer. saveShared()'s merge pass reads through the same
+/// streaming reader.
+///
 /// Single-threaded by design: the daemon's event loop is the only
 /// caller. (The forked workers never see the cache — it lives in the
-/// server process only.)
+/// server process only, and the daemon forks its first workers before
+/// it loads the snapshot.)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,6 +73,12 @@ public:
 
   explicit InvariantCache(std::size_t MaxBytes = 64u << 20)
       : MaxBytes_(MaxBytes) {}
+  /// A copy gets its own index: the entries' list positions are
+  /// per-cache, so the index is rebuilt over the copied list.
+  InvariantCache(const InvariantCache &Other);
+  InvariantCache &operator=(const InvariantCache &Other);
+  InvariantCache(InvariantCache &&) = default;
+  InvariantCache &operator=(InvariantCache &&) = default;
 
   /// True with \p Record filled on a hit (the entry becomes
   /// most-recently-used). Counts a hit or a miss either way.
@@ -73,6 +87,8 @@ public:
   /// Inserts or refreshes \p Key, then evicts cold entries until the
   /// byte budget holds. An over-budget record is dropped silently.
   void insert(std::uint64_t Key, const std::string &Record);
+  /// The same, taking the record's bytes without copying them.
+  void insert(std::uint64_t Key, std::string &&Record);
 
   std::size_t entries() const { return Map.size(); }
   std::size_t bytes() const { return Bytes; }

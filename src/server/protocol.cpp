@@ -14,6 +14,7 @@ using namespace optoct::server;
 
 namespace {
 
+using support::appendPercentEscaped;
 using support::formatDouble;
 using support::hex64;
 using support::parseHex64;
@@ -216,20 +217,30 @@ bool optoct::server::decodeStatsRequest(const std::string &Body,
 }
 
 std::string optoct::server::encodeAnalyzeResponse(const AnalyzeResponse &R) {
-  std::ostringstream Out;
-  Out << "ares " << R.Id << "\n";
-  Out << "outcome "
-      << (R.Ok ? "ok" : (R.Overloaded ? "overloaded" : "rejected")) << "\n";
-  Out << "cached " << (R.Cached ? 1 : 0) << "\n";
-  Out << "key " << hex64(R.Key) << "\n";
-  if (R.Overloaded)
-    Out << "retry_ms " << R.RetryMs << "\n";
-  if (R.Ok)
-    Out << "result " << percentEscape(R.ResultRecord) << "\n";
-  else
-    Out << "error " << percentEscape(R.Error) << "\n";
-  Out << "end\n";
-  return Out.str();
+  const std::string &Payload = R.Ok ? R.ResultRecord : R.Error;
+  std::string Out;
+  // The fixed lines plus the payload with room for an escape (two extra
+  // bytes) every 16 bytes, more than a record has, so a reply is built
+  // in one allocation.
+  Out.reserve(96 + Payload.size() + Payload.size() / 8);
+  Out += "ares ";
+  Out += std::to_string(R.Id);
+  Out += "\noutcome ";
+  Out += R.Ok ? "ok" : (R.Overloaded ? "overloaded" : "rejected");
+  Out += "\ncached ";
+  Out += R.Cached ? '1' : '0';
+  Out += "\nkey ";
+  Out += hex64(R.Key);
+  Out += '\n';
+  if (R.Overloaded) {
+    Out += "retry_ms ";
+    Out += std::to_string(R.RetryMs);
+    Out += '\n';
+  }
+  Out += R.Ok ? "result " : "error ";
+  appendPercentEscaped(Out, Payload);
+  Out += "\nend\n";
+  return Out;
 }
 
 bool optoct::server::decodeAnalyzeResponse(const std::string &Body,

@@ -103,6 +103,7 @@ bool Server::spawnWorker(WorkerSlot &Slot, std::string &Error) {
   Slot.Reader = runtime::ipc::FrameReader();
   Slot.Busy = false;
   Slot.KillSent = false;
+  Slot.JobsDone = 0;
   ++Counters.WorkersSpawned;
   return true;
 }
@@ -202,6 +203,19 @@ bool Server::start(std::string &Error) {
       TcpPort = ntohs(Bound.sin_port);
   }
 
+  // Workers first: a worker forked after the snapshot load would map
+  // the whole cache (copy-on-write, but counted in its RSS and address
+  // space), though it never reads it.
+  unsigned N = Opts.Workers != 0 ? Opts.Workers
+                                 : std::max(1u, std::thread::hardware_concurrency());
+  Pool.resize(N);
+  Counters.Workers = N;
+  for (WorkerSlot &Slot : Pool)
+    if (!spawnWorker(Slot, Error)) {
+      shutdown();
+      return false;
+    }
+
   if (!Opts.CachePath.empty()) {
     std::string LoadError;
     CacheLoadStats LoadStats;
@@ -222,15 +236,6 @@ bool Server::start(std::string &Error) {
                    LoadStats.BytesDiscarded);
   }
 
-  unsigned N = Opts.Workers != 0 ? Opts.Workers
-                                 : std::max(1u, std::thread::hardware_concurrency());
-  Pool.resize(N);
-  Counters.Workers = N;
-  for (WorkerSlot &Slot : Pool)
-    if (!spawnWorker(Slot, Error)) {
-      shutdown();
-      return false;
-    }
   return true;
 }
 
@@ -645,8 +650,10 @@ void Server::dispatch() {
   for (WorkerSlot &Slot : Pool) {
     if (Queue.empty())
       return;
-    if (Slot.Busy || Slot.Proc.Pid < 0)
-      continue;
+    if (Slot.Busy || Slot.Proc.Pid < 0 ||
+        (Opts.Worker.RecycleAfter != 0 &&
+         Slot.JobsDone >= Opts.Worker.RecycleAfter))
+      continue; // retiring workers are respawned at their EOF
     PendingJob P = std::move(Queue.front());
     Queue.pop_front();
     // Index/attempt ride the frame for the worker's fault-replay logic;
@@ -698,6 +705,7 @@ void Server::readWorker(std::size_t W) {
     if (Slot.Busy) {
       PendingJob P = std::move(Slot.Current);
       Slot.Busy = false;
+      ++Slot.JobsDone;
       // Deterministic outcomes are cacheable; a Timeout depends on the
       // wall clock and must re-run next time.
       bool Cacheable = R.Status == runtime::JobStatus::Ok ||

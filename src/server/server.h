@@ -150,8 +150,9 @@ public:
   Server(const Server &) = delete;
   Server &operator=(const Server &) = delete;
 
-  /// Binds the socket (replacing a stale file), loads the cache, spawns
-  /// the pool. False with \p Error on any failure, nothing left bound.
+  /// Binds the socket (replacing a stale file), spawns the pool, then
+  /// loads the cache, so the first workers never map it. False with
+  /// \p Error on any failure, nothing left bound.
   bool start(std::string &Error);
 
   /// Runs the event loop until requestStop(). Calls shutdown() on the
@@ -216,6 +217,10 @@ private:
     PendingJob Current;                ///< Valid while Busy.
     std::chrono::steady_clock::time_point BusySince;
     bool KillSent = false; ///< Supervisor SIGKILL escalation fired.
+    /// Results read from this worker, mirroring its own count: after
+    /// Worker.RecycleAfter of them it exits on its own, so it is sent
+    /// no further job (one would be lost and misread as a crash).
+    unsigned JobsDone = 0;
   };
 
   bool spawnWorker(WorkerSlot &Slot, std::string &Error);

@@ -13,29 +13,71 @@
 #ifndef OPTOCT_SUPPORT_TEXTCODEC_H
 #define OPTOCT_SUPPORT_TEXTCODEC_H
 
+#include <bit>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 namespace optoct::support {
 
-/// Escapes '%', control bytes, and DEL as %XX; everything else passes
-/// through verbatim. The output never contains '\n'.
+/// 0x80 in each byte of \p W that percentEscape must escape ('%', a
+/// byte below 0x20, DEL), 0 in every other byte. Exact per byte: every
+/// sum stays inside its byte's low seven bits plus the high bit, so no
+/// carry crosses into a neighbour and a match cannot flag another byte.
+constexpr std::uint64_t escapeMask(std::uint64_t W) {
+  constexpr std::uint64_t Ones = 0x0101010101010101ull;
+  constexpr std::uint64_t High = Ones * 0x80, Low7 = Ones * 0x7f;
+  // High bit set iff the byte's low seven bits are >= 0x20.
+  std::uint64_t Ge20 = (W & Low7) + Ones * 0x60;
+  // High bit clear iff the byte equals '%' (resp. DEL).
+  std::uint64_t Pct = W ^ (Ones * '%'), Del = W ^ Low7;
+  std::uint64_t NotPct = ((Pct & Low7) + Low7) | Pct;
+  std::uint64_t NotDel = ((Del & Low7) + Low7) | Del;
+  // A byte is below 0x20 iff its high bit is clear and Ge20's is too.
+  return ~((Ge20 | W) & NotPct & NotDel) & High;
+}
+
+/// Appends \p S to \p Out with '%', control bytes, and DEL escaped as
+/// %XX (lowercase hex); everything else passes through verbatim. Scans
+/// eight bytes at a time and appends the runs between escapes whole.
+inline void appendPercentEscaped(std::string &Out, const std::string &S) {
+  static constexpr char HexDigits[] = "0123456789abcdef";
+  const char *P = S.data();
+  const std::size_t N = S.size();
+  std::size_t Run = 0; // start of the verbatim run not yet appended
+  auto Escape = [&](std::size_t At) {
+    unsigned char U = static_cast<unsigned char>(P[At]);
+    Out.append(P + Run, At - Run);
+    const char Esc[3] = {'%', HexDigits[U >> 4], HexDigits[U & 0xf]};
+    Out.append(Esc, 3);
+    Run = At + 1;
+  };
+  std::size_t I = 0;
+  for (; N - I >= 8; I += 8) {
+    std::uint64_t W;
+    std::memcpy(&W, P + I, 8);
+    if constexpr (std::endian::native == std::endian::big)
+      W = __builtin_bswap64(W); // byte I in the low bits, as below
+    for (std::uint64_t M = escapeMask(W); M != 0; M &= M - 1)
+      Escape(I + static_cast<std::size_t>(std::countr_zero(M) / 8));
+  }
+  for (; I != N; ++I) {
+    unsigned char U = static_cast<unsigned char>(P[I]);
+    if (U == '%' || U < 0x20 || U == 0x7f)
+      Escape(I);
+  }
+  Out.append(P + Run, N - Run);
+}
+
+/// The escaped copy of \p S. The output never contains '\n'.
 inline std::string percentEscape(const std::string &S) {
   std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    unsigned char U = static_cast<unsigned char>(C);
-    if (C == '%' || U < 0x20 || U == 0x7f) {
-      char Buf[4];
-      std::snprintf(Buf, sizeof(Buf), "%%%02x", U);
-      Out += Buf;
-    } else
-      Out += C;
-  }
+  Out.reserve(S.size() + S.size() / 8);
+  appendPercentEscaped(Out, S);
   return Out;
 }
 
@@ -43,30 +85,29 @@ inline std::string percentEscape(const std::string &S) {
 /// (truncated or non-hex) — escaped bytes are untrusted input after a
 /// crash or over a socket, so this must reject, never assert.
 inline bool percentUnescape(const std::string &S, std::string &Out) {
+  auto Hex = [](char C) -> int {
+    if (C >= '0' && C <= '9')
+      return C - '0';
+    if (C >= 'a' && C <= 'f')
+      return C - 'a' + 10;
+    if (C >= 'A' && C <= 'F')
+      return C - 'A' + 10;
+    return -1;
+  };
   Out.clear();
   Out.reserve(S.size());
-  for (std::size_t I = 0; I != S.size(); ++I) {
-    if (S[I] != '%') {
-      Out += S[I];
-      continue;
-    }
-    if (I + 2 >= S.size())
+  std::size_t I = 0;
+  for (std::size_t Pct; (Pct = S.find('%', I)) != std::string::npos;
+       I = Pct + 3) {
+    Out.append(S, I, Pct - I);
+    if (Pct + 2 >= S.size())
       return false;
-    auto Hex = [](char C) -> int {
-      if (C >= '0' && C <= '9')
-        return C - '0';
-      if (C >= 'a' && C <= 'f')
-        return C - 'a' + 10;
-      if (C >= 'A' && C <= 'F')
-        return C - 'A' + 10;
-      return -1;
-    };
-    int Hi = Hex(S[I + 1]), Lo = Hex(S[I + 2]);
+    int Hi = Hex(S[Pct + 1]), Lo = Hex(S[Pct + 2]);
     if (Hi < 0 || Lo < 0)
       return false;
     Out += static_cast<char>(Hi * 16 + Lo);
-    I += 2;
   }
+  Out.append(S, I);
   return true;
 }
 

@@ -911,6 +911,42 @@ TEST_F(DaemonCacheShared, OwnEntriesWinOverStaleForeignDuplicates) {
   ::unlink((Path + ".lock").c_str());
 }
 
+// Foreign entries fill only the saver's spare budget, and only as the
+// longest hottest suffix of the file: a cold entry that fits is still
+// dropped once a hotter one in front of it did not.
+TEST_F(DaemonCacheShared, ForeignEntriesKeepOnlyTheHottestSuffixThatFits) {
+  std::string Path = tempPath("trim.cache");
+  std::string Error;
+  const std::size_t Small = 10 + server::InvariantCache::EntryOverheadBytes;
+  {
+    server::InvariantCache A(1u << 20);
+    A.insert(1, std::string(10, 'a')); // coldest
+    A.insert(2, std::string(10, 'b'));
+    A.insert(3, std::string(200, 'c'));
+    A.insert(4, std::string(10, 'd'));
+    A.insert(5, std::string(10, 'e')); // hottest
+    ASSERT_TRUE(A.saveShared(Path, Error)) << Error;
+  }
+  {
+    // Room for three small foreign entries but not for the big one.
+    server::InvariantCache B(Small + 3 * Small + 5);
+    B.insert(9, std::string(10, 'z'));
+    ASSERT_TRUE(B.saveShared(Path, Error)) << Error;
+  }
+  server::InvariantCache Merged(1u << 20);
+  server::CacheLoadStats Stats;
+  ASSERT_TRUE(Merged.load(Path, Error, &Stats)) << Error;
+  EXPECT_TRUE(Stats.Corruption.empty()) << Stats.Corruption;
+  std::string Rec;
+  for (std::uint64_t Kept : {4u, 5u, 9u})
+    EXPECT_TRUE(Merged.lookup(Kept, Rec)) << "key " << Kept;
+  for (std::uint64_t Dropped : {1u, 2u, 3u})
+    EXPECT_FALSE(Merged.lookup(Dropped, Rec)) << "key " << Dropped;
+  EXPECT_EQ(Merged.entries(), 3u);
+  ::unlink(Path.c_str());
+  ::unlink((Path + ".lock").c_str());
+}
+
 TEST_F(DaemonCacheShared, ConcurrentSaversNeverCorruptAndAllSurvive) {
   std::string Path = tempPath("conc.cache");
   const unsigned Savers = 8;

@@ -26,27 +26,34 @@
 #include "server/server.h"
 #include "support/faultinject.h"
 #include "support/fnv.h"
+#include "support/textcodec.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
 #include <pthread.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace optoct;
 using namespace optoct::runtime;
+using namespace std::string_literals;
 
 namespace {
 
@@ -389,6 +396,11 @@ TEST_F(DaemonProtocol, ResponseRoundTrip) {
   In.Cached = true;
   In.Key = 0x0123456789abcdefull;
   In.ResultRecord = std::string("record\nwith\nlines % and \x7f", 26);
+  // The exact wire bytes: replies are compared byte for byte across
+  // builds, so the encoding must never drift.
+  EXPECT_EQ(server::encodeAnalyzeResponse(In),
+            "ares 77\noutcome ok\ncached 1\nkey 0123456789abcdef\n"
+            "result record%0awith%0alines %25 and %7f%00\nend\n");
   server::AnalyzeResponse Out;
   std::string Error;
   ASSERT_TRUE(server::decodeAnalyzeResponse(server::encodeAnalyzeResponse(In),
@@ -587,6 +599,21 @@ TEST_F(DaemonCache, SaveLoadRoundTripPreservesEntriesAndRecency) {
     ASSERT_TRUE(Cache.lookup(1, Record)); // 1 hottest, 2 coldest
     ASSERT_TRUE(Cache.save(Path, Error)) << Error;
   }
+  // The exact snapshot bytes, cold to hot: the format on disk is fixed.
+  {
+    auto Entry = [](const char *Key, const std::string &Record) {
+      return std::string("ent ") + Key + " " + std::to_string(Record.size()) +
+             " " + support::hex64(support::fnv1a64(Record)) + "\n" + Record;
+    };
+    std::ifstream In(Path, std::ios::binary);
+    std::string Bytes((std::istreambuf_iterator<char>(In)),
+                      std::istreambuf_iterator<char>());
+    EXPECT_EQ(Bytes, "optoct-cache v1\n" +
+                         Entry("0000000000000002",
+                               std::string("two\nwith % binary \x02", 19)) +
+                         Entry("0000000000000003", "three") +
+                         Entry("0000000000000001", "one"));
+  }
   const std::size_t Slot2 = 19 + server::InvariantCache::EntryOverheadBytes;
   const std::size_t SlotSmall =
       5 + server::InvariantCache::EntryOverheadBytes;
@@ -743,6 +770,253 @@ TEST_F(DaemonCache, LoadRejectsForeignFile) {
   std::string Error;
   EXPECT_FALSE(Cache.load(Path, Error));
   EXPECT_FALSE(Error.empty());
+  ::unlink(Path.c_str());
+}
+
+// --- Streaming snapshot reader vs the whole-blob parser ---------------------
+
+namespace {
+
+/// The whole-blob snapshot parser InvariantCache::load used before it
+/// streamed, kept here as the salvage reference: the streaming reader
+/// must keep exactly the entries and report exactly the stats this one
+/// does on every damaged file.
+bool referenceParse(const std::string &Data,
+                    std::vector<std::pair<std::uint64_t, std::string>> &Out,
+                    server::CacheLoadStats &S, std::string &Error) {
+  std::size_t Pos = Data.find('\n');
+  if (Pos == std::string::npos || Data.substr(0, Pos) != "optoct-cache v1") {
+    Error = "bad cache magic";
+    S.BytesDiscarded = Data.size();
+    return false;
+  }
+  ++Pos;
+  auto Salvage = [&](const char *Why) {
+    S.Corruption = Why;
+    S.BytesKept = Pos;
+    S.BytesDiscarded = Data.size() - Pos;
+    return true;
+  };
+  while (Pos < Data.size()) {
+    std::size_t Nl = Data.find('\n', Pos);
+    if (Nl == std::string::npos)
+      return Salvage("torn entry header");
+    std::string Line = Data.substr(Pos, Nl - Pos);
+    if (Line.rfind("ent ", 0) != 0)
+      return Salvage("unrecognized entry line");
+    std::istringstream Fields(Line.substr(4));
+    std::string KeyS, LenS, SumS;
+    std::uint64_t Key = 0, Len = 0, Sum = 0;
+    if (!(Fields >> KeyS >> LenS >> SumS) ||
+        !support::parseHex64(KeyS, Key) || !support::parseU64(LenS, Len) ||
+        !support::parseHex64(SumS, Sum))
+      return Salvage("malformed entry header");
+    std::size_t BodyStart = Nl + 1;
+    if (Len > Data.size() - BodyStart)
+      return Salvage("truncated record body");
+    std::string Record = Data.substr(BodyStart, static_cast<std::size_t>(Len));
+    if (support::fnv1a64(Record) != Sum)
+      return Salvage("record checksum mismatch");
+    Pos = BodyStart + static_cast<std::size_t>(Len);
+    Out.emplace_back(Key, std::move(Record));
+    ++S.EntriesLoaded;
+    S.BytesKept = Pos;
+  }
+  return true;
+}
+
+std::string entryHeader(const std::string &Key, const std::string &Len,
+                        const std::string &Sum) {
+  return "ent " + Key + " " + Len + " " + Sum + "\n";
+}
+
+std::string snapshotEntry(std::uint64_t Key, const std::string &Record) {
+  return entryHeader(support::hex64(Key), std::to_string(Record.size()),
+                     support::hex64(support::fnv1a64(Record))) +
+         Record;
+}
+
+void writeBytes(const std::string &Path, const std::string &Bytes) {
+  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+}
+
+/// What a cache holds, in recency order: its save() bytes.
+std::string savedBytes(const server::InvariantCache &C,
+                       const std::string &Path) {
+  std::string Error;
+  EXPECT_TRUE(C.save(Path, Error)) << Error;
+  std::ifstream In(Path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Loads \p Bytes through InvariantCache::load and through the
+/// reference parser; both must agree on the result, the error, every
+/// stat and the entries kept.
+void expectSalvageParity(const std::string &Bytes, const std::string &What) {
+  SCOPED_TRACE(What);
+  std::string Path = tempPath("parity.cache");
+  std::string SavePath = tempPath("parity.saved");
+  writeBytes(Path, Bytes);
+
+  server::InvariantCache Got(1u << 30);
+  server::CacheLoadStats GotStats;
+  std::string GotError;
+  bool GotOk = Got.load(Path, GotError, &GotStats);
+
+  std::vector<std::pair<std::uint64_t, std::string>> Ref;
+  server::CacheLoadStats RefStats;
+  std::string RefError;
+  bool RefOk = referenceParse(Bytes, Ref, RefStats, RefError);
+  server::InvariantCache Want(1u << 30);
+  for (auto &E : Ref)
+    Want.insert(E.first, E.second);
+
+  EXPECT_EQ(GotOk, RefOk);
+  EXPECT_EQ(GotError, RefError);
+  EXPECT_EQ(GotStats.EntriesLoaded, RefStats.EntriesLoaded);
+  EXPECT_EQ(GotStats.BytesKept, RefStats.BytesKept);
+  EXPECT_EQ(GotStats.BytesDiscarded, RefStats.BytesDiscarded);
+  EXPECT_EQ(GotStats.Corruption, RefStats.Corruption);
+  EXPECT_EQ(Got.entries(), Want.entries());
+  EXPECT_EQ(savedBytes(Got, SavePath), savedBytes(Want, SavePath));
+  ::unlink(Path.c_str());
+  ::unlink(SavePath.c_str());
+}
+
+} // namespace
+
+TEST_F(DaemonCache, StreamingLoadSalvagesExactlyLikeWholeBlobParser) {
+  const std::string Magic = "optoct-cache v1\n";
+  // Records with newlines, spaces, '%' and binary bytes, an empty one,
+  // and one larger than the reader's buffer.
+  std::vector<std::pair<std::uint64_t, std::string>> Entries = {
+      {0x1111, "ok 1/1\ninv x <= 10\n"},
+      {0x2222, std::string("bin\0\x01\xff % ent 1 2 3\n", 19)},
+      {0x3333, ""},
+      {0x4444, std::string(70000, 'z') + "\nend"},
+      {0x5555, "last"}};
+  std::string Sound = Magic;
+  std::vector<std::size_t> Boundaries = {0, Magic.size() - 1, Magic.size()};
+  for (const auto &E : Entries) {
+    std::size_t HeaderStart = Sound.size();
+    Sound += snapshotEntry(E.first, E.second);
+    std::size_t BodyStart = Sound.size() - E.second.size();
+    for (std::size_t B : {HeaderStart, HeaderStart + 1, HeaderStart + 4,
+                          BodyStart - 1, BodyStart, BodyStart + 1,
+                          Sound.size() - 1, Sound.size()})
+      Boundaries.push_back(std::min(B, Sound.size()));
+  }
+  expectSalvageParity(Sound, "sound snapshot");
+  expectSalvageParity(Magic, "magic only");
+
+  // Truncation at every header and body boundary, and at every byte of
+  // the small entries.
+  for (std::size_t B : Boundaries)
+    expectSalvageParity(Sound.substr(0, B), "cut at " + std::to_string(B));
+  for (std::size_t B = 0; B != Magic.size() + 120; ++B)
+    expectSalvageParity(Sound.substr(0, B), "cut at " + std::to_string(B));
+
+  // Byte flips: every bit of every header byte and seeded positions in
+  // the bodies.
+  std::string Small = Magic;
+  for (const auto &E : Entries)
+    if (E.second.size() < 100)
+      Small += snapshotEntry(E.first, E.second);
+  for (std::size_t I = 0; I != Small.size(); ++I)
+    for (int Bit = 0; Bit != 8; ++Bit) {
+      std::string Flipped = Small;
+      Flipped[I] = static_cast<char>(Flipped[I] ^ (1 << Bit));
+      expectSalvageParity(Flipped, "flip byte " + std::to_string(I) +
+                                       " bit " + std::to_string(Bit));
+    }
+  std::mt19937_64 Rng(0x5eed);
+  for (int N = 0; N != 200; ++N) {
+    std::string Flipped = Sound;
+    std::size_t I = Rng() % Flipped.size();
+    Flipped[I] = static_cast<char>(Flipped[I] ^ (1 + Rng() % 255));
+    expectSalvageParity(Flipped, "random flip at " + std::to_string(I));
+  }
+
+  // Header fields strtoull accepted or rejected at the edges: 0x and +
+  // prefixes, extra whitespace of every kind, leading zeros, upper-case
+  // hex, signs, overflow, trailing fields and missing ones.
+  const std::string Rec = "record body\n";
+  const std::string Key = "00000000deadbeef";
+  const std::string Len = std::to_string(Rec.size());
+  const std::string Sum = support::hex64(support::fnv1a64(Rec));
+  const std::string Tail = snapshotEntry(0x6666, "after");
+  std::vector<std::string> Headers = {
+      entryHeader("0x" + Key, Len, Sum),
+      entryHeader("0X" + Key, Len, "0x" + Sum),
+      entryHeader(Key, "+" + Len, Sum),
+      entryHeader("+" + Key, Len, "+0x" + Sum),
+      entryHeader(" " + Key, " " + Len, " " + Sum),
+      "ent\t" + Key + "\t" + Len + "\v" + Sum + "\f\r\n",
+      "ent  " + Key + "   " + Len + " " + Sum + " extra fields\n",
+      entryHeader("000000" + Key, "000" + Len, "0000" + Sum),
+      entryHeader("DEADBEEF", Len, Sum),
+      entryHeader("-" + Key, Len, Sum),
+      entryHeader(Key, "-" + Len, Sum),
+      entryHeader(Key, "0x" + Len, Sum),
+      entryHeader(Key, Len, "1" + Sum),
+      entryHeader(Key, "99999999999999999999999", Sum),
+      entryHeader(Key, "18446744073709551615", Sum),
+      entryHeader(Key, std::to_string(Rec.size() + 1), Sum),
+      entryHeader(Key, std::to_string(Rec.size() - 1), Sum),
+      entryHeader(Key, Len, "g" + Sum),
+      entryHeader(Key + "\0"s, Len, Sum),
+      "ent " + Key + " " + Len + "\n",
+      "ent " + Key + "\n",
+      "ent \n",
+      "ent" + Key + " " + Len + " " + Sum + "\n",
+      "ENT " + Key + " " + Len + " " + Sum + "\n",
+      " ent " + Key + " " + Len + " " + Sum + "\n",
+      "\n",
+  };
+  for (const std::string &H : Headers) {
+    expectSalvageParity(Magic + H + Rec + Tail, "header " + H);
+    expectSalvageParity(Magic + Tail + H + Rec, "second header " + H);
+    expectSalvageParity(Magic + H, "bare header " + H);
+  }
+
+  // Bad magic: every byte of it flipped, cut, padded, or missing.
+  for (std::size_t I = 0; I != Magic.size(); ++I) {
+    std::string Bad = Sound;
+    Bad[I] = static_cast<char>(Bad[I] ^ 0x20);
+    expectSalvageParity(Bad, "magic flip " + std::to_string(I));
+  }
+  for (const std::string &M :
+       {"optoct-cache v1"s, "optoct-cache v1 \n"s, "optoct-cache v11\n"s,
+        "optoct-cache v\n"s, "\n"s, ""s, "optoct-cache v1\r\n"s,
+        "xoptoct-cache v1\n"s, std::string(100000, 'q')})
+    expectSalvageParity(M + Sound.substr(Magic.size()), "magic " + M);
+}
+
+// A copy has its own recency list: promoting or inserting in the copy
+// leaves the original's entries and order as they were.
+TEST_F(DaemonCache, CopyIsIndependentOfTheOriginal) {
+  std::string Path = tempPath("cache_copy");
+  server::InvariantCache Orig(1u << 20);
+  Orig.insert(1, "one");
+  Orig.insert(2, "two");
+  Orig.insert(3, "three");
+  std::string Before = savedBytes(Orig, Path);
+  {
+    server::InvariantCache Copy = Orig;
+    std::string Record;
+    ASSERT_TRUE(Copy.lookup(1, Record));
+    EXPECT_EQ(Record, "one");
+    Copy.insert(4, "four");
+    EXPECT_EQ(Copy.entries(), 4u);
+    server::InvariantCache Assigned(1u << 10);
+    Assigned = Copy;
+    ASSERT_TRUE(Assigned.lookup(2, Record));
+    EXPECT_EQ(Assigned.entries(), 4u);
+  }
+  EXPECT_EQ(Orig.entries(), 3u);
+  EXPECT_EQ(savedBytes(Orig, Path), Before);
   ::unlink(Path.c_str());
 }
 
@@ -1153,6 +1427,81 @@ TEST_F(Daemon, SalvagesCacheTailCorruptionOnStartup) {
   ::unlink(CachePath.c_str());
 }
 
+#ifdef OPTOCT_DAEMON_BIN
+// The worker memory fence counts only what a worker maps after fork.
+// The real optoctd binary runs here, so its workers fork from a
+// single-threaded daemon as in production (a daemon thread inside this
+// test would hand its workers a pre-reserved allocator arena that the
+// fence cannot see). Its warm cache is larger than the fence; with
+// --recycle-after=1 the second miss runs on a worker forked after the
+// load, which must still have its whole budget. Each program carries a
+// 1 MiB comment, so the worker has to map fresh memory for it.
+TEST_F(Daemon, WarmCacheDoesNotCountAgainstWorkerMemoryFence) {
+  std::string CachePath = tempPath("daemon_cache_fence");
+  std::string Socket = tempPath("daemon_fence.sock");
+  {
+    // A synthetic snapshot of 40 one-MiB records, written entry by
+    // entry so the test itself never holds it whole.
+    std::ofstream Out(CachePath, std::ios::binary | std::ios::trunc);
+    Out << "optoct-cache v1\n";
+    for (std::uint64_t K = 1; K <= 40; ++K)
+      Out << snapshotEntry(K, std::string(1u << 20, 'a' + K % 26));
+  }
+  std::vector<std::string> Args = {
+      OPTOCT_DAEMON_BIN,     "--socket=" + Socket,
+      "--workers=1",         "--cache-mb=64",
+      "--cache-file=" + CachePath, "--max-rss-mb=32",
+      "--recycle-after=1"};
+  std::vector<char *> Argv;
+  for (std::string &A : Args)
+    Argv.push_back(A.data());
+  Argv.push_back(nullptr);
+  pid_t Pid = ::fork();
+  ASSERT_GE(Pid, 0);
+  if (Pid == 0) {
+    int Null = ::open("/dev/null", O_WRONLY);
+    ::dup2(Null, STDERR_FILENO);
+    ::execv(Argv[0], Argv.data());
+    ::_exit(127);
+  }
+
+  server::DaemonClient Client;
+  std::string Error;
+  bool Connected = false;
+  for (int Try = 0; Try != 200 && !Connected; ++Try) {
+    Connected = Client.connect(Socket, Error);
+    if (!Connected)
+      std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  EXPECT_TRUE(Connected) << Error;
+  if (Connected) {
+    for (unsigned Bound : {21u, 22u}) {
+      server::AnalyzeRequest Req;
+      Req.Job.Name = "fenced" + std::to_string(Bound);
+      Req.Job.Source = "# " + std::string(1u << 20, 'c') + "\n" +
+                       loopProgram(Bound);
+      server::AnalyzeResponse Resp;
+      JobResult R = served(Client, Req, Resp);
+      EXPECT_FALSE(Resp.Cached);
+      EXPECT_EQ(R.Status, JobStatus::Ok) << R.Error;
+      EXPECT_EQ(R.AssertsProven, 2u);
+    }
+    server::DaemonStats Stats;
+    ASSERT_TRUE(Client.queryStats(Stats, Error)) << Error;
+    EXPECT_EQ(Stats.CacheEntries, 42u) << "the snapshot was loaded";
+    EXPECT_EQ(Stats.CrashedReplies, 0u);
+    EXPECT_GE(Stats.WorkersSpawned, 2u) << "the second miss ran on a respawn";
+    EXPECT_GE(Stats.WorkersRecycled, 1u);
+  }
+  ::kill(Pid, SIGTERM);
+  int St = 0;
+  ::waitpid(Pid, &St, 0);
+  ::unlink(Socket.c_str());
+  ::unlink(CachePath.c_str());
+  ::unlink((CachePath + ".lock").c_str());
+}
+#endif // OPTOCT_DAEMON_BIN
+
 // The acceptance containment test: a segfaulting request is reported
 // crashed to its one client; a request in flight on another worker at
 // the moment of death completes normally; the pool heals.
@@ -1388,6 +1737,9 @@ TEST_F(DaemonProtocol, OverloadedResponseRoundTrip) {
   R.RetryMs = 75;
   R.Error = "queue full";
   std::string Body = server::encodeAnalyzeResponse(R);
+  EXPECT_EQ(Body, "ares 9\noutcome overloaded\ncached 0\n"
+                  "key 0000000000000000\nretry_ms 75\nerror queue full\n"
+                  "end\n");
 
   server::AnalyzeResponse D;
   std::string Error;

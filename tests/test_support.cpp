@@ -4,11 +4,15 @@
 #include "support/random.h"
 #include "support/stats.h"
 #include "support/table.h"
+#include "support/textcodec.h"
 #include "support/timing.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
 
 using namespace optoct;
 
@@ -152,6 +156,134 @@ TEST(Timing, ScopedCycleTimerAddsToSink) {
     (void)X;
   }
   EXPECT_GT(Sink, 0u);
+}
+
+// --- Percent-escape codec against byte-at-a-time references --------------
+
+bool needsEscape(unsigned char U) { return U == '%' || U < 0x20 || U == 0x7f; }
+
+std::string referenceEscape(const std::string &S) {
+  std::string Out;
+  for (char C : S) {
+    unsigned char U = static_cast<unsigned char>(C);
+    if (needsEscape(U)) {
+      char Buf[4];
+      std::snprintf(Buf, sizeof(Buf), "%%%02x", U);
+      Out += Buf;
+    } else
+      Out += C;
+  }
+  return Out;
+}
+
+bool referenceUnescape(const std::string &S, std::string &Out) {
+  auto Hex = [](char C) -> int {
+    if (C >= '0' && C <= '9')
+      return C - '0';
+    if (C >= 'a' && C <= 'f')
+      return C - 'a' + 10;
+    if (C >= 'A' && C <= 'F')
+      return C - 'A' + 10;
+    return -1;
+  };
+  Out.clear();
+  for (std::size_t I = 0; I != S.size(); ++I) {
+    if (S[I] != '%') {
+      Out += S[I];
+      continue;
+    }
+    if (I + 2 >= S.size())
+      return false;
+    int Hi = Hex(S[I + 1]), Lo = Hex(S[I + 2]);
+    if (Hi < 0 || Lo < 0)
+      return false;
+    Out += static_cast<char>(Hi * 16 + Lo);
+    I += 2;
+  }
+  return true;
+}
+
+/// Escapes \p S both ways, then unescapes the result both ways.
+void expectCodecMatchesReference(const std::string &S) {
+  std::string Escaped = support::percentEscape(S);
+  ASSERT_EQ(Escaped, referenceEscape(S));
+  EXPECT_EQ(Escaped.find('\n'), std::string::npos);
+  std::string Back;
+  ASSERT_TRUE(support::percentUnescape(Escaped, Back));
+  EXPECT_EQ(Back, S);
+}
+
+std::string randomBytes(Rng &R, std::size_t Len) {
+  std::string S(Len, '\0');
+  for (char &C : S)
+    // Half from the bytes that escape, so every word sees matches.
+    C = static_cast<char>(R.chance(0.5) ? R.intIn(0, 255)
+                                        : (R.chance(0.5) ? '%' : R.intIn(0, 31)));
+  return S;
+}
+
+TEST(TextCodec, EscapeMaskIsExactInEveryLane) {
+  Rng R(17);
+  for (unsigned Lane = 0; Lane != 8; ++Lane)
+    for (unsigned B = 0; B != 256; ++B) {
+      unsigned char Bytes[8];
+      for (unsigned char &X : Bytes)
+        X = static_cast<unsigned char>(R.intIn(0, 255));
+      Bytes[Lane] = static_cast<unsigned char>(B);
+      std::uint64_t W = 0;
+      for (unsigned I = 0; I != 8; ++I)
+        W |= static_cast<std::uint64_t>(Bytes[I]) << (8 * I);
+      std::uint64_t M = support::escapeMask(W);
+      for (unsigned I = 0; I != 8; ++I)
+        EXPECT_EQ((M >> (8 * I)) & 0xff, needsEscape(Bytes[I]) ? 0x80u : 0u)
+            << "byte " << unsigned(Bytes[I]) << " in lane " << I;
+    }
+}
+
+TEST(TextCodec, EveryByteAtEveryOffsetMatchesReference) {
+  for (unsigned B = 0; B != 256; ++B)
+    for (std::size_t Len = 1; Len != 25; ++Len)
+      for (std::size_t At = 0; At != Len; ++At) {
+        std::string S(Len, 'a');
+        S[At] = static_cast<char>(B);
+        expectCodecMatchesReference(S);
+      }
+}
+
+TEST(TextCodec, RandomStringsMatchReference) {
+  Rng R(99);
+  for (std::size_t Len = 0; Len <= 64; ++Len)
+    for (int N = 0; N != 40; ++N)
+      expectCodecMatchesReference(randomBytes(R, Len));
+  for (int N = 0; N != 500; ++N)
+    expectCodecMatchesReference(randomBytes(R, R.indexBelow(2000)));
+  std::string Plain(5000, 'x'); // no escape at all: one bulk run
+  expectCodecMatchesReference(Plain);
+}
+
+TEST(TextCodec, MalformedEscapesAreRejected) {
+  std::string Out;
+  for (const char *Bad : {"%", "%4", "%g0", "%0g", "abc%", "abc%4", "%%",
+                          "% 1", "ok%4", "%4%41", "%41%", "%-1", "%+1",
+                          "%\n0", "x%x0"})
+    EXPECT_FALSE(support::percentUnescape(Bad, Out)) << Bad;
+  ASSERT_TRUE(support::percentUnescape("%41%4a%4A%25", Out));
+  EXPECT_EQ(Out, "AJJ%");
+
+  // Random mixes of '%', hex and non-hex digits: the verdict and the
+  // bytes decoded before it match the reference.
+  Rng R(5);
+  const std::string Alphabet = "%0123456789abcdefABCDEFgxz %\n";
+  for (int N = 0; N != 5000; ++N) {
+    std::string S(R.indexBelow(24), '\0');
+    for (char &C : S)
+      C = Alphabet[R.indexBelow(Alphabet.size())];
+    std::string Got, Want;
+    bool GotOk = support::percentUnescape(S, Got);
+    bool WantOk = referenceUnescape(S, Want);
+    ASSERT_EQ(GotOk, WantOk) << S;
+    EXPECT_EQ(Got, Want) << S;
+  }
 }
 
 } // namespace

@@ -32,8 +32,10 @@
 ///                           that segfaults, gets OOM-killed, or hangs
 ///                           without polling is contained (CRASHED /
 ///                           TIMEOUT), never the batch
-///     --max-rss-mb=<n>      per-worker RLIMIT_AS in MiB (process mode;
-///                           0 = unlimited; ignored under sanitizers)
+///     --max-rss-mb=<n>      per-worker memory fence in MiB: RLIMIT_AS
+///                           at the address space the worker maps at
+///                           fork plus n (process mode; 0 = unlimited;
+///                           ignored under sanitizers)
 ///     --recycle-after=<n>   retire and respawn each worker after n
 ///                           jobs (process mode; 0 = never)
 ///

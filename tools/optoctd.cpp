@@ -22,8 +22,10 @@
 ///                         reload it on start
 ///     --deadline-ms=<n>   per-request wall-clock budget; overstaying
 ///                         workers are hard-killed (0 = off)
-///     --max-rss-mb=<n>    per-worker RLIMIT_AS in MiB (0 = unlimited;
-///                         ignored under sanitizers)
+///     --max-rss-mb=<n>    per-worker memory fence in MiB: RLIMIT_AS
+///                         at the address space the worker maps at
+///                         fork plus n (0 = unlimited; ignored under
+///                         sanitizers)
 ///     --recycle-after=<n> retire each worker after n requests (0 = never)
 ///     --retries=<n>       re-run a request on a fresh worker up to n
 ///                         times if its worker crashes
