@@ -2,9 +2,9 @@
 
 #include "runtime/shard.h"
 
+#include "runtime/child_pool.h"
 #include "runtime/ipc.h"
 #include "runtime/journal.h"
-#include "runtime/supervisor.h"
 #include "support/faultinject.h"
 #include "support/fnv.h"
 #include "support/timing.h"
@@ -12,21 +12,15 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <list>
 #include <map>
 #include <stdexcept>
-#include <thread>
 
 #include <dirent.h>
-#include <fcntl.h>
 #include <poll.h>
-#include <sys/stat.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace optoct;
@@ -40,22 +34,6 @@ using Clock = std::chrono::steady_clock;
 /// a node without durability is useless, and dying loudly converts the
 /// condition into the coordinator's well-trodden death path.
 constexpr int NodeJournalExitCode = 48;
-
-/// Same SIGPIPE rationale as the supervisor: writes to a dead node's
-/// control pipe must fail with EPIPE, not kill the coordinator.
-class SigPipeGuard {
-public:
-  SigPipeGuard() {
-    struct sigaction SA;
-    std::memset(&SA, 0, sizeof(SA));
-    SA.sa_handler = SIG_IGN;
-    ::sigaction(SIGPIPE, &SA, &Old);
-  }
-  ~SigPipeGuard() { ::sigaction(SIGPIPE, &Old, nullptr); }
-
-private:
-  struct sigaction Old;
-};
 
 /// The whole life of a worker node: open (or resume) the slot journal,
 /// then loop — block for a lease, run its jobs in queue order with a
@@ -190,18 +168,14 @@ private:
 }
 
 struct Node {
-  pid_t Pid = -1;
-  int CtrlFd = -1; ///< Coordinator -> node (blocking writes).
-  int HbFd = -1;   ///< Node -> coordinator heartbeats (nonblocking).
+  Child Proc; ///< Control frames in, heartbeat frames out.
   unsigned Slot = 0;
-  bool Dying = false; ///< Kill sent; excluded from leasing/stealing.
   std::uint64_t LeaseId = 0; ///< 0 = idle.
   Clock::time_point Expiry{};
   /// Leased jobs without a Done heartbeat yet, in lease/queue order.
   std::vector<std::size_t> Outstanding;
   bool HasSuspect = false; ///< A Start heartbeat names the job in
   std::size_t Suspect = 0; ///< flight when the node dies.
-  ipc::FrameReader Reader;
 };
 
 class Coordinator {
@@ -240,14 +214,11 @@ public:
   const std::vector<char> &lostFlags() const { return Lost; }
 
   void run() {
-    SigPipeGuard PipeGuard;
-    for (unsigned I = 0; I != Target; ++I)
-      spawnNode(I);
-    if (Members.empty())
-      throw std::runtime_error("shard coordinator: cannot fork any node: " +
-                               std::string(std::strerror(errno)));
     while (Remaining != 0) {
-      topUpNodes();
+      topUp();
+      if (Members.empty() && Stats.NodesSpawned == 0)
+        throw std::runtime_error("shard coordinator: cannot fork any node: " +
+                                 std::string(std::strerror(errno)));
       if (Members.empty()) {
         failRemaining("shard coordinator: cannot respawn nodes: " +
                       std::string(std::strerror(errno)));
@@ -255,69 +226,40 @@ public:
       }
       assignLeases();
       maybeSteal();
-      pollOnce();
+      Pool.pollRound(
+          Members, PollMs,
+          [this](Node &N, ipc::MsgType Type, const std::string &Body) {
+            handleHeartbeat(N, Type, Body);
+          },
+          [this](const Node &N, const ChildExit &Exit) { onExit(N, Exit); });
       expiryScan();
     }
-    shutdown();
+    // Closing the control pipes is the retirement signal: nodes see EOF
+    // and _Exit(0) with their journals closed. All completed work is
+    // already fsync'd, so nothing can be lost to the SIGKILL backstop.
+    Pool.retire();
+    Members.clear();
   }
 
 private:
-  // --- Spawning -------------------------------------------------------------
-
-  bool spawnNode(unsigned Slot) {
-    int CtrlP[2], HbP[2];
-    if (::pipe(CtrlP) != 0)
-      return false;
-    if (::pipe(HbP) != 0) {
-      ::close(CtrlP[0]);
-      ::close(CtrlP[1]);
-      return false;
-    }
-    std::fflush(nullptr); // fork duplicates unflushed stdio buffers
-    pid_t Pid = ::fork();
-    if (Pid < 0) {
-      for (int Fd : {CtrlP[0], CtrlP[1], HbP[0], HbP[1]})
-        ::close(Fd);
-      return false;
-    }
-    if (Pid == 0) {
-      // Child: keep only this node's two ends; sibling pipes held open
-      // here would suppress their EOFs.
-      ::close(CtrlP[1]);
-      ::close(HbP[0]);
-      for (const Node &N : Members) {
-        ::close(N.CtrlFd);
-        ::close(N.HbFd);
+  void topUp() {
+    std::size_t Want =
+        std::min<std::size_t>(Target, std::max<std::size_t>(1, Remaining));
+    Pool.topUp(Want, [this] {
+      unsigned Slot = freeSlot();
+      Members.emplace_back();
+      Members.back().Slot = Slot;
+      auto Main = [&](int In, int Out) {
+        shardNodeMain(In, Out, shardNodeJournalPath(Prefix, Slot),
+                      Fingerprint, Jobs, Opts);
+      };
+      if (!Pool.spawn(Members.back().Proc, Main)) {
+        Members.pop_back();
+        return false;
       }
-      shardNodeMain(CtrlP[0], HbP[1], shardNodeJournalPath(Prefix, Slot),
-                    Fingerprint, Jobs, Opts); // noreturn
-    }
-    ::close(CtrlP[0]);
-    ::close(HbP[1]);
-    ::fcntl(HbP[0], F_SETFL, ::fcntl(HbP[0], F_GETFL, 0) | O_NONBLOCK);
-    Node N;
-    N.Pid = Pid;
-    N.CtrlFd = CtrlP[1];
-    N.HbFd = HbP[0];
-    N.Slot = Slot;
-    Members.push_back(std::move(N));
-    ++Stats.NodesSpawned;
-    return true;
-  }
-
-  void topUpNodes() {
-    unsigned Want = static_cast<unsigned>(
-        std::min<std::size_t>(Target, std::max<std::size_t>(1, Remaining)));
-    unsigned Attempts = 0;
-    while (Members.size() < Want && Attempts < 3) {
-      if (!spawnNode(freeSlot())) {
-        ++Attempts;
-        if (Members.empty())
-          std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        else
-          break; // degraded pool still makes progress; retry next loop
-      }
-    }
+      ++Stats.NodesSpawned;
+      return true;
+    });
   }
 
   unsigned freeSlot() const {
@@ -336,7 +278,7 @@ private:
 
   void assignLeases() {
     for (Node &N : Members) {
-      if (N.Dying || N.LeaseId != 0)
+      if (N.Proc.killed() || N.LeaseId != 0)
         continue;
       while (!ShardQueue.empty()) {
         std::vector<std::size_t> Chunk = std::move(ShardQueue.front());
@@ -355,11 +297,11 @@ private:
         for (std::size_t I : Chunk)
           Leased.push_back({I, Releases[I] + 1});
         std::uint64_t Id = ++NextLease;
-        if (!ipc::writeFrame(N.CtrlFd, ipc::MsgType::Lease,
+        if (!ipc::writeFrame(N.Proc.ToFd, ipc::MsgType::Lease,
                              ipc::encodeLease(Id, Shard.LeaseMs, Leased))) {
           // Node is dead or dying; requeue and let the EOF path reap.
           ShardQueue.push_front(std::move(Chunk));
-          killNode(N);
+          Pool.kill(N.Proc, "control pipe write failed");
           break;
         }
         N.LeaseId = Id;
@@ -377,7 +319,7 @@ private:
       return;
     bool IdleExists = false;
     for (const Node &N : Members)
-      IdleExists = IdleExists || (!N.Dying && N.LeaseId == 0);
+      IdleExists = IdleExists || (!N.Proc.killed() && N.LeaseId == 0);
     if (!IdleExists)
       return;
     // Victim: the busy node with the deepest queue of not-yet-started
@@ -385,7 +327,7 @@ private:
     Node *Victim = nullptr;
     std::size_t Best = 1; // need >= 2 stealable to leave the victim one
     for (Node &N : Members) {
-      if (N.Dying || N.LeaseId == 0)
+      if (N.Proc.killed() || N.LeaseId == 0)
         continue;
       std::size_t Stealable = N.Outstanding.size() -
                               (N.HasSuspect ? 1 : 0);
@@ -400,76 +342,28 @@ private:
     // reach last — and trim them off its lease. The trim can race jobs
     // the victim already started; the journal-merge dedup absorbs any
     // duplicate completion deterministically.
-    std::vector<std::size_t> Pool;
+    std::vector<std::size_t> Queued;
     for (std::size_t I : Victim->Outstanding)
       if (!(Victim->HasSuspect && I == Victim->Suspect))
-        Pool.push_back(I);
-    std::vector<std::size_t> Steal(Pool.end() - Pool.size() / 2, Pool.end());
+        Queued.push_back(I);
+    std::vector<std::size_t> Steal(Queued.end() - Queued.size() / 2,
+                                   Queued.end());
     if (Steal.empty())
       return;
     for (std::size_t I : Steal)
       Victim->Outstanding.erase(std::remove(Victim->Outstanding.begin(),
                                             Victim->Outstanding.end(), I),
                                 Victim->Outstanding.end());
-    if (!ipc::writeFrame(Victim->CtrlFd, ipc::MsgType::Trim,
+    // If the victim is dead the stolen jobs are queued anyway, and its
+    // reap re-leases the rest.
+    if (!ipc::writeFrame(Victim->Proc.ToFd, ipc::MsgType::Trim,
                          ipc::encodeTrim(Victim->LeaseId, Steal)))
-      killNode(*Victim); // stolen jobs are queued; the rest reap-releases
+      Pool.kill(Victim->Proc, "control pipe write failed");
     Stats.JobsStolen += static_cast<unsigned>(Steal.size());
     ShardQueue.push_back(std::move(Steal));
   }
 
-  // --- Event loop -----------------------------------------------------------
-
-  void pollOnce() {
-    std::vector<struct pollfd> Fds;
-    std::vector<std::list<Node>::iterator> ByFd;
-    for (auto It = Members.begin(); It != Members.end(); ++It) {
-      Fds.push_back({It->HbFd, POLLIN, 0});
-      ByFd.push_back(It);
-    }
-    int N = ::poll(Fds.data(), Fds.size(), static_cast<int>(PollMs));
-    if (N <= 0)
-      return;
-    std::vector<std::list<Node>::iterator> Exited;
-    for (std::size_t I = 0; I != Fds.size(); ++I) {
-      if ((Fds[I].revents & (POLLIN | POLLHUP | POLLERR)) == 0)
-        continue;
-      if (drainNode(*ByFd[I]))
-        Exited.push_back(ByFd[I]);
-    }
-    for (auto It : Exited)
-      reapNode(It);
-  }
-
-  /// Reads everything available; returns true on EOF (node gone).
-  bool drainNode(Node &N) {
-    char Buf[65536];
-    bool Eof = false;
-    for (;;) {
-      ssize_t Got = ::read(N.HbFd, Buf, sizeof(Buf));
-      if (Got > 0) {
-        N.Reader.feed(Buf, static_cast<std::size_t>(Got));
-        continue;
-      }
-      if (Got == 0) {
-        Eof = true;
-        break;
-      }
-      if (errno == EINTR)
-        continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK)
-        break;
-      Eof = true; // unexpected pipe error: treat as death
-      break;
-    }
-    ipc::MsgType Type{};
-    std::string Body;
-    while (N.Reader.next(Type, Body))
-      handleHeartbeat(N, Type, Body);
-    if (N.Reader.corrupt() && !N.Dying)
-      killNode(N); // garbage on the wire: the node is untrustworthy
-    return Eof;
-  }
+  // --- Heartbeats, deaths and expiry ---------------------------------------
 
   void handleHeartbeat(Node &N, ipc::MsgType Type, const std::string &Body) {
     std::uint64_t Lease = 0;
@@ -477,8 +371,7 @@ private:
     std::size_t Idx = 0;
     if (Type != ipc::MsgType::Heartbeat ||
         !ipc::decodeHeartbeat(Body, Lease, Kind, Idx)) {
-      if (!N.Dying)
-        killNode(N);
+      Pool.kill(N.Proc, "heartbeat protocol violation");
       return;
     }
     if (Lease != N.LeaseId)
@@ -509,18 +402,8 @@ private:
     }
   }
 
-  void killNode(Node &N) {
-    if (N.Dying)
-      return;
-    N.Dying = true;
-    ::kill(N.Pid, SIGKILL);
-  }
-
-  /// EOF seen: classify the corpse and re-lease what it still owed.
-  void reapNode(std::list<Node>::iterator It) {
-    Node &N = *It;
-    int St = 0;
-    (void)::waitpid(N.Pid, &St, 0);
+  /// A node died (the pool has reaped it): re-lease what it still owed.
+  void onExit(const Node &N, const ChildExit &Exit) {
     ++Stats.NodesDied;
     if (N.LeaseId != 0) {
       std::vector<std::size_t> Incomplete;
@@ -528,8 +411,7 @@ private:
         if (!DoneFlag[I])
           Incomplete.push_back(I);
       std::string Death = "node slot " + std::to_string(N.Slot) + " (pid " +
-                          std::to_string(N.Pid) + ") " +
-                          describeWorkerDeath(St, Opts);
+                          std::to_string(Exit.Pid) + ") " + Exit.What;
       if (N.HasSuspect) {
         // Exactly one job was in flight (Start with no Done): it alone
         // burns a release attempt and is quarantined in its own
@@ -561,21 +443,19 @@ private:
         ShardQueue.push_back(std::move(Incomplete));
       }
     }
-    ::close(N.CtrlFd);
-    ::close(N.HbFd);
-    Members.erase(It);
   }
 
   void expiryScan() {
     Clock::time_point Now = Clock::now();
     for (Node &N : Members) {
-      if (N.Dying || N.LeaseId == 0 || Now < N.Expiry)
+      if (N.Proc.killed() || N.LeaseId == 0 || Now < N.Expiry)
         continue;
       // No heartbeat for a whole lease: the node is dead or wedged.
       // SIGKILL before re-leasing keeps the slot journal single-writer;
       // the EOF lands at the next poll and the reap path re-leases.
       ++Stats.LeasesExpired;
-      killNode(N);
+      Pool.kill(N.Proc, "lease expired: no heartbeat for " +
+                            std::to_string(LeaseDur.count()) + " ms");
     }
   }
 
@@ -605,31 +485,6 @@ private:
         loseJob(I, Why);
   }
 
-  void shutdown() {
-    // Closing the control pipes is the retirement signal: nodes see EOF
-    // and _Exit(0) with their journals closed. Grace, then force — all
-    // completed work is already fsync'd, so nothing can be lost here.
-    for (Node &N : Members)
-      ::close(N.CtrlFd);
-    Clock::time_point Deadline = Clock::now() + std::chrono::seconds(2);
-    for (Node &N : Members) {
-      int St = 0;
-      for (;;) {
-        pid_t Got = ::waitpid(N.Pid, &St, WNOHANG);
-        if (Got == N.Pid || Got < 0)
-          break;
-        if (Clock::now() >= Deadline) {
-          ::kill(N.Pid, SIGKILL);
-          ::waitpid(N.Pid, &St, 0);
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-      ::close(N.HbFd);
-    }
-    Members.clear();
-  }
-
   const std::vector<BatchJob> &Jobs;
   const BatchOptions &Opts;
   const ShardOptions &Shard;
@@ -642,6 +497,7 @@ private:
   std::vector<unsigned> Releases; ///< Node deaths charged to this job.
   std::vector<char> Lost;
   std::deque<std::vector<std::size_t>> ShardQueue;
+  ChildPool Pool; ///< Unfenced: a node runs whole shards, not one job.
   std::list<Node> Members;
   std::size_t Remaining = 0;
   std::uint64_t NextLease = 0;

@@ -17,6 +17,14 @@
 ///     ├─ ctrl pipe ─► node 1 ─► heartbeat pipe ─┼─► poll(2) loop
 ///     └─ ctrl pipe ─► node N ─► heartbeat pipe ─┘      journal.nodeN
 ///
+/// The node processes are a ChildPool (runtime/child_pool.h), the same
+/// primitive under the supervisor's and the daemon's workers: it owns
+/// spawning, draining, killing, reaping and retiring them, and names a
+/// death by the coordinator's recorded kill reason (lease expiry, a
+/// broken pipe) instead of guessing at the kernel. The coordinator keeps
+/// the lease policy. Nodes are unfenced (no RLIMIT_AS, no recycling);
+/// BatchOptions::MaxRssMb and RecycleAfter do not apply to them.
+///
 /// Lease protocol. The coordinator chunks pending jobs into shards and
 /// grants each as a *lease* (id + duration) over the checksummed IPC
 /// frames (runtime/ipc.h). A node heartbeats on every job boundary
@@ -140,7 +148,9 @@ mergeShardJournals(const std::vector<std::string> &Paths,
 /// merges their journals into one report (byte-identical to runBatch's
 /// in canonical JSON). Per-job execution semantics (engine options,
 /// budgets, retries, audit) come from \p Opts; Opts.Jobs, Opts.JournalPath,
-/// Opts.Resume and Opts.Isolation are coordinator-owned and ignored.
+/// Opts.Resume and Opts.Isolation are coordinator-owned and ignored, as
+/// are the worker fences Opts.MaxRssMb and Opts.RecycleAfter (the CLI
+/// rejects them with --nodes).
 /// Throws std::runtime_error if no node can ever be forked, on journal
 /// I/O setup failure, or on a resume fingerprint mismatch. Node deaths,
 /// expired leases, and duplicate completions are the business being

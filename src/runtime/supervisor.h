@@ -21,9 +21,11 @@
 /// so a dying worker can corrupt nothing but its own in-flight frame,
 /// which the checksum catches.
 ///
-/// Death handling. A worker's result-pipe EOF is its death certificate
-/// (the write end closes on exit, however it exits); the supervisor
-/// then waitpid()s the corpse and classifies:
+/// Death handling. The worker processes and their pipes are a
+/// ChildPool (runtime/child_pool.h), which owns spawning, draining,
+/// killing, reaping and retiring them. A worker's result-pipe EOF is its
+/// death certificate (the write end closes on exit, however it exits);
+/// the pool reaps the corpse and the supervisor classifies:
 ///   * WIFSIGNALED (SIGSEGV/SIGABRT/SIGBUS/SIGKILL/...) with a job in
 ///     flight  -> JobStatus::Crashed, failure log names the signal and
 ///     any armed limit;
@@ -37,12 +39,12 @@
 /// and a lost frame is indistinguishable from a crash — which is the
 /// correct reading.
 ///
-/// Resource fencing per worker (applied in the child before any job):
-/// RLIMIT_AS at the address space mapped at fork plus
+/// Resource fencing per worker (the pool's fences, applied in the child
+/// before any job): RLIMIT_AS at the address space mapped at fork plus
 /// BatchOptions::MaxRssMb (skipped in sanitizer builds, whose shadow
-/// mappings need the whole address space) and an
-/// RLIMIT_CPU backstop derived from the deadline, for the case where
-/// the supervisor itself is wedged.
+/// mappings need the whole address space) and an RLIMIT_CPU backstop
+/// derived from the deadline, re-armed before every job, for the case
+/// where the supervisor itself is wedged.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,10 +55,7 @@
 
 #include <cstddef>
 #include <functional>
-#include <string>
 #include <vector>
-
-#include <sys/types.h>
 
 namespace optoct::runtime {
 
@@ -65,44 +64,13 @@ namespace optoct::runtime {
 using JobCompletionFn =
     std::function<void(std::size_t Index, const JobResult &Result)>;
 
-// --- Shared fork-pool building blocks ---------------------------------------
-//
-// The batch supervisor below and the analysis daemon (server/server.h)
-// both run pools of forked workers speaking the same frame protocol:
-// Job frames in, Result frames out, one attempt per message. The pieces
-// every pool owner needs — spawning a fenced worker, recognizing its
-// self-exit codes, naming its corpse — live here so the two schedulers
-// cannot drift apart on worker semantics.
-
-/// Worker self-exit codes. Distinct from the fault injector's
-/// deterministic crash exit (42) so an injected kind=crash in a worker
-/// still classifies as a crash, not a recycle.
-constexpr int WorkerRecycleExitCode = 46;  ///< Clean retirement after N jobs.
-constexpr int WorkerProtocolExitCode = 47; ///< Pipe protocol breakdown.
-
-/// One forked analysis worker and the owner's ends of its framed pipes.
-struct WorkerProcess {
-  pid_t Pid = -1;
-  int JobFd = -1; ///< Owner -> worker job frames (blocking writes).
-  int ResFd = -1; ///< Worker -> owner result frames (nonblocking reads).
-};
-
-/// Forks one worker process running the job-frame loop: read a Job
-/// frame, run one attempt (runJobSingleAttempt), write a Result frame,
-/// repeat; retire after Opts.RecycleAfter jobs. RLIMIT fences from
-/// \p Opts are applied in the child before the first job. The fds in
-/// \p ExtraCloseFds are closed in the child — sibling workers' pipe
-/// ends, listening sockets, client connections: anything whose EOF
-/// semantics a forked copy must not hold open. Returns false (and
-/// spawns nothing) if a pipe or fork fails; errno is preserved.
-bool spawnJobWorker(const BatchOptions &Opts,
-                    const std::vector<int> &ExtraCloseFds, WorkerProcess &Out);
-
-/// Human-readable classification of a dead worker's waitpid status:
-/// names the signal and any armed limit that plausibly fired ("killed
-/// by SIGABRT (allocation failure under RLIMIT_AS 256 MiB)"). \p Opts
-/// supplies the armed-limit context.
-std::string describeWorkerDeath(int WaitStatus, const BatchOptions &Opts);
+/// The whole life of a job worker, the body the supervisor and the
+/// analysis daemon (server/server.h) both hand to ChildPool::spawn:
+/// read a Job frame from \p JobFd, run one attempt
+/// (runJobSingleAttempt), write a Result frame to \p ResFd, repeat;
+/// retire after Opts.RecycleAfter jobs. Re-arms the RLIMIT_CPU backstop
+/// before every job. Exits only via _Exit.
+[[noreturn]] void runJobWorker(int JobFd, int ResFd, BatchOptions Opts);
 
 /// Runs Jobs[I] for each I in \p Pending inside forked worker
 /// processes, writing Results[I] as jobs finish. Worker count, budgets,

@@ -171,7 +171,7 @@ ReplicaClient::TryStatus ReplicaClient::tryHedged(
 
 void ReplicaClient::runLocal(const AnalyzeRequest &Req, AnalyzeResponse &Out) {
   // Mirror a daemon worker exactly: default batch options with the
-  // request's result-shaping knobs applied (supervisor workerMain),
+  // request's result-shaping knobs applied (runtime::runJobWorker),
   // one isolated attempt, then the daemon's own canonicalize +
   // serialize pipeline (Server::finishJob) — so a degraded reply is
   // byte-identical to what a healthy replica would have sent, for

@@ -17,7 +17,6 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace optoct;
@@ -78,31 +77,19 @@ Server::~Server() {
 }
 
 bool Server::spawnWorker(WorkerSlot &Slot, std::string &Error) {
-  // A forked worker must not hold open any fd whose EOF someone waits
-  // on: the listener, every client, every sibling worker pipe, and the
-  // wake pipe.
-  std::vector<int> CloseFds;
-  if (ListenFd >= 0)
-    CloseFds.push_back(ListenFd);
-  if (TcpListenFd >= 0)
-    CloseFds.push_back(TcpListenFd);
-  CloseFds.push_back(WakePipe[0]);
-  CloseFds.push_back(WakePipe[1]);
+  // Besides its siblings' pipes (the pool closes those), a forked worker
+  // must not hold open the listeners, the clients or the wake pipe.
+  std::vector<int> CloseFds = {ListenFd, TcpListenFd, WakePipe[0],
+                               WakePipe[1]};
   for (const auto &KV : Clients)
     CloseFds.push_back(KV.second.Fd);
-  for (const WorkerSlot &Other : Pool) {
-    if (Other.Proc.JobFd >= 0)
-      CloseFds.push_back(Other.Proc.JobFd);
-    if (Other.Proc.ResFd >= 0)
-      CloseFds.push_back(Other.Proc.ResFd);
-  }
-  if (!runtime::spawnJobWorker(Opts.Worker, CloseFds, Slot.Proc)) {
+  auto Main = [this](int In, int Out) {
+    runtime::runJobWorker(In, Out, Opts.Worker);
+  };
+  if (!Procs.spawn(Slot.Proc, Main, CloseFds)) {
     Error = std::string("cannot spawn worker: ") + std::strerror(errno);
     return false;
   }
-  Slot.Reader = runtime::ipc::FrameReader();
-  Slot.Busy = false;
-  Slot.KillSent = false;
   Slot.JobsDone = 0;
   ++Counters.WorkersSpawned;
   return true;
@@ -123,14 +110,6 @@ bool Server::start(std::string &Error) {
   if (!Opts.SocketPath.empty())
     std::memcpy(Addr.sun_path, Opts.SocketPath.c_str(),
                 Opts.SocketPath.size() + 1);
-
-  // EPIPE over SIGPIPE for the daemon's lifetime (a client may vanish
-  // between poll and write).
-  struct sigaction SA;
-  std::memset(&SA, 0, sizeof(SA));
-  SA.sa_handler = SIG_IGN;
-  ::sigaction(SIGPIPE, &SA, &OldSigPipe);
-  SigPipeSaved = true;
 
   if (WakePipe[0] < 0) {
     if (::pipe(WakePipe) != 0) {
@@ -275,7 +254,7 @@ void Server::serve() {
     }
     std::size_t WorkerBase = Fds.size();
     for (WorkerSlot &Slot : Pool) {
-      Fds.push_back({Slot.Proc.ResFd, POLLIN, 0});
+      Fds.push_back({Slot.Proc.FromFd, POLLIN, 0});
       ClientOfFd.push_back(0);
     }
 
@@ -660,8 +639,8 @@ void Server::dispatch() {
     // the daemon correlates by slot, not index.
     std::string Frame =
         runtime::ipc::encodeJob(0, P.Attempt, P.Job, P.EngineBlob);
-    if (!runtime::ipc::writeFrame(Slot.Proc.JobFd, MsgType::Job, Frame)) {
-      // Worker pipe already broken; its ResFd EOF will classify the
+    if (!runtime::ipc::writeFrame(Slot.Proc.ToFd, MsgType::Job, Frame)) {
+      // Worker pipe already broken; its result-pipe EOF will classify the
       // corpse. Put the job back for the next dispatch.
       Queue.push_front(std::move(P));
       continue;
@@ -675,31 +654,19 @@ void Server::dispatch() {
 
 void Server::readWorker(std::size_t W) {
   WorkerSlot &Slot = Pool[W];
-  char Buf[65536];
-  bool Dead = false;
-  for (;;) {
-    ssize_t N = ::read(Slot.Proc.ResFd, Buf, sizeof(Buf));
-    if (N > 0) {
-      Slot.Reader.feed(Buf, static_cast<std::size_t>(N));
-      continue;
-    }
-    if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-      break;
-    if (N < 0 && errno == EINTR)
-      continue;
-    Dead = true; // EOF is the death certificate
-    break;
-  }
+  bool Eof = Procs.drain(Slot.Proc); // EOF is the death certificate
   MsgType Type{};
   std::string Body;
-  while (Slot.Reader.next(Type, Body)) {
+  while (Slot.Proc.Reader.next(Type, Body)) {
     std::size_t Index = 0;
     bool Retryable = false;
     runtime::JobResult R;
     std::string Error;
     if (Type != MsgType::Result ||
         !runtime::ipc::decodeResult(Body, Index, Retryable, R, Error)) {
-      Dead = true; // protocol breakdown: treat as a dying worker
+      // Protocol breakdown: the worker may still be alive, blocked on
+      // its job pipe; the kill makes the reap below prompt.
+      Procs.kill(Slot.Proc, "result protocol violation");
       break;
     }
     if (Slot.Busy) {
@@ -714,9 +681,9 @@ void Server::readWorker(std::size_t W) {
       finishJob(P, std::move(R), Cacheable);
     }
   }
-  if (Slot.Reader.corrupt())
-    Dead = true;
-  if (Dead)
+  if (Slot.Proc.Reader.corrupt())
+    Procs.kill(Slot.Proc, "corrupt result frame");
+  if (Eof || Slot.Proc.killed())
     onWorkerDeath(W);
   else
     dispatch();
@@ -724,21 +691,7 @@ void Server::readWorker(std::size_t W) {
 
 void Server::onWorkerDeath(std::size_t W) {
   WorkerSlot &Slot = Pool[W];
-  int St = 0;
-  pid_t Reaped = -1;
-  if (Slot.Proc.Pid > 0)
-    Reaped = ::waitpid(Slot.Proc.Pid, &St, 0);
-  std::string Death = Reaped == Slot.Proc.Pid
-                          ? runtime::describeWorkerDeath(St, Opts.Worker)
-                          : "vanished";
-  bool CleanRecycle = Reaped == Slot.Proc.Pid && WIFEXITED(St) &&
-                      WEXITSTATUS(St) == runtime::WorkerRecycleExitCode;
-
-  if (Slot.Proc.JobFd >= 0)
-    ::close(Slot.Proc.JobFd);
-  if (Slot.Proc.ResFd >= 0)
-    ::close(Slot.Proc.ResFd);
-  Slot.Proc = runtime::WorkerProcess();
+  runtime::ChildExit Exit = Procs.reap(Slot.Proc);
 
   if (Slot.Busy) {
     PendingJob P = std::move(Slot.Current);
@@ -775,15 +728,15 @@ void Server::onWorkerDeath(std::size_t W) {
       R.Ok = false;
       R.Status = runtime::JobStatus::Crashed;
       R.Attempts = P.Attempt;
-      R.Error = "worker " + Death;
+      R.Error = "worker " + Exit.What;
       R.FailureLog.push_back("attempt " + std::to_string(P.Attempt) +
-                             ": worker " + Death);
+                             ": worker " + Exit.What);
       ++Counters.CrashedReplies;
       // A crash is deterministic for a deterministic workload, but the
       // kill may have been external (OOM); never cache crash verdicts.
       finishJob(P, std::move(R), /*Cacheable=*/false);
     }
-  } else if (CleanRecycle) {
+  } else if (Exit.Recycled) {
     ++Counters.WorkersRecycled;
   }
 
@@ -854,8 +807,8 @@ void Server::scanDeadlines() {
       continue;
     if (Now - Slot.BusySince >= Limit) {
       Slot.KillSent = true;
-      ::kill(Slot.Proc.Pid, SIGKILL);
-      // The ResFd EOF arrives next sweep and classifies as Timeout.
+      Procs.kill(Slot.Proc, "hard-killed past the deadline");
+      // The result-pipe EOF arrives next sweep and classifies as Timeout.
     }
   }
 }
@@ -884,16 +837,7 @@ void Server::drain() {
   // Stop accepting immediately: the socket file disappears (and the
   // TCP port starts refusing), so fresh connects fail fast instead of
   // queueing behind a dying daemon.
-  if (ListenFd >= 0) {
-    ::close(ListenFd);
-    ListenFd = -1;
-    if (!Opts.SocketPath.empty())
-      ::unlink(Opts.SocketPath.c_str());
-  }
-  if (TcpListenFd >= 0) {
-    ::close(TcpListenFd);
-    TcpListenFd = -1;
-  }
+  closeListeners();
 
   // Shed everything queued but not yet on a worker: those clients can
   // retry elsewhere; work already running is worth finishing.
@@ -916,8 +860,7 @@ void Server::drain() {
   auto Deadline = std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(Opts.DrainMs);
   std::vector<pollfd> Fds;
-  std::vector<std::size_t> SlotOfFd;
-  std::vector<std::uint64_t> ClientOfFd;
+  std::vector<std::uint64_t> Owner; // parallel: worker slot or client seq
   for (;;) {
     bool BusyWorkers = false;
     for (const WorkerSlot &Slot : Pool)
@@ -933,22 +876,19 @@ void Server::drain() {
       break; // shutdown()'s SIGKILL backstop owns the stragglers
 
     Fds.clear();
-    SlotOfFd.clear();
-    ClientOfFd.clear();
+    Owner.clear();
     for (std::size_t W = 0; W != Pool.size(); ++W) {
-      if (Pool[W].Proc.ResFd < 0)
+      if (Pool[W].Proc.FromFd < 0)
         continue;
-      Fds.push_back({Pool[W].Proc.ResFd, POLLIN, 0});
-      SlotOfFd.push_back(W);
-      ClientOfFd.push_back(0);
+      Fds.push_back({Pool[W].Proc.FromFd, POLLIN, 0});
+      Owner.push_back(W);
     }
     std::size_t ClientBase = Fds.size();
     for (auto &KV : Clients) {
       if (KV.second.OutPos >= KV.second.OutBuf.size())
         continue;
       Fds.push_back({KV.second.Fd, POLLOUT, 0});
-      SlotOfFd.push_back(0);
-      ClientOfFd.push_back(KV.first);
+      Owner.push_back(KV.first);
     }
     ::poll(Fds.data(), Fds.size(), static_cast<int>(Opts.PollMs));
     scanDeadlines();
@@ -956,12 +896,12 @@ void Server::drain() {
       if (Fds[I].revents == 0)
         continue;
       if (I < ClientBase) {
-        readWorker(SlotOfFd[I]);
+        readWorker(Owner[I]);
         continue;
       }
-      auto It = Clients.find(ClientOfFd[I]);
+      auto It = Clients.find(Owner[I]);
       if (It != Clients.end() && !flushClient(It->second))
-        dropClient(ClientOfFd[I]);
+        dropClient(Owner[I]);
     }
   }
 
@@ -976,8 +916,7 @@ void Server::drain() {
   Draining = false;
 }
 
-void Server::shutdown() {
-  // Clients first: no new requests land while the pool drains.
+void Server::closeListeners() {
   if (ListenFd >= 0) {
     ::close(ListenFd);
     ListenFd = -1;
@@ -988,34 +927,17 @@ void Server::shutdown() {
     ::close(TcpListenFd);
     TcpListenFd = -1;
   }
+}
+
+void Server::shutdown() {
+  // Clients first: no new requests land while the pool retires.
+  closeListeners();
   for (auto &KV : Clients)
     ::close(KV.second.Fd);
   Clients.clear();
   Queue.clear();
 
-  // Closing the job pipe is the workers' retirement notice (EOF in
-  // workerMain); SIGKILL backstops a worker wedged mid-job.
-  for (WorkerSlot &Slot : Pool) {
-    if (Slot.Proc.JobFd >= 0)
-      ::close(Slot.Proc.JobFd);
-    if (Slot.Proc.ResFd >= 0)
-      ::close(Slot.Proc.ResFd);
-  }
-  for (WorkerSlot &Slot : Pool) {
-    if (Slot.Proc.Pid <= 0)
-      continue;
-    int St = 0;
-    pid_t R = ::waitpid(Slot.Proc.Pid, &St, WNOHANG);
-    for (int Spin = 0; R == 0 && Spin < 100; ++Spin) { // ~1s of grace
-      ::usleep(10000);
-      R = ::waitpid(Slot.Proc.Pid, &St, WNOHANG);
-    }
-    if (R == 0) {
-      ::kill(Slot.Proc.Pid, SIGKILL);
-      ::waitpid(Slot.Proc.Pid, &St, 0);
-    }
-    Slot.Proc = runtime::WorkerProcess();
-  }
+  Procs.retire();
   Pool.clear();
 
   // The wake pipe is deliberately NOT closed here: requestStop() may be
@@ -1030,10 +952,5 @@ void Server::shutdown() {
     // a plain overwrite would clobber whatever a sibling persisted.
     if (!Cache.saveShared(Opts.CachePath, Error))
       std::fprintf(stderr, "optoctd: cache save failed: %s\n", Error.c_str());
-  }
-
-  if (SigPipeSaved) {
-    ::sigaction(SIGPIPE, &OldSigPipe, nullptr);
-    SigPipeSaved = false;
   }
 }

@@ -8,8 +8,9 @@
 /// mixed-version replicas reject cleanly) and multiplexes
 /// them onto a pool of supervised fork workers — the same fenced,
 /// recyclable workers the batch supervisor runs (runtime/supervisor.h),
-/// so one segfaulting request costs one worker and one "crashed"
-/// response, never the daemon or any other in-flight request.
+/// on the same ChildPool (runtime/child_pool.h), so one segfaulting
+/// request costs one worker and one "crashed" response, never the
+/// daemon or any other in-flight request.
 ///
 ///   clients ──frames──► poll loop ──job pipes──► worker 1..N
 ///      ▲                   │    ▲──result pipes────┘
@@ -47,15 +48,16 @@
 ///
 /// Shutdown (requestStop, async-signal-safe): stop accepting, shed the
 /// queue with "overloaded", *finish* in-flight jobs and their coalesced
-/// waiters (bounded by DrainMs), then close job pipes (workers exit on
-/// EOF), reap with a SIGKILL backstop, persist the cache if a path is
-/// configured.
+/// waiters (bounded by DrainMs), then retire the worker pool (job pipes
+/// closed, runtime::RetireGrace to exit, SIGKILL backstop), persist the
+/// cache if a path is configured.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef OPTOCT_SERVER_SERVER_H
 #define OPTOCT_SERVER_SERVER_H
 
+#include "runtime/child_pool.h"
 #include "runtime/ipc.h"
 #include "runtime/supervisor.h"
 #include "server/cache.h"
@@ -69,8 +71,6 @@
 #include <map>
 #include <string>
 #include <vector>
-
-#include <signal.h>
 
 namespace optoct::server {
 
@@ -211,8 +211,7 @@ private:
   };
 
   struct WorkerSlot {
-    runtime::WorkerProcess Proc;
-    runtime::ipc::FrameReader Reader;
+    runtime::Child Proc;
     bool Busy = false;
     PendingJob Current;                ///< Valid while Busy.
     std::chrono::steady_clock::time_point BusySince;
@@ -251,6 +250,8 @@ private:
   /// Graceful drain: shed the queue, finish in-flight jobs (bounded by
   /// DrainMs), flush client buffers. Runs between serve() and shutdown().
   void drain();
+  /// Closes both listeners and removes the socket file (idempotent).
+  void closeListeners();
 
   ServerOptions Opts;
   InvariantCache Cache;
@@ -261,13 +262,11 @@ private:
   unsigned TcpPort = 0; ///< Bound TCP port (ephemeral ports resolved).
   int WakePipe[2] = {-1, -1}; ///< Self-pipe: requestStop pokes [1].
   std::atomic<bool> StopFlag{false}; ///< Lock-free: signal-handler safe.
-  /// Writes to a vanished peer must fail with EPIPE, not kill the
-  /// daemon; the old disposition is restored on shutdown.
-  bool SigPipeSaved = false;
-  struct sigaction OldSigPipe {};
-
   std::map<std::uint64_t, ClientConn> Clients; ///< By accept sequence.
   std::uint64_t NextClientSeq = 1;
+  /// The worker processes (slot records embed their Child). Also keeps
+  /// SIGPIPE ignored: a client or worker vanishing mid-write costs EPIPE.
+  runtime::ChildPool Procs{&Opts.Worker};
   std::vector<WorkerSlot> Pool;
   std::deque<PendingJob> Queue;
   std::map<std::uint64_t, CrashEntry> Crashes; ///< Quarantine ledger.

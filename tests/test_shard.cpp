@@ -412,6 +412,30 @@ TEST_F(ShardChaos, PoisonJobPastReleaseCapIsLostNotFatal) {
   EXPECT_EQ(Healthy, 5u) << "shard-mates must survive the poison job";
 }
 
+// A job that wedges its node on every lease is caught only by lease
+// expiry. Past the release cap its loss must name that expiry — a kill
+// the coordinator sent itself — and not blame the kernel's OOM killer.
+TEST_F(ShardChaos, HungPoisonJobLossNamesLeaseExpiry) {
+  std::vector<BatchJob> Jobs = smallJobs(4);
+  BatchOptions Opts;
+
+  injectLethal("hang", "job02", /*Hits=*/100000);
+  ShardOptions SO;
+  SO.Nodes = 2;
+  SO.LeaseMs = 300;
+  SO.MaxJobReleases = 2;
+  BatchReport Report = runShardedBatch(Jobs, Opts, SO);
+
+  EXPECT_EQ(Report.Shard.JobsLost, 1u);
+  EXPECT_GE(Report.Shard.LeasesExpired, 2u);
+  const JobResult &Lost = Report.Results[2];
+  EXPECT_EQ(Lost.Status, JobStatus::Crashed);
+  EXPECT_NE(Lost.Error.find("lease expired"), std::string::npos) << Lost.Error;
+  EXPECT_EQ(Lost.Error.find("OOM"), std::string::npos) << Lost.Error;
+  for (std::size_t I : {0u, 1u, 3u})
+    EXPECT_TRUE(Report.Results[I].Ok) << I;
+}
+
 // SIGKILL the whole coordinator process mid-run, then resume from the
 // surviving node journals: still byte-identical.
 TEST_F(ShardChaos, CoordinatorSigkillThenResumeIsByteIdentical) {
@@ -500,9 +524,12 @@ TEST_F(BatchCli, ExitCode2OnUsageErrors) {
   EXPECT_EQ(runCli("--jobs=banana --generated"), 2);
   EXPECT_EQ(runCli("/nonexistent/never.imp"), 2);
   EXPECT_EQ(runCli("--nodes=0 --generated"), 2);
-  // Mixing the node coordinator with per-job process isolation is a
-  // diagnosed conflict, not a silent override.
+  // Mixing the node coordinator with per-job process isolation, or with
+  // the worker-only knobs it would ignore, is a diagnosed conflict, not
+  // a silent override.
   EXPECT_EQ(runCli("--nodes=2 --isolate=process --generated"), 2);
+  EXPECT_EQ(runCli("--nodes=2 --max-rss-mb=256 --generated"), 2);
+  EXPECT_EQ(runCli("--nodes=2 --recycle-after=4 --generated"), 2);
 }
 
 TEST_F(BatchCli, ExitCode3WhenAJobCrashes) {

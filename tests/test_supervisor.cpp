@@ -18,7 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <ctime>
 #include <string>
 #include <thread>
 #include <vector>
@@ -399,6 +401,49 @@ TEST_F(Supervisor, JournaledProcessRunResumesInThreadMode) {
   EXPECT_EQ(reportToJson(Resumed, /*Canonical=*/true),
             reportToJson(First, /*Canonical=*/true));
   std::remove(Path.c_str());
+}
+
+// The RLIMIT_CPU backstop (4x the deadline + 2 s) bounds one job, not a
+// worker's lifetime: one healthy worker running ms-scale jobs that add up
+// to more CPU than the backstop must never be killed by it.
+TEST_F(Supervisor, CpuBackstopIsPerJobNotPerWorkerLifetime) {
+  // Twelve octagon variables: about a millisecond of CPU per job, far
+  // below the deadline even in a sanitizer build.
+  std::string Vars, Init, Body;
+  for (int V = 0; V != 12; ++V) {
+    std::string N = "v" + std::to_string(V);
+    Vars += ", " + N;
+    Init += N + " = 0;\n";
+    Body += "  if (" + N + " < i) { " + N + " = " + N + " + 1; }\n";
+  }
+  std::string Loop = "i = 0;\nwhile (i < n) {\n  i = i + 1;\n" + Body + "}\n";
+  std::string Src = "var n, i" + Vars + ";\n" +
+                    "n = havoc(); assume(n >= 0 && n <= 100);\n" + Init +
+                    Loop + Loop + "assert(v0 <= 100);\n";
+
+  // Size the batch from the measured per-job CPU so the worker's total
+  // exceeds the 2 s backstop by half again on any host or build.
+  std::vector<BatchJob> Probe(20, BatchJob{"probe", Src});
+  BatchOptions Serial;
+  Serial.Jobs = 1;
+  std::clock_t C0 = std::clock();
+  runBatch(Probe, Serial);
+  double PerJob = double(std::clock() - C0) / CLOCKS_PER_SEC / Probe.size();
+  std::size_t Count = static_cast<std::size_t>(3.0 / std::max(PerJob, 1e-4));
+  std::vector<BatchJob> Jobs;
+  for (std::size_t I = 0; I != Count; ++I)
+    Jobs.push_back({"cpu" + std::to_string(I), Src});
+
+  BatchOptions Opts;
+  Opts.Jobs = 1;
+  Opts.Isolation = IsolationMode::Process;
+  Opts.Budget.DeadlineMs = 100;
+  BatchReport Report = runBatch(Jobs, Opts);
+
+  EXPECT_EQ(Report.JobsOk, Jobs.size()) << "per-job CPU " << PerJob << " s";
+  for (const JobResult &R : Report.Results)
+    ASSERT_EQ(R.Status, JobStatus::Ok) << R.Name << ": " << R.Error;
+  EXPECT_EQ(Report.Supervisor.WorkersCrashed, 0u);
 }
 
 // --- Acceptance chaos batch (heavyweight; not in the TSan filter) ----------

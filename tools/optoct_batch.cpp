@@ -34,10 +34,12 @@
 ///                           TIMEOUT), never the batch
 ///     --max-rss-mb=<n>      per-worker memory fence in MiB: RLIMIT_AS
 ///                           at the address space the worker maps at
-///                           fork plus n (process mode; 0 = unlimited;
-///                           ignored under sanitizers)
+///                           fork plus n (process mode only — a usage
+///                           error with --nodes; 0 = unlimited; ignored
+///                           under sanitizers)
 ///     --recycle-after=<n>   retire and respawn each worker after n
-///                           jobs (process mode; 0 = never)
+///                           jobs (process mode only — a usage error
+///                           with --nodes; 0 = never)
 ///
 ///   Recovery ladder (see README / EXPERIMENTS):
 ///     --audit               Level 1: validate closure results and
@@ -54,7 +56,9 @@
 ///
 ///   Sharded multi-node tier (Level 4 of the recovery ladder):
 ///     --nodes=N             shard the batch across N worker-node
-///                           processes under a lease-based coordinator;
+///                           processes under a lease-based coordinator
+///                           (not with --isolate=process, --max-rss-mb
+///                           or --recycle-after);
 ///                           killing any node mid-run re-leases its
 ///                           shards and the merged report stays
 ///                           byte-identical (canonical JSON) to the
@@ -127,7 +131,9 @@ void usage(const char *Argv0) {
                "       [--journal=<path>] [--resume] [--canonical-json]\n"
                "       [--nodes=N] [--lease-ms=<n>] [--shard-size=<n>]\n"
                "       [--max-releases=<n>] [--no-steal]\n"
-               "       [files.imp...]\n",
+               "       [files.imp...]\n"
+               "       (--nodes excludes --isolate=process, --max-rss-mb "
+               "and --recycle-after)\n",
                Argv0);
 }
 
@@ -317,6 +323,16 @@ bool parseArgs(int Argc, char **Argv, BatchCliOptions &Opts) {
     std::fprintf(stderr,
                  "error: --nodes already isolates jobs in node processes; "
                  "it does not combine with --isolate=process\n");
+    return false;
+  }
+  // Both fence per-job worker processes, which a sharded run does not
+  // have: reject them rather than silently ignore them.
+  if (Opts.UseShard &&
+      (Opts.Batch.MaxRssMb != 0 || Opts.Batch.RecycleAfter != 0)) {
+    std::fprintf(stderr,
+                 "error: --max-rss-mb and --recycle-after fence "
+                 "--isolate=process workers; they do not combine with "
+                 "--nodes\n");
     return false;
   }
   return true;
