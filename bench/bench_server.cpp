@@ -50,6 +50,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -221,12 +222,17 @@ int main(int Argc, char **Argv) {
     bool ByteIdentical = true;
   } Cont;
   if (AllServed && ContendedClients > 1 && ContendedRounds != 0) {
-    std::vector<server::DaemonClient> Peers(ContendedClients);
-    for (server::DaemonClient &Peer : Peers)
-      if (!Peer.connect(Opts.SocketPath, Error)) {
+    std::vector<std::unique_ptr<server::ReplicaClient>> Peers;
+    for (unsigned C = 0; C != ContendedClients; ++C) {
+      server::RetryPolicy Retry;
+      Retry.Seed = C; // decorrelate the jitter streams
+      Peers.push_back(std::make_unique<server::ReplicaClient>(
+          server::singleDaemonOptions(Opts.SocketPath, Retry)));
+      if (!Peers.back()->connect(Error)) {
         std::fprintf(stderr, "error: %s\n", Error.c_str());
         AllServed = false;
       }
+    }
     server::DaemonStats Before;
     if (AllServed && !Client.queryStats(Before, Error))
       AllServed = false;
@@ -247,14 +253,12 @@ int main(int Argc, char **Argv) {
           server::AnalyzeRequest Req;
           Req.Job.Name = Name;
           Req.Job.Source = Source;
-          server::RetryPolicy Policy;
-          Policy.Seed += C; // decorrelate the jitter streams
           server::AnalyzeResponse Resp;
           std::string ThreadError;
           ++Ready;
           while (!Go.load(std::memory_order_acquire))
             std::this_thread::yield();
-          if (!Peers[C].analyzeRetry(Req, Policy, Resp, ThreadError))
+          if (!Peers[C]->analyze(Req, Resp, ThreadError))
             Outcome[C] = 2;
           else if (Resp.Overloaded)
             Outcome[C] = 1;

@@ -3,13 +3,18 @@
  * The paper's deliverable is a C-library replacement: analyzers written
  * against APRON's C API keep working. This demo is plain C99 compiled
  * with a C compiler, driving the opt_oct_* surface: it abstracts the
- * paper's running example (x = 1; y = x; loop) step by step.
+ * paper's running example (x = 1; y = x; loop) step by step, then runs
+ * a two-program batch through opt_oct_batch_run. It includes every C
+ * header (the daemon client's too), so building it proves they compile
+ * as C; ctest runs it.
  *
  * Build & run:  ./build/examples/capi_demo
  *
  *===----------------------------------------------------------------------===*/
 
 #include "capi/opt_oct.h"
+#include "capi/opt_oct_batch.h"
+#include "capi/opt_oct_daemon.h"
 
 #include <math.h>
 #include <stdio.h>
@@ -26,6 +31,31 @@ static void print_bounds(opt_oct_t *o, const char *name, unsigned v) {
     printf("+oo]\n");
   else
     printf("%g]\n", hi);
+}
+
+/* Whole programs through the batch runtime: a zeroed options struct is
+ * the default threaded run. Returns nonzero unless both prove. */
+static int run_batch(void) {
+  const char *names[] = {"count", "copy"};
+  const char *sources[] = {
+      "var x; x = 0; while (x < 10) { x = x + 1; } assert(x <= 10);",
+      "var x, y; x = 1; y = x; assert(y == 1);"};
+  opt_oct_batch_options_t opts = {0};
+  opt_oct_batch_report_t *r = opt_oct_batch_run(names, sources, 2, &opts);
+  size_t i;
+  int failed = r == NULL;
+  printf("batch of %zu programs:\n", opt_oct_batch_num_jobs(r));
+  for (i = 0; i < opt_oct_batch_num_jobs(r); ++i) {
+    unsigned proven = opt_oct_batch_job_asserts_proven(r, i);
+    unsigned total = opt_oct_batch_job_asserts_total(r, i);
+    printf("  %s: %u/%u assertions proven\n", opt_oct_batch_job_name(r, i),
+           proven, total);
+    if (opt_oct_batch_job_status(r, i) != OPT_OCT_BATCH_JOB_OK ||
+        proven != total)
+      failed = 1;
+  }
+  opt_oct_batch_free(r);
+  return failed;
 }
 
 int main(void) {
@@ -80,5 +110,5 @@ int main(void) {
   opt_oct_free(merged);
   opt_oct_free(body);
   opt_oct_free(o);
-  return 0;
+  return run_batch();
 }

@@ -13,28 +13,6 @@ struct opt_oct_batch_report_t {
 
 namespace {
 
-/// Shared run body; never lets an exception cross the C boundary.
-opt_oct_batch_report_t *runWithOptions(const char *const *Names,
-                                       const char *const *Sources,
-                                       size_t Count,
-                                       const runtime::BatchOptions &Opts) {
-  if (Count != 0 && (!Names || !Sources))
-    return nullptr;
-  try {
-    std::vector<runtime::BatchJob> Jobs;
-    Jobs.reserve(Count);
-    for (size_t I = 0; I != Count; ++I)
-      // NULL entries become cleanly failing jobs, not UB.
-      Jobs.push_back({Names[I] ? Names[I] : "(null)",
-                      Sources[I] ? Sources[I] : ""});
-    auto *R = new opt_oct_batch_report_t;
-    R->Report = runtime::runBatch(Jobs, Opts);
-    return R;
-  } catch (...) {
-    return nullptr;
-  }
-}
-
 const runtime::JobResult *jobAt(const opt_oct_batch_report_t *R, size_t I) {
   if (!R || I >= R->Report.Results.size())
     return nullptr;
@@ -45,97 +23,47 @@ const runtime::JobResult *jobAt(const opt_oct_batch_report_t *R, size_t I) {
 
 extern "C" {
 
-opt_oct_batch_report_t *opt_oct_batch_run(const char *const *names,
-                                          const char *const *sources,
-                                          size_t count, unsigned jobs) {
-  runtime::BatchOptions Opts;
-  Opts.Jobs = jobs;
-  return runWithOptions(names, sources, count, Opts);
-}
-
 opt_oct_batch_report_t *
-opt_oct_batch_run_budgeted(const char *const *names,
-                           const char *const *sources, size_t count,
-                           unsigned jobs, uint64_t deadline_ms,
-                           uint64_t max_dbm_cells, unsigned max_attempts) {
-  runtime::BatchOptions Opts;
-  Opts.Jobs = jobs;
-  Opts.Budget.DeadlineMs = deadline_ms;
-  Opts.Budget.MaxDbmCells = max_dbm_cells;
-  Opts.MaxAttempts = max_attempts == 0 ? 1 : max_attempts;
-  return runWithOptions(names, sources, count, Opts);
-}
-
-opt_oct_batch_report_t *
-opt_oct_batch_run_journaled(const char *const *names,
-                            const char *const *sources, size_t count,
-                            unsigned jobs, const char *journal_path,
-                            int resume) {
-  if (!journal_path || !*journal_path)
-    return nullptr;
-  runtime::BatchOptions Opts;
-  Opts.Jobs = jobs;
-  Opts.JournalPath = journal_path;
-  Opts.Resume = resume != 0;
-  // runWithOptions' catch-all turns journal/fingerprint failures
-  // (runBatch throws for those) into the documented NULL.
-  return runWithOptions(names, sources, count, Opts);
-}
-
-opt_oct_batch_report_t *
-opt_oct_batch_run_isolated(const char *const *names,
-                           const char *const *sources, size_t count,
-                           unsigned jobs, uint64_t deadline_ms,
-                           uint64_t max_rss_mb, unsigned max_attempts) {
-  runtime::BatchOptions Opts;
-  Opts.Jobs = jobs;
-  Opts.Isolation = runtime::IsolationMode::Process;
-  Opts.Budget.DeadlineMs = deadline_ms;
-  Opts.MaxRssMb = max_rss_mb;
-  Opts.MaxAttempts = max_attempts == 0 ? 1 : max_attempts;
-  return runWithOptions(names, sources, count, Opts);
-}
-
-opt_oct_batch_report_t *
-opt_oct_batch_run_sharded(const char *const *names,
-                          const char *const *sources, size_t count,
-                          unsigned nodes, unsigned shard_size,
-                          uint64_t lease_ms, const char *journal_prefix,
-                          int resume) {
+opt_oct_batch_run(const char *const *names, const char *const *sources,
+                  size_t count, const opt_oct_batch_options_t *opts) {
   if (count != 0 && (!names || !sources))
     return nullptr;
-  // Resume needs journals to resume from; a temp prefix cannot have any.
-  if (resume && (!journal_prefix || !*journal_prefix))
-    return nullptr;
+  const opt_oct_batch_options_t O = opts ? *opts : opt_oct_batch_options_t{};
+  // Never lets an exception cross the C boundary: the runtime's own
+  // option checks (std::invalid_argument) and journal, fingerprint and
+  // fork failures (std::runtime_error) all become the documented NULL.
   try {
     std::vector<runtime::BatchJob> Jobs;
     Jobs.reserve(count);
     for (size_t I = 0; I != count; ++I)
+      // NULL entries become cleanly failing jobs, not UB.
       Jobs.push_back({names[I] ? names[I] : "(null)",
                       sources[I] ? sources[I] : ""});
     runtime::BatchOptions Opts;
-    runtime::ShardOptions Shard;
-    Shard.Nodes = nodes == 0 ? 1 : nodes;
-    Shard.ShardSize = shard_size;
-    if (lease_ms != 0)
-      Shard.LeaseMs = lease_ms;
-    if (journal_prefix)
-      Shard.JournalPrefix = journal_prefix;
-    Shard.Resume = resume != 0;
-    auto *R = new opt_oct_batch_report_t;
-    R->Report = runtime::runShardedBatch(Jobs, Opts, Shard);
-    return R;
+    Opts.Jobs = O.jobs;
+    Opts.Budget.DeadlineMs = O.deadline_ms;
+    Opts.Budget.MaxDbmCells = O.max_dbm_cells;
+    Opts.MaxAttempts = O.max_attempts == 0 ? 1 : O.max_attempts;
+    if (O.isolate_process)
+      Opts.Isolation = runtime::IsolationMode::Process;
+    Opts.MaxRssMb = O.max_rss_mb;
+    Opts.JournalPath = O.journal ? O.journal : "";
+    Opts.Resume = O.resume != 0;
+    runtime::BatchReport Report;
+    if (O.nodes == 0) {
+      Report = runtime::runBatch(Jobs, Opts);
+    } else {
+      runtime::ShardOptions Shard;
+      Shard.Nodes = O.nodes;
+      Shard.ShardSize = O.shard_size;
+      if (O.lease_ms != 0)
+        Shard.LeaseMs = O.lease_ms;
+      Report = runtime::runShardedBatch(Jobs, Opts, Shard);
+    }
+    return new opt_oct_batch_report_t{std::move(Report)};
   } catch (...) {
     return nullptr;
   }
-}
-
-opt_oct_batch_report_t *opt_oct_batch_resume(const char *const *names,
-                                             const char *const *sources,
-                                             size_t count, unsigned jobs,
-                                             const char *journal_path) {
-  return opt_oct_batch_run_journaled(names, sources, count, jobs,
-                                     journal_path, 1);
 }
 
 size_t opt_oct_batch_num_jobs(const opt_oct_batch_report_t *r) {

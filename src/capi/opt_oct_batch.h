@@ -9,11 +9,17 @@
  * the same verdicts and invariants for any worker count (only timing
  * fields vary). Indices into the report follow submission order.
  *
- * Robustness: run functions return NULL on invalid arguments (NULL
- * name/source arrays with count > 0) instead of invoking undefined
- * behavior; NULL array *entries* become jobs that fail cleanly. All
- * accessors tolerate NULL reports and out-of-range indices, returning
- * the documented error value.
+ * One entry point, opt_oct_batch_run, covers every execution tier —
+ * in-process threads, forked worker processes, sharded worker nodes —
+ * and every recovery knob, through an options struct whose zero value
+ * is the plain threaded run.
+ *
+ * Robustness: opt_oct_batch_run returns NULL on invalid arguments
+ * (NULL name/source arrays with count > 0, or an option combination
+ * the runtime rejects) instead of invoking undefined behavior; NULL
+ * array *entries* become jobs that fail cleanly. All accessors
+ * tolerate NULL reports and out-of-range indices, returning the
+ * documented error value.
  *
  *===---------------------------------------------------------------------===*/
 
@@ -29,14 +35,6 @@ extern "C" {
 
 typedef struct opt_oct_batch_report_t opt_oct_batch_report_t;
 
-/* Analyzes `count` mini-IMP programs with `jobs` worker threads
- * (jobs = 0 means one per hardware thread, 1 means serial). `names`
- * and `sources` are parallel arrays of NUL-terminated strings; names
- * key the per-job results. Never returns NULL for count >= 0. */
-opt_oct_batch_report_t *opt_oct_batch_run(const char *const *names,
-                                          const char *const *sources,
-                                          size_t count, unsigned jobs);
-
 /* Per-job final status codes (opt_oct_batch_job_status). */
 #define OPT_OCT_BATCH_JOB_OK 0       /* converged                      */
 #define OPT_OCT_BATCH_JOB_DEGRADED 1 /* budget tripped; sound but Top  */
@@ -44,80 +42,64 @@ opt_oct_batch_report_t *opt_oct_batch_run(const char *const *names,
 #define OPT_OCT_BATCH_JOB_TIMEOUT 3  /* deadline passed                */
 #define OPT_OCT_BATCH_JOB_CRASHED 4  /* worker process died (isolated) */
 
-/* Like opt_oct_batch_run, with fault-tolerance knobs: every job runs
- * under a per-attempt wall-clock deadline of `deadline_ms` ms and a
- * cumulative DBM-cell allocation budget of `max_dbm_cells` (0 = the
- * respective limit is off; budget trips degrade the job to sound Top
- * invariants or a timeout status). Jobs that fail with an exception are
- * retried with exponential backoff up to `max_attempts` total attempts
- * (0 is treated as 1). Returns NULL on invalid arguments. */
-opt_oct_batch_report_t *
-opt_oct_batch_run_budgeted(const char *const *names,
-                           const char *const *sources, size_t count,
-                           unsigned jobs, uint64_t deadline_ms,
-                           uint64_t max_dbm_cells, unsigned max_attempts);
+/* Batch options. Zero every field (or pass NULL) for the default run:
+ * threads, one per hardware thread, no budgets, no journal. */
+typedef struct opt_oct_batch_options_t {
+  /* Workers: 0 = one per hardware thread, 1 = serial in the caller.
+   * With isolate_process these are worker processes; ignored when
+   * nodes > 0. */
+  unsigned jobs;
+  /* Per-attempt wall-clock deadline and cumulative DBM-cell budget
+   * (0 = off). Budget trips degrade a job to sound Top invariants or a
+   * timeout status; with isolate_process the deadline escalates to a
+   * hard SIGKILL of the worker shortly after. */
+  uint64_t deadline_ms;
+  uint64_t max_dbm_cells;
+  /* Attempts per job (0 is treated as 1): jobs that fail with an
+   * exception (or, isolated, crash their worker) are retried. */
+  unsigned max_attempts;
+  /* Nonzero: each job runs inside a forked worker process under a
+   * supervisor, so a segfault, memory exhaustion or a hang is contained
+   * (OPT_OCT_BATCH_JOB_CRASHED / _TIMEOUT) instead of taking the caller
+   * down. NULL if no worker can be spawned at all. */
+  int isolate_process;
+  /* Isolated workers' address-space growth cap in MiB via RLIMIT_AS
+   * (0 = unlimited; ignored under sanitizers). */
+  uint64_t max_rss_mb;
+  /* Append-only checkpoint journal (fsync per completed job); NULL or
+   * "" = none. With nodes > 0 it is the per-node journal prefix:
+   * "<journal>.node<slot>" (none = a private temp prefix). */
+  const char *journal;
+  /* Nonzero: load `journal` first and run only the jobs missing from it
+   * — the merged report is identical to an uninterrupted run, even
+   * after a SIGKILLed coordinator. Needs a journal written by the same
+   * job set (fingerprint check); NULL without a journal or on a
+   * mismatch. */
+  int resume;
+  /* 0 = single node. N > 0: the batch is split into job shards leased
+   * to N forked worker-node processes that journal their completions;
+   * the coordinator merges the journals into one report, byte-identical
+   * in canonical terms to a single-node run. Nodes that crash or stop
+   * heartbeating lose their leases and their jobs are re-leased; jobs
+   * re-leased too many times are reported CRASHED and counted by
+   * opt_oct_batch_jobs_lost. Excludes isolate_process and max_rss_mb
+   * (NULL). */
+  unsigned nodes;
+  /* Sharded only: jobs per lease (0 = auto) and the heartbeat-renewed
+   * lease duration (0 = default 10s; must exceed the longest job). */
+  unsigned shard_size;
+  uint64_t lease_ms;
+} opt_oct_batch_options_t;
 
-/* Crash-safe variant: completed jobs are checkpointed to the
- * append-only journal at `journal_path` (fsync per record) as they
- * finish. With `resume` nonzero the journal is loaded first and only
- * the jobs missing from it are run — the merged report is identical to
- * an uninterrupted run. Resume requires the journal to have been
- * written by the same job set (fingerprint check). Returns NULL on
- * invalid arguments, an unwritable journal, or a fingerprint
- * mismatch. */
-opt_oct_batch_report_t *
-opt_oct_batch_run_journaled(const char *const *names,
-                            const char *const *sources, size_t count,
-                            unsigned jobs, const char *journal_path,
-                            int resume);
-
-/* Process-isolated variant: each job runs inside a forked worker
- * process under a supervisor, so a job that segfaults, exhausts memory,
- * or hangs without polling is contained (OPT_OCT_BATCH_JOB_CRASHED /
- * OPT_OCT_BATCH_JOB_TIMEOUT) instead of taking the caller down.
- * `deadline_ms` is the per-attempt soft deadline, escalated to a hard
- * SIGKILL of the worker shortly after; `max_rss_mb` caps each worker's
- * address space via RLIMIT_AS (0 = unlimited; ignored under
- * sanitizers); `max_attempts` allows crashed/failed jobs to retry on a
- * fresh worker (0 is treated as 1). Returns NULL on invalid arguments
- * or if no worker process can be spawned at all. */
-opt_oct_batch_report_t *
-opt_oct_batch_run_isolated(const char *const *names,
-                           const char *const *sources, size_t count,
-                           unsigned jobs, uint64_t deadline_ms,
-                           uint64_t max_rss_mb, unsigned max_attempts);
-
-/* Sharded multi-node variant (recovery Level 4): the batch is split
- * into job shards leased to `nodes` forked worker-node processes; each
- * node journals its completions to "<journal_prefix>.node<slot>"
- * (fsync per record) and the coordinator merges the journals into one
- * report that is byte-identical (in canonical terms: verdicts,
- * invariants, assert counts) to a single-node run. Nodes that crash or
- * stop heartbeating have their leases revoked and their incomplete
- * jobs re-leased elsewhere; duplicate completions from work-stealing
- * races are deduplicated deterministically. `shard_size` is jobs per
- * lease (0 = auto), `lease_ms` the heartbeat-renewed lease duration
- * (0 = default 10s; must exceed the longest single job). A NULL or
- * empty `journal_prefix` uses a private temp prefix deleted after the
- * run; with a real prefix and `resume` nonzero, surviving node
- * journals from an interrupted run (even one whose coordinator was
- * SIGKILLed) are merged first and only the missing jobs are run.
- * Jobs re-leased too many times are reported as
- * OPT_OCT_BATCH_JOB_CRASHED and counted by opt_oct_batch_jobs_lost.
- * Returns NULL on invalid arguments, if no node can be forked, or on
- * a resume fingerprint mismatch. */
-opt_oct_batch_report_t *
-opt_oct_batch_run_sharded(const char *const *names,
-                          const char *const *sources, size_t count,
-                          unsigned nodes, unsigned shard_size,
-                          uint64_t lease_ms, const char *journal_prefix,
-                          int resume);
-
-/* Convenience wrapper: opt_oct_batch_run_journaled with resume = 1. */
-opt_oct_batch_report_t *opt_oct_batch_resume(const char *const *names,
-                                             const char *const *sources,
-                                             size_t count, unsigned jobs,
-                                             const char *journal_path);
+/* Analyzes `count` mini-IMP programs under `opts` (NULL = all zero).
+ * `names` and `sources` are parallel arrays of NUL-terminated strings;
+ * names key the per-job results. NULL on invalid arguments or options,
+ * an unwritable journal, a resume fingerprint mismatch, or when no
+ * worker process or node can be forked. */
+opt_oct_batch_report_t *opt_oct_batch_run(const char *const *names,
+                                          const char *const *sources,
+                                          size_t count,
+                                          const opt_oct_batch_options_t *opts);
 
 /* Report-level accessors. */
 size_t opt_oct_batch_num_jobs(const opt_oct_batch_report_t *r);

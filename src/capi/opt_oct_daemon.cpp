@@ -3,27 +3,22 @@
 #include "capi/opt_oct_daemon.h"
 
 #include "runtime/journal.h"
-#include "server/client.h"
 #include "server/replica.h"
-
-#include <memory>
-#include <sstream>
 
 using namespace optoct;
 
+/// Both connect flavors are one ReplicaClient; a single-socket handle
+/// uses server::singleDaemonOptions.
 struct opt_oct_daemon_t {
-  server::DaemonClient Client; ///< Single-endpoint mode.
-  server::RetryPolicy Policy;  ///< MaxAttempts forced to 1 on connect.
-  /// Replica-tier mode (opt_oct_daemon_connect_replicas); when set,
-  /// Client is unused and Policy lives inside the replica options.
-  std::unique_ptr<server::ReplicaClient> Replica;
+  explicit opt_oct_daemon_t(server::ReplicaOptions Opts)
+      : Client(std::move(Opts)) {}
+  server::ReplicaClient Client;
 };
 
 struct opt_oct_daemon_result_t {
   server::AnalyzeResponse Response;
   runtime::JobResult Result; ///< Decoded record; valid when Response.Ok.
-  /// replyPathName for replica-tier results; "" for single-endpoint.
-  std::string Path;
+  const char *Path = "";     ///< replyPathName of how it was served.
 };
 
 namespace {
@@ -59,16 +54,11 @@ opt_oct_daemon_result_t *analyzeImpl(opt_oct_daemon_t *D, const char *Name,
     server::AnalyzeResponse Resp;
     server::ReplicaReplyInfo Info;
     std::string Error;
-    if (D->Replica) {
-      if (!D->Replica->analyze(Req, Resp, Error, &Info))
-        return nullptr; // every replica down and local fallback off
-    } else if (!D->Client.analyzeRetry(Req, D->Policy, Resp, Error)) {
-      return nullptr; // transport failure: the connection is dead
-    }
+    if (!D->Client.analyze(Req, Resp, Error, &Info))
+      return nullptr; // every endpoint down and local fallback off
     auto *R = new opt_oct_daemon_result_t;
     R->Response = std::move(Resp);
-    if (D->Replica)
-      R->Path = server::replyPathName(Info.Path);
+    R->Path = server::replyPathName(Info.Path);
     if (R->Response.Ok &&
         !runtime::deserializeJobResult(R->Response.ResultRecord, R->Result,
                                        Error)) {
@@ -91,10 +81,11 @@ opt_oct_daemon_t *opt_oct_daemon_connect(const char *socket_path) {
   if (!socket_path)
     return nullptr;
   try {
-    auto *D = new opt_oct_daemon_t;
-    D->Policy.MaxAttempts = 1; // single-shot unless set_retry opts in
+    server::ReplicaOptions RO = server::singleDaemonOptions(socket_path);
+    RO.Retry.MaxAttempts = 1; // single-shot unless set_retry opts in
+    auto *D = new opt_oct_daemon_t(std::move(RO));
     std::string Error;
-    if (!D->Client.connect(socket_path, Error)) {
+    if (!D->Client.connect(Error)) {
       delete D;
       return nullptr;
     }
@@ -111,19 +102,13 @@ opt_oct_daemon_t *opt_oct_daemon_connect_replicas(const char *endpoints,
     return nullptr;
   try {
     server::ReplicaOptions RO;
-    std::stringstream List(endpoints);
-    std::string Item;
-    while (std::getline(List, Item, ','))
-      if (!Item.empty())
-        RO.Endpoints.push_back(Item);
+    RO.Endpoints = server::parseEndpointList(endpoints);
     if (RO.Endpoints.empty())
       return nullptr;
     RO.HedgeAfterMs = hedge_after_ms;
     RO.LocalFallback = local_fallback != 0;
     RO.Retry.MaxAttempts = 1; // single sweep unless set_retry opts in
-    auto *D = new opt_oct_daemon_t;
-    D->Replica = std::make_unique<server::ReplicaClient>(std::move(RO));
-    return D;
+    return new opt_oct_daemon_t(std::move(RO));
   } catch (...) {
     return nullptr;
   }
@@ -137,7 +122,7 @@ void opt_oct_daemon_set_retry(opt_oct_daemon_t *d, unsigned max_attempts,
   if (!d)
     return;
   server::RetryPolicy Defaults;
-  server::RetryPolicy &P = d->Replica ? d->Replica->retryPolicy() : d->Policy;
+  server::RetryPolicy &P = d->Client.retryPolicy();
   P.MaxAttempts = max_attempts != 0 ? max_attempts : 1;
   P.BaseBackoffMs =
       base_backoff_ms != 0 ? base_backoff_ms : Defaults.BaseBackoffMs;
@@ -209,7 +194,7 @@ opt_oct_daemon_result_asserts_total(const opt_oct_daemon_result_t *r) {
 }
 
 const char *opt_oct_daemon_result_path(const opt_oct_daemon_result_t *r) {
-  return r ? r->Path.c_str() : "";
+  return r ? r->Path : "";
 }
 
 size_t

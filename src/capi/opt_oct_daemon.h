@@ -10,11 +10,14 @@
  * OPT_OCT_BATCH_JOB_CRASHED to this client only — the daemon and other
  * clients keep going.
  *
- * Robustness: connect returns NULL when no daemon listens; analyze
- * returns NULL on transport failure (the handle is then dead and only
- * good for _disconnect); all accessors tolerate NULL results and
- * return the documented error value. Status codes are shared with the
- * batch C API (opt_oct_batch.h).
+ * Both connect flavors return the same kind of handle: a replica-aware
+ * client (server/replica.h) over one or more endpoints. Robustness:
+ * connect returns NULL when no daemon listens; analyze returns NULL
+ * when every endpoint failed at the transport (and, for a replica
+ * handle, local fallback is off); the handle reconnects on its next
+ * call. All accessors tolerate NULL results and return the documented
+ * error value. Status codes are shared with the batch C API
+ * (opt_oct_batch.h).
  *
  *===---------------------------------------------------------------------===*/
 
@@ -34,29 +37,33 @@ typedef struct opt_oct_daemon_t opt_oct_daemon_t;
 typedef struct opt_oct_daemon_result_t opt_oct_daemon_result_t;
 
 /* Connects to the daemon listening on `socket_path` — a Unix socket
- * path or a "tcp:host:port" endpoint. NULL if none. */
+ * path or a "tcp:host:port" endpoint. NULL if none. The handle is a
+ * one-endpoint replica client: no local fallback, no receive timeout
+ * (a long analysis waits), single-shot until opt_oct_daemon_set_retry. */
 opt_oct_daemon_t *opt_oct_daemon_connect(const char *socket_path);
 void opt_oct_daemon_disconnect(opt_oct_daemon_t *d);
 
 /* Replica-tier handle over a comma-separated endpoint list (Unix paths
- * and/or tcp:host:port): each analyze fails over across replicas from
- * the last one that answered, optionally hedges a second request after
- * `hedge_after_ms` (0 = off), and — when `local_fallback` is nonzero —
- * degrades to in-process analysis when every replica is down, byte-
- * identical to a daemon reply and flagged "local" in
- * opt_oct_daemon_result_path. Connections are opened lazily, so this
- * returns non-NULL even with every replica down (availability is
- * decided per request); NULL only on invalid arguments. */
+ * and/or tcp:host:port; spaces around items are ignored): each analyze
+ * fails over across replicas from the last one that answered,
+ * optionally hedges a second request after `hedge_after_ms` (0 = off),
+ * and — when `local_fallback` is nonzero — degrades to in-process
+ * analysis when every replica is down, byte-identical to a daemon reply
+ * and flagged "local" in opt_oct_daemon_result_path. Connections are
+ * opened lazily, so this returns non-NULL even with every replica down
+ * (availability is decided per request); NULL only on invalid
+ * arguments. */
 opt_oct_daemon_t *opt_oct_daemon_connect_replicas(const char *endpoints,
                                                   uint64_t hedge_after_ms,
                                                   int local_fallback);
 
 /* Retry policy for subsequent analyze calls on this handle. By default
- * (max_attempts 1) every call is single-shot, exactly the historical
- * behavior. With max_attempts > 1, retryable failures — transport
- * errors (the handle reconnects) and "overloaded" sheds — are retried
- * with capped exponential backoff plus jitter, honoring the daemon's
- * own backoff hint. base_backoff_ms 0 keeps the default (25);
+ * (max_attempts 1) every call is one sweep over the endpoints; only a
+ * pooled connection gone stale (daemon restarted) is reconnected and
+ * resent once. With max_attempts > 1, a sweep that ends in transport
+ * errors or "overloaded" sheds is repeated up to max_attempts times,
+ * with capped exponential backoff plus jitter between sweeps, honoring
+ * the daemon's own backoff hint. base_backoff_ms 0 keeps the default (25);
  * max_backoff_ms 0 keeps the default (2000). Non-retryable outcomes
  * (rejections, served crash/timeout verdicts) are never retried. */
 void opt_oct_daemon_set_retry(opt_oct_daemon_t *d, unsigned max_attempts,
@@ -102,9 +109,9 @@ int opt_oct_daemon_result_status(const opt_oct_daemon_result_t *r);
 const char *opt_oct_daemon_result_error(const opt_oct_daemon_result_t *r);
 unsigned opt_oct_daemon_result_asserts_proven(const opt_oct_daemon_result_t *r);
 unsigned opt_oct_daemon_result_asserts_total(const opt_oct_daemon_result_t *r);
-/* How a replica-tier result was obtained: "primary", "failover",
- * "hedged", or "local". "" for results from a single-endpoint handle
- * (or NULL input). */
+/* How a result was obtained, for every handle: "primary" (the
+ * preferred endpoint answered on the first sweep), "failover",
+ * "hedged", or "local". "" for NULL input. */
 const char *opt_oct_daemon_result_path(const opt_oct_daemon_result_t *r);
 /* Loop-head invariants, in RPO; i < .._num_invariants(r). */
 size_t opt_oct_daemon_result_num_invariants(const opt_oct_daemon_result_t *r);

@@ -321,6 +321,8 @@ JobResult optoct::runtime::runJobSingleAttempt(const BatchJob &Job,
 
 BatchReport optoct::runtime::runBatch(const std::vector<BatchJob> &Jobs,
                                       const BatchOptions &Opts) {
+  if (Opts.Resume && Opts.JournalPath.empty())
+    throw std::invalid_argument("resume requires a journal path");
   BatchReport Report;
   Report.Results.resize(Jobs.size());
   unsigned Workers =

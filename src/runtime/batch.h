@@ -170,12 +170,14 @@ struct BatchOptions {
 
   /// Level-2 recovery: path of the append-only checkpoint journal
   /// (runtime/journal.h); empty disables journaling. Completed jobs are
-  /// fsync'd to it as they finish.
+  /// fsync'd to it as they finish. runShardedBatch reads it as the
+  /// per-node journal prefix (runtime/shard.h).
   std::string JournalPath;
-  /// With JournalPath set: load previously journaled results first and
-  /// run only the jobs missing from the journal. The journal must have
-  /// been written by the same job set and engine options (fingerprint
-  /// check); a mismatch throws.
+  /// Load previously journaled results first and run only the jobs
+  /// missing from the journal. The journal must have been written by
+  /// the same job set and engine options (fingerprint check); a
+  /// mismatch throws std::runtime_error, and Resume without a
+  /// JournalPath throws std::invalid_argument (nothing to resume from).
   bool Resume = false;
 };
 
@@ -252,6 +254,8 @@ JobResult runJobSingleAttempt(const BatchJob &Job, const BatchOptions &Opts,
                               bool &Retryable);
 
 /// Runs every job, sharded over Opts.Jobs workers, and aggregates.
+/// Throws std::invalid_argument for Resume without a JournalPath, and
+/// std::runtime_error when the journal cannot be opened or resumed.
 BatchReport runBatch(const std::vector<BatchJob> &Jobs,
                      const BatchOptions &Opts = {});
 

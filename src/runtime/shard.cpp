@@ -608,6 +608,13 @@ optoct::runtime::mergeShardJournals(const std::vector<std::string> &Paths,
 BatchReport optoct::runtime::runShardedBatch(const std::vector<BatchJob> &Jobs,
                                              const BatchOptions &Opts,
                                              const ShardOptions &Shard) {
+  if (Opts.Resume && Opts.JournalPath.empty())
+    throw std::invalid_argument("resume requires a journal path");
+  if (Opts.Isolation == IsolationMode::Process || Opts.MaxRssMb != 0 ||
+      Opts.RecycleAfter != 0)
+    throw std::invalid_argument(
+        "sharded runs isolate jobs in unfenced node processes; process "
+        "isolation, a max RSS and worker recycling do not apply to them");
   BatchReport Report;
   Report.Results.resize(Jobs.size());
   Report.Workers = std::max(1u, Shard.Nodes);
@@ -620,7 +627,7 @@ BatchReport optoct::runtime::runShardedBatch(const std::vector<BatchJob> &Jobs,
   // Resolve the journal prefix; an empty one gets a private temp
   // directory torn down when the run ends (there is nothing durable to
   // resume in that case, but the merge path still runs for real).
-  std::string Prefix = Shard.JournalPrefix;
+  std::string Prefix = Opts.JournalPath;
   std::string TempDir;
   if (Prefix.empty()) {
     const char *T = ::getenv("TMPDIR");
@@ -647,7 +654,7 @@ BatchReport optoct::runtime::runShardedBatch(const std::vector<BatchJob> &Jobs,
   } Guard{TempDir, Prefix};
 
   std::vector<char> Done(Jobs.size(), 0);
-  if (Shard.Resume) {
+  if (Opts.Resume) {
     // Coordinator-crash recovery: merge whatever journals survive and
     // run only what's missing. Any fingerprint mismatch refuses the
     // whole resume — mixing batches would corrupt the report silently.

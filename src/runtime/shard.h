@@ -22,8 +22,9 @@
 /// spawning, draining, killing, reaping and retiring them, and names a
 /// death by the coordinator's recorded kill reason (lease expiry, a
 /// broken pipe) instead of guessing at the kernel. The coordinator keeps
-/// the lease policy. Nodes are unfenced (no RLIMIT_AS, no recycling);
-/// BatchOptions::MaxRssMb and RecycleAfter do not apply to them.
+/// the lease policy. Nodes are unfenced (no RLIMIT_AS, no recycling), so
+/// runShardedBatch rejects BatchOptions::MaxRssMb, RecycleAfter and
+/// process isolation instead of ignoring them.
 ///
 /// Lease protocol. The coordinator chunks pending jobs into shards and
 /// grants each as a *lease* (id + duration) over the checksummed IPC
@@ -60,7 +61,7 @@
 /// field, so the merged report is byte-identical to a single-node run
 /// of the same job set — even after killing nodes mid-run, and even
 /// after SIGKILLing the coordinator itself and resuming from the
-/// surviving journals (ShardOptions::Resume).
+/// surviving journals (BatchOptions::Resume).
 ///
 /// The single-node path pays nothing for any of this: runBatch never
 /// constructs a coordinator, and no node process exists unless
@@ -100,13 +101,6 @@ struct ShardOptions {
   /// Grant a drained node's next lease by stealing from the deepest
   /// still-working node when no unleased shard remains.
   bool WorkSteal = true;
-  /// Per-node journals land at "<prefix>.node<slot>". Empty = a private
-  /// temp prefix, deleted after the run (no resume possible).
-  std::string JournalPrefix;
-  /// Load every existing "<prefix>.node*" journal first and run only
-  /// the jobs missing from their merge — the coordinator-crash recovery
-  /// path. Fingerprint mismatch in any journal throws.
-  bool Resume = false;
   /// Coordinator event-loop tick (poll timeout / expiry scan period).
   unsigned PollMs = 20;
 };
@@ -147,10 +141,15 @@ mergeShardJournals(const std::vector<std::string> &Paths,
 /// Runs \p Jobs sharded across Shard.Nodes forked node processes and
 /// merges their journals into one report (byte-identical to runBatch's
 /// in canonical JSON). Per-job execution semantics (engine options,
-/// budgets, retries, audit) come from \p Opts; Opts.Jobs, Opts.JournalPath,
-/// Opts.Resume and Opts.Isolation are coordinator-owned and ignored, as
-/// are the worker fences Opts.MaxRssMb and Opts.RecycleAfter (the CLI
-/// rejects them with --nodes).
+/// budgets, retries, audit) come from \p Opts, and so do the journal
+/// knobs: per-node journals land at "<Opts.JournalPath>.node<slot>"
+/// (empty = a private temp prefix, deleted after the run), and
+/// Opts.Resume first merges every existing "<prefix>.node*" journal and
+/// runs only the jobs missing from it — the coordinator-crash recovery
+/// path. Opts.Jobs is ignored (Shard.Nodes is the parallelism).
+/// Throws std::invalid_argument, before forking anything, for Resume
+/// without a JournalPath and for the per-job process fences nodes do
+/// not have (IsolationMode::Process, MaxRssMb, RecycleAfter).
 /// Throws std::runtime_error if no node can ever be forked, on journal
 /// I/O setup failure, or on a resume fingerprint mismatch. Node deaths,
 /// expired leases, and duplicate completions are the business being

@@ -4,9 +4,7 @@
 
 #include "runtime/ipc.h"
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 
@@ -90,7 +88,6 @@ void DaemonClient::close() {
 
 bool DaemonClient::connect(const std::string &Endpoint, std::string &Error) {
   close();
-  Path = Endpoint;
   if (Aborted.load()) {
     Error = "connection aborted: " + Endpoint;
     return false;
@@ -261,88 +258,6 @@ bool DaemonClient::analyze(const std::string &Name, const std::string &Source,
   Req.Job.Name = Name;
   Req.Job.Source = Source;
   return analyze(std::move(Req), Out, Error);
-}
-
-std::uint64_t optoct::server::retryDelayMs(const RetryPolicy &P,
-                                           unsigned Attempt,
-                                           std::uint64_t HintMs, Rng &R) {
-  if (Attempt == 0)
-    Attempt = 1;
-  // Exponential ramp with a shift that cannot overflow 64 bits.
-  unsigned Shift = std::min(Attempt - 1, 32u);
-  std::uint64_t D = std::uint64_t(P.BaseBackoffMs) << Shift;
-  D = std::max(D, HintMs); // the server knows its own queue depth
-  D = std::min<std::uint64_t>(D, P.MaxBackoffMs);
-  double J = std::min(1.0, std::max(0.0, P.Jitter));
-  if (J == 0.0 || D == 0)
-    return D;
-  double Lo = static_cast<double>(D) * (1.0 - J);
-  double Hi = static_cast<double>(D) * (1.0 + J);
-  return static_cast<std::uint64_t>(R.doubleIn(Lo, Hi));
-}
-
-std::uint64_t optoct::server::derivedRetrySeed() {
-  // splitmix64 over pid ^ monotonic-now: cheap, and two clients forked
-  // in the same tick still diverge on the pid term.
-  std::uint64_t X = static_cast<std::uint64_t>(::getpid());
-  X ^= static_cast<std::uint64_t>(
-      std::chrono::steady_clock::now().time_since_epoch().count());
-  X += 0x9e3779b97f4a7c15ull;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
-
-bool DaemonClient::analyzeRetry(const AnalyzeRequest &Req,
-                                const RetryPolicy &Policy,
-                                AnalyzeResponse &Out, std::string &Error,
-                                unsigned *AttemptsOut) {
-  Rng R(Policy.Seed != 0 ? Policy.Seed : derivedRetrySeed());
-  unsigned MaxAttempts = std::max(1u, Policy.MaxAttempts);
-  unsigned Attempt = 0;
-  std::string LastError;
-  for (;;) {
-    ++Attempt;
-    bool TransportFailed = false;
-    std::uint64_t HintMs = 0;
-    if (Fd < 0) {
-      if (Path.empty()) {
-        Error = "not connected";
-        if (AttemptsOut)
-          *AttemptsOut = Attempt;
-        return false;
-      }
-      if (!connect(Path, LastError))
-        TransportFailed = true;
-    }
-    if (!TransportFailed) {
-      if (analyze(Req, Out, LastError)) {
-        if (!Out.Overloaded) {
-          if (AttemptsOut)
-            *AttemptsOut = Attempt;
-          return true;
-        }
-        HintMs = Out.RetryMs; // retryable shed: back off as told
-      } else {
-        TransportFailed = true;
-      }
-    }
-    bool CanRetry = !TransportFailed || Policy.ReconnectTransportErrors;
-    if (Attempt >= MaxAttempts || !CanRetry) {
-      if (AttemptsOut)
-        *AttemptsOut = Attempt;
-      if (TransportFailed) {
-        Error = LastError;
-        return false;
-      }
-      // Sustained overload: hand the caller the daemon's last word.
-      return true;
-    }
-    std::uint64_t Delay = retryDelayMs(Policy, Attempt, HintMs, R);
-    if (Delay != 0)
-      ::usleep(static_cast<useconds_t>(
-          std::min<std::uint64_t>(Delay, 60'000) * 1000));
-  }
 }
 
 bool DaemonClient::queryStats(DaemonStats &Out, std::string &Error) {

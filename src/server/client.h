@@ -4,23 +4,16 @@
 /// The client side of the daemon protocol: connect to optoctd's Unix
 /// socket or TCP port ("tcp:host:port"), handshake protocol versions
 /// (Hello), send one Request frame, block for the matching Response.
-/// Shared by the optoctd --client mode, the C API
-/// (capi/opt_oct_daemon.h), the replica client (server/replica.h), the
-/// server benchmark, and the tests — one implementation of the round
-/// trip, everywhere.
+/// The single-connection transport under server/replica.h's
+/// ReplicaClient (which owns every retry, failover and backoff policy),
+/// and the client perfbench and the tests drive directly when they
+/// want exactly one round trip and nothing else.
 ///
 /// Strictly sequential (one request in flight per connection); the
 /// daemon itself multiplexes across *connections*, so concurrency means
 /// more clients, not pipelining — which keeps the blocking client
 /// trivial and the failure model obvious: any transport error poisons
-/// the connection and every later call fails fast.
-///
-/// analyzeRetry() layers the standard retry discipline on top: capped
-/// exponential backoff with jitter, honoring the daemon's own backoff
-/// hint, retrying only the two *retryable* failures — transport errors
-/// (daemon restarting; reconnect and resend) and "overloaded" sheds.
-/// Rejections and served-but-crashed results are never retried here;
-/// the former are permanent, the latter are the daemon's verdict.
+/// the connection and every later call fails fast until connect().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +21,6 @@
 #define OPTOCT_SERVER_CLIENT_H
 
 #include "server/protocol.h"
-#include "support/random.h"
 
 #include <atomic>
 #include <cstdint>
@@ -36,37 +28,6 @@
 #include <string>
 
 namespace optoct::server {
-
-/// Client-side retry discipline for retryable daemon failures.
-struct RetryPolicy {
-  unsigned MaxAttempts = 4;    ///< Total tries, including the first.
-  unsigned BaseBackoffMs = 25; ///< Delay after the first failure.
-  unsigned MaxBackoffMs = 2000; ///< Cap on the exponential growth.
-  /// Delay is drawn uniformly from [d*(1-Jitter), d*(1+Jitter)] so a
-  /// shed burst does not retry in lockstep. Clamped to [0, 1].
-  double Jitter = 0.5;
-  /// Jitter stream seed. 0 (the default) derives a per-process seed
-  /// from pid + monotonic time at retry time (derivedRetrySeed) — a
-  /// fleet of clients restarted together must not jitter in lockstep,
-  /// which is exactly what a shared compile-time constant produced.
-  /// Tests that assert a specific schedule set an explicit seed.
-  std::uint64_t Seed = 0;
-  /// Reconnect and resend on transport errors (daemon restarted). When
-  /// false, transport errors fail immediately — only sheds retry.
-  bool ReconnectTransportErrors = true;
-};
-
-/// The backoff schedule, exposed for tests: delay before retrying after
-/// the \p Attempt-th failure (1-based). The exponential base-2 ramp is
-/// floored by the server's \p HintMs (the server knows its own queue)
-/// and capped by MaxBackoffMs, then jittered via \p R.
-std::uint64_t retryDelayMs(const RetryPolicy &P, unsigned Attempt,
-                           std::uint64_t HintMs, Rng &R);
-
-/// The seed a RetryPolicy with Seed == 0 jitters with: mixed from the
-/// pid and the monotonic clock, so two clients — or two retry loops in
-/// one client — never share a jitter stream by accident.
-std::uint64_t derivedRetrySeed();
 
 class DaemonClient {
 public:
@@ -83,7 +44,7 @@ public:
   /// its event loop, not just its accept queue — and fails cleanly with
   /// "protocol version mismatch" against a replica from another build.
   /// False with \p Error if the daemon is not there (no retry loop —
-  /// callers own their backoff policy).
+  /// ReplicaClient owns the backoff policy).
   bool connect(const std::string &Endpoint, std::string &Error);
   void close();
   bool connected() const { return Fd >= 0; }
@@ -116,18 +77,6 @@ public:
   bool analyze(const std::string &Name, const std::string &Source,
                AnalyzeResponse &Out, std::string &Error);
 
-  /// analyze() under \p Policy: retries transport failures (with a
-  /// reconnect to the socket passed to connect()) and "overloaded"
-  /// sheds, sleeping retryDelayMs between attempts. Returns true once
-  /// any response decodes — on attempt exhaustion under sustained
-  /// overload that response still has Out.Overloaded set, so the caller
-  /// sees exactly what the daemon last said. False only when every
-  /// attempt failed at the transport and \p Error holds the last error.
-  /// \p AttemptsOut (optional) reports the attempts consumed.
-  bool analyzeRetry(const AnalyzeRequest &Req, const RetryPolicy &Policy,
-                    AnalyzeResponse &Out, std::string &Error,
-                    unsigned *AttemptsOut = nullptr);
-
   bool queryStats(DaemonStats &Out, std::string &Error);
 
 private:
@@ -144,7 +93,6 @@ private:
   std::atomic<bool> Aborted{false};
   std::mutex FdMutex;
   std::uint64_t NextId = 1;
-  std::string Path; ///< Last connect() target; analyzeRetry reconnects here.
   std::uint64_t RecvTimeoutMs = 0; ///< Applied to the fd at connect().
 };
 

@@ -9,12 +9,66 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <sstream>
 #include <thread>
 
 #include <unistd.h>
 
 using namespace optoct;
 using namespace optoct::server;
+
+std::uint64_t optoct::server::retryDelayMs(const RetryPolicy &P,
+                                           unsigned Attempt,
+                                           std::uint64_t HintMs, Rng &R) {
+  if (Attempt == 0)
+    Attempt = 1;
+  // Exponential ramp with a shift that cannot overflow 64 bits.
+  unsigned Shift = std::min(Attempt - 1, 32u);
+  std::uint64_t D = std::uint64_t(P.BaseBackoffMs) << Shift;
+  D = std::max(D, HintMs); // the server knows its own queue depth
+  D = std::min<std::uint64_t>(D, P.MaxBackoffMs);
+  double J = std::min(1.0, std::max(0.0, P.Jitter));
+  if (J == 0.0 || D == 0)
+    return D;
+  double Lo = static_cast<double>(D) * (1.0 - J);
+  double Hi = static_cast<double>(D) * (1.0 + J);
+  return static_cast<std::uint64_t>(R.doubleIn(Lo, Hi));
+}
+
+std::uint64_t optoct::server::derivedRetrySeed() {
+  // splitmix64 over pid ^ monotonic-now: cheap, and two clients forked
+  // in the same tick still diverge on the pid term.
+  std::uint64_t X = static_cast<std::uint64_t>(::getpid());
+  X ^= static_cast<std::uint64_t>(
+      std::chrono::steady_clock::now().time_since_epoch().count());
+  X += 0x9e3779b97f4a7c15ull;
+  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
+  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
+  return X ^ (X >> 31);
+}
+
+std::vector<std::string>
+optoct::server::parseEndpointList(const std::string &List) {
+  std::vector<std::string> Out;
+  std::stringstream In(List);
+  std::string Item;
+  while (std::getline(In, Item, ',')) {
+    std::size_t B = Item.find_first_not_of(' ');
+    if (B != std::string::npos)
+      Out.push_back(Item.substr(B, Item.find_last_not_of(' ') - B + 1));
+  }
+  return Out;
+}
+
+ReplicaOptions optoct::server::singleDaemonOptions(std::string Endpoint,
+                                                  RetryPolicy Retry) {
+  ReplicaOptions RO;
+  RO.Endpoints = {std::move(Endpoint)};
+  RO.Retry = Retry;
+  RO.LocalFallback = false;
+  RO.RecvTimeoutMs = 0;
+  return RO;
+}
 
 const char *optoct::server::replyPathName(ReplyPath P) {
   switch (P) {
@@ -40,6 +94,15 @@ ReplicaClient::ReplicaClient(ReplicaOptions O) : Opts(std::move(O)) {
 }
 
 ReplicaClient::~ReplicaClient() = default;
+
+bool ReplicaClient::connect(std::string &Error) {
+  if (Clients.empty()) {
+    Error = "no replica endpoints configured";
+    return false;
+  }
+  DaemonClient &C = *Clients[Preferred];
+  return C.connected() || C.connect(Opts.Endpoints[Preferred], Error);
+}
 
 ReplicaClient::TryStatus ReplicaClient::tryEndpoint(std::size_t Idx,
                                                     const AnalyzeRequest &Req,
@@ -154,7 +217,7 @@ ReplicaClient::TryStatus ReplicaClient::tryHedged(
     return TryStatus::Success;
   }
   // No winner: prefer a shed verdict (the daemon spoke) over transport
-  // silence; the later leg's word wins, mirroring analyzeRetry.
+  // silence; the later leg's word wins.
   for (int L : {1, 0}) {
     if (Legs[L].Skipped)
       continue;
@@ -261,9 +324,9 @@ bool ReplicaClient::analyze(const AnalyzeRequest &Req, AnalyzeResponse &Out,
   }
 
   if (SawShed) {
-    // Every cycle ended shed: hand back the daemon's last word, exactly
-    // like analyzeRetry under sustained overload. Not a local-fallback
-    // case — the service is alive, just telling us to back off.
+    // Every cycle ended shed: hand back the daemon's last word. Not a
+    // local-fallback case — the service is alive, just telling us to
+    // back off.
     Out = std::move(ShedResp);
     I.Path = ReplyPath::Failover;
     I.Endpoint = std::move(ShedEndpoint);

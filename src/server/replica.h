@@ -1,28 +1,34 @@
 //===- server/replica.h - Replica-aware daemon client -----------*- C++ -*-===//
 ///
 /// \file
-/// The client tier that turns N optoctd replicas into one dependable
-/// service. Wraps one DaemonClient per endpoint (Unix path or
-/// "tcp:host:port" — server/client.h) and layers the availability
+/// The daemon client: the one retrying, failover-aware way to talk to
+/// optoctd, whether there is one daemon or N replicas. Wraps one
+/// DaemonClient (the single-connection transport, server/client.h) per
+/// endpoint (Unix path or "tcp:host:port") and layers the availability
 /// policy on top:
 ///
-///   * failover — endpoints are tried in order from a sticky preferred
-///     replica (the last one that answered); a transport error or a
-///     version-mismatched replica moves on to the next. A full sweep
-///     with no answer backs off (RetryPolicy's jittered schedule) and
-///     sweeps again, up to Retry.MaxAttempts cycles.
+///   * retry and failover — endpoints are tried in order from a sticky
+///     preferred replica (the last one that answered); a transport error
+///     or a version-mismatched replica moves on to the next, and a
+///     pooled connection gone stale (the daemon restarted) gets one
+///     reconnect-and-resend first. A full sweep with no answer backs off
+///     (RetryPolicy's jittered schedule, floored by the daemon's own
+///     backoff hint) and sweeps again, up to Retry.MaxAttempts cycles.
+///     With one endpoint this is plain retry-with-reconnect: what
+///     `optoctd --client --socket=P` and opt_oct_daemon_connect use.
 ///   * hedging — optionally, after HedgeAfterMs without a reply from
 ///     the preferred replica, the same request is raced against the
 ///     next one; the first decoded reply wins and the loser is
 ///     hard-aborted (DaemonClient::abortConnection). Safe because
 ///     requests are deterministic and replies canonicalized: both legs
 ///     would return byte-identical bytes, so "first wins" changes
-///     latency, never content.
+///     latency, never content. Needs two endpoints.
 ///   * overload honesty — a shed ("overloaded") reply is the daemon's
 ///     verdict, not a transport error: it fails over within the cycle,
 ///     but if *every* replica sheds through every cycle the caller gets
-///     the daemon's last word back (Out.Overloaded set), exactly like
-///     DaemonClient::analyzeRetry.
+///     the daemon's last word back (Out.Overloaded set). Rejections and
+///     served-but-crashed results are never retried: the former are
+///     permanent, the latter are the daemon's verdict.
 ///   * local degrade — when every replica is transport-dead and
 ///     Opts.LocalFallback holds, the request runs in-process through
 ///     the same single-attempt path the daemon's workers use, then the
@@ -41,12 +47,47 @@
 #define OPTOCT_SERVER_REPLICA_H
 
 #include "server/client.h"
+#include "support/random.h"
 
 #include <memory>
 #include <string>
 #include <vector>
 
 namespace optoct::server {
+
+/// Client-side retry discipline for retryable daemon failures.
+struct RetryPolicy {
+  unsigned MaxAttempts = 4;    ///< Total tries, including the first.
+  unsigned BaseBackoffMs = 25; ///< Delay after the first failure.
+  unsigned MaxBackoffMs = 2000; ///< Cap on the exponential growth.
+  /// Delay is drawn uniformly from [d*(1-Jitter), d*(1+Jitter)] so a
+  /// shed burst does not retry in lockstep. Clamped to [0, 1].
+  double Jitter = 0.5;
+  /// Jitter stream seed. 0 (the default) derives a per-process seed
+  /// from pid + monotonic time at retry time (derivedRetrySeed) — a
+  /// fleet of clients restarted together must not jitter in lockstep,
+  /// which is exactly what a shared compile-time constant produced.
+  /// Tests that assert a specific schedule set an explicit seed.
+  std::uint64_t Seed = 0;
+};
+
+/// The backoff schedule, exposed for tests: delay before retrying after
+/// the \p Attempt-th failure (1-based). The exponential base-2 ramp is
+/// floored by the server's \p HintMs (the server knows its own queue)
+/// and capped by MaxBackoffMs, then jittered via \p R.
+std::uint64_t retryDelayMs(const RetryPolicy &P, unsigned Attempt,
+                           std::uint64_t HintMs, Rng &R);
+
+/// The seed a RetryPolicy with Seed == 0 jitters with: mixed from the
+/// pid and the monotonic clock, so two clients — or two retry loops in
+/// one client — never share a jitter stream by accident.
+std::uint64_t derivedRetrySeed();
+
+/// Splits a comma-separated endpoint list ("a.sock, tcp:h:p") into
+/// endpoints, trimming ASCII spaces around each and dropping empty
+/// items. The one parser behind `optoctd --endpoints` and
+/// opt_oct_daemon_connect_replicas.
+std::vector<std::string> parseEndpointList(const std::string &List);
 
 /// How a replica-tier reply was obtained.
 enum class ReplyPath {
@@ -79,9 +120,18 @@ struct ReplicaOptions {
 
   /// SO_RCVTIMEO per connection: the bound on how long a SIGSTOPped or
   /// half-open replica can stall one attempt before it reads as a
-  /// transport error and fails over. 0 = unbounded (not recommended).
+  /// transport error and fails over. 0 = unbounded (not recommended
+  /// with more than one endpoint; see singleDaemonOptions).
   std::uint64_t RecvTimeoutMs = 30'000;
 };
+
+/// The options of a client for exactly one daemon (`optoctd --client
+/// --socket`, opt_oct_daemon_connect): \p Endpoint under \p Retry, no
+/// local fallback (the caller asked for that daemon's answer) and no
+/// receive timeout (with nowhere to fail over to, a long analysis must
+/// not read as a dead daemon). Hedging needs two endpoints, so it is off.
+ReplicaOptions singleDaemonOptions(std::string Endpoint,
+                                   RetryPolicy Retry = {});
 
 /// Provenance of one reply, for logging and the chaos assertions.
 struct ReplicaReplyInfo {
@@ -97,6 +147,12 @@ public:
   ~ReplicaClient();
   ReplicaClient(const ReplicaClient &) = delete;
   ReplicaClient &operator=(const ReplicaClient &) = delete;
+
+  /// Opens the preferred endpoint's pooled connection now instead of on
+  /// the first request: a health probe for callers whose contract is
+  /// "fail at connect when no daemon listens". False with \p Error
+  /// (the transport's own message) when it does not answer.
+  bool connect(std::string &Error);
 
   /// One analysis through the availability policy above. Returns true
   /// whenever the caller holds a decoded response — served, rejected,

@@ -40,8 +40,8 @@
 ///   * admission control — the pending queue is bounded (MaxQueueDepth)
 ///     with a per-client cap (MaxClientPending); past either, the
 ///     daemon replies "overloaded" with a suggested backoff instead of
-///     buffering unboundedly. DaemonClient::analyzeRetry is the
-///     matching client half.
+///     buffering unboundedly. ReplicaClient's retry policy
+///     (server/replica.h) is the matching client half.
 ///   * quarantine — a fingerprint whose worker dies QuarantineAfter
 ///     times is negatively cached for QuarantineTtlMs: further requests
 ///     replay the crashed verdict instead of consuming fresh workers.

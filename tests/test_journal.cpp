@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include <unistd.h>
 
@@ -325,6 +326,17 @@ TEST_F(Journal, ResumeRejectsForeignJournal) {
   Gone.Resume = true;
   EXPECT_THROW(runBatch(Jobs, Gone), std::runtime_error);
   std::remove(Path.c_str());
+}
+
+TEST_F(Journal, ResumeWithoutJournalIsRejected) {
+  // Nothing to resume from: running a fresh batch instead would hide
+  // the caller's mistake, in either isolation tier.
+  std::vector<BatchJob> Jobs = testJobs();
+  BatchOptions Opts;
+  Opts.Resume = true;
+  EXPECT_THROW(runBatch(Jobs, Opts), std::invalid_argument);
+  Opts.Isolation = IsolationMode::Process;
+  EXPECT_THROW(runBatch(Jobs, Opts), std::invalid_argument);
 }
 
 TEST_F(Journal, ResumeRejectsMismatchedJobSetFingerprint) {

@@ -1081,3 +1081,18 @@ TEST(RetrySeed, ExplicitSeedStaysDeterministic) {
     EXPECT_EQ(server::retryDelayMs(P, Attempt, 0, R1),
               server::retryDelayMs(P, Attempt, 0, R2));
 }
+
+// --- Endpoint lists ----------------------------------------------------------
+
+TEST(EndpointList, SplitsTrimsAndDropsEmptyItems) {
+  using V = std::vector<std::string>;
+  EXPECT_EQ(server::parseEndpointList("a.sock"), V({"a.sock"}));
+  // Spaces around an item are not part of the endpoint: " b" used to
+  // become a socket path that failed with a misleading connect error.
+  EXPECT_EQ(server::parseEndpointList("a, b"), V({"a", "b"}));
+  EXPECT_EQ(server::parseEndpointList(" /tmp/r1.sock ,tcp:127.0.0.1:7000 "),
+            V({"/tmp/r1.sock", "tcp:127.0.0.1:7000"}));
+  EXPECT_EQ(server::parseEndpointList("a,,b,"), V({"a", "b"}));
+  EXPECT_EQ(server::parseEndpointList(" , "), V());
+  EXPECT_EQ(server::parseEndpointList(""), V());
+}

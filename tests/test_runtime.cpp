@@ -334,7 +334,9 @@ TEST(ParallelDriver, ApronLibraryMatchesSerial) {
 TEST(CApiBatch, RoundTrip) {
   const char *Names[] = {"p", "u", "broken"};
   const char *Sources[] = {ProvableProgram, UnprovableProgram, "nonsense!"};
-  opt_oct_batch_report_t *R = opt_oct_batch_run(Names, Sources, 3, 2);
+  opt_oct_batch_options_t Opts = {};
+  Opts.jobs = 2;
+  opt_oct_batch_report_t *R = opt_oct_batch_run(Names, Sources, 3, &Opts);
   ASSERT_NE(R, nullptr);
   EXPECT_EQ(opt_oct_batch_num_jobs(R), 3u);
   EXPECT_EQ(opt_oct_batch_workers(R), 2u);

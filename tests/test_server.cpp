@@ -23,6 +23,7 @@
 #include "server/cache.h"
 #include "server/client.h"
 #include "server/protocol.h"
+#include "server/replica.h"
 #include "server/server.h"
 #include "support/faultinject.h"
 #include "support/fnv.h"
@@ -2158,7 +2159,8 @@ TEST_F(Daemon, CoalescedWaiterSurvivesLeaderDisconnect) {
 TEST_F(Daemon, OverloadShedsPastQueueBoundAndRetryingClientsSucceed) {
   // One worker, a two-deep queue, and six concurrent distinct jobs:
   // the overflow is shed with a retryable "overloaded" + backoff hint,
-  // and analyzeRetry absorbs the sheds until every client succeeds.
+  // and one-endpoint retrying clients absorb the sheds until every
+  // client succeeds.
   arm("site=batch.job,kind=slow,ms=250,hits=100");
   server::ServerOptions Opts;
   Opts.Workers = 1;
@@ -2170,13 +2172,18 @@ TEST_F(Daemon, OverloadShedsPastQueueBoundAndRetryingClientsSucceed) {
   std::atomic<int> Ready{0};
   std::atomic<bool> Go{false};
   std::atomic<int> OkCount{0};
-  std::atomic<unsigned> TotalAttempts{0};
+  std::atomic<unsigned> TotalCycles{0};
   std::vector<std::thread> Threads;
   for (int T = 0; T != K; ++T)
     Threads.emplace_back([&, T] {
-      server::DaemonClient Client;
+      server::RetryPolicy Retry;
+      Retry.MaxAttempts = 12;
+      Retry.BaseBackoffMs = 60;
+      Retry.Seed = 0x1000 + static_cast<std::uint64_t>(T); // no lockstep
+      server::ReplicaClient Client(server::singleDaemonOptions(SocketPath,
+                                                               Retry));
       std::string Error;
-      if (!Client.connect(SocketPath, Error))
+      if (!Client.connect(Error))
         return;
       Ready.fetch_add(1);
       while (!Go.load())
@@ -2184,16 +2191,11 @@ TEST_F(Daemon, OverloadShedsPastQueueBoundAndRetryingClientsSucceed) {
       server::AnalyzeRequest Req;
       Req.Job.Name = "flood" + std::to_string(T);
       Req.Job.Source = loopProgram(40 + static_cast<unsigned>(T));
-      server::RetryPolicy Policy;
-      Policy.MaxAttempts = 12;
-      Policy.BaseBackoffMs = 60;
-      Policy.Seed = 0x1000 + static_cast<std::uint64_t>(T); // no lockstep
       server::AnalyzeResponse Resp;
-      unsigned Attempts = 0;
-      if (Client.analyzeRetry(Req, Policy, Resp, Error, &Attempts) &&
-          Resp.Ok)
+      server::ReplicaReplyInfo Info;
+      if (Client.analyze(Req, Resp, Error, &Info) && Resp.Ok)
         OkCount.fetch_add(1);
-      TotalAttempts.fetch_add(Attempts);
+      TotalCycles.fetch_add(Info.Cycles);
     });
   while (Ready.load() != K)
     std::this_thread::yield();
@@ -2212,7 +2214,7 @@ TEST_F(Daemon, OverloadShedsPastQueueBoundAndRetryingClientsSucceed) {
   EXPECT_GE(Stats.ShedQueueFull, 1u) << "the burst must overflow the bound";
   EXPECT_LE(Stats.QueuePeak, 2u) << "admission control is the memory bound";
   EXPECT_EQ(Stats.QueueDepth, 0u);
-  EXPECT_GE(TotalAttempts.load(), static_cast<unsigned>(K + 1))
+  EXPECT_GE(TotalCycles.load(), static_cast<unsigned>(K + 1))
       << "at least one client must have retried";
   // Sheds are refusals, not served requests; the ledger stays honest.
   EXPECT_EQ(Stats.Served, static_cast<std::uint64_t>(K));
@@ -2517,39 +2519,35 @@ TEST_F(Daemon, ClientDisconnectBeforeReadingReplyLeavesDaemonHealthy) {
 }
 
 TEST_F(Daemon, RetryPolicyReconnectsAcrossDaemonRestart) {
-  // analyzeRetry's transport leg: the daemon restarts between requests;
-  // the client's stale fd fails, and the policy reconnects to the same
-  // socket path and completes on a later attempt.
+  // The retrying client's transport leg: the daemon restarts between
+  // requests; the client's pooled connection is stale, fails, and the
+  // client reconnects to the same socket path and completes.
   server::ServerOptions Opts;
   Opts.SocketPath = tempPath("restart.sock");
   Opts.Workers = 1;
   startServer(Opts);
 
-  server::DaemonClient Client;
-  connect(Client);
+  server::RetryPolicy Retry;
+  Retry.MaxAttempts = 5;
+  Retry.BaseBackoffMs = 10;
+  server::ReplicaClient Client(
+      server::singleDaemonOptions(Opts.SocketPath, Retry));
   server::AnalyzeRequest Req;
   Req.Job.Name = "restart";
   Req.Job.Source = loopProgram(13);
   server::AnalyzeResponse Resp;
-  served(Client, Req, Resp); // the connection works...
+  server::ReplicaReplyInfo First, Second;
+  std::string Error;
+  ASSERT_TRUE(Client.analyze(Req, Resp, Error, &First)) << Error;
+  EXPECT_TRUE(Resp.Ok) << Resp.Error; // the connection works...
+  EXPECT_EQ(First.Connects, 1u);
 
   stopServer();
   startServer(Opts); // ...then the daemon restarts under the client
 
-  server::RetryPolicy Policy;
-  Policy.MaxAttempts = 5;
-  Policy.BaseBackoffMs = 10;
-  std::string Error;
-  unsigned Attempts = 0;
-  ASSERT_TRUE(Client.analyzeRetry(Req, Policy, Resp, Error, &Attempts))
-      << Error;
+  ASSERT_TRUE(Client.analyze(Req, Resp, Error, &Second)) << Error;
   EXPECT_TRUE(Resp.Ok) << Resp.Error;
-  EXPECT_GE(Attempts, 2u) << "the stale fd must have cost one attempt";
-
-  // Without reconnection the same failure is terminal, as documented.
-  stopServer();
-  startServer(Opts);
-  Policy.ReconnectTransportErrors = false;
-  ASSERT_FALSE(Client.analyzeRetry(Req, Policy, Resp, Error, &Attempts));
-  EXPECT_FALSE(Error.empty());
+  // The pooled connection needed no connect; the stale one costs one.
+  EXPECT_GE(Second.Connects, 1u) << "the stale fd must have been replaced";
+  EXPECT_EQ(Second.Path, server::ReplyPath::Primary);
 }

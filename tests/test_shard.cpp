@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -179,6 +180,37 @@ TEST_F(Shard, EmptyBatchShortCircuits) {
   EXPECT_EQ(Report.Shard.NodesSpawned, 0u);
 }
 
+// --- Option combinations the coordinator cannot honor ------------------------
+
+TEST_F(Shard, ResumeWithoutJournalIsRejected) {
+  // Without a prefix the coordinator would journal to a fresh temp
+  // directory and "resume" from nothing: a silent fresh run.
+  std::vector<BatchJob> Jobs = smallJobs(2);
+  BatchOptions Opts;
+  Opts.Resume = true;
+  ShardOptions SO;
+  SO.Nodes = 2;
+  EXPECT_THROW(runShardedBatch(Jobs, Opts, SO), std::invalid_argument);
+  EXPECT_THROW(runShardedBatch({}, Opts, SO), std::invalid_argument);
+}
+
+TEST_F(Shard, ProcessFencesAreRejected) {
+  // Nodes are unfenced and do not nest isolation tiers; each per-worker
+  // fence is refused before any node is forked, not silently ignored.
+  std::vector<BatchJob> Jobs = smallJobs(2);
+  ShardOptions SO;
+  SO.Nodes = 2;
+  BatchOptions Process;
+  Process.Isolation = IsolationMode::Process;
+  EXPECT_THROW(runShardedBatch(Jobs, Process, SO), std::invalid_argument);
+  BatchOptions Rss;
+  Rss.MaxRssMb = 256;
+  EXPECT_THROW(runShardedBatch(Jobs, Rss, SO), std::invalid_argument);
+  BatchOptions Recycle;
+  Recycle.RecycleAfter = 4;
+  EXPECT_THROW(runShardedBatch(Jobs, Recycle, SO), std::invalid_argument);
+}
+
 // --- Journal merge edge cases ----------------------------------------------
 
 TEST_F(ShardMerge, DedupesDuplicateRecordsByChecksum) {
@@ -310,9 +342,10 @@ TEST_F(ShardMerge, RefusesCrossBatchFingerprintMismatch) {
   // And runShardedBatch(Resume) surfaces the refusal as a throw.
   ShardOptions SO;
   SO.Nodes = 2;
-  SO.JournalPrefix = Prefix;
-  SO.Resume = true;
-  EXPECT_THROW(runShardedBatch(Jobs, Opts, SO), std::runtime_error);
+  BatchOptions ResumeOpts = Opts;
+  ResumeOpts.JournalPath = Prefix;
+  ResumeOpts.Resume = true;
+  EXPECT_THROW(runShardedBatch(Jobs, ResumeOpts, SO), std::runtime_error);
   removeJournals(Prefix);
 }
 
@@ -451,9 +484,10 @@ TEST_F(ShardChaos, CoordinatorSigkillThenResumeIsByteIdentical) {
   if (Coord == 0) {
     ShardOptions SO;
     SO.Nodes = 2;
-    SO.JournalPrefix = Prefix;
+    BatchOptions Journaled = Opts;
+    Journaled.JournalPath = Prefix;
     try {
-      runShardedBatch(Jobs, Opts, SO);
+      runShardedBatch(Jobs, Journaled, SO);
     } catch (...) {
     }
     ::_Exit(0);
@@ -469,9 +503,10 @@ TEST_F(ShardChaos, CoordinatorSigkillThenResumeIsByteIdentical) {
 
   ShardOptions SO;
   SO.Nodes = 2;
-  SO.JournalPrefix = Prefix;
-  SO.Resume = true;
-  BatchReport Report = runShardedBatch(Jobs, Opts, SO);
+  BatchOptions ResumeOpts = Opts;
+  ResumeOpts.JournalPath = Prefix;
+  ResumeOpts.Resume = true;
+  BatchReport Report = runShardedBatch(Jobs, ResumeOpts, SO);
   EXPECT_EQ(Report.Shard.JobsLost, 0u);
   EXPECT_EQ(reportToJson(Report, true), Base)
       << "coordinator SIGKILL + resume must not change the report";

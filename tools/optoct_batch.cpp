@@ -51,6 +51,7 @@
 ///     --journal=<path>      Level 2: fsync a checkpoint record per
 ///                           completed job to an append-only journal
 ///     --resume              load the journal and run only missing jobs
+///                           (a usage error without --journal)
 ///     --canonical-json      omit timing fields from --json so reruns
 ///                           and resumed runs compare byte-identical
 ///
@@ -97,6 +98,7 @@
 #include <exception>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 using namespace optoct;
@@ -314,27 +316,6 @@ bool parseArgs(int Argc, char **Argv, BatchCliOptions &Opts) {
     std::fprintf(stderr, "error: no input files (and no --generated)\n");
     return false;
   }
-  if (Opts.Batch.Resume && Opts.Batch.JournalPath.empty()) {
-    std::fprintf(stderr, "error: --resume requires --journal=<path>\n");
-    return false;
-  }
-  if (Opts.UseShard &&
-      Opts.Batch.Isolation == runtime::IsolationMode::Process) {
-    std::fprintf(stderr,
-                 "error: --nodes already isolates jobs in node processes; "
-                 "it does not combine with --isolate=process\n");
-    return false;
-  }
-  // Both fence per-job worker processes, which a sharded run does not
-  // have: reject them rather than silently ignore them.
-  if (Opts.UseShard &&
-      (Opts.Batch.MaxRssMb != 0 || Opts.Batch.RecycleAfter != 0)) {
-    std::fprintf(stderr,
-                 "error: --max-rss-mb and --recycle-after fence "
-                 "--isolate=process workers; they do not combine with "
-                 "--nodes\n");
-    return false;
-  }
   return true;
 }
 
@@ -360,19 +341,20 @@ int run(int Argc, char **Argv) {
     for (const workloads::WorkloadSpec &Spec : workloads::paperBenchmarks())
       Jobs.push_back({Spec.Name, workloads::generateProgram(Spec)});
 
+  // Level 4: --journal is the per-node journal prefix and --resume
+  // recovers from whatever journals survive (even a SIGKILLed
+  // coordinator's). The runtime rejects flag combinations it cannot
+  // honor (--resume without --journal; --nodes with a per-worker fence)
+  // before running anything: those are usage errors.
   runtime::BatchReport Report;
-  if (Opts.UseShard) {
-    // Level 4: --journal names the per-node journal *prefix* and
-    // --resume recovers from whatever journals survive (including after
-    // a SIGKILLed coordinator). The coordinator owns journaling, so the
-    // single-node journal knobs are handed over rather than applied.
-    Opts.Shard.JournalPrefix = Opts.Batch.JournalPath;
-    Opts.Shard.Resume = Opts.Batch.Resume;
-    Opts.Batch.JournalPath.clear();
-    Opts.Batch.Resume = false;
-    Report = runtime::runShardedBatch(Jobs, Opts.Batch, Opts.Shard);
-  } else {
-    Report = runtime::runBatch(Jobs, Opts.Batch);
+  try {
+    Report = Opts.UseShard
+                 ? runtime::runShardedBatch(Jobs, Opts.Batch, Opts.Shard)
+                 : runtime::runBatch(Jobs, Opts.Batch);
+  } catch (const std::invalid_argument &E) {
+    std::fprintf(stderr, "error: %s\n", E.what());
+    usage(Argv[0]);
+    return 2;
   }
 
   bool AllProven = true;

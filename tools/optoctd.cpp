@@ -104,7 +104,6 @@
 
 #include "oct/simd_dispatch.h"
 #include "runtime/journal.h"
-#include "server/client.h"
 #include "server/replica.h"
 #include "server/server.h"
 #include "support/faultinject.h"
@@ -117,7 +116,6 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -141,12 +139,9 @@ struct DaemonCliOptions {
   bool PrintInvariants = false;
   analysis::AnalysisOptions Engine;
   std::uint64_t MaxDbmCells = 0;
-  server::RetryPolicy Retry;
-
-  // Replica-tier client state (--endpoints).
-  std::vector<std::string> Endpoints;
-  std::uint64_t HedgeAfterMs = 0;
-  bool LocalFallback = true;
+  /// Retry policy, plus (--endpoints) the replica list, hedging and
+  /// local fallback. Without --endpoints the client is one-endpoint.
+  server::ReplicaOptions Replica;
 };
 
 void usage(const char *Argv0) {
@@ -215,17 +210,13 @@ bool parseArgs(int Argc, char **Argv, DaemonCliOptions &Opts) {
       Opts.Server.SocketPath = Arg.substr(9);
     else if (Arg.rfind("--tcp=", 0) == 0)
       Opts.Server.TcpBind = Arg.substr(6);
-    else if (Arg.rfind("--endpoints=", 0) == 0) {
-      std::stringstream List(Arg.substr(12));
-      std::string Item;
-      while (std::getline(List, Item, ','))
-        if (!Item.empty())
-          Opts.Endpoints.push_back(Item);
-    } else if (Arg.rfind("--hedge-ms=", 0) == 0) {
-      if (!parseU64(Arg.substr(11), "--hedge-ms", Opts.HedgeAfterMs))
+    else if (Arg.rfind("--endpoints=", 0) == 0)
+      Opts.Replica.Endpoints = server::parseEndpointList(Arg.substr(12));
+    else if (Arg.rfind("--hedge-ms=", 0) == 0) {
+      if (!parseU64(Arg.substr(11), "--hedge-ms", Opts.Replica.HedgeAfterMs))
         return false;
     } else if (Arg == "--no-local-fallback")
-      Opts.LocalFallback = false;
+      Opts.Replica.LocalFallback = false;
     else if (Arg.rfind("--workers=", 0) == 0) {
       if (!parseUnsigned(Arg.substr(10), "--workers", Opts.Server.Workers))
         return false;
@@ -289,11 +280,11 @@ bool parseArgs(int Argc, char **Argv, DaemonCliOptions &Opts) {
         return false;
     } else if (Arg.rfind("--retry-attempts=", 0) == 0) {
       if (!parseUnsigned(Arg.substr(17), "--retry-attempts",
-                         Opts.Retry.MaxAttempts))
+                         Opts.Replica.Retry.MaxAttempts))
         return false;
     } else if (Arg.rfind("--retry-base-ms=", 0) == 0) {
       if (!parseUnsigned(Arg.substr(16), "--retry-base-ms",
-                         Opts.Retry.BaseBackoffMs))
+                         Opts.Replica.Retry.BaseBackoffMs))
         return false;
     } else if (Arg.rfind("--inject=", 0) == 0) {
       std::string Error;
@@ -353,7 +344,7 @@ bool parseArgs(int Argc, char **Argv, DaemonCliOptions &Opts) {
     return false;
   }
   if (Opts.ClientMode && Opts.Server.SocketPath.empty() &&
-      Opts.Endpoints.empty()) {
+      Opts.Replica.Endpoints.empty()) {
     std::fprintf(stderr, "error: --socket=<endpoint> or "
                          "--endpoints=<e1,e2,...> is required\n");
     return false;
@@ -483,20 +474,16 @@ int runClient(const DaemonCliOptions &Opts) {
     for (const workloads::WorkloadSpec &Spec : workloads::paperBenchmarks())
       Jobs.push_back({Spec.Name, workloads::generateProgram(Spec)});
 
-  // Replica mode (--endpoints) routes every request through the
-  // failover/hedging/local-degrade tier; single-endpoint mode keeps the
-  // plain blocking client and its retry loop.
-  std::unique_ptr<server::ReplicaClient> Replica;
-  server::DaemonClient Client;
+  // One client either way. Without --endpoints it is the one-daemon
+  // client over --socket, connected up front so a missing daemon fails
+  // before any request.
+  const bool Replicated = !Opts.Replica.Endpoints.empty();
+  server::ReplicaClient Client(
+      Replicated ? Opts.Replica
+                 : server::singleDaemonOptions(Opts.Server.SocketPath,
+                                               Opts.Replica.Retry));
   std::string Error;
-  if (!Opts.Endpoints.empty()) {
-    server::ReplicaOptions RO;
-    RO.Endpoints = Opts.Endpoints;
-    RO.Retry = Opts.Retry;
-    RO.HedgeAfterMs = Opts.HedgeAfterMs;
-    RO.LocalFallback = Opts.LocalFallback;
-    Replica = std::make_unique<server::ReplicaClient>(std::move(RO));
-  } else if (!Client.connect(Opts.Server.SocketPath, Error)) {
+  if (!Replicated && !Client.connect(Error)) {
     std::fprintf(stderr, "optoctd: %s\n", Error.c_str());
     return 2;
   }
@@ -511,14 +498,7 @@ int runClient(const DaemonCliOptions &Opts) {
       Req.NoCache = Opts.NoCache;
       server::AnalyzeResponse Resp;
       server::ReplicaReplyInfo Info;
-      unsigned Attempts = 0;
-      bool Delivered =
-          Replica ? Replica->analyze(Req, Resp, Error, &Info)
-                  : Client.analyzeRetry(Req, Opts.Retry, Resp, Error,
-                                        &Attempts);
-      if (Replica)
-        Attempts = Info.Cycles;
-      if (!Delivered) {
+      if (!Client.analyze(Req, Resp, Error, &Info)) {
         std::fprintf(stderr, "optoctd: %s: %s\n", Job.Name.c_str(),
                      Error.c_str());
         return 2;
@@ -526,11 +506,11 @@ int runClient(const DaemonCliOptions &Opts) {
       // Replica mode appends its provenance as a trailing column; the
       // single-endpoint line stays exactly as the CI smoke parses it.
       std::string PathCol =
-          Replica ? std::string(" path=") + server::replyPathName(Info.Path)
-                  : std::string();
+          Replicated ? std::string(" path=") + server::replyPathName(Info.Path)
+                     : std::string();
       if (Resp.Overloaded) {
         std::printf("%-24s OVERLOADED after %u attempts (retry_ms=%llu)%s\n",
-                    Job.Name.c_str(), Attempts,
+                    Job.Name.c_str(), Info.Cycles,
                     static_cast<unsigned long long>(Resp.RetryMs),
                     PathCol.c_str());
         AllProven = false;
@@ -576,9 +556,7 @@ int runClient(const DaemonCliOptions &Opts) {
   if (Opts.PrintStats) {
     server::DaemonStats S;
     std::string StatsFrom;
-    bool Got = Replica ? Replica->queryStats(S, Error, &StatsFrom)
-                       : Client.queryStats(S, Error);
-    if (!Got) {
+    if (!Client.queryStats(S, Error, Replicated ? &StatsFrom : nullptr)) {
       std::fprintf(stderr, "optoctd: stats: %s\n", Error.c_str());
       return 2;
     }
