@@ -133,8 +133,9 @@ struct BatchOptions {
 
   /// Per-attempt budgets applied to every job (zeros = unlimited).
   support::AnalysisBudget Budget;
-  /// Attempts per job; only Failed (exception) outcomes are retried —
-  /// budget trips are deterministic and terminal.
+  /// Attempts per job; only Failed (exception) outcomes and, under
+  /// process isolation and in optoctd, worker crashes are retried —
+  /// budget trips and hard kills are deterministic and terminal.
   unsigned MaxAttempts = 1;
   /// Exponential backoff before retry k sleeps
   /// min(BackoffBaseMs << (k-1), BackoffCapMs) milliseconds.

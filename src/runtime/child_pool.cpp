@@ -2,12 +2,15 @@
 
 #include "runtime/child_pool.h"
 
+#include "support/faultinject.h"
+
 #include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <new>
 #include <thread>
 
 #include <fcntl.h>
@@ -164,6 +167,12 @@ SigPipeIgnore::~SigPipeIgnore() {
 
 bool ChildPool::spawn(Child &C, const Body &Main,
                       const std::vector<int> &ExtraCloseFds) {
+  try {
+    support::faultPoint("child.spawn");
+  } catch (const std::bad_alloc &) {
+    errno = EAGAIN; // what a fork refused for lack of resources reports
+    return false;
+  }
   int In[2], Out[2];
   if (::pipe(In) != 0)
     return false;

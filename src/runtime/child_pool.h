@@ -1,13 +1,13 @@
 //===- runtime/child_pool.h - Forked child-process pool ---------*- C++ -*-===//
 ///
 /// \file
-/// The one fork-pool primitive under every process tier: the batch
-/// supervisor's job workers (runtime/supervisor.h), the shard
-/// coordinator's nodes (runtime/shard.h) and optoctd's workers
-/// (server/server.h). Each owner embeds a Child in its own member
-/// record and keeps only its policy (retries, leases, request queues);
-/// every child-process mechanic lives here, so the three owners cannot
-/// drift apart on it:
+/// The one fork-pool primitive under every process tier: the job
+/// workers of runtime::Supervisor (runtime/supervisor.h), which runs
+/// both batch process mode and optoctd's cache misses, and the shard
+/// coordinator's nodes (runtime/shard.h). Each owner embeds a Child in
+/// its own member record and keeps only its policy (job scheduling,
+/// leases); every child-process mechanic lives here, so the owners
+/// cannot drift apart on it:
 ///
 ///   * spawn   — pipe pair, fflush, fork; the child closes every other
 ///               member's pipe ends (and any extra fds the owner names),
@@ -22,6 +22,13 @@
 ///               owner's kill reason rather than guessing at the kernel.
 ///   * retire  — close every input pipe (the children's exit signal),
 ///               wait up to RetireGrace, SIGKILL stragglers, reap all.
+///   * service — after the owner's poll over addPollFds' entries: drain,
+///               hand over frames, reap the dead (pollRound = both plus
+///               the poll, for an owner with nothing else to wait on).
+///
+/// A failed spawn is no lost slot: topUp() refills the pool every
+/// round, and the "child.spawn" fault site (support/faultinject.h)
+/// makes a spawn fail on demand to prove it.
 ///
 /// Fences (from the BatchOptions the pool is built with; none for an
 /// unfenced pool): RLIMIT_AS at the address space mapped at fork plus
@@ -61,6 +68,10 @@ constexpr int WorkerProtocolExitCode = 47; ///< Pipe protocol breakdown.
 
 /// How long retire() lets children exit on their own before SIGKILL.
 constexpr std::chrono::milliseconds RetireGrace{2000};
+
+/// Event-loop tick of every owner (poll timeout): the latency floor of
+/// hard-kill scans, retry backoffs, lease expiry and idle stop checks.
+constexpr unsigned PoolTickMs = 20;
 
 /// Ignores SIGPIPE while any guard is alive; the last one to go
 /// restores the disposition the first one found.
@@ -109,7 +120,8 @@ public:
   /// member's pipe ends, the child closes \p ExtraCloseFds (listeners,
   /// client sockets: anything whose EOF must not be held open by a
   /// forked copy). False (nothing spawned, errno preserved) if a pipe
-  /// or the fork fails.
+  /// or the fork fails; the "child.spawn" fault site's kind=alloc fails
+  /// it with EAGAIN.
   bool spawn(Child &C, const Body &Main,
              const std::vector<int> &ExtraCloseFds = {});
 
@@ -122,23 +134,25 @@ public:
   /// EOF or failed: the child is gone or going, reap it.
   bool drain(Child &C);
 
-  /// One event-loop round over an owner's \p Members, each embedding a
-  /// Child named Proc: waits up to \p TimeoutMs for output, drains it,
-  /// hands every complete frame to OnFrame(Member &, MsgType, Body),
-  /// kills a member whose stream is corrupt, and reaps each member whose
-  /// pipe hit EOF — OnExit(Member &, const ChildExit &) — before erasing
-  /// it.
-  template <class Member, class OnFrameFn, class OnExitFn>
-  void pollRound(std::list<Member> &Members, unsigned TimeoutMs,
-                 OnFrameFn OnFrame, OnExitFn OnExit) {
-    std::vector<struct pollfd> Fds;
-    for (Member &M : Members)
+  /// Appends one POLLIN entry per member's output pipe to \p Fds.
+  template <class Member>
+  static void addPollFds(const std::list<Member> &Members,
+                         std::vector<struct pollfd> &Fds) {
+    for (const Member &M : Members)
       Fds.push_back({M.Proc.FromFd, POLLIN, 0});
-    if (::poll(Fds.data(), Fds.size(), static_cast<int>(TimeoutMs)) <= 0)
-      return;
-    std::size_t I = 0;
-    for (auto It = Members.begin(); It != Members.end(); ++I) {
-      if (Fds[I].revents & (POLLIN | POLLHUP | POLLERR))
+  }
+
+  /// Services the first \p Count of \p Members against \p Fired, their
+  /// addPollFds entries after a poll: drains the fired pipes, hands every
+  /// complete frame to OnFrame(Member &, MsgType, Body), kills a member
+  /// whose stream is corrupt, and reaps each member whose pipe hit EOF —
+  /// OnExit(Member &, const ChildExit &) — before erasing it.
+  template <class Member, class OnFrameFn, class OnExitFn>
+  void service(std::list<Member> &Members, const struct pollfd *Fired,
+               std::size_t Count, OnFrameFn OnFrame, OnExitFn OnExit) {
+    auto It = Members.begin();
+    for (std::size_t I = 0; I != Count && It != Members.end(); ++I) {
+      if (Fired[I].revents & (POLLIN | POLLHUP | POLLERR))
         drain(It->Proc);
       ipc::MsgType Type{};
       std::string Body;
@@ -153,6 +167,17 @@ public:
       OnExit(*It, reap(It->Proc));
       It = Members.erase(It);
     }
+  }
+
+  /// One event-loop round over \p Members, each embedding a Child named
+  /// Proc: polls them for up to one PoolTickMs, then service().
+  template <class Member, class OnFrameFn, class OnExitFn>
+  void pollRound(std::list<Member> &Members, OnFrameFn OnFrame,
+                 OnExitFn OnExit) {
+    std::vector<struct pollfd> Fds;
+    addPollFds(Members, Fds);
+    if (::poll(Fds.data(), Fds.size(), static_cast<int>(PoolTickMs)) > 0)
+      service(Members, Fds.data(), Fds.size(), OnFrame, OnExit);
   }
 
   /// SIGKILLs \p C unless it was already killed; \p Why names the kill

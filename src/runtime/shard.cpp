@@ -207,7 +207,6 @@ public:
     Target = static_cast<unsigned>(
         std::min<std::size_t>(Slots, std::max<std::size_t>(1, Remaining)));
     MaxReleases = std::max(1u, Shard.MaxJobReleases);
-    PollMs = std::max(1u, Shard.PollMs);
     LeaseDur = std::chrono::milliseconds(std::max<std::uint64_t>(1, Shard.LeaseMs));
   }
 
@@ -227,7 +226,7 @@ public:
       assignLeases();
       maybeSteal();
       Pool.pollRound(
-          Members, PollMs,
+          Members,
           [this](Node &N, ipc::MsgType Type, const std::string &Body) {
             handleHeartbeat(N, Type, Body);
           },
@@ -504,7 +503,6 @@ private:
   unsigned SuspectlessDeaths = 0;
   unsigned Target = 1;
   unsigned MaxReleases = 5;
-  unsigned PollMs = 20;
   std::chrono::milliseconds LeaseDur{10000};
 };
 

@@ -101,8 +101,6 @@ struct ShardOptions {
   /// Grant a drained node's next lease by stealing from the deepest
   /// still-working node when no unleased shard remains.
   bool WorkSteal = true;
-  /// Coordinator event-loop tick (poll timeout / expiry scan period).
-  unsigned PollMs = 20;
 };
 
 /// "<prefix>.node<slot>" — one journal per node slot. A respawned node

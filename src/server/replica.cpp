@@ -234,16 +234,16 @@ ReplicaClient::TryStatus ReplicaClient::tryHedged(
 
 void ReplicaClient::runLocal(const AnalyzeRequest &Req, AnalyzeResponse &Out) {
   // Mirror a daemon worker exactly: default batch options with the
-  // request's result-shaping knobs applied (runtime::runJobWorker),
-  // one isolated attempt, then the daemon's own canonicalize +
-  // serialize pipeline (Server::finishJob) — so a degraded reply is
-  // byte-identical to what a healthy replica would have sent, for
-  // deterministic programs.
+  // request's result-shaping knobs applied (runtime::runJobWorker), one
+  // attempt with the scheduler's attempt count and failure log (the
+  // batch's retry loop at MaxAttempts 1), then the daemon's own
+  // canonicalize + serialize pipeline (Server::onJobDone) — so a
+  // degraded reply is byte-identical to what a healthy replica would
+  // have sent, for deterministic programs.
   runtime::BatchOptions BO;
   BO.Engine = Req.Engine;
   BO.Budget.MaxDbmCells = Req.MaxDbmCells;
-  bool Retryable = false;
-  runtime::JobResult JR = runtime::runJobSingleAttempt(Req.Job, BO, Retryable);
+  runtime::JobResult JR = runtime::runJob(Req.Job, BO);
   canonicalizeResult(JR);
   Out = AnalyzeResponse();
   Out.Id = Req.Id;

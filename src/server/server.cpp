@@ -65,7 +65,22 @@ bool parseTcpBind(const std::string &Spec, sockaddr_in &Addr,
 } // namespace
 
 Server::Server(ServerOptions Opts)
-    : Opts(std::move(Opts)), Cache(this->Opts.CacheMaxBytes) {}
+    : Opts(std::move(Opts)), Cache(this->Opts.CacheMaxBytes),
+      Sched(
+          this->Opts.Worker,
+          [this](std::uint64_t Tag, runtime::Supervisor::Outcome &&O) {
+            onJobDone(Tag, std::move(O));
+          },
+          this->Opts.MaxRequestMs, [this] {
+            // Besides its siblings' pipes (the pool closes those), a
+            // forked worker must not hold open the listeners, the
+            // clients or the wake pipe.
+            std::vector<int> Fds = {ListenFd, TcpListenFd, WakePipe[0],
+                                    WakePipe[1]};
+            for (const auto &KV : Clients)
+              Fds.push_back(KV.second.Fd);
+            return Fds;
+          }) {}
 
 Server::~Server() {
   shutdown();
@@ -74,25 +89,6 @@ Server::~Server() {
     ::close(WakePipe[1]);
     WakePipe[0] = WakePipe[1] = -1;
   }
-}
-
-bool Server::spawnWorker(WorkerSlot &Slot, std::string &Error) {
-  // Besides its siblings' pipes (the pool closes those), a forked worker
-  // must not hold open the listeners, the clients or the wake pipe.
-  std::vector<int> CloseFds = {ListenFd, TcpListenFd, WakePipe[0],
-                               WakePipe[1]};
-  for (const auto &KV : Clients)
-    CloseFds.push_back(KV.second.Fd);
-  auto Main = [this](int In, int Out) {
-    runtime::runJobWorker(In, Out, Opts.Worker);
-  };
-  if (!Procs.spawn(Slot.Proc, Main, CloseFds)) {
-    Error = std::string("cannot spawn worker: ") + std::strerror(errno);
-    return false;
-  }
-  Slot.JobsDone = 0;
-  ++Counters.WorkersSpawned;
-  return true;
 }
 
 bool Server::start(std::string &Error) {
@@ -185,15 +181,14 @@ bool Server::start(std::string &Error) {
   // Workers first: a worker forked after the snapshot load would map
   // the whole cache (copy-on-write, but counted in its RSS and address
   // space), though it never reads it.
-  unsigned N = Opts.Workers != 0 ? Opts.Workers
-                                 : std::max(1u, std::thread::hardware_concurrency());
-  Pool.resize(N);
-  Counters.Workers = N;
-  for (WorkerSlot &Slot : Pool)
-    if (!spawnWorker(Slot, Error)) {
-      shutdown();
-      return false;
-    }
+  Counters.Workers = Opts.Workers != 0
+                         ? Opts.Workers
+                         : std::max(1u, std::thread::hardware_concurrency());
+  if (Sched.topUp(Counters.Workers) < Counters.Workers) {
+    Error = std::string("cannot spawn worker: ") + std::strerror(errno);
+    shutdown();
+    return false;
+  }
 
   if (!Opts.CachePath.empty()) {
     std::string LoadError;
@@ -231,6 +226,9 @@ void Server::serve() {
   std::vector<pollfd> Fds;
   std::vector<std::uint64_t> ClientOfFd; // parallel: client seq or 0
   while (!StopFlag) {
+    // Respawns whatever died last round (a failed fork costs a round,
+    // never the slot) and hands the new workers queued jobs.
+    Sched.topUp(Counters.Workers);
     Fds.clear();
     ClientOfFd.clear();
     Fds.push_back({WakePipe[0], POLLIN, 0});
@@ -253,20 +251,16 @@ void Server::serve() {
       ClientOfFd.push_back(KV.first);
     }
     std::size_t WorkerBase = Fds.size();
-    for (WorkerSlot &Slot : Pool) {
-      Fds.push_back({Slot.Proc.FromFd, POLLIN, 0});
-      ClientOfFd.push_back(0);
-    }
+    Sched.addPollFds(Fds);
 
-    int N = ::poll(Fds.data(), Fds.size(), static_cast<int>(Opts.PollMs));
+    int N = ::poll(Fds.data(), Fds.size(),
+                   static_cast<int>(runtime::PoolTickMs));
     if (N < 0 && errno != EINTR)
       break;
     if (StopFlag)
       break;
 
-    scanDeadlines();
-
-    for (std::size_t I = 0; I != Fds.size() && N > 0; ++I) {
+    for (std::size_t I = 0; I != WorkerBase && N > 0; ++I) {
       if (Fds[I].revents == 0)
         continue;
       if (Fds[I].fd == WakePipe[0]) {
@@ -276,12 +270,8 @@ void Server::serve() {
         continue;
       }
       if ((Fds[I].fd == ListenFd || Fds[I].fd == TcpListenFd) &&
-          I < WorkerBase && ClientOfFd[I] == 0 && Fds[I].fd >= 0) {
+          ClientOfFd[I] == 0 && Fds[I].fd >= 0) {
         acceptClients(Fds[I].fd);
-        continue;
-      }
-      if (I >= WorkerBase) {
-        readWorker(I - WorkerBase);
         continue;
       }
       std::uint64_t Seq = ClientOfFd[I];
@@ -308,6 +298,7 @@ void Server::serve() {
       if (Fds[I].revents & (POLLIN | POLLHUP))
         readClient(Seq);
     }
+    Sched.service(Fds, WorkerBase);
   }
   drain();
   shutdown();
@@ -409,15 +400,10 @@ void Server::dropClient(std::uint64_t Seq) {
   // Results for this client's in-flight jobs still complete and cache
   // (and still release any *other* coalesced waiters); this client's
   // waiter entries just have nowhere to go.
-  for (PendingJob &P : Queue)
-    for (Waiter &W : P.Waiters)
+  for (auto &KV : Jobs)
+    for (Waiter &W : KV.second.Waiters)
       if (W.ClientSeq == Seq)
         W.ClientSeq = 0;
-  for (WorkerSlot &Slot : Pool)
-    if (Slot.Busy)
-      for (Waiter &W : Slot.Current.Waiters)
-        if (W.ClientSeq == Seq)
-          W.ClientSeq = 0;
 }
 
 void Server::handleFrame(std::uint64_t Seq, MsgType Type,
@@ -552,7 +538,7 @@ void Server::handleAnalyze(std::uint64_t Seq, const std::string &Body) {
     sendOverloaded(Seq, Req.Id, Counters.ShedDraining, "daemon draining");
     return;
   }
-  if (Queue.size() >= Opts.MaxQueueDepth) {
+  if (Sched.queued() >= Opts.MaxQueueDepth) {
     sendOverloaded(Seq, Req.Id, Counters.ShedQueueFull, "queue full");
     return;
   }
@@ -563,27 +549,20 @@ void Server::handleAnalyze(std::uint64_t Seq, const std::string &Body) {
     return;
   }
 
-  PendingJob P;
-  P.Waiters.push_back({Seq, Req.Id});
-  P.Key = Key;
-  P.Job = Req.Job;
-  P.EngineBlob = runtime::ipc::encodeEngineOptions(Req.Engine, Req.MaxDbmCells);
-  P.NoCache = Req.NoCache;
   if (It != Clients.end())
     ++It->second.Pending;
-  Queue.push_back(std::move(P));
-  Counters.QueuePeak = std::max<std::uint64_t>(Counters.QueuePeak,
-                                               Queue.size());
-  dispatch();
+  std::uint64_t Tag = NextTag++;
+  Jobs[Tag] = PendingJob{{{Seq, Req.Id}}, Key, Req.NoCache};
+  Sched.submit(Tag, std::move(Req.Job),
+               runtime::ipc::encodeEngineOptions(Req.Engine, Req.MaxDbmCells));
+  Counters.QueuePeak =
+      std::max<std::uint64_t>(Counters.QueuePeak, Sched.queued());
 }
 
 Server::PendingJob *Server::findInFlight(std::uint64_t Key) {
-  for (WorkerSlot &Slot : Pool)
-    if (Slot.Busy && !Slot.Current.NoCache && Slot.Current.Key == Key)
-      return &Slot.Current;
-  for (PendingJob &P : Queue)
-    if (!P.NoCache && P.Key == Key)
-      return &P;
+  for (auto &KV : Jobs)
+    if (!KV.second.NoCache && KV.second.Key == Key)
+      return &KV.second;
   return nullptr;
 }
 
@@ -592,7 +571,7 @@ std::uint64_t Server::retryHintMs() const {
   // backlog pushes retries further out instead of stampeding.
   std::uint64_t Base = Opts.OverloadRetryMs;
   std::size_t Bound = std::max<std::size_t>(1, Opts.MaxQueueDepth);
-  return Base + Base * std::min(Queue.size(), Bound) / Bound;
+  return Base + Base * std::min(Sched.queued(), Bound) / Bound;
 }
 
 void Server::sendOverloaded(std::uint64_t Seq, std::uint64_t ReqId,
@@ -625,135 +604,40 @@ void Server::sendResponse(std::uint64_t Seq, const AnalyzeResponse &R) {
     dropClient(Seq);
 }
 
-void Server::dispatch() {
-  for (WorkerSlot &Slot : Pool) {
-    if (Queue.empty())
-      return;
-    if (Slot.Busy || Slot.Proc.Pid < 0 ||
-        (Opts.Worker.RecycleAfter != 0 &&
-         Slot.JobsDone >= Opts.Worker.RecycleAfter))
-      continue; // retiring workers are respawned at their EOF
-    PendingJob P = std::move(Queue.front());
-    Queue.pop_front();
-    // Index/attempt ride the frame for the worker's fault-replay logic;
-    // the daemon correlates by slot, not index.
-    std::string Frame =
-        runtime::ipc::encodeJob(0, P.Attempt, P.Job, P.EngineBlob);
-    if (!runtime::ipc::writeFrame(Slot.Proc.ToFd, MsgType::Job, Frame)) {
-      // Worker pipe already broken; its result-pipe EOF will classify the
-      // corpse. Put the job back for the next dispatch.
-      Queue.push_front(std::move(P));
-      continue;
-    }
-    Slot.Busy = true;
-    Slot.Current = std::move(P);
-    Slot.BusySince = std::chrono::steady_clock::now();
-    Slot.KillSent = false;
+void Server::onJobDone(std::uint64_t Tag, runtime::Supervisor::Outcome &&O) {
+  auto Done = Jobs.find(Tag);
+  PendingJob P = std::move(Done->second);
+  Jobs.erase(Done);
+  if (O.Shed) {
+    // Drain: a queued job is shed so its clients can retry elsewhere.
+    for (const Waiter &W : P.Waiters)
+      if (W.ClientSeq != 0) {
+        noteReplied(W.ClientSeq);
+        sendOverloaded(W.ClientSeq, W.ReqId, Counters.ShedDraining,
+                       "daemon draining");
+      }
+    return;
   }
-}
-
-void Server::readWorker(std::size_t W) {
-  WorkerSlot &Slot = Pool[W];
-  bool Eof = Procs.drain(Slot.Proc); // EOF is the death certificate
-  MsgType Type{};
-  std::string Body;
-  while (Slot.Proc.Reader.next(Type, Body)) {
-    std::size_t Index = 0;
-    bool Retryable = false;
-    runtime::JobResult R;
-    std::string Error;
-    if (Type != MsgType::Result ||
-        !runtime::ipc::decodeResult(Body, Index, Retryable, R, Error)) {
-      // Protocol breakdown: the worker may still be alive, blocked on
-      // its job pipe; the kill makes the reap below prompt.
-      Procs.kill(Slot.Proc, "result protocol violation");
-      break;
-    }
-    if (Slot.Busy) {
-      PendingJob P = std::move(Slot.Current);
-      Slot.Busy = false;
-      ++Slot.JobsDone;
-      // Deterministic outcomes are cacheable; a Timeout depends on the
-      // wall clock and must re-run next time.
-      bool Cacheable = R.Status == runtime::JobStatus::Ok ||
-                       R.Status == runtime::JobStatus::Degraded ||
-                       R.Status == runtime::JobStatus::Failed;
-      finishJob(P, std::move(R), Cacheable);
-    }
-  }
-  if (Slot.Proc.Reader.corrupt())
-    Procs.kill(Slot.Proc, "corrupt result frame");
-  if (Eof || Slot.Proc.killed())
-    onWorkerDeath(W);
-  else
-    dispatch();
-}
-
-void Server::onWorkerDeath(std::size_t W) {
-  WorkerSlot &Slot = Pool[W];
-  runtime::ChildExit Exit = Procs.reap(Slot.Proc);
-
-  if (Slot.Busy) {
-    PendingJob P = std::move(Slot.Current);
-    Slot.Busy = false;
-    ++Counters.WorkersCrashed;
-    // Charge the quarantine ledger per worker death (crash, OOM kill,
-    // or our own hard-kill), including retried attempts: a key that
-    // needs MaxAttempts fresh workers per request burns toward its
-    // quarantine threshold that much faster.
-    if (!P.NoCache && Opts.QuarantineAfter != 0)
-      ++Crashes[P.Key].Deaths;
-    if (Slot.KillSent) {
-      // Our own deadline escalation: the request timed out.
-      runtime::JobResult R;
-      R.Name = P.Job.Name;
-      R.Ok = false;
-      R.Status = runtime::JobStatus::Timeout;
-      R.Attempts = P.Attempt;
-      R.Error = "deadline exceeded";
-      R.Detail = "hard-killed by the daemon after deadline + grace";
-      R.FailureLog.push_back("attempt " + std::to_string(P.Attempt) +
-                             ": hard-killed past the deadline");
-      ++Counters.TimeoutReplies;
-      ++Counters.HardKills;
-      finishJob(P, std::move(R), /*Cacheable=*/false);
-    } else if (P.Attempt < Opts.MaxAttempts && !Draining) {
-      // (During drain there is no respawn to retry on; fall through to
-      // the final crashed verdict so waiters are released.)
-      ++P.Attempt;
-      Queue.push_front(std::move(P));
-    } else {
-      runtime::JobResult R;
-      R.Name = P.Job.Name;
-      R.Ok = false;
-      R.Status = runtime::JobStatus::Crashed;
-      R.Attempts = P.Attempt;
-      R.Error = "worker " + Exit.What;
-      R.FailureLog.push_back("attempt " + std::to_string(P.Attempt) +
-                             ": worker " + Exit.What);
-      ++Counters.CrashedReplies;
-      // A crash is deterministic for a deterministic workload, but the
-      // kill may have been external (OOM); never cache crash verdicts.
-      finishJob(P, std::move(R), /*Cacheable=*/false);
-    }
-  } else if (Exit.Recycled) {
-    ++Counters.WorkersRecycled;
-  }
-
-  if (!StopFlag) {
-    std::string Error;
-    if (!spawnWorker(Slot, Error))
-      std::fprintf(stderr, "optoctd: %s\n", Error.c_str());
-    else
-      dispatch();
-  }
-}
-
-void Server::finishJob(const PendingJob &P, runtime::JobResult R,
-                       bool Cacheable) {
-  canonicalizeResult(R);
+  runtime::JobResult &R = O.Result;
+  // Charge the quarantine ledger per worker death (crash, OOM kill, or
+  // hard kill), including retried attempts: a key that needs
+  // MaxAttempts fresh workers per request burns toward its quarantine
+  // threshold that much faster.
+  if (O.Deaths != 0 && !P.NoCache && Opts.QuarantineAfter != 0)
+    Crashes[P.Key].Deaths += O.Deaths;
   bool Terminal = R.Status == runtime::JobStatus::Crashed ||
                   R.Status == runtime::JobStatus::Timeout;
+  if (R.Status == runtime::JobStatus::Crashed)
+    ++Counters.CrashedReplies;
+  if (R.Status == runtime::JobStatus::Timeout)
+    ++Counters.TimeoutReplies;
+  // Only deterministic outcomes are cacheable: a crash, a timeout or a
+  // transient (retryable) failure depends on the environment and must
+  // re-run next time.
+  bool Cacheable = R.Status == runtime::JobStatus::Ok ||
+                   R.Status == runtime::JobStatus::Degraded ||
+                   (R.Status == runtime::JobStatus::Failed && !O.Retryable);
+  canonicalizeResult(R);
   std::string Record = runtime::serializeJobResult(R);
   if (Cacheable && !P.NoCache) {
     Cache.insert(P.Key, Record);
@@ -761,8 +645,8 @@ void Server::finishJob(const PendingJob &P, runtime::JobResult R,
     // completed should not carry old deaths toward quarantine.
     Crashes.erase(P.Key);
   } else if (Terminal && !P.NoCache && Opts.QuarantineAfter != 0) {
-    // onWorkerDeath already charged this key's deaths; if it crossed
-    // the threshold, arm the circuit breaker with this final verdict.
+    // The deaths are charged above; if they crossed the threshold, arm
+    // the circuit breaker with this final verdict.
     auto It = Crashes.find(P.Key);
     if (It != Crashes.end() && !It->second.Quarantined &&
         It->second.Deaths >= Opts.QuarantineAfter) {
@@ -790,29 +674,6 @@ void Server::finishJob(const PendingJob &P, runtime::JobResult R,
   }
 }
 
-void Server::scanDeadlines() {
-  // With no configured deadline, MaxRequestMs is the hard ceiling — a
-  // hung worker must never wedge its coalesced waiters forever. Only
-  // MaxRequestMs=0 *and* DeadlineMs=0 opts out entirely.
-  std::uint64_t LimitMs =
-      Opts.Worker.Budget.DeadlineMs != 0
-          ? Opts.Worker.Budget.DeadlineMs + Opts.Worker.HardKillGraceMs
-          : Opts.MaxRequestMs;
-  if (LimitMs == 0)
-    return;
-  auto Now = std::chrono::steady_clock::now();
-  auto Limit = std::chrono::milliseconds(LimitMs);
-  for (WorkerSlot &Slot : Pool) {
-    if (!Slot.Busy || Slot.KillSent || Slot.Proc.Pid <= 0)
-      continue;
-    if (Now - Slot.BusySince >= Limit) {
-      Slot.KillSent = true;
-      Procs.kill(Slot.Proc, "hard-killed past the deadline");
-      // The result-pipe EOF arrives next sweep and classifies as Timeout.
-    }
-  }
-}
-
 DaemonStats Server::stats() const {
   DaemonStats S = Counters;
   const CacheCounters &CC = Cache.counters();
@@ -821,7 +682,12 @@ DaemonStats Server::stats() const {
   S.CacheEntries = Cache.entries();
   S.CacheBytes = Cache.bytes();
   S.CacheEvictions = CC.Evictions;
-  S.QueueDepth = Queue.size();
+  const runtime::SupervisorStats &SS = Sched.stats();
+  S.WorkersSpawned = SS.WorkersSpawned;
+  S.WorkersCrashed = SS.WorkersCrashed;
+  S.WorkersRecycled = SS.WorkersRecycled;
+  S.HardKills = SS.HardKills;
+  S.QueueDepth = Sched.queued();
   auto Now = std::chrono::steady_clock::now();
   for (const auto &KV : Crashes)
     if (KV.second.Quarantined && Now < KV.second.Until)
@@ -830,8 +696,6 @@ DaemonStats Server::stats() const {
 }
 
 void Server::drain() {
-  if (Pool.empty() && Queue.empty())
-    return; // never started, or already torn down
   Draining = true;
 
   // Stop accepting immediately: the socket file disappears (and the
@@ -839,70 +703,50 @@ void Server::drain() {
   // queueing behind a dying daemon.
   closeListeners();
 
-  // Shed everything queued but not yet on a worker: those clients can
-  // retry elsewhere; work already running is worth finishing.
-  std::uint64_t Shed = 0;
-  std::deque<PendingJob> Dropped;
-  Dropped.swap(Queue);
-  for (PendingJob &P : Dropped)
-    for (const Waiter &W : P.Waiters) {
-      if (W.ClientSeq == 0)
-        continue;
-      ++Shed;
-      noteReplied(W.ClientSeq);
-      sendOverloaded(W.ClientSeq, W.ReqId, Counters.ShedDraining,
-                     "daemon draining");
-    }
+  // Shed everything queued but not yet on a worker (onJobDone answers
+  // "overloaded"): those clients can retry elsewhere; work already
+  // running is worth finishing, without retries — there is no respawn
+  // to retry on.
+  std::uint64_t ShedBefore = Counters.ShedDraining;
+  Sched.shed("daemon draining");
+  std::uint64_t Shed = Counters.ShedDraining - ShedBefore;
 
   // Finish in-flight jobs and flush replies, bounded by DrainMs.
   // Deadline kills stay armed, so a hung worker cannot stall the exit
-  // past its ceiling; onWorkerDeath skips retries while Draining.
+  // past its ceiling.
   auto Deadline = std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(Opts.DrainMs);
   std::vector<pollfd> Fds;
-  std::vector<std::uint64_t> Owner; // parallel: worker slot or client seq
+  std::vector<std::uint64_t> Owner; // parallel: client seq
   for (;;) {
-    bool BusyWorkers = false;
-    for (const WorkerSlot &Slot : Pool)
-      if (Slot.Busy)
-        BusyWorkers = true;
     bool PendingOut = false;
     for (const auto &KV : Clients)
       if (KV.second.OutPos < KV.second.OutBuf.size())
         PendingOut = true;
-    if (!BusyWorkers && !PendingOut)
+    if (Sched.running() == 0 && !PendingOut)
       break;
     if (std::chrono::steady_clock::now() >= Deadline)
       break; // shutdown()'s SIGKILL backstop owns the stragglers
 
     Fds.clear();
     Owner.clear();
-    for (std::size_t W = 0; W != Pool.size(); ++W) {
-      if (Pool[W].Proc.FromFd < 0)
-        continue;
-      Fds.push_back({Pool[W].Proc.FromFd, POLLIN, 0});
-      Owner.push_back(W);
-    }
-    std::size_t ClientBase = Fds.size();
     for (auto &KV : Clients) {
       if (KV.second.OutPos >= KV.second.OutBuf.size())
         continue;
       Fds.push_back({KV.second.Fd, POLLOUT, 0});
       Owner.push_back(KV.first);
     }
-    ::poll(Fds.data(), Fds.size(), static_cast<int>(Opts.PollMs));
-    scanDeadlines();
-    for (std::size_t I = 0; I != Fds.size(); ++I) {
+    std::size_t WorkerBase = Fds.size();
+    Sched.addPollFds(Fds);
+    ::poll(Fds.data(), Fds.size(), static_cast<int>(runtime::PoolTickMs));
+    for (std::size_t I = 0; I != WorkerBase; ++I) {
       if (Fds[I].revents == 0)
         continue;
-      if (I < ClientBase) {
-        readWorker(Owner[I]);
-        continue;
-      }
       auto It = Clients.find(Owner[I]);
       if (It != Clients.end() && !flushClient(It->second))
         dropClient(Owner[I]);
     }
+    Sched.service(Fds, WorkerBase);
   }
 
   // Only a shutdown that actually had work to wind down merits a log
@@ -935,10 +779,8 @@ void Server::shutdown() {
   for (auto &KV : Clients)
     ::close(KV.second.Fd);
   Clients.clear();
-  Queue.clear();
-
-  Procs.retire();
-  Pool.clear();
+  Sched.retire();
+  Jobs.clear();
 
   // The wake pipe is deliberately NOT closed here: requestStop() may be
   // called from another thread at any point in the object's lifetime,

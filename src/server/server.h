@@ -5,12 +5,12 @@
 /// analysis requests over a Unix-domain stream socket and/or a TCP
 /// listener (ServerOptions::TcpBind — both speak the same checksummed
 /// frames, and a Hello handshake pins the protocol version so
-/// mixed-version replicas reject cleanly) and multiplexes
-/// them onto a pool of supervised fork workers — the same fenced,
-/// recyclable workers the batch supervisor runs (runtime/supervisor.h),
-/// on the same ChildPool (runtime/child_pool.h), so one segfaulting
-/// request costs one worker and one "crashed" response, never the
-/// daemon or any other in-flight request.
+/// mixed-version replicas reject cleanly) and runs its cache misses on
+/// the batch's job scheduler (runtime::Supervisor): the same fenced,
+/// recyclable fork workers, retries, hard kills and death texts, so one
+/// segfaulting request costs one worker and one "crashed" response,
+/// never the daemon or any other in-flight request. The scheduler's
+/// worker pipes join the client sockets in the loop's one poll(2).
 ///
 ///   clients ──frames──► poll loop ──job pipes──► worker 1..N
 ///      ▲                   │    ▲──result pipes────┘
@@ -26,12 +26,15 @@
 ///      a hit replays the stored record immediately — byte-identical to
 ///      the cold response, because records are canonicalized before
 ///      both caching and cold replies.
-///   3. A miss queues the job; an idle worker gets a Job frame carrying
-///      the request's engine options. Its Result frame is
-///      canonicalized, cached (deterministic outcomes only), and sent.
+///   3. A miss is submitted to the scheduler under a fresh tag, with the
+///      request's engine options; a tag -> PendingJob map holds its
+///      waiters. The scheduler hands back the terminal result once; it
+///      is canonicalized, cached (deterministic outcomes only: never a
+///      crash, a timeout or a transient failure), and sent.
 ///   4. A worker that dies mid-job yields a crashed (or, after a
-///      supervisor SIGKILL past the deadline, timeout) result for that
-///      one request; the worker is respawned and the queue drains on.
+///      SIGKILL past the deadline or MaxRequestMs, timeout) result for
+///      that one request, after Worker.MaxAttempts attempts; the worker
+///      is respawned at the next loop round and the queue drains on.
 ///
 /// Overload ladder (each rung bounded, none lies):
 ///   * coalescing — concurrent misses on one fingerprint attach to the
@@ -47,17 +50,17 @@
 ///     replay the crashed verdict instead of consuming fresh workers.
 ///
 /// Shutdown (requestStop, async-signal-safe): stop accepting, shed the
-/// queue with "overloaded", *finish* in-flight jobs and their coalesced
-/// waiters (bounded by DrainMs), then retire the worker pool (job pipes
-/// closed, runtime::RetireGrace to exit, SIGKILL backstop), persist the
-/// cache if a path is configured.
+/// queue with "overloaded" (the scheduler's shed mode, which also stops
+/// retries), *finish* in-flight jobs and their coalesced waiters
+/// (bounded by DrainMs), then retire the worker pool (job pipes closed,
+/// runtime::RetireGrace to exit, SIGKILL backstop), persist the cache
+/// if a path is configured.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef OPTOCT_SERVER_SERVER_H
 #define OPTOCT_SERVER_SERVER_H
 
-#include "runtime/child_pool.h"
 #include "runtime/ipc.h"
 #include "runtime/supervisor.h"
 #include "server/cache.h"
@@ -67,7 +70,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <vector>
@@ -103,14 +105,6 @@ struct ServerOptions {
   std::uint64_t MaxFrameBytes = 16u << 20;
   unsigned MaxClients = 64;
 
-  /// Event-loop tick: the latency floor for deadline kill scans and
-  /// stop-flag checks while idle.
-  unsigned PollMs = 20;
-
-  /// Attempts per request when the worker crashes under it (mirrors the
-  /// batch --retries semantics; deterministic failures never retry).
-  unsigned MaxAttempts = 1;
-
   /// Admission control: jobs queued (not yet on a worker) past this
   /// bound are shed with an "overloaded" reply instead of buffered.
   std::size_t MaxQueueDepth = 256;
@@ -129,17 +123,18 @@ struct ServerOptions {
 
   /// Hard per-request wall-clock ceiling applied when no deadline is
   /// configured (Worker.Budget.DeadlineMs == 0), so a hung worker can
-  /// never wedge its coalesced waiters forever. 0 = genuinely
-  /// unlimited (opt-in).
+  /// never wedge its coalesced waiters forever: the scheduler's hard
+  /// limit. 0 = genuinely unlimited (opt-in).
   std::uint64_t MaxRequestMs = 300'000;
 
   /// Graceful-drain budget on stop: in-flight jobs get this long to
   /// finish (deadline kills stay armed) before teardown proceeds.
   std::uint64_t DrainMs = 5'000;
 
-  /// Worker policy: Budget.DeadlineMs, MaxRssMb, RecycleAfter, and
-  /// HardKillGraceMs apply per worker exactly as in batch process mode.
-  /// Engine options here are ignored — each request carries its own.
+  /// Worker policy: Budget.DeadlineMs, MaxRssMb, RecycleAfter,
+  /// HardKillGraceMs, MaxAttempts and the backoff apply exactly as in
+  /// batch process mode (one scheduler runs both). Engine options here
+  /// are ignored — each request carries its own.
   runtime::BatchOptions Worker;
 };
 
@@ -193,13 +188,11 @@ private:
     std::uint64_t ReqId = 0;
   };
 
+  /// A submitted miss, queued or running, keyed by its scheduler tag.
   struct PendingJob {
     std::vector<Waiter> Waiters; ///< [0] is the admitting request.
     std::uint64_t Key = 0;
-    runtime::BatchJob Job;
-    std::string EngineBlob; ///< encodeEngineOptions for the worker.
     bool NoCache = false;
-    unsigned Attempt = 1;
   };
 
   /// Per-fingerprint crash ledger backing the poison quarantine.
@@ -210,19 +203,6 @@ private:
     std::string Record; ///< Canonicalized verdict replayed while quarantined.
   };
 
-  struct WorkerSlot {
-    runtime::Child Proc;
-    bool Busy = false;
-    PendingJob Current;                ///< Valid while Busy.
-    std::chrono::steady_clock::time_point BusySince;
-    bool KillSent = false; ///< Supervisor SIGKILL escalation fired.
-    /// Results read from this worker, mirroring its own count: after
-    /// Worker.RecycleAfter of them it exits on its own, so it is sent
-    /// no further job (one would be lost and misread as a crash).
-    unsigned JobsDone = 0;
-  };
-
-  bool spawnWorker(WorkerSlot &Slot, std::string &Error);
   void acceptClients(int Fd);
   void readClient(std::uint64_t Seq);
   bool flushClient(ClientConn &C);
@@ -231,11 +211,9 @@ private:
                    const std::string &Body);
   void handleAnalyze(std::uint64_t Seq, const std::string &Body);
   void sendResponse(std::uint64_t Seq, const AnalyzeResponse &R);
-  void dispatch();
-  void readWorker(std::size_t W);
-  void onWorkerDeath(std::size_t W);
-  void finishJob(const PendingJob &P, runtime::JobResult R, bool Cacheable);
-  void scanDeadlines();
+  /// The scheduler's completion callback: caches, quarantines and
+  /// answers every waiter of job \p Tag (or sheds them while draining).
+  void onJobDone(std::uint64_t Tag, runtime::Supervisor::Outcome &&O);
   /// The in-flight or queued non-NoCache job for \p Key, if any — the
   /// coalescing target for a concurrent duplicate miss.
   PendingJob *findInFlight(std::uint64_t Key);
@@ -264,12 +242,12 @@ private:
   std::atomic<bool> StopFlag{false}; ///< Lock-free: signal-handler safe.
   std::map<std::uint64_t, ClientConn> Clients; ///< By accept sequence.
   std::uint64_t NextClientSeq = 1;
-  /// The worker processes (slot records embed their Child). Also keeps
-  /// SIGPIPE ignored: a client or worker vanishing mid-write costs EPIPE.
-  runtime::ChildPool Procs{&Opts.Worker};
-  std::vector<WorkerSlot> Pool;
-  std::deque<PendingJob> Queue;
+  std::map<std::uint64_t, PendingJob> Jobs; ///< By scheduler tag.
+  std::uint64_t NextTag = 1;
   std::map<std::uint64_t, CrashEntry> Crashes; ///< Quarantine ledger.
+  /// The cache-miss scheduler and its workers. Its pool also keeps
+  /// SIGPIPE ignored: a client or worker vanishing mid-write costs EPIPE.
+  runtime::Supervisor Sched;
   bool Draining = false; ///< In drain(): shed admissions, no retries.
 };
 

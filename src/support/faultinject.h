@@ -23,6 +23,8 @@
 ///                        after taking the flock but before the atomic
 ///                        rename (Crash here must leave the previous
 ///                        valid snapshot on disk)
+///   * "child.spawn"    — every ChildPool::spawn, in the owner process
+///                        (AllocFail makes the spawn fail with EAGAIN)
 ///
 /// Fault kinds: AllocFail throws std::bad_alloc, Slow sleeps,
 /// Timeout raises BudgetExceeded(Deadline), PoisonBound overwrites the

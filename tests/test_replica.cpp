@@ -513,6 +513,39 @@ TEST_F(ReplicaDaemon, AllDownLocalFallbackIsByteIdenticalToDaemon) {
   EXPECT_EQ(Resp.Key, Canonical.Key);
 }
 
+// The same property for a result that is not ok: the daemon's record
+// carries the scheduler's attempt count and failure log, and the local
+// fallback must render them identically.
+TEST_F(ReplicaDaemon, DegradedLocalFallbackIsByteIdenticalToDaemon) {
+  server::AnalyzeRequest Req = requestFor("starved", 12);
+  Req.Engine.MaxBlockVisits = 1; // degrades instead of converging
+  server::ServerOptions Opts;
+  Opts.Workers = 1;
+  startServer(Opts);
+  server::DaemonClient Client;
+  std::string Error;
+  ASSERT_TRUE(Client.connect(socketPath(0), Error)) << Error;
+  server::AnalyzeResponse Canonical;
+  ASSERT_TRUE(Client.analyze(Req, Canonical, Error)) << Error;
+  ASSERT_TRUE(Canonical.Ok);
+  std::string Dead = socketPath(0);
+  Client.close();
+  stopAll();
+
+  server::ReplicaOptions RO;
+  RO.Endpoints = {Dead};
+  RO.Retry.MaxAttempts = 1;
+  server::ReplicaClient Replica(RO);
+  server::AnalyzeResponse Resp;
+  server::ReplicaReplyInfo Info;
+  ASSERT_TRUE(Replica.analyze(Req, Resp, Error, &Info)) << Error;
+  EXPECT_EQ(Info.Path, server::ReplyPath::Local);
+  JobResult R;
+  ASSERT_TRUE(deserializeJobResult(Resp.ResultRecord, R, Error)) << Error;
+  EXPECT_EQ(R.Status, JobStatus::Degraded);
+  EXPECT_EQ(Resp.ResultRecord, Canonical.ResultRecord);
+}
+
 TEST_F(ReplicaDaemon, AllDownWithoutFallbackIsTransportError) {
   server::ReplicaOptions RO;
   RO.Endpoints = {tempPath("nowhere1.sock"), tempPath("nowhere2.sock")};

@@ -1576,7 +1576,7 @@ TEST_F(Daemon, CrashedRequestRetriesWhenConfigured) {
 
   server::ServerOptions Opts;
   Opts.Workers = 1;
-  Opts.MaxAttempts = 2;
+  Opts.Worker.MaxAttempts = 2;
   startServer(Opts);
   server::DaemonClient Client;
   connect(Client);
@@ -1598,6 +1598,73 @@ TEST_F(Daemon, CrashedRequestRetriesWhenConfigured) {
   server::AnalyzeResponse Warm;
   served(Client, Req, Warm);
   EXPECT_TRUE(Warm.Cached);
+}
+
+// A transient failure (an exception in the worker) gets another attempt
+// within Worker.MaxAttempts; a final answer that is still transient is
+// sent but never cached, since the same request may pass next time.
+TEST_F(Daemon, TransientFailureIsRetriedAndNeverCached) {
+  arm("site=batch.job,kind=alloc,hits=1");
+  server::AnalyzeRequest Req;
+  Req.Job.Name = "transient";
+  Req.Job.Source = loopProgram(14);
+
+  server::ServerOptions Opts;
+  Opts.Workers = 1;
+  Opts.Worker.MaxAttempts = 2;
+  startServer(Opts);
+  {
+    server::DaemonClient Client;
+    connect(Client);
+    server::AnalyzeResponse Resp;
+    JobResult R = served(Client, Req, Resp);
+    EXPECT_EQ(R.Status, JobStatus::Ok) << R.Error;
+    EXPECT_EQ(R.Attempts, 2u);
+  }
+  stopServer();
+
+  // Fresh workers inherit the unburned rule: with one attempt the
+  // transient failure is the reply, and a repeat must run again.
+  Opts.Worker.MaxAttempts = 1;
+  startServer(Opts);
+  server::DaemonClient Client;
+  connect(Client);
+  server::AnalyzeResponse First, Again;
+  EXPECT_EQ(served(Client, Req, First).Status, JobStatus::Failed);
+  EXPECT_FALSE(First.Cached);
+  served(Client, Req, Again);
+  EXPECT_FALSE(Again.Cached) << "a transient failure must never be cached";
+}
+
+// A respawn whose fork fails is tried again by the scheduler's next
+// top-up: the slot is never lost, even when it is the only one.
+TEST_F(Daemon, FailedRespawnIsRetriedNextRound) {
+  arm("site=batch.job,kind=segv,job=crashme,hits=1");
+  arm("site=child.spawn,kind=alloc,after=1,hits=1"); // fails the respawn
+  server::ServerOptions Opts;
+  Opts.Workers = 1;
+  startServer(Opts);
+  server::DaemonClient Client;
+  Client.setRecvTimeoutMs(10000); // a lost slot would queue forever
+  connect(Client);
+
+  server::AnalyzeRequest Crash;
+  Crash.Job.Name = "crashme";
+  Crash.Job.Source = loopProgram(6);
+  server::AnalyzeResponse CrashResp;
+  EXPECT_EQ(served(Client, Crash, CrashResp).Status, JobStatus::Crashed);
+
+  server::AnalyzeRequest Next;
+  Next.Job.Name = "next";
+  Next.Job.Source = loopProgram(7);
+  server::AnalyzeResponse NextResp;
+  EXPECT_EQ(served(Client, Next, NextResp).Status, JobStatus::Ok);
+
+  server::DaemonStats Stats;
+  std::string Error;
+  ASSERT_TRUE(Client.queryStats(Stats, Error)) << Error;
+  EXPECT_EQ(Stats.WorkersSpawned, 2u);
+  EXPECT_EQ(Stats.WorkersCrashed, 1u);
 }
 
 TEST_F(Daemon, HungWorkerIsHardKilledAndReportedAsTimeout) {

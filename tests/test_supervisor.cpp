@@ -355,6 +355,32 @@ TEST_F(Supervisor, HangIsHardKilledAsTimeout) {
   EXPECT_GE(Report.Supervisor.HardKills, 1u);
 }
 
+// Death texts name the signal or limit, never a pid: two identical runs
+// that lose workers to a segv, an OOM and a hang render byte-equal
+// canonical reports.
+TEST_F(Supervisor, CrashedCanonicalReportIsByteIdenticalAcrossRuns) {
+  std::vector<BatchJob> Jobs = smallJobs(5);
+  injectLethal("segv", "job01");
+  injectLethal("oom", "job02");
+  injectLethal("hang", "job03");
+  BatchOptions Opts;
+  Opts.Jobs = 2;
+  Opts.Isolation = IsolationMode::Process;
+  Opts.Budget.DeadlineMs = 300;
+  Opts.HardKillGraceMs = 200;
+  Opts.MaxRssMb = 256;
+  BatchReport First = runBatch(Jobs, Opts);
+  BatchReport Second = runBatch(Jobs, Opts);
+
+  // Three workers lost. Sanitizer builds skip the RLIMIT_AS fence, so
+  // there the OOM job outlives the deadline and is hard-killed instead.
+  EXPECT_EQ(First.JobsCrashed + First.JobsTimedOut, 3u);
+  EXPECT_GE(First.JobsCrashed, 1u);
+  EXPECT_GE(First.JobsTimedOut, 1u);
+  EXPECT_EQ(reportToJson(First, /*Canonical=*/true),
+            reportToJson(Second, /*Canonical=*/true));
+}
+
 TEST_F(Supervisor, RecycleAfterRespawnsWorkers) {
   std::vector<BatchJob> Jobs = smallJobs(8);
   BatchOptions Opts;

@@ -27,8 +27,8 @@
 ///                         fork plus n (0 = unlimited; ignored under
 ///                         sanitizers)
 ///     --recycle-after=<n> retire each worker after n requests (0 = never)
-///     --retries=<n>       re-run a request on a fresh worker up to n
-///                         times if its worker crashes
+///     --retries=<n>       re-run a request up to n times, with backoff,
+///                         if its worker crashes or it fails transiently
 ///     --max-frame-mb=<n>  per-client frame size bound (default 16)
 ///     --max-clients=<n>   concurrent connection cap (default 64)
 ///     --max-queue=<n>     pending-request high-water mark; past it
@@ -242,7 +242,7 @@ bool parseArgs(int Argc, char **Argv, DaemonCliOptions &Opts) {
       unsigned Retries;
       if (!parseUnsigned(Arg.substr(10), "--retries", Retries))
         return false;
-      Opts.Server.MaxAttempts = Retries + 1;
+      Opts.Server.Worker.MaxAttempts = Retries + 1;
     } else if (Arg.rfind("--max-frame-mb=", 0) == 0) {
       if (!parseU64(Arg.substr(15), "--max-frame-mb", U))
         return false;
