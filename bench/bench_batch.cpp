@@ -8,12 +8,10 @@
 /// cross-checked against the serial run at every worker count — a
 /// scaling result that changed an answer would be meaningless.
 ///
-/// Two overhead legs ride along at fixed worker counts: the Level 3
-/// process-isolation cost (thread pool vs. forked worker pool) and the
-/// Level 4 sharded-coordinator cost (single-node serial vs. --nodes=N
-/// leases + per-node journals + merge). Both report overhead, not
-/// speedup — on a machine without spare hardware threads the honest
-/// number is what the survivability costs.
+/// One overhead leg rides along at a fixed worker count: the Level 3
+/// process-isolation cost (thread pool vs. forked worker pool). It
+/// reports overhead, not speedup — on a machine without spare hardware
+/// threads the honest number is what the survivability costs.
 ///
 /// Writes the series to BENCH_runtime.json (override with --json=<path>)
 /// so successive PRs can track the throughput trajectory.
@@ -22,7 +20,6 @@
 
 #include "oct/simd_dispatch.h"
 #include "runtime/batch.h"
-#include "runtime/shard.h"
 #include "runtime/thread_pool.h"
 #include "support/cpuinfo.h"
 #include "support/table.h"
@@ -173,37 +170,6 @@ int main(int Argc, char **Argv) {
               TextTable::num(ProcessWall * 1e3, 1).c_str(), IsoOverheadPct,
               IsoDeterministic ? "identical" : "DIVERGED");
 
-  // Sharded-coordinator overhead: the same batch on the Level 4
-  // multi-node tier (fork per node, lease/heartbeat frames per job,
-  // fsync'd per-node journals, merge at the end) vs. the single-node
-  // serial run. On a box without spare hardware threads this is pure
-  // overhead — the honest number is how much the survivability costs,
-  // not a speedup.
-  unsigned ShardNodes = std::min(4u, std::max(1u, Hw));
-  double ShardWall = 0.0;
-  bool ShardDeterministic = true;
-  {
-    runtime::BatchOptions Opts;
-    Opts.Budget.DeadlineMs = 3600u * 1000u;
-    Opts.Budget.MaxDbmCells = ~0ull / 2;
-    runtime::ShardOptions Shard;
-    Shard.Nodes = ShardNodes;
-    for (unsigned Rep = 0; Rep != Repeats; ++Rep) {
-      runtime::BatchReport Report = runtime::runShardedBatch(Jobs, Opts, Shard);
-      ShardDeterministic =
-          ShardDeterministic && answerKey(Report) == SerialKey;
-      if (Rep == 0 || Report.WallSeconds < ShardWall)
-        ShardWall = Report.WallSeconds;
-    }
-  }
-  double ShardOverheadPct =
-      SerialWall > 0 ? (ShardWall / SerialWall - 1.0) * 100.0 : 0.0;
-  std::printf("--nodes=%u shard overhead vs. serial: %s ms -> %s ms "
-              "(%+.1f%%), answers %s\n\n",
-              ShardNodes, TextTable::num(SerialWall * 1e3, 1).c_str(),
-              TextTable::num(ShardWall * 1e3, 1).c_str(), ShardOverheadPct,
-              ShardDeterministic ? "identical" : "DIVERGED");
-
   std::ofstream Out(JsonPath);
   if (!Out) {
     std::fprintf(stderr, "error: cannot write '%s'\n", JsonPath.c_str());
@@ -231,16 +197,10 @@ int main(int Argc, char **Argv) {
       << ", \"process_wall_seconds\": " << ProcessWall
       << ", \"overhead_pct\": " << IsoOverheadPct
       << ", \"deterministic\": " << (IsoDeterministic ? "true" : "false")
-      << "},\n"
-      << "  \"shard\": {\"nodes\": " << ShardNodes
-      << ", \"serial_wall_seconds\": " << SerialWall
-      << ", \"sharded_wall_seconds\": " << ShardWall
-      << ", \"overhead_pct\": " << ShardOverheadPct
-      << ", \"deterministic\": " << (ShardDeterministic ? "true" : "false")
       << "}\n}\n";
   std::printf("wrote %s\n", JsonPath.c_str());
 
-  bool AllDeterministic = IsoDeterministic && ShardDeterministic;
+  bool AllDeterministic = IsoDeterministic;
   for (const Point &P : Series)
     AllDeterministic = AllDeterministic && P.Deterministic;
   return AllDeterministic ? 0 : 1;

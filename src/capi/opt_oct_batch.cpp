@@ -3,7 +3,6 @@
 #include "capi/opt_oct_batch.h"
 
 #include "runtime/batch.h"
-#include "runtime/shard.h"
 
 using namespace optoct;
 
@@ -49,18 +48,7 @@ opt_oct_batch_run(const char *const *names, const char *const *sources,
     Opts.MaxRssMb = O.max_rss_mb;
     Opts.JournalPath = O.journal ? O.journal : "";
     Opts.Resume = O.resume != 0;
-    runtime::BatchReport Report;
-    if (O.nodes == 0) {
-      Report = runtime::runBatch(Jobs, Opts);
-    } else {
-      runtime::ShardOptions Shard;
-      Shard.Nodes = O.nodes;
-      Shard.ShardSize = O.shard_size;
-      if (O.lease_ms != 0)
-        Shard.LeaseMs = O.lease_ms;
-      Report = runtime::runShardedBatch(Jobs, Opts, Shard);
-    }
-    return new opt_oct_batch_report_t{std::move(Report)};
+    return new opt_oct_batch_report_t{runtime::runBatch(Jobs, Opts)};
   } catch (...) {
     return nullptr;
   }
@@ -84,10 +72,6 @@ uint64_t opt_oct_batch_total_closures(const opt_oct_batch_report_t *r) {
 
 unsigned opt_oct_batch_jobs_resumed(const opt_oct_batch_report_t *r) {
   return r ? r->Report.JobsResumed : 0;
-}
-
-unsigned opt_oct_batch_jobs_lost(const opt_oct_batch_report_t *r) {
-  return r ? r->Report.Shard.JobsLost : 0;
 }
 
 uint64_t opt_oct_batch_audit_incidents(const opt_oct_batch_report_t *r) {

@@ -2,7 +2,7 @@
  *
  * C-linkage surface over the parallel batch-analysis runtime
  * (src/runtime): submit a set of named mini-IMP sources, analyze them
- * with the OptOctagon domain sharded over a worker pool, and read the
+ * with the OptOctagon domain spread over a worker pool, and read the
  * per-job verdicts and aggregate statistics back.
  *
  * Results are deterministic in the job set: the same sources produce
@@ -10,8 +10,8 @@
  * fields vary). Indices into the report follow submission order.
  *
  * One entry point, opt_oct_batch_run, covers every execution tier —
- * in-process threads, forked worker processes, sharded worker nodes —
- * and every recovery knob, through an options struct whose zero value
+ * in-process threads or forked worker processes — and every recovery
+ * knob, through an options struct whose zero value
  * is the plain threaded run.
  *
  * Robustness: opt_oct_batch_run returns NULL on invalid arguments
@@ -46,8 +46,7 @@ typedef struct opt_oct_batch_report_t opt_oct_batch_report_t;
  * threads, one per hardware thread, no budgets, no journal. */
 typedef struct opt_oct_batch_options_t {
   /* Workers: 0 = one per hardware thread, 1 = serial in the caller.
-   * With isolate_process these are worker processes; ignored when
-   * nodes > 0. */
+   * With isolate_process these are worker processes. */
   unsigned jobs;
   /* Per-attempt wall-clock deadline and cumulative DBM-cell budget
    * (0 = off). Budget trips degrade a job to sound Top invariants or a
@@ -67,35 +66,21 @@ typedef struct opt_oct_batch_options_t {
    * (0 = unlimited; ignored under sanitizers). */
   uint64_t max_rss_mb;
   /* Append-only checkpoint journal (fsync per completed job); NULL or
-   * "" = none. With nodes > 0 it is the per-node journal prefix:
-   * "<journal>.node<slot>" (none = a private temp prefix). */
+   * "" = none. */
   const char *journal;
   /* Nonzero: load `journal` first and run only the jobs missing from it
-   * — the merged report is identical to an uninterrupted run, even
-   * after a SIGKILLed coordinator. Needs a journal written by the same
+   * — the report is identical to an uninterrupted run, even after the
+   * caller was SIGKILLed mid-batch. Needs a journal written by the same
    * job set (fingerprint check); NULL without a journal or on a
    * mismatch. */
   int resume;
-  /* 0 = single node. N > 0: the batch is split into job shards leased
-   * to N forked worker-node processes that journal their completions;
-   * the coordinator merges the journals into one report, byte-identical
-   * in canonical terms to a single-node run. Nodes that crash or stop
-   * heartbeating lose their leases and their jobs are re-leased; jobs
-   * re-leased too many times are reported CRASHED and counted by
-   * opt_oct_batch_jobs_lost. Excludes isolate_process and max_rss_mb
-   * (NULL). */
-  unsigned nodes;
-  /* Sharded only: jobs per lease (0 = auto) and the heartbeat-renewed
-   * lease duration (0 = default 10s; must exceed the longest job). */
-  unsigned shard_size;
-  uint64_t lease_ms;
 } opt_oct_batch_options_t;
 
 /* Analyzes `count` mini-IMP programs under `opts` (NULL = all zero).
  * `names` and `sources` are parallel arrays of NUL-terminated strings;
  * names key the per-job results. NULL on invalid arguments or options,
  * an unwritable journal, a resume fingerprint mismatch, or when no
- * worker process or node can be forked. */
+ * worker process can be forked. */
 opt_oct_batch_report_t *opt_oct_batch_run(const char *const *names,
                                           const char *const *sources,
                                           size_t count,
@@ -108,10 +93,6 @@ double opt_oct_batch_wall_seconds(const opt_oct_batch_report_t *r);
 uint64_t opt_oct_batch_total_closures(const opt_oct_batch_report_t *r);
 /* Jobs whose results were loaded from the journal instead of run. */
 unsigned opt_oct_batch_jobs_resumed(const opt_oct_batch_report_t *r);
-/* Sharded runs only: jobs declared unrecoverably lost (re-leased past
- * the release cap with no surviving journal record). Nonzero means the
- * report is incomplete in the same way the CLI's exit code 4 is. */
-unsigned opt_oct_batch_jobs_lost(const opt_oct_batch_report_t *r);
 /* Corruption events detected and recovered by the audit layer (0 when
  * audit mode was off). */
 uint64_t opt_oct_batch_audit_incidents(const opt_oct_batch_report_t *r);

@@ -260,9 +260,9 @@ private:
   std::thread Thr;
 };
 
-/// Folds the per-job results into the report's status counts and
-/// aggregates; shared by the thread and process execution paths.
-void tallyReport(BatchReport &Report) {
+} // namespace
+
+void optoct::runtime::tallyBatchReport(BatchReport &Report) {
   for (const JobResult &R : Report.Results) {
     switch (R.Status) {
     case JobStatus::Ok:
@@ -295,11 +295,6 @@ void tallyReport(BatchReport &Report) {
   }
 }
 
-} // namespace
-
-void optoct::runtime::tallyBatchReport(BatchReport &Report) {
-  tallyReport(Report);
-}
 
 JobResult optoct::runtime::runJob(const BatchJob &Job,
                                   const BatchOptions &Opts) {
@@ -389,7 +384,7 @@ BatchReport optoct::runtime::runBatch(const std::vector<BatchJob> &Jobs,
     Timer.stop();
     Journal.close();
     Report.WallSeconds = Timer.seconds();
-    tallyReport(Report);
+    tallyBatchReport(Report);
     return Report;
   }
 
@@ -433,7 +428,7 @@ BatchReport optoct::runtime::runBatch(const std::vector<BatchJob> &Jobs,
   Journal.close();
   Report.WallSeconds = Timer.seconds();
 
-  tallyReport(Report);
+  tallyBatchReport(Report);
   return Report;
 }
 
@@ -489,20 +484,6 @@ std::string optoct::runtime::reportToJson(const BatchReport &Report,
           << ", \"workers_crashed\": " << S.WorkersCrashed
           << ", \"workers_recycled\": " << S.WorkersRecycled
           << ", \"hard_kills\": " << S.HardKills << "},\n";
-    }
-    if (Report.Shard.Nodes != 0) {
-      // Coordinator counters depend on which node a kill or theft lands
-      // on, so like the supervisor's they stay out of canonical output.
-      const ShardStats &S = Report.Shard;
-      Out << "  \"shard\": {\"nodes\": " << S.Nodes
-          << ", \"nodes_spawned\": " << S.NodesSpawned
-          << ", \"nodes_died\": " << S.NodesDied
-          << ", \"leases_granted\": " << S.LeasesGranted
-          << ", \"leases_expired\": " << S.LeasesExpired
-          << ", \"releases\": " << S.Releases
-          << ", \"jobs_stolen\": " << S.JobsStolen
-          << ", \"duplicates_discarded\": " << S.DuplicatesDiscarded
-          << ", \"jobs_lost\": " << S.JobsLost << "},\n";
     }
   }
   Out << "  \"jobs_ok\": " << Report.JobsOk << ",\n";

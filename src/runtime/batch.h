@@ -2,7 +2,7 @@
 ///
 /// \file
 /// Batch front end of the runtime: takes a set of analysis jobs (each a
-/// named mini-IMP source), shards them across a work-stealing thread
+/// named mini-IMP source), spreads them across a work-stealing thread
 /// pool (runtime/thread_pool.h), runs the domain-polymorphic fixpoint
 /// engine on each with the OptOctagon domain, and aggregates assertion
 /// verdicts, loop invariants, and per-operator statistics into one
@@ -38,6 +38,15 @@
 /// segfaulting, OOM-killed, or wedged job costs exactly one worker —
 /// the new JobStatus::Crashed — never the batch. Thread mode stays the
 /// zero-overhead default.
+///
+/// Crash survival of the batch itself: with a JournalPath, the calling
+/// process is the only journal writer and fsyncs each completed job
+/// (runtime/journal.h). If it is SIGKILLed, its process-mode workers
+/// exit on EOF of their job pipes, and a rerun with Resume runs only
+/// the jobs missing from the journal. Its canonical report
+/// (reportToJson) equals an uninterrupted run's, in either mode.
+/// Process isolation plus the journal is the one batch path that
+/// survives the death of a job, a worker and the batch process.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -171,8 +180,7 @@ struct BatchOptions {
 
   /// Level-2 recovery: path of the append-only checkpoint journal
   /// (runtime/journal.h); empty disables journaling. Completed jobs are
-  /// fsync'd to it as they finish. runShardedBatch reads it as the
-  /// per-node journal prefix (runtime/shard.h).
+  /// fsync'd to it as they finish.
   std::string JournalPath;
   /// Load previously journaled results first and run only the jobs
   /// missing from the journal. The journal must have been written by
@@ -192,24 +200,6 @@ struct SupervisorStats {
   unsigned HardKills = 0;       ///< SIGKILL escalations past deadline.
 };
 
-/// Coordinator-side counters for a sharded multi-node run (all zero
-/// otherwise; see runtime/shard.h). Like SupervisorStats they are
-/// placement- and timing-dependent, so they render only in
-/// non-canonical JSON.
-struct ShardStats {
-  unsigned Nodes = 0;          ///< Node slots the coordinator ran with.
-  unsigned NodesSpawned = 0;   ///< Forks, including respawns after death.
-  unsigned NodesDied = 0;      ///< Node processes that died or wedged.
-  unsigned LeasesGranted = 0;  ///< Shard leases handed out.
-  unsigned LeasesExpired = 0;  ///< Leases revoked for missed heartbeats.
-  unsigned Releases = 0;       ///< Jobs re-leased after a node loss.
-  unsigned JobsStolen = 0;     ///< Jobs trimmed from a busy node's lease
-                               ///< and granted to an idle one.
-  unsigned DuplicatesDiscarded = 0; ///< Journal-merge dedup discards.
-  unsigned JobsLost = 0;       ///< Jobs with no genuine result (shard
-                               ///< loss); nonzero => exit code 4.
-};
-
 /// Whole-batch outcome. Results[i] always corresponds to Jobs[i].
 struct BatchReport {
   std::vector<JobResult> Results;
@@ -225,7 +215,6 @@ struct BatchReport {
   unsigned Retries = 0;     ///< Extra attempts consumed across all jobs.
   unsigned JobsResumed = 0; ///< Results loaded from the journal, not run.
   SupervisorStats Supervisor; ///< Process-mode pool counters.
-  ShardStats Shard;           ///< Multi-node coordinator counters.
 
   // Aggregates over all jobs with results (Ok flag).
   unsigned AssertsProven = 0, AssertsTotal = 0;
@@ -254,15 +243,14 @@ JobResult runJob(const BatchJob &Job, const BatchOptions &Opts = {});
 JobResult runJobSingleAttempt(const BatchJob &Job, const BatchOptions &Opts,
                               bool &Retryable);
 
-/// Runs every job, sharded over Opts.Jobs workers, and aggregates.
+/// Runs every job, spread over Opts.Jobs workers, and aggregates.
 /// Throws std::invalid_argument for Resume without a JournalPath, and
 /// std::runtime_error when the journal cannot be opened or resumed.
 BatchReport runBatch(const std::vector<BatchJob> &Jobs,
                      const BatchOptions &Opts = {});
 
-/// Folds Report.Results into the status counts and aggregate fields
-/// (shared by runBatch and the multi-node coordinator in
-/// runtime/shard.h, which assembles Results from merged journals).
+/// Folds Report.Results into the status counts and aggregate fields,
+/// as runBatch does; for callers that assemble Results themselves.
 void tallyBatchReport(BatchReport &Report);
 
 /// Machine-readable rendering of a report (the CLI's --json output).

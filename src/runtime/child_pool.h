@@ -1,13 +1,11 @@
 //===- runtime/child_pool.h - Forked child-process pool ---------*- C++ -*-===//
 ///
 /// \file
-/// The one fork-pool primitive under every process tier: the job
-/// workers of runtime::Supervisor (runtime/supervisor.h), which runs
-/// both batch process mode and optoctd's cache misses, and the shard
-/// coordinator's nodes (runtime/shard.h). Each owner embeds a Child in
-/// its own member record and keeps only its policy (job scheduling,
-/// leases); every child-process mechanic lives here, so the owners
-/// cannot drift apart on it:
+/// The fork-pool primitive under the job workers of runtime::Supervisor
+/// (runtime/supervisor.h), which runs both batch process mode and
+/// optoctd's cache misses. The supervisor embeds a Child in its worker
+/// record and keeps only the job-scheduling policy; every child-process
+/// mechanic lives here:
 ///
 ///   * spawn   — pipe pair, fflush, fork; the child closes every other
 ///               member's pipe ends (and any extra fds the owner names),
@@ -23,8 +21,7 @@
 ///   * retire  — close every input pipe (the children's exit signal),
 ///               wait up to RetireGrace, SIGKILL stragglers, reap all.
 ///   * service — after the owner's poll over addPollFds' entries: drain,
-///               hand over frames, reap the dead (pollRound = both plus
-///               the poll, for an owner with nothing else to wait on).
+///               hand over frames, reap the dead.
 ///
 /// A failed spawn is no lost slot: topUp() refills the pool every
 /// round, and the "child.spawn" fault site (support/faultinject.h)
@@ -70,7 +67,7 @@ constexpr int WorkerProtocolExitCode = 47; ///< Pipe protocol breakdown.
 constexpr std::chrono::milliseconds RetireGrace{2000};
 
 /// Event-loop tick of every owner (poll timeout): the latency floor of
-/// hard-kill scans, retry backoffs, lease expiry and idle stop checks.
+/// hard-kill scans, retry backoffs and idle stop checks.
 constexpr unsigned PoolTickMs = 20;
 
 /// Ignores SIGPIPE while any guard is alive; the last one to go
@@ -167,17 +164,6 @@ public:
       OnExit(*It, reap(It->Proc));
       It = Members.erase(It);
     }
-  }
-
-  /// One event-loop round over \p Members, each embedding a Child named
-  /// Proc: polls them for up to one PoolTickMs, then service().
-  template <class Member, class OnFrameFn, class OnExitFn>
-  void pollRound(std::list<Member> &Members, OnFrameFn OnFrame,
-                 OnExitFn OnExit) {
-    std::vector<struct pollfd> Fds;
-    addPollFds(Members, Fds);
-    if (::poll(Fds.data(), Fds.size(), static_cast<int>(PoolTickMs)) > 0)
-      service(Members, Fds.data(), Fds.size(), OnFrame, OnExit);
   }
 
   /// SIGKILLs \p C unless it was already killed; \p Why names the kill

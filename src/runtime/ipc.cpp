@@ -293,107 +293,6 @@ std::string optoct::runtime::ipc::encodeResult(std::size_t Index,
          "\n" + serializeJobResult(R);
 }
 
-std::string optoct::runtime::ipc::encodeLease(std::uint64_t LeaseId,
-                                              std::uint64_t LeaseMs,
-                                              const std::vector<LeasedJob> &Jobs) {
-  // "lease <id> <lease_ms> <count>\n" then one "j <index> <attempt>\n"
-  // per leased job. Same text-line style as the job/result codecs.
-  std::string Body = "lease " + std::to_string(LeaseId) + " " +
-                     std::to_string(LeaseMs) + " " +
-                     std::to_string(Jobs.size()) + "\n";
-  for (const LeasedJob &J : Jobs)
-    Body += "j " + std::to_string(J.Index) + " " +
-            std::to_string(J.Attempt) + "\n";
-  return Body;
-}
-
-bool optoct::runtime::ipc::decodeLease(const std::string &Body,
-                                       std::uint64_t &LeaseId,
-                                       std::uint64_t &LeaseMs,
-                                       std::vector<LeasedJob> &Jobs) {
-  Jobs.clear();
-  std::size_t Nl = Body.find('\n');
-  if (Nl == std::string::npos || Body.rfind("lease ", 0) != 0)
-    return false;
-  unsigned long long Id = 0, Ms = 0, Count = 0;
-  if (std::sscanf(Body.c_str() + 6, "%llu %llu %llu", &Id, &Ms, &Count) != 3)
-    return false;
-  LeaseId = Id;
-  LeaseMs = Ms;
-  std::size_t Pos = Nl + 1;
-  for (unsigned long long I = 0; I != Count; ++I) {
-    std::size_t End = Body.find('\n', Pos);
-    if (End == std::string::npos || Body.compare(Pos, 2, "j ") != 0)
-      return false;
-    unsigned long long Idx = 0, Att = 0;
-    if (std::sscanf(Body.c_str() + Pos + 2, "%llu %llu", &Idx, &Att) != 2)
-      return false;
-    Jobs.push_back({static_cast<std::size_t>(Idx),
-                    static_cast<unsigned>(Att)});
-    Pos = End + 1;
-  }
-  return Pos == Body.size();
-}
-
-std::string optoct::runtime::ipc::encodeTrim(std::uint64_t LeaseId,
-                                             const std::vector<std::size_t> &Drop) {
-  std::string Body = "trim " + std::to_string(LeaseId) + " " +
-                     std::to_string(Drop.size()) + "\n";
-  for (std::size_t Idx : Drop)
-    Body += "j " + std::to_string(Idx) + "\n";
-  return Body;
-}
-
-bool optoct::runtime::ipc::decodeTrim(const std::string &Body,
-                                      std::uint64_t &LeaseId,
-                                      std::vector<std::size_t> &Drop) {
-  Drop.clear();
-  std::size_t Nl = Body.find('\n');
-  if (Nl == std::string::npos || Body.rfind("trim ", 0) != 0)
-    return false;
-  unsigned long long Id = 0, Count = 0;
-  if (std::sscanf(Body.c_str() + 5, "%llu %llu", &Id, &Count) != 2)
-    return false;
-  LeaseId = Id;
-  std::size_t Pos = Nl + 1;
-  for (unsigned long long I = 0; I != Count; ++I) {
-    std::size_t End = Body.find('\n', Pos);
-    if (End == std::string::npos || Body.compare(Pos, 2, "j ") != 0)
-      return false;
-    unsigned long long Idx = 0;
-    if (std::sscanf(Body.c_str() + Pos + 2, "%llu", &Idx) != 1)
-      return false;
-    Drop.push_back(static_cast<std::size_t>(Idx));
-    Pos = End + 1;
-  }
-  return Pos == Body.size();
-}
-
-std::string optoct::runtime::ipc::encodeHeartbeat(std::uint64_t LeaseId,
-                                                  HeartbeatKind Kind,
-                                                  std::size_t Index) {
-  return "hb " + std::to_string(LeaseId) + " " +
-         std::to_string(static_cast<unsigned>(Kind)) + " " +
-         std::to_string(Index) + "\n";
-}
-
-bool optoct::runtime::ipc::decodeHeartbeat(const std::string &Body,
-                                           std::uint64_t &LeaseId,
-                                           HeartbeatKind &Kind,
-                                           std::size_t &Index) {
-  if (Body.rfind("hb ", 0) != 0 || Body.empty() || Body.back() != '\n')
-    return false;
-  unsigned long long Id = 0, K = 0, Idx = 0;
-  if (std::sscanf(Body.c_str() + 3, "%llu %llu %llu", &Id, &K, &Idx) != 3)
-    return false;
-  if (K > static_cast<unsigned long long>(HeartbeatKind::Drained))
-    return false;
-  LeaseId = Id;
-  Kind = static_cast<HeartbeatKind>(K);
-  Index = static_cast<std::size_t>(Idx);
-  return true;
-}
-
 bool optoct::runtime::ipc::decodeResult(const std::string &Body,
                                         std::size_t &Index, bool &Retryable,
                                         JobResult &R, std::string &Error) {

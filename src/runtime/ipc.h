@@ -24,6 +24,9 @@
 ///     and a serialized JobResult, reusing the journal's lossless
 ///     record serialization (runtime/journal.h).
 ///
+/// optoctd's client traffic (Request, Response, Hello) uses the same
+/// frames; its bodies live in server/protocol.h.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef OPTOCT_RUNTIME_IPC_H
@@ -33,7 +36,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace optoct::runtime::ipc {
 
@@ -42,9 +44,7 @@ enum class MsgType : std::uint32_t {
   Result = 2,    ///< Worker -> supervisor: the job's attempt result.
   Request = 3,   ///< Daemon client -> optoctd (server/protocol.h bodies).
   Response = 4,  ///< optoctd -> daemon client.
-  Lease = 5,     ///< Shard coordinator -> node: lease of a job shard.
-  Trim = 6,      ///< Coordinator -> node: drop these leased jobs (stolen).
-  Heartbeat = 7, ///< Node -> coordinator: progress / lease renewal.
+  // 5-7 are unassigned. The values travel on the wire: never renumber.
   Hello = 8,     ///< Daemon <-> client: version handshake / health probe.
 };
 
@@ -141,49 +141,6 @@ std::string encodeResult(std::size_t Index, bool Retryable,
                          const JobResult &R);
 bool decodeResult(const std::string &Body, std::size_t &Index,
                   bool &Retryable, JobResult &R, std::string &Error);
-
-// --- Shard-tier bodies (runtime/shard.h). -----------------------------------
-//
-// Node processes are forked from the coordinator and inherit the full
-// job vector, so shard frames carry indices and bookkeeping only —
-// never job sources. Results never ride the pipe either: a node's
-// durability story is its own fsync'd journal, and the coordinator
-// reads journals at merge time. Heartbeats are pure bookkeeping.
-
-/// One leased job: its index in the batch's job vector plus the attempt
-/// number the node should run it as (attempts > 1 replay burned lethal
-/// fault-injection counters, mirroring the Level 3 supervisor).
-struct LeasedJob {
-  std::size_t Index = 0;
-  unsigned Attempt = 1;
-};
-
-/// Lease (coordinator -> node): "you own these jobs until the lease
-/// expires; every Heartbeat renews it."
-std::string encodeLease(std::uint64_t LeaseId, std::uint64_t LeaseMs,
-                        const std::vector<LeasedJob> &Jobs);
-bool decodeLease(const std::string &Body, std::uint64_t &LeaseId,
-                 std::uint64_t &LeaseMs, std::vector<LeasedJob> &Jobs);
-
-/// Trim (coordinator -> node): the named indices of lease \p LeaseId
-/// were stolen by another node; drop any of them still queued. A trim
-/// for a stale lease id is ignored by the node.
-std::string encodeTrim(std::uint64_t LeaseId,
-                       const std::vector<std::size_t> &Drop);
-bool decodeTrim(const std::string &Body, std::uint64_t &LeaseId,
-                std::vector<std::size_t> &Drop);
-
-/// What a Heartbeat frame announces. Every kind renews the lease.
-enum class HeartbeatKind : unsigned {
-  Start = 0,   ///< About to run job Index (names the in-flight suspect).
-  Done = 1,    ///< Job Index finished and its record is fsync'd.
-  Drained = 2, ///< The lease's queue is empty; node is idle.
-};
-
-std::string encodeHeartbeat(std::uint64_t LeaseId, HeartbeatKind Kind,
-                            std::size_t Index);
-bool decodeHeartbeat(const std::string &Body, std::uint64_t &LeaseId,
-                     HeartbeatKind &Kind, std::size_t &Index);
 
 } // namespace optoct::runtime::ipc
 

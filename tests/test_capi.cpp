@@ -267,20 +267,12 @@ TEST(CApiBatch, InvalidArgumentsAreRejected) {
   EXPECT_EQ(opt_oct_batch_job_attempts(R, 5), 0u);
   opt_oct_batch_free(R);
 
-  // Option combinations the runtime cannot honor are NULL too: resume
-  // with no journal to resume from, and per-worker process fences on a
-  // sharded run.
+  // An option combination the runtime cannot honor is NULL too: resume
+  // with no journal to resume from, in either isolation mode.
   opt_oct_batch_options_t Bad = {};
   Bad.resume = 1;
   EXPECT_EQ(opt_oct_batch_run(Names, Sources, 1, &Bad), nullptr);
-  Bad.nodes = 2;
-  EXPECT_EQ(opt_oct_batch_run(Names, Sources, 1, &Bad), nullptr);
-  Bad = {};
-  Bad.nodes = 2;
   Bad.isolate_process = 1;
-  EXPECT_EQ(opt_oct_batch_run(Names, Sources, 1, &Bad), nullptr);
-  Bad.isolate_process = 0;
-  Bad.max_rss_mb = 256;
   EXPECT_EQ(opt_oct_batch_run(Names, Sources, 1, &Bad), nullptr);
 }
 
@@ -317,42 +309,6 @@ TEST(CApiBatch, BudgetedRunReportsStatusAndAttempts) {
   EXPECT_EQ(opt_oct_batch_job_status(R, 1), OPT_OCT_BATCH_JOB_FAILED);
   EXPECT_STRNE(opt_oct_batch_job_error(R, 1), "");
   opt_oct_batch_free(R);
-}
-
-TEST(CApiBatch, ShardedRunMatchesSingleNodeVerdicts) {
-  const char *Names[] = {"a", "b", "c", "d", "e"};
-  const char *Sources[] = {
-      "var x; x = 1; assert(x <= 1);", "var x; x = 2; assert(x <= 2);",
-      "var x; x = 3; assert(x <= 3);", "var x; x = 4; assert(x <= 4);",
-      "var x; x = 5; assert(x <= 5);"};
-  opt_oct_batch_options_t Serial = {};
-  Serial.jobs = 1;
-  opt_oct_batch_report_t *Base = opt_oct_batch_run(Names, Sources, 5, &Serial);
-  ASSERT_NE(Base, nullptr);
-  // Temp journal prefix, default lease/shard knobs, two nodes.
-  opt_oct_batch_options_t Sharded = {};
-  Sharded.nodes = 2;
-  opt_oct_batch_report_t *S = opt_oct_batch_run(Names, Sources, 5, &Sharded);
-  ASSERT_NE(S, nullptr);
-  EXPECT_EQ(opt_oct_batch_num_jobs(S), 5u);
-  EXPECT_EQ(opt_oct_batch_jobs_lost(S), 0u);
-  for (size_t I = 0; I != 5; ++I) {
-    EXPECT_STREQ(opt_oct_batch_job_name(S, I),
-                 opt_oct_batch_job_name(Base, I));
-    EXPECT_EQ(opt_oct_batch_job_status(S, I),
-              opt_oct_batch_job_status(Base, I));
-    EXPECT_EQ(opt_oct_batch_job_asserts_proven(S, I),
-              opt_oct_batch_job_asserts_proven(Base, I));
-  }
-  opt_oct_batch_free(S);
-  opt_oct_batch_free(Base);
-
-  // Error paths: NULL arrays, and resume without a real prefix to
-  // resume from.
-  EXPECT_EQ(opt_oct_batch_run(nullptr, Sources, 1, &Sharded), nullptr);
-  Sharded.resume = 1;
-  EXPECT_EQ(opt_oct_batch_run(Names, Sources, 5, &Sharded), nullptr);
-  EXPECT_EQ(opt_oct_batch_jobs_lost(nullptr), 0u);
 }
 
 TEST(CApiBatch, JournaledRunResumesThroughOneCall) {

@@ -31,7 +31,7 @@ void announceEofThenPause(int In, int Out) {
   char B;
   while (::read(In, &B, 1) > 0) {
   }
-  ipc::writeFrame(Out, ipc::MsgType::Heartbeat, "eof");
+  ipc::writeFrame(Out, ipc::MsgType::Result, "eof");
   for (;;)
     ::pause();
 }

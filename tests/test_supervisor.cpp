@@ -7,11 +7,17 @@
 /// healthy job's result field-for-field against a clean serial
 /// thread-mode run.
 ///
+/// Process isolation plus the journal is the one batch path that
+/// survives crashes, the batch process's own SIGKILL included
+/// (ParentSigkillThenResumeIsByteIdentical).
+///
 /// Fixture naming is load-bearing for CI: `Ipc.*` and `Supervisor.*`
 /// run in the TSan leg's filter; the heavyweight acceptance batch lives
-/// in `SupervisorChaos.*`, which does not.
+/// in `SupervisorChaos.*` and the end-to-end CLI exit-code audit in
+/// `BatchCli.*`, which do not.
 
 #include "runtime/batch.h"
+#include "runtime/child_pool.h"
 #include "runtime/ipc.h"
 #include "runtime/journal.h"
 #include "support/faultinject.h"
@@ -19,12 +25,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <ctime>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <dirent.h>
+#include <signal.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace optoct;
@@ -93,6 +107,33 @@ std::string tempPath(const std::string &Name) {
          std::to_string(::getpid());
 }
 
+/// Pids whose parent is \p Parent, read from /proc.
+std::vector<pid_t> childrenOf(pid_t Parent) {
+  std::vector<pid_t> Kids;
+  DIR *Proc = ::opendir("/proc");
+  if (!Proc)
+    return Kids;
+  while (struct dirent *E = ::readdir(Proc)) {
+    pid_t Pid = static_cast<pid_t>(std::atoi(E->d_name));
+    if (Pid <= 0)
+      continue;
+    std::ifstream Stat("/proc/" + std::to_string(Pid) + "/stat");
+    std::string Line;
+    std::getline(Stat, Line);
+    // "pid (comm) state ppid ...": comm may hold spaces and parens.
+    std::size_t Close = Line.rfind(')');
+    if (Close == std::string::npos)
+      continue;
+    std::istringstream Rest(Line.substr(Close + 1));
+    char State = 0;
+    long PPid = 0;
+    if (Rest >> State >> PPid && PPid == Parent)
+      Kids.push_back(Pid);
+  }
+  ::closedir(Proc);
+  return Kids;
+}
+
 class Ipc : public ::testing::Test {};
 
 /// Clears the fault plan around each test (the containment tests arm
@@ -104,6 +145,7 @@ protected:
 };
 
 using SupervisorChaos = Supervisor;
+using BatchCli = Supervisor;
 
 // --- IPC framing -----------------------------------------------------------
 
@@ -263,6 +305,16 @@ TEST_F(Supervisor, CleanProcessBatchMatchesThreadMode) {
   // Byte-level: the canonical JSON renderings agree exactly.
   EXPECT_EQ(reportToJson(Got, /*Canonical=*/true),
             reportToJson(Want, /*Canonical=*/true));
+
+  // More workers than jobs is harmless, and an empty batch forks
+  // nothing at all.
+  Proc.Jobs = 8;
+  BatchReport Wide = runBatch(Jobs, Proc);
+  EXPECT_EQ(reportToJson(Wide, /*Canonical=*/true),
+            reportToJson(Want, /*Canonical=*/true));
+  BatchReport Empty = runBatch({}, Proc);
+  EXPECT_TRUE(Empty.Results.empty());
+  EXPECT_EQ(Empty.Supervisor.WorkersSpawned, 0u);
 }
 
 TEST_F(Supervisor, SegvCrashIsContained) {
@@ -429,6 +481,81 @@ TEST_F(Supervisor, JournaledProcessRunResumesInThreadMode) {
   std::remove(Path.c_str());
 }
 
+// SIGKILL the batch process itself mid-run. Its orphaned workers must
+// exit on EOF of their job pipes within RetireGrace, and a resume from
+// the journal it fsync'd must reproduce the clean thread-mode canonical
+// bytes. (If the run already finished, resume degenerates to a pure
+// journal replay; the identity must hold either way.)
+TEST_F(Supervisor, ParentSigkillThenResumeIsByteIdentical) {
+  std::vector<BatchJob> Jobs = smallJobs(14);
+  BatchOptions Thread;
+  Thread.Jobs = 1;
+  std::string Base = reportToJson(runBatch(Jobs, Thread), /*Canonical=*/true);
+
+  std::string Path = tempPath("parentkill");
+  std::remove(Path.c_str());
+  BatchOptions Proc;
+  Proc.Jobs = 4;
+  Proc.Isolation = IsolationMode::Process;
+  Proc.JournalPath = Path;
+
+  // As a subreaper this process adopts the workers once their parent
+  // dies, so it can wait for them (and reap them).
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  pid_t Parent = ::fork();
+  ASSERT_GE(Parent, 0);
+  if (Parent == 0) {
+    // Timing-only fault, armed in the doomed process alone: the last
+    // job sleeps 1 s. At the kill the other workers sit idle on their
+    // job pipes, so only EOF on those pipes can end them; the sleeper
+    // exits when its result write fails.
+    std::string Error;
+    support::FaultPlan::global().parseRule(
+        "site=batch.job,kind=slow,ms=1000,job=job13", Error);
+    try {
+      runBatch(Jobs, Proc);
+    } catch (...) {
+    }
+    ::_Exit(0);
+  }
+
+  std::vector<pid_t> Workers;
+  for (int I = 0; I != 200 && Workers.size() < Proc.Jobs; ++I) {
+    ::usleep(10 * 1000);
+    Workers = childrenOf(Parent);
+  }
+  EXPECT_FALSE(Workers.empty()) << "no worker process appeared";
+  ::usleep(300 * 1000);
+  for (pid_t W : childrenOf(Parent))
+    if (std::find(Workers.begin(), Workers.end(), W) == Workers.end())
+      Workers.push_back(W);
+  ::kill(Parent, SIGKILL);
+  int Status = 0;
+  ASSERT_EQ(::waitpid(Parent, &Status, 0), Parent);
+
+  // A worker the parent reaped before it died is not ours: ECHILD.
+  auto Deadline = std::chrono::steady_clock::now() + RetireGrace;
+  for (pid_t W : Workers) {
+    pid_t Got = 0;
+    while ((Got = ::waitpid(W, &Status, WNOHANG)) == 0 &&
+           std::chrono::steady_clock::now() < Deadline)
+      ::usleep(20 * 1000);
+    EXPECT_NE(Got, 0) << "worker " << W << " outlived its parent";
+    if (Got == 0) {
+      ::kill(W, SIGKILL);
+      ::waitpid(W, &Status, 0);
+    }
+  }
+  ::prctl(PR_SET_CHILD_SUBREAPER, 0);
+
+  BatchOptions ResumeOpts = Proc;
+  ResumeOpts.Resume = true;
+  BatchReport Resumed = runBatch(Jobs, ResumeOpts);
+  EXPECT_EQ(reportToJson(Resumed, /*Canonical=*/true), Base)
+      << "parent SIGKILL + resume must not change the report";
+  std::remove(Path.c_str());
+}
+
 // The RLIMIT_CPU backstop (4x the deadline + 2 s) bounds one job, not a
 // worker's lifetime: one healthy worker running ms-scale jobs that add up
 // to more CPU than the backstop must never be killed by it.
@@ -518,5 +645,61 @@ TEST_F(SupervisorChaos, AcceptanceBatchSurvivesSegvOomAndHang) {
   EXPECT_GE(Report.Supervisor.WorkersCrashed, 3u);
   EXPECT_GE(Report.Supervisor.HardKills, 1u);
 }
+
+// --- The CLI exit-code audit (end to end on the real binary) ---------------
+
+#ifdef OPTOCT_BATCH_BIN
+/// Writes a one-job program file and returns its path (also the job
+/// name the CLI reports, so fault rules can substring-match it).
+std::string writeProgram(const std::string &Name, const std::string &Src) {
+  std::string Path = tempPath(Name) + ".imp";
+  std::ofstream Out(Path, std::ios::trunc);
+  Out << Src;
+  return Path;
+}
+
+/// Runs the real optoct_batch binary; returns its exit code (-1 if the
+/// shell failed). Output is discarded — these tests audit codes only.
+int runCli(const std::string &Args) {
+  std::string Cmd =
+      std::string(OPTOCT_BATCH_BIN) + " " + Args + " >/dev/null 2>&1";
+  int Rc = std::system(Cmd.c_str());
+  if (Rc == -1 || !WIFEXITED(Rc))
+    return -1;
+  return WEXITSTATUS(Rc);
+}
+
+TEST_F(BatchCli, ExitCode0WhenEverythingProves) {
+  std::string Path = writeProgram("ok", loopProgram(8));
+  EXPECT_EQ(runCli(Path), 0);
+  // And process mode preserves the success code.
+  EXPECT_EQ(runCli("--isolate=process " + Path), 0);
+  ::unlink(Path.c_str());
+}
+
+TEST_F(BatchCli, ExitCode1WhenAnAssertionIsUnproven) {
+  std::string Path = writeProgram(
+      "unproven", "var x;\nx = havoc();\nassert(x >= 0);\n");
+  EXPECT_EQ(runCli(Path), 1);
+  ::unlink(Path.c_str());
+}
+
+TEST_F(BatchCli, ExitCode2OnUsageErrors) {
+  EXPECT_EQ(runCli("--jobs=banana --generated"), 2);
+  EXPECT_EQ(runCli("/nonexistent/never.imp"), 2);
+  EXPECT_EQ(runCli("--no-such-flag --generated"), 2);
+  // A combination the runtime cannot honor is diagnosed, not ignored.
+  EXPECT_EQ(runCli("--resume --generated"), 2);
+}
+
+TEST_F(BatchCli, ExitCode3WhenAJobCrashes) {
+  std::string Path = writeProgram("crashy", loopProgram(5));
+  EXPECT_EQ(runCli("--isolate=process "
+                   "--inject=site=batch.job,kind=segv,job=crashy " +
+                   Path),
+            3);
+  ::unlink(Path.c_str());
+}
+#endif // OPTOCT_BATCH_BIN
 
 } // namespace

@@ -2,7 +2,7 @@
 ///
 /// \file
 /// Batch front end over the parallel runtime: analyze many mini-IMP
-/// programs at once, sharded across a worker pool, and report per-job
+/// programs at once, spread across a worker pool, and report per-job
 /// verdicts plus aggregate statistics.
 ///
 ///   optoct_batch [options] file1.imp file2.imp ...
@@ -34,12 +34,10 @@
 ///                           TIMEOUT), never the batch
 ///     --max-rss-mb=<n>      per-worker memory fence in MiB: RLIMIT_AS
 ///                           at the address space the worker maps at
-///                           fork plus n (process mode only — a usage
-///                           error with --nodes; 0 = unlimited; ignored
-///                           under sanitizers)
+///                           fork plus n (process mode only;
+///                           0 = unlimited; ignored under sanitizers)
 ///     --recycle-after=<n>   retire and respawn each worker after n
-///                           jobs (process mode only — a usage error
-///                           with --nodes; 0 = never)
+///                           jobs (process mode only; 0 = never)
 ///
 ///   Recovery ladder (see README / EXPERIMENTS):
 ///     --audit               Level 1: validate closure results and
@@ -55,39 +53,16 @@
 ///     --canonical-json      omit timing fields from --json so reruns
 ///                           and resumed runs compare byte-identical
 ///
-///   Sharded multi-node tier (Level 4 of the recovery ladder):
-///     --nodes=N             shard the batch across N worker-node
-///                           processes under a lease-based coordinator
-///                           (not with --isolate=process, --max-rss-mb
-///                           or --recycle-after);
-///                           killing any node mid-run re-leases its
-///                           shards and the merged report stays
-///                           byte-identical (canonical JSON) to the
-///                           single-node run. With --journal=<prefix>
-///                           the per-node journals land at
-///                           <prefix>.node<k> and --resume recovers
-///                           even from a SIGKILLed coordinator.
-///     --lease-ms=<n>        lease duration; renewed by each per-job
-///                           heartbeat, so it must exceed the longest
-///                           single job (default 10000)
-///     --shard-size=<n>      jobs per lease (0 = auto)
-///     --max-releases=<n>    times a job may take its node down before
-///                           it is declared lost (default 5)
-///     --no-steal            disable work stealing from busy nodes
-///
 /// Exit code: 0 if every job analyzed and all assertions were proven,
 /// 1 if some assertion is unknown or a job failed/degraded/timed out,
 /// 2 on usage errors or internal failures, 3 if any job CRASHED (its
-/// worker process died — process/shard mode only), 4 on unrecoverable
-/// shard loss (a job with no genuine result after exhausting its
-/// release cap — shard mode only). See README "Exit codes".
+/// worker process died — process mode only). See README "Exit codes".
 ///
 //===----------------------------------------------------------------------===//
 
 #include "oct/simd_dispatch.h"
 #include "runtime/batch.h"
 #include "runtime/journal.h"
-#include "runtime/shard.h"
 #include "runtime/thread_pool.h"
 #include "support/faultinject.h"
 #include "workloads/workload.h"
@@ -107,8 +82,6 @@ namespace {
 
 struct BatchCliOptions {
   runtime::BatchOptions Batch;
-  runtime::ShardOptions Shard;
-  bool UseShard = false; ///< --nodes given: run the Level 4 coordinator.
   std::vector<std::string> Files;
   bool AddGenerated = false;
   bool PrintInvariants = false;
@@ -131,11 +104,7 @@ void usage(const char *Argv0) {
                "       [--isolate=thread|process] [--max-rss-mb=<n>] "
                "[--recycle-after=<n>]\n"
                "       [--journal=<path>] [--resume] [--canonical-json]\n"
-               "       [--nodes=N] [--lease-ms=<n>] [--shard-size=<n>]\n"
-               "       [--max-releases=<n>] [--no-steal]\n"
-               "       [files.imp...]\n"
-               "       (--nodes excludes --isolate=process, --max-rss-mb "
-               "and --recycle-after)\n",
+               "       [files.imp...]\n",
                Argv0);
 }
 
@@ -283,27 +252,6 @@ bool parseArgs(int Argc, char **Argv, BatchCliOptions &Opts) {
       Opts.Batch.JournalPath = Arg.substr(10);
     else if (Arg == "--resume")
       Opts.Batch.Resume = true;
-    else if (Arg.rfind("--nodes=", 0) == 0) {
-      if (!parseUnsigned(Arg.substr(8), "--nodes", Opts.Shard.Nodes))
-        return false;
-      if (Opts.Shard.Nodes == 0) {
-        std::fprintf(stderr, "error: --nodes expects at least 1\n");
-        return false;
-      }
-      Opts.UseShard = true;
-    } else if (Arg.rfind("--lease-ms=", 0) == 0) {
-      if (!parseU64(Arg.substr(11), "--lease-ms", Opts.Shard.LeaseMs))
-        return false;
-    } else if (Arg.rfind("--shard-size=", 0) == 0) {
-      if (!parseUnsigned(Arg.substr(13), "--shard-size",
-                         Opts.Shard.ShardSize))
-        return false;
-    } else if (Arg.rfind("--max-releases=", 0) == 0) {
-      if (!parseUnsigned(Arg.substr(15), "--max-releases",
-                         Opts.Shard.MaxJobReleases))
-        return false;
-    } else if (Arg == "--no-steal")
-      Opts.Shard.WorkSteal = false;
     else if (Arg == "--canonical-json")
       Opts.CanonicalJson = true;
     else if (Arg.rfind("--", 0) == 0) {
@@ -341,16 +289,11 @@ int run(int Argc, char **Argv) {
     for (const workloads::WorkloadSpec &Spec : workloads::paperBenchmarks())
       Jobs.push_back({Spec.Name, workloads::generateProgram(Spec)});
 
-  // Level 4: --journal is the per-node journal prefix and --resume
-  // recovers from whatever journals survive (even a SIGKILLed
-  // coordinator's). The runtime rejects flag combinations it cannot
-  // honor (--resume without --journal; --nodes with a per-worker fence)
-  // before running anything: those are usage errors.
+  // The runtime rejects --resume without --journal before running
+  // anything: that is a usage error.
   runtime::BatchReport Report;
   try {
-    Report = Opts.UseShard
-                 ? runtime::runShardedBatch(Jobs, Opts.Batch, Opts.Shard)
-                 : runtime::runBatch(Jobs, Opts.Batch);
+    Report = runtime::runBatch(Jobs, Opts.Batch);
   } catch (const std::invalid_argument &E) {
     std::fprintf(stderr, "error: %s\n", E.what());
     usage(Argv[0]);
@@ -414,12 +357,10 @@ int run(int Argc, char **Argv) {
   std::printf(") on %u %s in %.1f ms (%.1f jobs/s, simd tier %s), "
               "%u/%u assertions proven\n",
               Report.Workers,
-              Opts.UseShard
-                  ? (Report.Workers == 1 ? "node" : "nodes")
-                  : Opts.Batch.Isolation == runtime::IsolationMode::Process
-                        ? (Report.Workers == 1 ? "worker process"
-                                               : "worker processes")
-                        : (Report.Workers == 1 ? "worker" : "workers"),
+              Opts.Batch.Isolation == runtime::IsolationMode::Process
+                  ? (Report.Workers == 1 ? "worker process"
+                                         : "worker processes")
+                  : (Report.Workers == 1 ? "worker" : "workers"),
               Report.WallSeconds * 1e3, Report.throughput(),
               simdTierName(activeSimdTier()), Report.AssertsProven,
               Report.AssertsTotal);
@@ -430,15 +371,6 @@ int run(int Argc, char **Argv) {
                 Report.Supervisor.WorkersCrashed,
                 Report.Supervisor.WorkersRecycled,
                 Report.Supervisor.HardKills);
-  if (Report.Shard.Nodes != 0)
-    std::printf("coordinator: %u nodes (%u spawned, %u died), %u leases "
-                "granted, %u expired, %u jobs re-leased, %u stolen, "
-                "%u duplicates discarded, %u lost\n",
-                Report.Shard.Nodes, Report.Shard.NodesSpawned,
-                Report.Shard.NodesDied, Report.Shard.LeasesGranted,
-                Report.Shard.LeasesExpired, Report.Shard.Releases,
-                Report.Shard.JobsStolen, Report.Shard.DuplicatesDiscarded,
-                Report.Shard.JobsLost);
 
   if (!Opts.JsonPath.empty()) {
     // Atomic write: a crash (or the CI kill-and-resume smoke's SIGKILL)
@@ -452,8 +384,6 @@ int run(int Argc, char **Argv) {
       return 2;
     }
   }
-  if (Report.Shard.JobsLost != 0)
-    return 4; // unrecoverable shard loss: some job has no genuine result
   if (Report.JobsCrashed != 0)
     return 3; // a worker process died under a job: the loudest failure
   return AllProven && Report.JobsOk == Report.Results.size() ? 0 : 1;
