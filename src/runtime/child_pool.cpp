@@ -21,23 +21,6 @@
 using namespace optoct;
 using namespace optoct::runtime;
 
-// Sanitizer shadow mappings reserve terabytes of address space; an
-// RLIMIT_AS fence would kill every worker at startup. Detect both the
-// GCC define and the clang feature-test spelling.
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) ||     \
-    __has_feature(memory_sanitizer)
-#define OPTOCT_SANITIZED 1
-#endif
-#endif
-#if !defined(OPTOCT_SANITIZED) &&                                              \
-    (defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__))
-#define OPTOCT_SANITIZED 1
-#endif
-#ifndef OPTOCT_SANITIZED
-#define OPTOCT_SANITIZED 0
-#endif
-
 namespace {
 
 std::mutex PipeGuardMu;
@@ -72,7 +55,7 @@ std::string describeSignal(int Sig) {
 /// or an armed fence ("killed by SIGABRT (allocation failure under
 /// RLIMIT_AS 256 MiB past fork)").
 std::string describeExit(int Status, const std::string &KillReason,
-                         const BatchOptions *Fences) {
+                         const BatchOptions &Fences) {
   if (WIFEXITED(Status))
     return "exited unexpectedly with status " +
            std::to_string(WEXITSTATUS(Status));
@@ -83,10 +66,9 @@ std::string describeExit(int Status, const std::string &KillReason,
             (KillReason.empty() ? "external kill — kernel OOM killer?"
                                 : KillReason) +
             ")";
-  else if (Sig == SIGABRT && Fences && Fences->MaxRssMb != 0 &&
-           !OPTOCT_SANITIZED)
+  else if (Sig == SIGABRT && Fences.MaxRssMb != 0 && !OPTOCT_SANITIZED)
     What += " (allocation failure under RLIMIT_AS " +
-            std::to_string(Fences->MaxRssMb) + " MiB past fork)";
+            std::to_string(Fences.MaxRssMb) + " MiB past fork)";
   else if (Sig == SIGXCPU)
     What += " (RLIMIT_CPU backstop)";
   return What;
@@ -199,8 +181,7 @@ bool ChildPool::spawn(Child &C, const Body &Main,
     }
     for (int Fd : ExtraCloseFds)
       ::close(Fd);
-    if (Fences)
-      applyFences(*Fences);
+    applyFences(Fences);
     Main(In[0], Out[1]);
     std::_Exit(0);
   }

@@ -27,8 +27,8 @@
 /// round, and the "child.spawn" fault site (support/faultinject.h)
 /// makes a spawn fail on demand to prove it.
 ///
-/// Fences (from the BatchOptions the pool is built with; none for an
-/// unfenced pool): RLIMIT_AS at the address space mapped at fork plus
+/// Fences (from the BatchOptions the pool is built with; a default
+/// BatchOptions arms none): RLIMIT_AS at the address space mapped at fork plus
 /// MaxRssMb (skipped in sanitizer builds, whose shadow mappings need
 /// the whole address space), and an RLIMIT_CPU backstop derived from
 /// the deadline, which a job worker re-arms before every job
@@ -54,6 +54,24 @@
 
 #include <poll.h>
 #include <sys/types.h>
+
+// Sanitizer shadow mappings reserve terabytes of address space; an
+// RLIMIT_AS fence would kill every worker at startup, so sanitizer
+// builds skip it (OPTOCT_SANITIZED is 1). Detect both the GCC define
+// and the clang feature-test spelling.
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) ||     \
+    __has_feature(memory_sanitizer)
+#define OPTOCT_SANITIZED 1
+#endif
+#endif
+#if !defined(OPTOCT_SANITIZED) &&                                              \
+    (defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__))
+#define OPTOCT_SANITIZED 1
+#endif
+#ifndef OPTOCT_SANITIZED
+#define OPTOCT_SANITIZED 0
+#endif
 
 namespace optoct::runtime {
 
@@ -105,9 +123,8 @@ public:
   /// Runs in the forked child with its two pipe ends; must not return.
   using Body = std::function<void(int InFd, int OutFd)>;
 
-  /// \p Fences (may be null: unfenced) must outlive the pool.
-  explicit ChildPool(const BatchOptions *Fences = nullptr)
-      : Fences(Fences) {}
+  /// \p Fences must outlive the pool.
+  explicit ChildPool(const BatchOptions &Fences) : Fences(Fences) {}
   /// Retires whatever is still alive.
   ~ChildPool() { retire(); }
   ChildPool(const ChildPool &) = delete;
@@ -188,7 +205,7 @@ private:
     int FromFd;
   };
 
-  const BatchOptions *Fences;
+  const BatchOptions &Fences;
   SigPipeIgnore PipeGuard;
   std::vector<Entry> Live; ///< The owner ends of every live child.
 };

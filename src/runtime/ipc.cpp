@@ -3,7 +3,7 @@
 #include "runtime/ipc.h"
 
 #include "runtime/journal.h"
-#include "support/fnv.h"
+#include "support/crc32c.h"
 #include "support/textcodec.h"
 
 #include <cerrno>
@@ -19,7 +19,10 @@ using namespace optoct::runtime::ipc;
 
 namespace {
 
-constexpr char Magic[4] = {'O', 'F', 'R', '1'};
+constexpr char Magic[4] = {'O', 'F', 'R', '2'};
+/// The magic of the FNV-1a framed format before it (ProtocolVersion 2):
+/// a peer that still speaks it is stale, not corrupt.
+constexpr char StaleMagic[4] = {'O', 'F', 'R', '1'};
 constexpr std::size_t HeaderBytes = 4 + 4 + 8 + 8;
 
 void putU32(char *P, std::uint32_t V) {
@@ -79,31 +82,44 @@ std::size_t readAllFd(int Fd, char *Data, std::size_t Len) {
   return Got;
 }
 
-/// Parses a header buffer; false on bad magic or a body length above
-/// \p MaxFrame (the reader's configured allocation bound).
-bool parseHeader(const char *H, MsgType &Type, std::uint64_t &BodyLen,
-                 std::uint64_t &Sum, std::uint64_t MaxFrame) {
+/// Parses a header buffer: Stale on the previous format's magic, Torn
+/// on any other bad magic or a body length above \p MaxFrame (the
+/// reader's configured allocation bound).
+ReadStatus parseHeader(const char *H, MsgType &Type, std::uint64_t &BodyLen,
+                       std::uint64_t &Sum, std::uint64_t MaxFrame) {
   if (std::memcmp(H, Magic, 4) != 0)
-    return false;
+    return std::memcmp(H, StaleMagic, 4) == 0 ? ReadStatus::Stale
+                                              : ReadStatus::Torn;
   Type = static_cast<MsgType>(getU32(H + 4));
   BodyLen = getU64(H + 8);
   Sum = getU64(H + 16);
-  return BodyLen <= MaxFrame;
+  return BodyLen <= MaxFrame ? ReadStatus::Ok : ReadStatus::Torn;
 }
 
 } // namespace
 
+std::size_t optoct::runtime::ipc::beginFrame(std::string &Out, MsgType Type) {
+  std::size_t Start = Out.size();
+  Out.append(HeaderBytes, '\0');
+  std::memcpy(Out.data() + Start, Magic, 4);
+  putU32(Out.data() + Start + 4, static_cast<std::uint32_t>(Type));
+  return Start;
+}
+
+void optoct::runtime::ipc::endFrame(std::string &Out, std::size_t Start) {
+  char *Header = Out.data() + Start;
+  std::size_t BodyLen = Out.size() - Start - HeaderBytes;
+  putU64(Header + 8, BodyLen);
+  putU64(Header + 16, support::crc32c(Header + HeaderBytes, BodyLen));
+}
+
 std::string optoct::runtime::ipc::frameBytes(MsgType Type,
                                              const std::string &Body) {
-  char Header[HeaderBytes];
-  std::memcpy(Header, Magic, 4);
-  putU32(Header + 4, static_cast<std::uint32_t>(Type));
-  putU64(Header + 8, Body.size());
-  putU64(Header + 16, support::fnv1a64(Body));
   std::string Frame;
   Frame.reserve(HeaderBytes + Body.size());
-  Frame.append(Header, HeaderBytes);
+  std::size_t Start = beginFrame(Frame, Type);
   Frame.append(Body);
+  endFrame(Frame, Start);
   return Frame;
 }
 
@@ -126,12 +142,13 @@ ReadStatus optoct::runtime::ipc::readFrame(int Fd, MsgType &Type,
   if (Got != HeaderBytes)
     return ReadStatus::Torn;
   std::uint64_t BodyLen = 0, Sum = 0;
-  if (!parseHeader(Header, Type, BodyLen, Sum, MaxFrame))
-    return ReadStatus::Torn;
+  if (ReadStatus S = parseHeader(Header, Type, BodyLen, Sum, MaxFrame);
+      S != ReadStatus::Ok)
+    return S;
   Body.resize(static_cast<std::size_t>(BodyLen));
   if (readAllFd(Fd, Body.data(), Body.size()) != Body.size())
     return ReadStatus::Torn;
-  if (support::fnv1a64(Body) != Sum)
+  if (support::crc32c(Body) != Sum)
     return ReadStatus::Torn;
   return ReadStatus::Ok;
 }
@@ -150,23 +167,26 @@ bool FrameReader::next(MsgType &Type, std::string &Body) {
   // sitting mid-"frame" until it happens to deliver a header's worth.
   if (Buf.size() - Pos >= 4 &&
       std::memcmp(Buf.data() + Pos, Magic, 4) != 0) {
+    Stale = std::memcmp(Buf.data() + Pos, StaleMagic, 4) == 0;
     Corrupt = true;
     return false;
   }
   if (Buf.size() - Pos < HeaderBytes)
     return false;
   std::uint64_t BodyLen = 0, Sum = 0;
-  if (!parseHeader(Buf.data() + Pos, Type, BodyLen, Sum, MaxFrame)) {
+  if (parseHeader(Buf.data() + Pos, Type, BodyLen, Sum, MaxFrame) !=
+      ReadStatus::Ok) {
     Corrupt = true;
     return false;
   }
   if (Buf.size() - Pos - HeaderBytes < BodyLen)
     return false;
-  Body.assign(Buf, Pos + HeaderBytes, static_cast<std::size_t>(BodyLen));
-  if (support::fnv1a64(Body) != Sum) {
+  const char *Start = Buf.data() + Pos + HeaderBytes;
+  if (support::crc32c(Start, static_cast<std::size_t>(BodyLen)) != Sum) {
     Corrupt = true;
     return false;
   }
+  Body.assign(Start, static_cast<std::size_t>(BodyLen));
   Pos += HeaderBytes + static_cast<std::size_t>(BodyLen);
   // Compact once the consumed prefix dominates, keeping feed() O(1)
   // amortized without unbounded growth across a long batch.

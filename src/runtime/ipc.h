@@ -2,19 +2,24 @@
 ///
 /// \file
 /// The wire protocol between the batch supervisor and its forked
-/// worker processes (runtime/supervisor.h): length-prefixed, FNV-64
-/// checksummed frames over pipes. The framing reuses the journal's
-/// integrity scheme (support/fnv.h) for the same reason the journal
-/// has one — the peer can die mid-write, and a torn or corrupt frame
-/// must be *detected* (and attributed to a dead worker), never parsed.
+/// worker processes (runtime/supervisor.h): length-prefixed, CRC32C
+/// checksummed frames over pipes. The checksum (support/crc32c.h) is
+/// the one the journal and the cache snapshot use, for the same reason
+/// the journal has one — the peer can die mid-write, and a torn or
+/// corrupt frame must be *detected* (and attributed to a dead worker),
+/// never parsed.
 ///
 /// Frame layout (all integers little-endian, fixed width):
 ///
-///   'O' 'F' 'R' '1'   magic (4 bytes)
+///   'O' 'F' 'R' '2'   magic (4 bytes)
 ///   u32 type          MsgType
 ///   u64 body length   bounded by MaxFrameBytes
-///   u64 fnv1a64(body) checksum over the body bytes only
+///   u64 crc32c(body)  checksum over the body bytes only, zero-extended
 ///   body bytes
+///
+/// 'OFR1' was the same layout with an FNV-1a 64 checksum (protocol
+/// version 2). A reader meeting it reports a stale peer (ReadStatus::
+/// Stale, FrameReader::stale()), never a torn frame and never a parse.
 ///
 /// Two message bodies ride on top:
 ///   * Job    (supervisor -> worker): job index, attempt number, and
@@ -58,10 +63,16 @@ enum class MsgType : std::uint32_t {
 constexpr std::uint64_t MaxFrameBytes = 64ull << 20;
 
 /// Renders one complete frame (header + body) as bytes, for callers
-/// that buffer writes themselves — the daemon's nonblocking client
-/// sockets append frames to a per-connection output buffer and flush
-/// under POLLOUT instead of blocking in writeFrame.
+/// that buffer writes themselves.
 std::string frameBytes(MsgType Type, const std::string &Body);
+
+/// Builds a frame in place at the end of \p Out: beginFrame appends the
+/// header and returns its offset, the caller appends the body, and
+/// endFrame fills in the length and the checksum over the bytes already
+/// there. The daemon encodes replies straight into a connection's
+/// output buffer this way, with no frame built first and then copied.
+std::size_t beginFrame(std::string &Out, MsgType Type);
+void endFrame(std::string &Out, std::size_t FrameStart);
 
 /// Writes one framed message, retrying EINTR and short writes. Returns
 /// false on any I/O error (EPIPE with SIGPIPE ignored = peer died).
@@ -69,9 +80,10 @@ bool writeFrame(int Fd, MsgType Type, const std::string &Body);
 
 /// Outcome of a blocking readFrame.
 enum class ReadStatus {
-  Ok,   ///< A whole, checksum-valid frame was read.
-  Eof,  ///< Clean close before any byte of a frame (peer finished).
-  Torn, ///< Partial frame, bad magic, oversize, or checksum mismatch.
+  Ok,    ///< A whole, checksum-valid frame was read.
+  Eof,   ///< Clean close before any byte of a frame (peer finished).
+  Torn,  ///< Partial frame, bad magic, oversize, or checksum mismatch.
+  Stale, ///< The peer speaks the previous frame format ('OFR1').
 };
 
 /// Blocking read of exactly one frame (the worker side; its only job
@@ -101,6 +113,9 @@ public:
   /// Extracts the next complete, checksum-valid frame.
   bool next(MsgType &Type, std::string &Body);
   bool corrupt() const { return Corrupt; }
+  /// The corruption is a peer speaking the previous frame format
+  /// ('OFR1'): a stale build, not a torn stream.
+  bool stale() const { return Stale; }
   /// True if a frame prefix is buffered but incomplete (a torn tail if
   /// the peer is known dead).
   bool midFrame() const { return !Corrupt && Buf.size() != Pos; }
@@ -112,6 +127,7 @@ private:
   std::string Buf;
   std::size_t Pos = 0; ///< Consumed prefix (compacted lazily).
   bool Corrupt = false;
+  bool Stale = false;
   std::uint64_t MaxFrame = MaxFrameBytes;
 };
 

@@ -2,6 +2,7 @@
 
 #include "runtime/journal.h"
 
+#include "support/crc32c.h"
 #include "support/faultinject.h"
 #include "support/fnv.h"
 #include "support/textcodec.h"
@@ -21,11 +22,15 @@ using namespace optoct::runtime;
 
 namespace {
 
-// FNV-1a 64 (support/fnv.h): tiny, dependency-free, and plenty for
-// torn-write detection (the threat model is a crash mid-write, not an
-// adversary). Shared with the supervisor/worker pipe framing
-// (runtime/ipc.h) so both integrity layers agree on one hash.
+// Record checksums are CRC32C (support/crc32c.h), shared with the pipe
+// framing (runtime/ipc.h) and the cache snapshot. The job-set
+// fingerprint is a content address and keeps FNV-1a 64 (support/fnv.h).
+using optoct::support::crc32c;
 using optoct::support::fnv1a64;
+
+constexpr const char *JournalMagic = "optoct-journal v2";
+/// The FNV-1a 64 checksummed format before it: stale, not corrupt.
+constexpr const char *StaleJournalMagic = "optoct-journal v1";
 
 /// Mixes one string into a running fingerprint, length-prefixed so
 /// ("ab","c") and ("a","bc") hash differently.
@@ -269,8 +274,11 @@ JournalLoad optoct::runtime::loadJournal(const std::string &Path) {
   };
 
   std::string Line;
-  if (!NextLine(Line) || Line != "optoct-journal v1") {
-    L.Error = "bad journal magic";
+  if (!NextLine(Line) || Line != JournalMagic) {
+    L.Error = Line == StaleJournalMagic
+                  ? "stale journal (optoct-journal v1, this build reads v2); "
+                    "rerun without --resume"
+                  : "bad journal magic";
     return L;
   }
   if (!NextLine(Line) || Line.rfind("meta ", 0) != 0) {
@@ -322,7 +330,7 @@ JournalLoad optoct::runtime::loadJournal(const std::string &Path) {
     }
     std::string Body = Bytes.substr(Pos, static_cast<std::size_t>(BodyLen));
     Pos += static_cast<std::size_t>(BodyLen) + 1;
-    if (fnv1a64(Body) != Sum) {
+    if (crc32c(Body) != Sum) {
       L.TailCorrupt = true;
       Pos = RecStart;
       break;
@@ -364,8 +372,9 @@ bool JournalWriter::open(const std::string &Path, std::uint64_t Fingerprint,
     Error = errnoString("open journal");
     return false;
   }
-  std::string Header = "optoct-journal v1\nmeta " + hex64(Fingerprint) + " " +
-                       std::to_string(JobCount) + "\n";
+  std::string Header = std::string(JournalMagic) + "\nmeta " +
+                       hex64(Fingerprint) + " " + std::to_string(JobCount) +
+                       "\n";
   if (!writeAll(Fd, Header.data(), Header.size()) || ::fsync(Fd) != 0) {
     Error = errnoString("write journal header");
     ::close(Fd);
@@ -400,7 +409,7 @@ bool JournalWriter::openResume(const std::string &Path, std::size_t KeepBytes,
 bool JournalWriter::append(std::size_t Index, const JobResult &R) {
   std::string Body = serializeJobResult(R);
   std::string Frame = "rec " + std::to_string(Index) + " " +
-                      std::to_string(Body.size()) + " " + hex64(fnv1a64(Body)) +
+                      std::to_string(Body.size()) + " " + hex64(crc32c(Body)) +
                       "\n" + Body + "\n";
   bool Ok;
   {

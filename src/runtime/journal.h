@@ -7,18 +7,20 @@
 ///
 /// File format (text framing, binary-safe percent-escaped bodies):
 ///
-///   optoct-journal v1
+///   optoct-journal v2
 ///   meta <fingerprint-hex> <jobcount>
-///   rec <index> <bodybytes> <fnv64-hex>
+///   rec <index> <bodybytes> <crc32c-hex16>
 ///   <body>
 ///   rec ...
 ///
 /// Each `rec` line frames one serialized JobResult (serializeJobResult
-/// below); the checksum covers the body bytes. Records are written with
-/// a single write(2) each and fsync'd before the append returns, so
-/// after a crash the file is a valid prefix plus at most one torn tail
-/// record — loadJournal keeps the prefix and flags the tail, it never
-/// fails on truncation.
+/// below); the checksum (support/crc32c.h, zero-extended to 16 hex
+/// digits) covers the body bytes. A v1 journal, the same format with
+/// FNV-1a 64 checksums, is refused as stale by name, never salvaged.
+/// Records are written with a single write(2) each and fsync'd before
+/// the append returns, so after a crash the file is a valid prefix plus
+/// at most one torn tail record — loadJournal keeps the prefix and
+/// flags the tail, it never fails on truncation.
 ///
 /// The fingerprint hashes the job names, sources, and the
 /// result-shaping engine options: a journal can only resume the exact
@@ -76,8 +78,8 @@ struct JournalLoad {
 };
 
 /// Reads \p Path, salvaging the longest valid prefix. Only I/O-level
-/// problems (missing file, bad magic) set Error; torn tails are normal
-/// crash debris and only set TailCorrupt.
+/// problems (missing file, bad or stale magic) set Error; torn tails
+/// are normal crash debris and only set TailCorrupt.
 JournalLoad loadJournal(const std::string &Path);
 
 /// Append side. open() either starts a fresh journal (truncating) or

@@ -28,7 +28,7 @@ Supervisor::Supervisor(const BatchOptions &Opts, DoneFn OnDone,
       HardLimitMs(Opts.Budget.DeadlineMs != 0
                       ? Opts.Budget.DeadlineMs + Opts.HardKillGraceMs
                       : CeilingMs),
-      Pool(&Opts) {}
+      Pool(Opts) {}
 
 std::size_t Supervisor::topUp(std::size_t Want) {
   Pool.topUp(Want, [this] {

@@ -3,8 +3,8 @@
 #include "server/cache.h"
 
 #include "runtime/journal.h"
+#include "support/crc32c.h"
 #include "support/faultinject.h"
-#include "support/fnv.h"
 #include "support/textcodec.h"
 
 #include <algorithm>
@@ -23,12 +23,14 @@ using namespace optoct::server;
 
 namespace {
 
-using support::fnv1a64;
+using support::crc32c;
 using support::hex64;
 using support::parseHex64;
 using support::parseU64;
 
-constexpr const char *CacheMagic = "optoct-cache v1";
+constexpr const char *CacheMagic = "optoct-cache v2";
+/// The FNV-1a 64 checksummed format before it: stale, not corrupt.
+constexpr const char *StaleCacheMagic = "optoct-cache v1";
 
 std::size_t entryCost(const std::string &Record) {
   return Record.size() + InvariantCache::EntryOverheadBytes;
@@ -44,7 +46,7 @@ void appendEntry(std::string &Out, std::uint64_t Key,
   Out += ' ';
   Out += std::to_string(Record.size());
   Out += ' ';
-  Out += hex64(fnv1a64(Record));
+  Out += hex64(crc32c(Record));
   Out += '\n';
   Out += Record;
 }
@@ -155,8 +157,11 @@ bool readSnapshot(const std::string &Path, CacheLoadStats &S,
   std::string Line;
   const std::size_t MagicLen = std::strlen(CacheMagic);
   // One byte past the magic is enough to tell a longer line apart.
-  if (!In.readLine(Line, MagicLen + 1) || Line != CacheMagic) {
-    Error = "bad cache magic";
+  bool HaveLine = In.readLine(Line, MagicLen + 1);
+  if (!HaveLine || Line != CacheMagic) {
+    Error = HaveLine && Line == StaleCacheMagic
+                ? "stale cache snapshot (optoct-cache v1, this build reads v2)"
+                : "bad cache magic";
     S.BytesDiscarded = Size;
     return false;
   }
@@ -185,7 +190,7 @@ bool readSnapshot(const std::string &Path, CacheLoadStats &S,
     std::string Record(static_cast<std::size_t>(Len), '\0');
     if (!In.read(Record.data(), Record.size()))
       return Salvage("truncated record body");
-    if (fnv1a64(Record) != Sum)
+    if (crc32c(Record) != Sum)
       return Salvage("record checksum mismatch");
     Pos = BodyStart + Len;
     OnEntry(Key, std::move(Record));
@@ -210,16 +215,22 @@ InvariantCache &InvariantCache::operator=(const InvariantCache &Other) {
   return *this;
 }
 
-bool InvariantCache::lookup(std::uint64_t Key, std::string &Record) {
+const std::string *InvariantCache::lookup(std::uint64_t Key) {
   auto It = Map.find(Key);
   if (It == Map.end()) {
     ++Counters.Misses;
-    return false;
+    return nullptr;
   }
   ++Counters.Hits;
   Lru.splice(Lru.begin(), Lru, It->second); // promote to hottest
-  Record = It->second->Record;
-  return true;
+  return &It->second->Record;
+}
+
+bool InvariantCache::lookup(std::uint64_t Key, std::string &Record) {
+  const std::string *Found = lookup(Key);
+  if (Found)
+    Record = *Found;
+  return Found != nullptr;
 }
 
 void InvariantCache::insert(std::uint64_t Key, const std::string &Record) {

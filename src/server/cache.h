@@ -14,11 +14,20 @@
 ///
 /// Persistence reuses the journal's crash-safety idioms
 /// (runtime/journal.h): save() renders every entry — cold to hot, so a
-/// reload restores recency order — with per-record FNV-64 checksums and
-/// writes the file atomically (temp + fsync + rename); load() salvages
-/// the longest valid prefix and treats anything after the first bad
-/// record as a torn tail, never an error. A daemon killed mid-save
-/// leaves either the old cache file or the new one, nothing in between.
+/// reload restores recency order — with per-record CRC32C checksums
+/// (support/crc32c.h) and writes the file atomically (temp + fsync +
+/// rename); load() salvages the longest valid prefix and treats
+/// anything after the first bad record as a torn tail, never an error.
+/// A daemon killed mid-save leaves either the old cache file or the new
+/// one, nothing in between.
+///
+/// File format ("optoct-cache v2"; v1 was the same with FNV-1a 64
+/// checksums, and load() names such a file stale rather than corrupt):
+///
+///   optoct-cache v2
+///   ent <key-hex16> <recordbytes> <crc32c-hex16>
+///   <record bytes>
+///   ent ...
 ///
 /// load() streams: it reads the file through a fixed buffer one entry
 /// at a time, reads each record body straight into the string the cache
@@ -80,8 +89,11 @@ public:
   InvariantCache(InvariantCache &&) = default;
   InvariantCache &operator=(InvariantCache &&) = default;
 
-  /// True with \p Record filled on a hit (the entry becomes
-  /// most-recently-used). Counts a hit or a miss either way.
+  /// The cached record on a hit (the entry becomes most-recently-used),
+  /// null on a miss. Counts a hit or a miss either way. The record is
+  /// the cache's own: valid until the next insert, load or copy-assign.
+  const std::string *lookup(std::uint64_t Key);
+  /// The same, copying the record into \p Record on a hit.
   bool lookup(std::uint64_t Key, std::string &Record);
 
   /// Inserts or refreshes \p Key, then evicts cold entries until the
@@ -115,8 +127,9 @@ public:
   /// order, restoring recency). A missing file is a fresh start (true);
   /// a bad record stops the load keeping the valid prefix (true, with
   /// the reason and discarded byte count in \p Stats); only an
-  /// unreadable file or bad magic returns false with \p Error — and
-  /// even then the caller is expected to log and cold-start, not abort.
+  /// unreadable file or bad magic returns false with \p Error ("stale
+  /// cache snapshot ..." for a v1 file) — and even then the caller is
+  /// expected to log and cold-start, not abort.
   bool load(const std::string &Path, std::string &Error,
             CacheLoadStats *Stats = nullptr);
 

@@ -21,6 +21,10 @@ using runtime::ipc::MsgType;
 
 namespace {
 
+constexpr const char *StaleFrameError =
+    "stale daemon: it frames replies as OFR1 (protocol version 2), this "
+    "client speaks OFR2 (version 3)";
+
 /// "tcp:<host>:<port>" marks a TCP endpoint; anything else is a Unix
 /// socket path (paths may contain ':' only after a leading '/' or '.',
 /// which "tcp:" never has, so the prefix is unambiguous).
@@ -171,6 +175,10 @@ bool DaemonClient::connect(const std::string &Endpoint, std::string &Error) {
     Error = "torn hello reply: " + Endpoint;
     close();
     return false;
+  case runtime::ipc::ReadStatus::Stale:
+    Error = std::string(StaleFrameError) + ": " + Endpoint;
+    close();
+    return false;
   }
   std::uint32_t DaemonVersion = 0;
   if (Type != MsgType::Hello || !decodeHello(Body, DaemonVersion)) {
@@ -221,6 +229,10 @@ bool DaemonClient::roundTrip(const std::string &ReqBody, std::string &RespBody,
     return false;
   case runtime::ipc::ReadStatus::Torn:
     Error = "torn or corrupt response frame";
+    close();
+    return false;
+  case runtime::ipc::ReadStatus::Stale:
+    Error = StaleFrameError;
     close();
     return false;
   }

@@ -5,6 +5,7 @@
 #include "runtime/journal.h"
 #include "support/textcodec.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <sstream>
@@ -217,12 +218,23 @@ bool optoct::server::decodeStatsRequest(const std::string &Body,
 }
 
 std::string optoct::server::encodeAnalyzeResponse(const AnalyzeResponse &R) {
-  const std::string &Payload = R.Ok ? R.ResultRecord : R.Error;
   std::string Out;
+  appendAnalyzeResponse(Out, R);
+  return Out;
+}
+
+void optoct::server::appendAnalyzeResponse(std::string &Out,
+                                           const AnalyzeResponse &R,
+                                           const std::string *Record) {
+  const std::string &Payload =
+      R.Ok ? (Record ? *Record : R.ResultRecord) : R.Error;
   // The fixed lines plus the payload with room for an escape (two extra
   // bytes) every 16 bytes, more than a record has, so a reply is built
-  // in one allocation.
-  Out.reserve(96 + Payload.size() + Payload.size() / 8);
+  // in at most one allocation. Growth stays geometric when \p Out holds
+  // earlier replies still unsent.
+  std::size_t Need = Out.size() + 96 + Payload.size() + Payload.size() / 8;
+  if (Need > Out.capacity())
+    Out.reserve(std::max(Need, 2 * Out.capacity()));
   Out += "ares ";
   Out += std::to_string(R.Id);
   Out += "\noutcome ";
@@ -240,7 +252,6 @@ std::string optoct::server::encodeAnalyzeResponse(const AnalyzeResponse &R) {
   Out += R.Ok ? "result " : "error ";
   appendPercentEscaped(Out, Payload);
   Out += "\nend\n";
-  return Out;
 }
 
 bool optoct::server::decodeAnalyzeResponse(const std::string &Body,

@@ -39,10 +39,13 @@ namespace optoct::server {
 /// handshake (MsgType::Hello): the client sends its version on connect,
 /// the daemon echoes its own, and each side rejects a mismatch cleanly
 /// instead of misparsing a peer from a different build. Bump on any
-/// incompatible change to the frame bodies below.
-///   1: PR 6-7 Unix-socket protocol (no handshake).
-///   2: Hello handshake + TCP transport (this version).
-constexpr std::uint32_t ProtocolVersion = 2;
+/// incompatible change to the frame bodies below or to the framing.
+///   1: Unix-socket protocol (no handshake).
+///   2: Hello handshake + TCP transport, 'OFR1' frames (FNV-1a 64).
+///   3: 'OFR2' frames, checksummed with CRC32C (this version). A version
+///      2 peer never gets as far as a Hello: its first frame's magic
+///      marks it stale (runtime/ipc.h).
+constexpr std::uint32_t ProtocolVersion = 3;
 
 /// Hello body ("helo <version>\nend\n"), symmetric in both directions.
 /// Doubles as the replica client's health probe: a daemon that answers
@@ -106,6 +109,11 @@ struct AnalyzeResponse {
 };
 
 std::string encodeAnalyzeResponse(const AnalyzeResponse &R);
+/// Appends encodeAnalyzeResponse(R) to \p Out. \p Record, when given,
+/// is the result payload in place of R.ResultRecord, so a reply can be
+/// encoded from bytes the caller holds elsewhere without copying them.
+void appendAnalyzeResponse(std::string &Out, const AnalyzeResponse &R,
+                           const std::string *Record = nullptr);
 bool decodeAnalyzeResponse(const std::string &Body, AnalyzeResponse &R,
                            std::string &Error);
 

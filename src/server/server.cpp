@@ -361,6 +361,11 @@ void Server::readClient(std::uint64_t Seq) {
   auto Cur = Clients.find(Seq);
   if (Cur == Clients.end())
     return;
+  // A peer still framing as 'OFR1' is a build from before protocol
+  // version 3. It cannot read our frames either, so no Hello goes back:
+  // count it as a version reject and close.
+  if (Cur->second.Reader.stale())
+    ++Counters.VersionRejects;
   if (Cur->second.Reader.corrupt() ||
       (Cur->second.Drop && Cur->second.OutPos >= Cur->second.OutBuf.size()))
     dropClient(Seq);
@@ -487,26 +492,23 @@ void Server::handleAnalyze(std::uint64_t Seq, const std::string &Body) {
         R.Ok = true;
         R.Cached = true;
         R.Key = Key;
-        R.ResultRecord = QIt->second.Record;
         ++Counters.QuarantineReplies;
         ++Counters.Served;
-        sendResponse(Seq, R);
+        sendResponse(Seq, R, &QIt->second.Record);
         return;
       }
       // TTL expired: half-open — forget the ledger and let this request
       // probe with a fresh worker.
       Crashes.erase(QIt);
     }
-    std::string Record;
-    if (Cache.lookup(Key, Record)) {
+    if (const std::string *Record = Cache.lookup(Key)) {
       AnalyzeResponse R;
       R.Id = Req.Id;
       R.Ok = true;
       R.Cached = true;
       R.Key = Key;
-      R.ResultRecord = std::move(Record);
       ++Counters.Served;
-      sendResponse(Seq, R);
+      sendResponse(Seq, R, Record);
       return;
     }
     // Coalesce with an identical in-flight miss: attach as a waiter and
@@ -592,14 +594,19 @@ void Server::noteReplied(std::uint64_t Seq) {
     --It->second.Pending;
 }
 
-void Server::sendResponse(std::uint64_t Seq, const AnalyzeResponse &R) {
+void Server::sendResponse(std::uint64_t Seq, const AnalyzeResponse &R,
+                          const std::string *Record) {
   if (Seq == 0)
     return; // requester disconnected while the job ran
   auto It = Clients.find(Seq);
   if (It == Clients.end())
     return;
-  It->second.OutBuf +=
-      runtime::ipc::frameBytes(MsgType::Response, encodeAnalyzeResponse(R));
+  // Encoded in place: the header, the body and the checksum over it all
+  // land in the connection's buffer, whose capacity outlives each flush.
+  std::string &Out = It->second.OutBuf;
+  std::size_t Frame = runtime::ipc::beginFrame(Out, MsgType::Response);
+  appendAnalyzeResponse(Out, R, Record);
+  runtime::ipc::endFrame(Out, Frame);
   if (!flushClient(It->second))
     dropClient(Seq);
 }

@@ -210,7 +210,11 @@ private:
   void handleFrame(std::uint64_t Seq, runtime::ipc::MsgType Type,
                    const std::string &Body);
   void handleAnalyze(std::uint64_t Seq, const std::string &Body);
-  void sendResponse(std::uint64_t Seq, const AnalyzeResponse &R);
+  /// Queues \p R's reply frame for client \p Seq; \p Record, when
+  /// given, is the result payload in place of R.ResultRecord (a cache
+  /// or quarantine hit replies from the stored bytes, uncopied).
+  void sendResponse(std::uint64_t Seq, const AnalyzeResponse &R,
+                    const std::string *Record = nullptr);
   /// The scheduler's completion callback: caches, quarantines and
   /// answers every waiter of job \p Tag (or sheds them while draining).
   void onJobDone(std::uint64_t Tag, runtime::Supervisor::Outcome &&O);

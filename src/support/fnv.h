@@ -1,12 +1,12 @@
 //===- support/fnv.h - FNV-1a 64-bit hashing --------------------*- C++ -*-===//
 ///
 /// \file
-/// The one FNV-1a 64 implementation shared by every integrity check in
-/// the runtime: the crash-safe journal's record checksums
-/// (runtime/journal.cpp) and the supervisor pipe protocol's frame
-/// checksums (runtime/ipc.cpp). Tiny, dependency-free, and plenty for
-/// torn-write/torn-frame detection — the threat model is a crash or a
-/// half-dead worker mid-write, not an adversary.
+/// FNV-1a 64, for content addresses only: the daemon's request
+/// fingerprint and the journal's job-set fingerprint
+/// (server/protocol.h, runtime/journal.h), and the result digest
+/// optoctd prints and bench_server compares. These need 64 bits of width so
+/// distinct inputs do not share a key. Error detection — frames,
+/// snapshot records, journal records — is CRC32C (support/crc32c.h).
 ///
 //===----------------------------------------------------------------------===//
 

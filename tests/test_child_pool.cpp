@@ -46,7 +46,8 @@ bool pollOnce(ChildPool &Pool, Child &C, int Ms) {
 }
 
 TEST(ProcessPool, LaterSiblingsDoNotHoldEarlierPipesOpen) {
-  ChildPool Pool;
+  BatchOptions Opts;
+  ChildPool Pool(Opts);
   Child A, B, C;
   ASSERT_TRUE(Pool.spawn(A, announceEofThenPause));
   ASSERT_TRUE(Pool.spawn(B, announceEofThenPause));
@@ -81,7 +82,8 @@ TEST(ProcessPool, LaterSiblingsDoNotHoldEarlierPipesOpen) {
 }
 
 TEST(ProcessPool, ProtocolViolationReapsLiveChildPromptly) {
-  ChildPool Pool;
+  BatchOptions Opts;
+  ChildPool Pool(Opts);
   Child C;
   ASSERT_TRUE(Pool.spawn(C, [](int In, int Out) {
     (void)!::write(Out, "garbage, not a frame", 20);

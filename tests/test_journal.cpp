@@ -8,6 +8,8 @@
 #include "runtime/batch.h"
 #include "runtime/journal.h"
 #include "support/faultinject.h"
+#include "support/fnv.h"
+#include "support/textcodec.h"
 
 #include <gtest/gtest.h>
 
@@ -325,6 +327,54 @@ TEST_F(Journal, ResumeRejectsForeignJournal) {
   Gone.JournalPath = tempPath("gone");
   Gone.Resume = true;
   EXPECT_THROW(runBatch(Jobs, Gone), std::runtime_error);
+  std::remove(Path.c_str());
+}
+
+// A journal of the FNV-1a 64 format ("optoct-journal v1", written the
+// way the writer before CRC32C did) is refused by name on --resume:
+// never salvaged, never taken for a foreign job set, and left as it was.
+TEST_F(Journal, ResumeRefusesStaleJournalByName) {
+  std::vector<BatchJob> Jobs = testJobs();
+  std::string FullPath = tempPath("v2full");
+  std::string Path = tempPath("v1");
+  BatchOptions Opts;
+  Opts.JournalPath = FullPath;
+  runBatch(Jobs, Opts);
+  JournalLoad Full = loadJournal(FullPath);
+  ASSERT_TRUE(Full.Error.empty()) << Full.Error;
+  EXPECT_EQ(slurp(FullPath).rfind("optoct-journal v2\nmeta ", 0), 0u);
+
+  std::string V1 = "optoct-journal v1\nmeta " +
+                   support::hex64(Full.Fingerprint) + " " +
+                   std::to_string(Full.JobCount) + "\n";
+  for (std::size_t I = 0; I != 2; ++I) {
+    std::string Body = serializeJobResult(Full.Records[I].second);
+    V1 += "rec " + std::to_string(Full.Records[I].first) + " " +
+          std::to_string(Body.size()) + " " +
+          support::hex64(support::fnv1a64(Body)) + "\n" + Body + "\n";
+  }
+  spill(Path, V1);
+
+  JournalLoad L = loadJournal(Path);
+  EXPECT_FALSE(L.HeaderOk);
+  EXPECT_TRUE(L.Records.empty());
+  EXPECT_EQ(L.Error, "stale journal (optoct-journal v1, this build reads "
+                     "v2); rerun without --resume");
+
+  BatchOptions Resume;
+  Resume.JournalPath = Path;
+  Resume.Resume = true;
+  for (IsolationMode Mode : {IsolationMode::Thread, IsolationMode::Process}) {
+    Resume.Isolation = Mode;
+    try {
+      runBatch(Jobs, Resume);
+      ADD_FAILURE() << "a stale journal was resumed";
+    } catch (const std::runtime_error &E) {
+      EXPECT_EQ(std::string(E.what()), "journal resume: " + L.Error);
+    }
+  }
+  EXPECT_EQ(slurp(Path), V1);
+  std::remove(FullPath.c_str());
   std::remove(Path.c_str());
 }
 

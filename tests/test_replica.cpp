@@ -33,7 +33,8 @@
 #include "server/replica.h"
 #include "server/server.h"
 #include "support/faultinject.h"
-#include "support/fnv.h"
+
+#include "wire_format.h"
 
 #include <gtest/gtest.h>
 
@@ -57,6 +58,7 @@
 #include <unistd.h>
 
 using namespace optoct;
+using namespace optoct::wire;
 using namespace optoct::runtime;
 
 namespace {
@@ -77,26 +79,6 @@ std::string loopProgram(unsigned Bound) {
 std::string tempPath(const std::string &Name) {
   return ::testing::TempDir() + "optoct_rep_" + Name + "." +
          std::to_string(::getpid());
-}
-
-void appendLe32(std::string &Out, std::uint32_t V) {
-  for (int I = 0; I != 4; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void appendLe64(std::string &Out, std::uint64_t V) {
-  for (int I = 0; I != 8; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-/// A syntactically valid frame header announcing \p BodyLen bytes —
-/// the attacker-controlled prefix the max-frame bound must stop.
-std::string headerAnnouncing(std::uint64_t BodyLen) {
-  std::string H = "OFR1";
-  appendLe32(H, static_cast<std::uint32_t>(ipc::MsgType::Request));
-  appendLe64(H, BodyLen);
-  appendLe64(H, 0); // checksum never reached
-  return H;
 }
 
 /// Raw TCP connect to 127.0.0.1:\p Port — the protocol-violation edge

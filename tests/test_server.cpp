@@ -25,9 +25,11 @@
 #include "server/protocol.h"
 #include "server/replica.h"
 #include "server/server.h"
+#include "support/crc32c.h"
 #include "support/faultinject.h"
-#include "support/fnv.h"
 #include "support/textcodec.h"
+
+#include "wire_format.h"
 
 #include <gtest/gtest.h>
 
@@ -54,6 +56,7 @@
 
 using namespace optoct;
 using namespace optoct::runtime;
+using namespace optoct::wire;
 using namespace std::string_literals;
 
 namespace {
@@ -74,26 +77,6 @@ std::string loopProgram(unsigned Bound) {
 std::string tempPath(const std::string &Name) {
   return ::testing::TempDir() + "optoct_srv_" + Name + "." +
          std::to_string(::getpid());
-}
-
-void appendLe32(std::string &Out, std::uint32_t V) {
-  for (int I = 0; I != 4; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void appendLe64(std::string &Out, std::uint64_t V) {
-  for (int I = 0; I != 8; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-/// A syntactically valid frame header announcing \p BodyLen bytes —
-/// the attacker-controlled prefix the max-frame bound must stop.
-std::string headerAnnouncing(std::uint64_t BodyLen) {
-  std::string H = "OFR1";
-  appendLe32(H, static_cast<std::uint32_t>(ipc::MsgType::Request));
-  appendLe64(H, BodyLen);
-  appendLe64(H, 0); // checksum never reached
-  return H;
 }
 
 } // namespace
@@ -269,6 +252,71 @@ TEST_F(IpcStream, HostileLengthPrefixRejectedBeforeAllocation) {
   Reader.feed(Good.data(), Good.size());
   EXPECT_FALSE(Reader.next(Type, Body));
   EXPECT_TRUE(Reader.corrupt());
+}
+
+// A peer of the FNV-1a 64 frame format ('OFR1', protocol version 2) is
+// named stale on its magic alone: never parsed, never taken for a torn
+// stream. Any other unknown magic stays plain corruption.
+TEST_F(IpcStream, StaleFrameIsNamedNotParsed) {
+  std::string Old = frameV1(ipc::MsgType::Hello, server::encodeHello(2));
+  ipc::MsgType Type{};
+  std::string Body;
+
+  ipc::FrameReader Reader;
+  Reader.feed(Old.data(), 4);
+  EXPECT_FALSE(Reader.next(Type, Body));
+  EXPECT_TRUE(Reader.corrupt());
+  EXPECT_TRUE(Reader.stale());
+  Reader.feed(Old.data() + 4, Old.size() - 4);
+  EXPECT_FALSE(Reader.next(Type, Body));
+  EXPECT_TRUE(Reader.stale());
+
+  ipc::FrameReader Other;
+  std::string Bad = frameHeader("OFR9", ipc::MsgType::Hello, 0, 0);
+  Other.feed(Bad.data(), Bad.size());
+  EXPECT_FALSE(Other.next(Type, Body));
+  EXPECT_TRUE(Other.corrupt());
+  EXPECT_FALSE(Other.stale());
+
+  // The current format of the same body reads fine.
+  ipc::FrameReader Current;
+  std::string New =
+      ipc::frameBytes(ipc::MsgType::Hello, server::encodeHello(2));
+  Current.feed(New.data(), New.size());
+  ASSERT_TRUE(Current.next(Type, Body));
+  EXPECT_FALSE(Current.stale());
+
+  int Sp[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Sp), 0);
+  ASSERT_EQ(::send(Sp[1], Old.data(), Old.size(), 0),
+            static_cast<ssize_t>(Old.size()));
+  ASSERT_EQ(::send(Sp[1], Bad.data(), Bad.size(), 0),
+            static_cast<ssize_t>(Bad.size()));
+  EXPECT_EQ(ipc::readFrame(Sp[0], Type, Body), ipc::ReadStatus::Stale);
+  ::close(Sp[0]);
+  ::close(Sp[1]);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Sp), 0);
+  ASSERT_EQ(::send(Sp[1], Bad.data(), Bad.size(), 0),
+            static_cast<ssize_t>(Bad.size()));
+  EXPECT_EQ(ipc::readFrame(Sp[0], Type, Body), ipc::ReadStatus::Torn);
+  ::close(Sp[0]);
+  ::close(Sp[1]);
+}
+
+// The checksum field holds the CRC32C of the body, zero-extended: the
+// header layout is pinned byte for byte.
+TEST_F(IpcStream, FrameHeaderCarriesCrc32cOfTheBody) {
+  std::string Body = "123456789";
+  EXPECT_EQ(ipc::frameBytes(ipc::MsgType::Response, Body),
+            frameHeader(FrameMagic, ipc::MsgType::Response, 9, 0xe3069283u) +
+                Body);
+  // beginFrame/endFrame build the same bytes in place after whatever
+  // the buffer already holds.
+  std::string Out = "pending";
+  std::size_t Start = ipc::beginFrame(Out, ipc::MsgType::Response);
+  Out += Body;
+  ipc::endFrame(Out, Start);
+  EXPECT_EQ(Out, "pending" + ipc::frameBytes(ipc::MsgType::Response, Body));
 }
 
 TEST_F(IpcStream, MaxFrameBoundIsExact) {
@@ -602,18 +650,13 @@ TEST_F(DaemonCache, SaveLoadRoundTripPreservesEntriesAndRecency) {
   }
   // The exact snapshot bytes, cold to hot: the format on disk is fixed.
   {
-    auto Entry = [](const char *Key, const std::string &Record) {
-      return std::string("ent ") + Key + " " + std::to_string(Record.size()) +
-             " " + support::hex64(support::fnv1a64(Record)) + "\n" + Record;
-    };
     std::ifstream In(Path, std::ios::binary);
     std::string Bytes((std::istreambuf_iterator<char>(In)),
                       std::istreambuf_iterator<char>());
-    EXPECT_EQ(Bytes, "optoct-cache v1\n" +
-                         Entry("0000000000000002",
-                               std::string("two\nwith % binary \x02", 19)) +
-                         Entry("0000000000000003", "three") +
-                         Entry("0000000000000001", "one"));
+    EXPECT_EQ(Bytes, CacheMagicLine +
+                         snapshotEntry(2, std::string("two\nwith % binary \x02",
+                                                      19)) +
+                         snapshotEntry(3, "three") + snapshotEntry(1, "one"));
   }
   const std::size_t Slot2 = 19 + server::InvariantCache::EntryOverheadBytes;
   const std::size_t SlotSmall =
@@ -786,8 +829,10 @@ bool referenceParse(const std::string &Data,
                     std::vector<std::pair<std::uint64_t, std::string>> &Out,
                     server::CacheLoadStats &S, std::string &Error) {
   std::size_t Pos = Data.find('\n');
-  if (Pos == std::string::npos || Data.substr(0, Pos) != "optoct-cache v1") {
-    Error = "bad cache magic";
+  if (Pos == std::string::npos || Data.substr(0, Pos + 1) != CacheMagicLine) {
+    Error = Data.substr(0, Pos + 1) == CacheMagicLineV1
+                ? "stale cache snapshot (optoct-cache v1, this build reads v2)"
+                : "bad cache magic";
     S.BytesDiscarded = Data.size();
     return false;
   }
@@ -816,7 +861,7 @@ bool referenceParse(const std::string &Data,
     if (Len > Data.size() - BodyStart)
       return Salvage("truncated record body");
     std::string Record = Data.substr(BodyStart, static_cast<std::size_t>(Len));
-    if (support::fnv1a64(Record) != Sum)
+    if (support::crc32c(Record) != Sum)
       return Salvage("record checksum mismatch");
     Pos = BodyStart + static_cast<std::size_t>(Len);
     Out.emplace_back(Key, std::move(Record));
@@ -824,17 +869,6 @@ bool referenceParse(const std::string &Data,
     S.BytesKept = Pos;
   }
   return true;
-}
-
-std::string entryHeader(const std::string &Key, const std::string &Len,
-                        const std::string &Sum) {
-  return "ent " + Key + " " + Len + " " + Sum + "\n";
-}
-
-std::string snapshotEntry(std::uint64_t Key, const std::string &Record) {
-  return entryHeader(support::hex64(Key), std::to_string(Record.size()),
-                     support::hex64(support::fnv1a64(Record))) +
-         Record;
 }
 
 void writeBytes(const std::string &Path, const std::string &Bytes) {
@@ -889,7 +923,7 @@ void expectSalvageParity(const std::string &Bytes, const std::string &What) {
 } // namespace
 
 TEST_F(DaemonCache, StreamingLoadSalvagesExactlyLikeWholeBlobParser) {
-  const std::string Magic = "optoct-cache v1\n";
+  const std::string Magic = CacheMagicLine;
   // Records with newlines, spaces, '%' and binary bytes, an empty one,
   // and one larger than the reader's buffer.
   std::vector<std::pair<std::uint64_t, std::string>> Entries = {
@@ -946,7 +980,7 @@ TEST_F(DaemonCache, StreamingLoadSalvagesExactlyLikeWholeBlobParser) {
   const std::string Rec = "record body\n";
   const std::string Key = "00000000deadbeef";
   const std::string Len = std::to_string(Rec.size());
-  const std::string Sum = support::hex64(support::fnv1a64(Rec));
+  const std::string Sum = support::hex64(support::crc32c(Rec));
   const std::string Tail = snapshotEntry(0x6666, "after");
   std::vector<std::string> Headers = {
       entryHeader("0x" + Key, Len, Sum),
@@ -989,14 +1023,33 @@ TEST_F(DaemonCache, StreamingLoadSalvagesExactlyLikeWholeBlobParser) {
     expectSalvageParity(Bad, "magic flip " + std::to_string(I));
   }
   for (const std::string &M :
-       {"optoct-cache v1"s, "optoct-cache v1 \n"s, "optoct-cache v11\n"s,
-        "optoct-cache v\n"s, "\n"s, ""s, "optoct-cache v1\r\n"s,
-        "xoptoct-cache v1\n"s, std::string(100000, 'q')})
+       {"optoct-cache v2"s, "optoct-cache v2 \n"s, "optoct-cache v21\n"s,
+        "optoct-cache v\n"s, "\n"s, ""s, "optoct-cache v2\r\n"s,
+        "xoptoct-cache v2\n"s, "optoct-cache v1\n"s, "optoct-cache v1"s, "optoct-cache v3\n"s,
+        std::string(100000, 'q')})
     expectSalvageParity(M + Sound.substr(Magic.size()), "magic " + M);
 }
 
 // A copy has its own recency list: promoting or inserting in the copy
 // leaves the original's entries and order as they were.
+// A v1 snapshot (FNV-1a 64 checksums) is refused whole and by name;
+// none of its entries is loaded, though each one is sound in its own
+// format.
+TEST_F(DaemonCache, StaleSnapshotIsRefusedByName) {
+  std::string Path = tempPath("cache_v1");
+  writeBytes(Path, CacheMagicLineV1 + snapshotEntryV1(1, "one") +
+                       snapshotEntryV1(2, "two"));
+  server::InvariantCache Cache(1u << 20);
+  server::CacheLoadStats Stats;
+  std::string Error;
+  EXPECT_FALSE(Cache.load(Path, Error, &Stats));
+  EXPECT_EQ(Error,
+            "stale cache snapshot (optoct-cache v1, this build reads v2)");
+  EXPECT_EQ(Cache.entries(), 0u);
+  EXPECT_EQ(Stats.EntriesLoaded, 0u);
+  ::unlink(Path.c_str());
+}
+
 TEST_F(DaemonCache, CopyIsIndependentOfTheOriginal) {
   std::string Path = tempPath("cache_copy");
   server::InvariantCache Orig(1u << 20);
@@ -1377,6 +1430,81 @@ TEST_F(Daemon, StartsColdOnCorruptCacheFile) {
   ::unlink(CachePath.c_str());
 }
 
+// A client of the FNV-1a 64 frame format gets no reply it could not
+// read anyway: the daemon counts it as a version reject and closes.
+TEST_F(Daemon, StaleFramePeerIsVersionRejectedAndClosed) {
+  server::ServerOptions Opts;
+  Opts.Workers = 1;
+  startServer(Opts);
+  server::AnalyzeRequest Req;
+  Req.Id = 1;
+  Req.Job.Name = "stale";
+  Req.Job.Source = loopProgram(5);
+  for (const std::string &Frame :
+       {frameV1(ipc::MsgType::Hello, server::encodeHello(2)),
+        frameV1(ipc::MsgType::Request, server::encodeAnalyzeRequest(Req))}) {
+    int Fd = rawConnect(SocketPath);
+    ASSERT_GE(Fd, 0);
+    ASSERT_EQ(::send(Fd, Frame.data(), Frame.size(), 0),
+              static_cast<ssize_t>(Frame.size()));
+    EXPECT_EQ(drainUntilEof(Fd), 0u);
+    ::close(Fd);
+  }
+  server::DaemonClient Client;
+  connect(Client);
+  server::DaemonStats Stats;
+  std::string Error;
+  ASSERT_TRUE(Client.queryStats(Stats, Error)) << Error;
+  EXPECT_EQ(Stats.VersionRejects, 2u);
+  EXPECT_EQ(Stats.Requests, 0u);
+  EXPECT_EQ(Stats.Hellos, 1u); // ours
+}
+
+// A v1 snapshot holding the very record a request asks for: the daemon
+// names the snapshot stale in its log, starts cold and runs the request.
+TEST_F(Daemon, StaleCacheSnapshotStartsColdAndSaysWhy) {
+  server::AnalyzeRequest Req;
+  Req.Job.Name = "stale_snapshot";
+  Req.Job.Source = loopProgram(13);
+  server::AnalyzeResponse Cold;
+  {
+    server::ServerOptions Opts;
+    Opts.Workers = 1;
+    startServer(Opts);
+    server::DaemonClient Client;
+    connect(Client);
+    served(Client, Req, Cold);
+    stopServer();
+  }
+  std::string CachePath = tempPath("daemon_cache_v1");
+  writeBytes(CachePath, CacheMagicLineV1 +
+                            snapshotEntryV1(Cold.Key, Cold.ResultRecord));
+
+  server::ServerOptions Opts;
+  Opts.Workers = 1;
+  Opts.CachePath = CachePath;
+  ::testing::internal::CaptureStderr();
+  startServer(Opts);
+  std::string Log = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(Log.find("(stale cache snapshot (optoct-cache v1, this build "
+                     "reads v2), "),
+            std::string::npos)
+      << Log;
+  EXPECT_NE(Log.find("starting with a cold cache"), std::string::npos) << Log;
+  server::DaemonClient Client;
+  connect(Client);
+  server::AnalyzeResponse Again;
+  served(Client, Req, Again);
+  EXPECT_FALSE(Again.Cached);
+  EXPECT_EQ(Again.ResultRecord, Cold.ResultRecord);
+  server::DaemonStats Stats;
+  std::string Error;
+  ASSERT_TRUE(Client.queryStats(Stats, Error)) << Error;
+  EXPECT_EQ(Stats.CacheHits, 0u);
+  stopServer();
+  ::unlink(CachePath.c_str());
+}
+
 // A bit-flipped (salvageable-prefix) cache file also starts fine,
 // keeping the valid prefix: warm hits for salvaged entries, cold for
 // the discarded tail.
@@ -1444,7 +1572,7 @@ TEST_F(Daemon, WarmCacheDoesNotCountAgainstWorkerMemoryFence) {
     // A synthetic snapshot of 40 one-MiB records, written entry by
     // entry so the test itself never holds it whole.
     std::ofstream Out(CachePath, std::ios::binary | std::ios::trunc);
-    Out << "optoct-cache v1\n";
+    Out << CacheMagicLine;
     for (std::uint64_t K = 1; K <= 40; ++K)
       Out << snapshotEntry(K, std::string(1u << 20, 'a' + K % 26));
   }

@@ -420,15 +420,31 @@ TEST_F(Supervisor, CrashedCanonicalReportIsByteIdenticalAcrossRuns) {
   Opts.Isolation = IsolationMode::Process;
   Opts.Budget.DeadlineMs = 300;
   Opts.HardKillGraceMs = 200;
-  Opts.MaxRssMb = 256;
+  // The OOM job must exhaust its fence well inside the 500 ms hard
+  // kill, or it dies as a timeout instead and the runs may disagree.
+  // Allocating and touching memory costs about 0.75 ms per MiB on one
+  // idle core, so 16 MiB trips in about 12 ms: 40x inside the kill,
+  // and still 5x with seven other runnable tasks on the same core. The
+  // clean jobs run in under 4 MiB.
+  Opts.MaxRssMb = 16;
   BatchReport First = runBatch(Jobs, Opts);
   BatchReport Second = runBatch(Jobs, Opts);
 
-  // Three workers lost. Sanitizer builds skip the RLIMIT_AS fence, so
-  // there the OOM job outlives the deadline and is hard-killed instead.
+  // Three workers lost: the SIGSEGV and the OOM crash, the hang times
+  // out. Sanitizer builds skip the RLIMIT_AS fence, so there the OOM
+  // job allocates until its 1 GiB self-cap or the hard kill, whichever
+  // comes first.
   EXPECT_EQ(First.JobsCrashed + First.JobsTimedOut, 3u);
-  EXPECT_GE(First.JobsCrashed, 1u);
-  EXPECT_GE(First.JobsTimedOut, 1u);
+  if (OPTOCT_SANITIZED) {
+    EXPECT_GE(First.JobsCrashed, 1u);
+    EXPECT_GE(First.JobsTimedOut, 1u);
+  } else {
+    EXPECT_EQ(First.JobsCrashed, 2u);
+    EXPECT_EQ(First.JobsTimedOut, 1u);
+    EXPECT_NE(First.Results[2].Error.find("RLIMIT_AS 16 MiB"),
+              std::string::npos)
+        << First.Results[2].Error;
+  }
   EXPECT_EQ(reportToJson(First, /*Canonical=*/true),
             reportToJson(Second, /*Canonical=*/true));
 }

@@ -1,6 +1,7 @@
 //===- tests/test_support.cpp - Support library tests ----------------------===//
 
 #include "support/aligned.h"
+#include "support/crc32c.h"
 #include "support/random.h"
 #include "support/stats.h"
 #include "support/table.h"
@@ -11,8 +12,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <random>
 #include <string>
+#include <vector>
 
 using namespace optoct;
 
@@ -284,6 +288,71 @@ TEST(TextCodec, MalformedEscapesAreRejected) {
     ASSERT_EQ(GotOk, WantOk) << S;
     EXPECT_EQ(Got, Want) << S;
   }
+}
+
+// --- CRC32C -----------------------------------------------------------------
+
+// RFC 3720 (iSCSI) appendix B.4 test vectors, plus the check value of
+// "123456789". Each implementation is pinned separately, so a wrong
+// table cannot hide behind a wrong instruction path or the reverse.
+TEST(Crc32c, KnownAnswers) {
+  const std::string Zeros(32, '\0'), Ones(32, '\xff'), Digits = "123456789";
+  std::string Inc(32, '\0'), Dec(32, '\0');
+  for (int I = 0; I != 32; ++I) {
+    Inc[I] = static_cast<char>(I);
+    Dec[I] = static_cast<char>(31 - I);
+  }
+  struct Case {
+    const std::string *In;
+    std::uint32_t Want;
+  } Cases[] = {{&Zeros, 0x8a9136aau},
+               {&Ones, 0x62a8ab43u},
+               {&Inc, 0x46dd794eu},
+               {&Dec, 0x113fdb5cu},
+               {&Digits, 0xe3069283u}};
+  for (const Case &C : Cases) {
+    EXPECT_EQ(support::crc32cPortable(C.In->data(), C.In->size()), C.Want);
+    EXPECT_EQ(support::crc32c(*C.In), C.Want);
+    if (support::crc32cHardwareSupported())
+      EXPECT_EQ(support::crc32cHardware(C.In->data(), C.In->size()), C.Want);
+  }
+  EXPECT_EQ(support::crc32c(std::string()), 0u);
+}
+
+TEST(Crc32c, HardwareAndPortableAgreeOnEveryLengthAndAlignment) {
+  if (!support::crc32cHardwareSupported())
+    GTEST_SKIP() << "no SSE4.2 on this machine";
+  std::mt19937 Rng(0xc5c3u);
+  std::string Buf((1u << 17) + 8, '\0');
+  for (char &C : Buf)
+    C = static_cast<char>(Rng());
+  // Every length up to 1024, then lengths around the hardware path's
+  // three-lane rounds (3 x 512 bytes) and past many of them.
+  std::vector<std::size_t> Lens;
+  for (std::size_t Len = 0; Len <= 1024; ++Len)
+    Lens.push_back(Len);
+  for (std::size_t Rounds : {1, 2, 3, 10, 85})
+    for (std::size_t Len = Rounds * 1536 - 9; Len <= Rounds * 1536 + 9; ++Len)
+      Lens.push_back(Len);
+  Lens.push_back(Buf.size() - 8);
+  for (std::size_t Offset = 0; Offset != 8; ++Offset)
+    for (std::size_t Len : Lens) {
+      const char *P = Buf.data() + Offset;
+      ASSERT_EQ(support::crc32cHardware(P, Len),
+                support::crc32cPortable(P, Len))
+          << "offset " << Offset << " length " << Len;
+    }
+}
+
+TEST(Crc32c, StartupSelectionFollowsCpuAndOptoctSimd) {
+  // The same switch as the octagon kernels: OPTOCT_SIMD=scalar means
+  // portable code everywhere; otherwise the CPU decides. CI's per-tier
+  // matrix runs this under both.
+  const char *Env = std::getenv("OPTOCT_SIMD");
+  bool Scalar = Env && std::strcmp(Env, "scalar") == 0;
+  EXPECT_STREQ(support::crc32cImplName(),
+               !Scalar && support::crc32cHardwareSupported() ? "sse4.2"
+                                                             : "portable");
 }
 
 } // namespace
