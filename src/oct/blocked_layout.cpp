@@ -45,6 +45,26 @@ void optoct::packComponent(double *Dst, const HalfDbm &M,
   }
 }
 
+std::size_t optoct::countComponentFinite(const HalfDbm &M,
+                                         const std::vector<unsigned> &Vars) {
+  std::size_t Finite = 0;
+  for (std::size_t A = 0, NumV = Vars.size(); A != NumV; ++A) {
+    const double *Src0 = M.row(2 * Vars[A]);
+    const double *Src1 = M.row(2 * Vars[A] + 1);
+    std::size_t Bi = 0;
+    while (Bi <= A) {
+      std::size_t B0 = Bi;
+      unsigned First = Vars[B0];
+      do
+        ++Bi;
+      while (Bi <= A && Vars[Bi] == Vars[Bi - 1] + 1);
+      for (std::size_t J = 2 * First, E = J + 2 * (Bi - B0); J != E; ++J)
+        Finite += isFinite(Src0[J]) + isFinite(Src1[J]);
+    }
+  }
+  return Finite;
+}
+
 void optoct::packComponentEntry(double *Dst, const HalfDbm &M,
                                 const Partition &P, bool FullyInit,
                                 const std::vector<unsigned> &Vars) {

@@ -102,6 +102,11 @@ void packComponentEntry(double *Dst, const HalfDbm &M, const Partition &P,
 void scatterComponent(const double *Src, HalfDbm &M,
                       const std::vector<unsigned> &Vars);
 
+/// Number of finite entries among the component's slots of \p M — the
+/// slots packComponent reads, counted over the same row spans.
+std::size_t countComponentFinite(const HalfDbm &M,
+                                 const std::vector<unsigned> &Vars);
+
 /// Packs just the two stored rows of block-variable \p A (position in
 /// \p Vars): Dst[0 .. 2A+1] = the component row of 2A, Dst[2A+2 ..
 /// 4A+3] = the row of 2A+1. Returns the packed length 4(A+1). The

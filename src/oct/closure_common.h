@@ -30,9 +30,10 @@ struct ClosureScratch {
   AlignedBuffer<double> T;
   /// Index lists of finite entries for the sparse closure (Section 5.3).
   std::vector<unsigned> IdxColK, IdxColK1, IdxRowK, IdxRowK1, IdxT;
-  /// Contiguous submatrix copy reused by the decomposed closure's dense
-  /// path (the hot per-closure allocation otherwise). Per-thread like
-  /// the rest of the scratch.
+  /// Contiguous copy of each component the decomposed closure closes:
+  /// its sparsity is counted there and the dense kernel runs there (the
+  /// hot per-closure allocation otherwise). Per-thread like the rest of
+  /// the scratch.
   HalfDbm DenseTmp;
 
   /// Grows the buffers to hold at least \p Dim (= 2n) doubles each.

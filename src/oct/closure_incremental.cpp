@@ -84,12 +84,11 @@ bool optoct::incrementalClosureDense(HalfDbm &M,
   return true;
 }
 
-void optoct::incrementalClosureRestricted(HalfDbm &M,
-                                          const std::vector<unsigned> &Vars,
-                                          const std::vector<unsigned> &Touched,
-                                          ClosureScratch &Scratch) {
+std::size_t optoct::incrementalClosureRestricted(
+    HalfDbm &M, const std::vector<unsigned> &Vars,
+    const std::vector<unsigned> &Touched, ClosureScratch &Scratch) {
   if (Vars.empty())
-    return;
+    return 0;
   Scratch.ensure(M.dim());
   double *ColK = Scratch.ColK.data();
   double *ColK1 = Scratch.ColK1.data();
@@ -103,6 +102,7 @@ void optoct::incrementalClosureRestricted(HalfDbm &M,
     EVars.push_back(2 * V + 1);
   }
 
+  std::size_t Fresh = 0;
   for (unsigned K : Touched) {
     support::pollBudget();
     support::faultPoint("closure.pivot");
@@ -120,6 +120,7 @@ void optoct::incrementalClosureRestricted(HalfDbm &M,
       }
       double Vk = M.get(I, KK);
       double Vk1 = M.get(I, KK1);
+      const bool WasFinK = isFinite(Vk), WasFinK1 = isFinite(Vk1);
       if (FinK1) {
         double T1 = Vk + OkK1;
         if (T1 < Vk1)
@@ -130,6 +131,7 @@ void optoct::incrementalClosureRestricted(HalfDbm &M,
         if (T0 < Vk)
           Vk = T0;
       }
+      Fresh += (!WasFinK && isFinite(Vk)) + (!WasFinK1 && isFinite(Vk1));
       M.set(I, KK, Vk);
       M.set(I, KK1, Vk1);
       ColK[I] = Vk;
@@ -153,10 +155,12 @@ void optoct::incrementalClosureRestricted(HalfDbm &M,
         double T1 = C1 + RowK[J];
         double T2 = C2 + RowK1[J];
         double T = T1 < T2 ? T1 : T2;
-        if (T < Row[J])
+        if (T < Row[J]) {
+          Fresh += !isFinite(Row[J]);
           Row[J] = T;
+        }
       }
     }
   }
-  strengthenSparseRestricted(M, Vars, Scratch);
+  return Fresh + strengthenSparseRestricted(M, Vars, Scratch);
 }

@@ -18,6 +18,7 @@
 #include "oct/closure_common.h"
 #include "oct/dbm.h"
 
+#include <cstddef>
 #include <vector>
 
 namespace optoct {
@@ -32,7 +33,10 @@ bool incrementalClosureDense(HalfDbm &M, const std::vector<unsigned> &Touched,
 /// only on \p Vars (sorted; must contain every variable of \p Touched)
 /// and the pass touches only entries within \p Vars. The caller is
 /// responsible for the emptiness check on the component diagonal.
-void incrementalClosureRestricted(HalfDbm &M,
+/// Returns the number of entries lowered from +inf to a finite bound:
+/// closure only lowers entries, so this is exactly the change to the
+/// component's count of finite entries.
+std::size_t incrementalClosureRestricted(HalfDbm &M,
                                   const std::vector<unsigned> &Vars,
                                   const std::vector<unsigned> &Touched,
                                   ClosureScratch &Scratch);

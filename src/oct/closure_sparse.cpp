@@ -126,11 +126,10 @@ void optoct::shortestPathSparseRestricted(HalfDbm &M,
   }
 }
 
-void optoct::strengthenSparseRestricted(HalfDbm &M,
-                                        const std::vector<unsigned> &Vars,
-                                        ClosureScratch &Scratch) {
+std::size_t optoct::strengthenSparseRestricted(
+    HalfDbm &M, const std::vector<unsigned> &Vars, ClosureScratch &Scratch) {
   if (Vars.empty())
-    return;
+    return 0;
   Scratch.ensure(M.dim());
   double *T = Scratch.T.data();
   std::vector<unsigned> EVars = extendedIndices(Vars);
@@ -143,6 +142,7 @@ void optoct::strengthenSparseRestricted(HalfDbm &M,
       Scratch.IdxT.push_back(J);
   }
 
+  std::size_t Fresh = 0;
   for (unsigned I : EVars) {
     double Di = T[I ^ 1u];
     if (!isFinite(Di))
@@ -153,10 +153,13 @@ void optoct::strengthenSparseRestricted(HalfDbm &M,
       if (J > Limit)
         break;
       double S = (Di + T[J]) * 0.5;
-      if (S < Row[J])
+      if (S < Row[J]) {
+        Fresh += !isFinite(Row[J]);
         Row[J] = S;
+      }
     }
   }
+  return Fresh;
 }
 
 bool optoct::closureSparse(HalfDbm &M, ClosureScratch &Scratch,

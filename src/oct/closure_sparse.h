@@ -35,7 +35,9 @@ void shortestPathSparseRestricted(HalfDbm &M,
                                   ClosureScratch &Scratch);
 
 /// Sparse strengthening restricted to \p Vars (sorted ascending).
-void strengthenSparseRestricted(HalfDbm &M, const std::vector<unsigned> &Vars,
+/// Returns the number of entries it lowered from +inf to a finite bound
+/// (strengthening only lowers entries, so this is its change to nni).
+std::size_t strengthenSparseRestricted(HalfDbm &M, const std::vector<unsigned> &Vars,
                                 ClosureScratch &Scratch);
 
 /// Full sparse strong closure of a fully initialized matrix. Computes

@@ -304,92 +304,61 @@ void Octagon::closeDecomposed() {
   OctConfig &Cfg = octConfig();
 
   // Shortest-path closure per component; it cannot connect variables in
-  // different components (Section 5.4).
+  // different components (Section 5.4). Each component is packed into a
+  // contiguous temporary (the per-thread scratch, reused across
+  // closures), which is where the dense kernel runs and where the
+  // submatrix's own sparsity is counted before each closure (Sections
+  // 3.3 and 4.3). The sparse kernel runs in place on the rare sparse
+  // components, leaving the pack unused.
+  HalfDbm &Tmp = scratch().DenseTmp;
   for (std::size_t C = 0, E = P.numComponents(); C != E; ++C) {
     const std::vector<unsigned> &Vars = P.component(C);
-    // Decide dense vs sparse from the submatrix's own sparsity,
-    // computed on the fly before each closure (Section 3.3).
-    std::size_t SubSize = HalfDbm::matSize(static_cast<unsigned>(Vars.size()));
-    std::size_t SubNni = 0;
-    for (unsigned A = 0; A != Vars.size(); ++A)
-      for (unsigned B = 0; B <= A; ++B) {
-        unsigned Hi = Vars[A], Lo = Vars[B];
-        for (unsigned R = 0; R != 2; ++R)
-          for (unsigned S = 0; S != 2; ++S)
-            SubNni += isFinite(M.at(2 * Hi + R, 2 * Lo + S));
-      }
-    double SubD =
-        1.0 - static_cast<double>(SubNni) / static_cast<double>(SubSize);
-
+    Tmp.resizeDiscard(static_cast<unsigned>(Vars.size()));
+    packComponent(Tmp.data(), M, Vars);
+    double SubD = 1.0 - static_cast<double>(Tmp.countFinite()) /
+                            static_cast<double>(Tmp.size());
     if (Cfg.EnableSparse && SubD >= Cfg.SparsityThreshold) {
       shortestPathSparseRestricted(M, Vars, scratch());
       continue;
     }
-    // Dense submatrix: copy into a contiguous temporary so the
-    // vectorized Algorithm 3 applies, then copy back (Section 4.3). The
-    // temp lives in the per-thread scratch so repeated closures (and
-    // batched jobs on the same worker) reuse one allocation.
-    unsigned SubN = static_cast<unsigned>(Vars.size());
-    HalfDbm &Tmp = scratch().DenseTmp;
-    Tmp.resizeDiscard(SubN);
-    for (unsigned A = 0; A != SubN; ++A)
-      for (unsigned B = 0; B <= A; ++B)
-        for (unsigned R = 0; R != 2; ++R)
-          for (unsigned S = 0; S != 2; ++S)
-            Tmp.at(2 * A + R, 2 * B + S) =
-                M.at(2 * Vars[A] + R, 2 * Vars[B] + S);
     shortestPathDense(Tmp, scratch());
-    for (unsigned A = 0; A != SubN; ++A)
-      for (unsigned B = 0; B <= A; ++B)
-        for (unsigned R = 0; R != 2; ++R)
-          for (unsigned S = 0; S != 2; ++S)
-            M.at(2 * Vars[A] + R, 2 * Vars[B] + S) =
-                Tmp.at(2 * A + R, 2 * B + S);
+    scatterComponent(Tmp.data(), M, Vars);
   }
 
   strengthenAndMerge();
-
-  // Emptiness check over the covered diagonal, then normalize it.
-  std::vector<unsigned> Covered = P.sortedVars();
-  for (unsigned V : Covered)
-    if (M.at(2 * V, 2 * V) < 0.0 || M.at(2 * V + 1, 2 * V + 1) < 0.0) {
-      markEmpty();
-      return;
-    }
-  for (unsigned V : Covered) {
-    M.at(2 * V, 2 * V) = 0.0;
-    M.at(2 * V + 1, 2 * V + 1) = 0.0;
-  }
+  if (!normalizeCoveredDiagonal())
+    return;
 
   // Exact recomputation of the components within each (possibly merged)
-  // block, then recount nni (Section 3.5).
+  // block, counting nni in the same pass (Section 3.5).
   Partition NewP(numVars());
   std::size_t Nni = 0;
-  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C) {
-    Partition Sub = extractPartition(M, P.component(C));
-    for (std::size_t S = 0; S != Sub.numComponents(); ++S) {
-      const std::vector<unsigned> &Block = Sub.component(S);
-      NewP.addSingleton(Block[0]);
-      for (std::size_t I = 1; I < Block.size(); ++I)
-        NewP.relate(Block[0], Block[I]);
-    }
-  }
+  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C)
+    Nni += NewP.appendExactComponents(M, P.component(C));
   P = std::move(NewP);
-  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C) {
-    const std::vector<unsigned> &Vars = P.component(C);
-    for (unsigned A = 0; A != Vars.size(); ++A)
-      for (unsigned B = 0; B <= A; ++B)
-        for (unsigned R = 0; R != 2; ++R)
-          for (unsigned S = 0; S != 2; ++S)
-            Nni += isFinite(M.at(2 * Vars[A] + R, 2 * Vars[B] + S));
-  }
   if (FullyInit)
     Nni += 2 * (numVars() - P.coveredVars());
   NniExplicit = Nni;
   reclassify();
 }
 
-void Octagon::strengthenAndMerge() {
+bool Octagon::normalizeCoveredDiagonal() {
+  // One pass: the entries of an empty octagon are meaningless, so the
+  // zeros written before a negative entry turns up do no harm.
+  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C)
+    for (unsigned V : P.component(C)) {
+      double &D0 = M.at(2 * V, 2 * V), &D1 = M.at(2 * V + 1, 2 * V + 1);
+      if (D0 < 0.0 || D1 < 0.0) {
+        markEmpty();
+        return false;
+      }
+      D0 = 0.0;
+      D1 = 0.0;
+    }
+  return true;
+}
+
+std::size_t Octagon::strengthenAndMerge() {
   // Components holding a finite unary (diagonal-block) bound: only those
   // participate in strengthening, and in the faithful 2015 semantics
   // they merge into a single component (Section 5.4).
@@ -403,22 +372,25 @@ void Octagon::strengthenAndMerge() {
       }
   }
   if (Bounded.empty())
-    return;
+    return 0;
 
   if (octConfig().LazyStrengthening) {
     // Extension: strengthen within each component only, leaving the
     // entailed cross-component constraints implicit.
+    std::size_t Fresh = 0;
     for (std::size_t C : Bounded)
-      strengthenSparseRestricted(M, P.component(C), scratch());
-    return;
+      Fresh += strengthenSparseRestricted(M, P.component(C), scratch());
+    return Fresh;
   }
 
+  // The merge initializes the new cross entries to +inf, which changes
+  // no count.
   int Merged = mergeComponentsInit(Bounded);
   assert(Merged >= 0 && "merge of a non-empty list cannot fail");
   // The merged submatrix is likely sparse: use the sparse strengthening
   // (Section 5.4).
-  strengthenSparseRestricted(M, P.component(static_cast<std::size_t>(Merged)),
-                             scratch());
+  return strengthenSparseRestricted(
+      M, P.component(static_cast<std::size_t>(Merged)), scratch());
 }
 
 void Octagon::reclassify() {
@@ -500,15 +472,16 @@ bool Octagon::auditValidate(std::string &Defect) {
       }
     }
   } else {
-    for (unsigned V : P.sortedVars())
-      for (unsigned S = 0; S != 2; ++S) {
-        double Diag = M.at(2 * V + S, 2 * V + S);
-        if (!(Diag == 0.0)) {
-          Defect =
-              "nonzero diagonal " + describeCell(2 * V + S, 2 * V + S, Diag);
-          return false;
+    for (std::size_t C = 0, E = P.numComponents(); C != E; ++C)
+      for (unsigned V : P.component(C))
+        for (unsigned S = 0; S != 2; ++S) {
+          double Diag = M.at(2 * V + S, 2 * V + S);
+          if (!(Diag == 0.0)) {
+            Defect = "nonzero diagonal " +
+                     describeCell(2 * V + S, 2 * V + S, Diag);
+            return false;
+          }
         }
-      }
   }
 
   // NaN scan over the semantically live cells: every stored cell when
@@ -674,6 +647,7 @@ void Octagon::incrementalClose(const std::vector<unsigned> &Touched) {
   // Decomposed: the touched variables already share one component with
   // everything the new constraints relate them to; run restricted pivot
   // passes there, then the global strengthening phase.
+  std::size_t Fresh = 0;
   std::vector<std::size_t> TouchedComps;
   for (unsigned V : Touched) {
     int C = P.componentOf(V);
@@ -689,34 +663,28 @@ void Octagon::incrementalClose(const std::vector<unsigned> &Touched) {
     for (unsigned V : Touched)
       if (P.componentOf(V) == static_cast<int>(C))
         Local.push_back(V);
-    incrementalClosureRestricted(M, Vars, Local, scratch());
+    Fresh += incrementalClosureRestricted(M, Vars, Local, scratch());
   }
-  strengthenAndMerge();
+  Fresh += strengthenAndMerge();
 
-  std::vector<unsigned> Covered = P.sortedVars();
-  for (unsigned V : Covered)
-    if (M.at(2 * V, 2 * V) < 0.0 || M.at(2 * V + 1, 2 * V + 1) < 0.0) {
-      markEmpty();
-      return;
-    }
-  for (unsigned V : Covered) {
-    M.at(2 * V, 2 * V) = 0.0;
-    M.at(2 * V + 1, 2 * V + 1) = 0.0;
+  // The covered diagonal stays finite, so normalizing it changes no
+  // count.
+  if (!normalizeCoveredDiagonal())
+    return;
+  if (FullyInit) {
+    // A materialized element can arrive with an inexact count: Section
+    // 4.1's 2n(n+1) of a Dense element whose partition the assignment's
+    // forget split, or relateInit/forgetVar's diagonal pair counted
+    // twice or not at all. Recounting its components makes it exact.
+    std::size_t Nni = 2 * (numVars() - P.coveredVars());
+    for (std::size_t C = 0, E = P.numComponents(); C != E; ++C)
+      Nni += countComponentFinite(M, P.component(C));
+    NniExplicit = Nni;
+  } else {
+    // A lazily initialized element's count is exact, and closure only
+    // lowers entries, so nni grows by exactly the entries the kernels
+    // took from +inf to finite.
+    NniExplicit += Fresh;
   }
-  // Recount nni within the affected components (cheap relative to the
-  // pivot passes); untouched components kept their counts, but a full
-  // per-component recount keeps the bookkeeping simple and exact.
-  std::size_t Nni = 0;
-  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C) {
-    const std::vector<unsigned> &Vars = P.component(C);
-    for (unsigned A = 0; A != Vars.size(); ++A)
-      for (unsigned B = 0; B <= A; ++B)
-        for (unsigned R = 0; R != 2; ++R)
-          for (unsigned S = 0; S != 2; ++S)
-            Nni += isFinite(M.at(2 * Vars[A] + R, 2 * Vars[B] + S));
-  }
-  if (FullyInit)
-    Nni += 2 * (numVars() - P.coveredVars());
-  NniExplicit = Nni;
   Closed = true;
 }

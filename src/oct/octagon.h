@@ -239,9 +239,16 @@ private:
   /// disagreement makes the optimized result untrustworthy).
   void adoptReferenceClosure(const FullDbm &Ref);
 
+  /// Emptiness check over the covered diagonal, then its normalization
+  /// to 0. Returns false (and marks the octagon empty) on a negative
+  /// diagonal entry.
+  bool normalizeCoveredDiagonal();
+
   /// Strengthening phase of the decomposed closure: merges components
   /// holding finite unary bounds, then strengthens (Section 5.4).
-  void strengthenAndMerge();
+  /// Returns the number of entries strengthening took from +inf to
+  /// finite.
+  std::size_t strengthenAndMerge();
 
   /// Incremental closure after constraints touching \p Touched
   /// (Section 5.6).

@@ -6,6 +6,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "oct/blocked_layout.h"
 #include "oct/config.h"
 #include "oct/octagon.h"
 #include "support/faultinject.h"
@@ -356,14 +357,8 @@ void Octagon::removeTrailingVars(unsigned Count) {
 
   // Recount nni within the surviving components.
   std::size_t Nni = 0;
-  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C) {
-    const std::vector<unsigned> &Vars = P.component(C);
-    for (unsigned A = 0; A != Vars.size(); ++A)
-      for (unsigned B = 0; B <= A; ++B)
-        for (unsigned R = 0; R != 2; ++R)
-          for (unsigned S = 0; S != 2; ++S)
-            Nni += isFinite(M.at(2 * Vars[A] + R, 2 * Vars[B] + S));
-  }
+  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C)
+    Nni += countComponentFinite(M, P.component(C));
   if (FullyInit)
     Nni += 2 * (NewN - P.coveredVars());
   NniExplicit = Nni;

@@ -15,7 +15,11 @@ namespace {
 /// Small union-find over variable indices.
 class UnionFind {
 public:
-  explicit UnionFind(unsigned N) : Parent(N) {
+  explicit UnionFind(unsigned N = 0) { reset(N); }
+
+  /// N singletons, reusing the allocation.
+  void reset(unsigned N) {
+    Parent.resize(N);
     std::iota(Parent.begin(), Parent.end(), 0u);
   }
 
@@ -108,14 +112,6 @@ void Partition::removeVar(unsigned Var) {
   if (Block.empty())
     Comps.erase(Comps.begin() + C);
   rebuildIndex();
-}
-
-std::vector<unsigned> Partition::sortedVars() const {
-  std::vector<unsigned> Vars;
-  for (const auto &C : Comps)
-    Vars.insert(Vars.end(), C.begin(), C.end());
-  std::sort(Vars.begin(), Vars.end());
-  return Vars;
 }
 
 Partition Partition::unionMerge(const Partition &A, const Partition &B) {
@@ -222,28 +218,88 @@ void Partition::rebuildIndex() {
       CompOf[Var] = static_cast<int>(C);
 }
 
-Partition optoct::extractPartition(const HalfDbm &M,
-                                   const std::vector<unsigned> &Vars) {
-  unsigned N = M.numVars();
-  Partition Result(N);
+namespace {
 
-  for (std::size_t A = 0; A != Vars.size(); ++A) {
-    unsigned V = Vars[A];
-    // Unary constraints: the off-diagonal entries of the 2x2 diagonal
-    // block encode +-2v <= c.
-    if (isFinite(M.at(2 * V, 2 * V + 1)) || isFinite(M.at(2 * V + 1, 2 * V)))
-      Result.addSingleton(V);
-    for (std::size_t B = 0; B != A; ++B) {
-      unsigned U = Vars[B];
-      unsigned Lo = U < V ? U : V, Hi = U < V ? V : U;
-      bool Related = false;
-      for (unsigned I = 0; I != 2 && !Related; ++I)
-        for (unsigned J = 0; J != 2 && !Related; ++J)
-          Related = isFinite(M.at(2 * Hi + I, 2 * Lo + J));
-      if (Related)
-        Result.relate(U, V);
+/// Per-thread working storage of appendExactComponents, so closures do
+/// not allocate it per component. Indices are positions in Vars.
+struct ExtractScratch {
+  UnionFind UF;
+  std::vector<unsigned> Order; ///< Stamped positions, in stamp order.
+  /// Unstamped, Stamped, or (at a union-find root, once blocks are
+  /// numbered) the index of the position's appended block.
+  std::vector<int> BlockOf;
+};
+
+constexpr int Unstamped = -2, Stamped = -1;
+
+} // namespace
+
+std::size_t Partition::appendExactComponents(const HalfDbm &M,
+                                             const std::vector<unsigned> &Vars) {
+  static thread_local ExtractScratch S;
+  const unsigned K = static_cast<unsigned>(Vars.size());
+  S.UF.reset(K);
+  S.Order.clear();
+  S.BlockOf.assign(K, Unstamped);
+  auto Stamp = [&](unsigned A) {
+    if (S.BlockOf[A] == Unstamped) {
+      S.BlockOf[A] = Stamped;
+      S.Order.push_back(A);
+    }
+  };
+
+  std::size_t Finite = 0;
+  for (unsigned A = 0; A != K; ++A) {
+    const unsigned V = Vars[A];
+    const double *R0 = M.row(2 * V), *R1 = M.row(2 * V + 1);
+    // The 2x2 diagonal block: its off-diagonal entries encode +-2v <= c.
+    if (isFinite(R0[2 * V + 1]) || isFinite(R1[2 * V]))
+      Stamp(A);
+    Finite += isFinite(R0[2 * V]) + isFinite(R0[2 * V + 1]) +
+              isFinite(R1[2 * V]) + isFinite(R1[2 * V + 1]);
+    for (unsigned B = 0; B != A; ++B) {
+      const unsigned U = Vars[B];
+      const std::size_t Pair = isFinite(R0[2 * U]) + isFinite(R0[2 * U + 1]) +
+                               isFinite(R1[2 * U]) + isFinite(R1[2 * U + 1]);
+      if (Pair == 0)
+        continue;
+      Finite += Pair;
+      Stamp(B);
+      Stamp(A);
+      S.UF.merge(A, B);
     }
   }
+
+  // Blocks in oldest-stamp order (a root is stamped, like every member
+  // of its set), then members ascending.
+  for (unsigned A : S.Order) {
+    unsigned Root = S.UF.find(A);
+    if (S.BlockOf[Root] == Stamped) {
+      S.BlockOf[Root] = static_cast<int>(Comps.size());
+      Comps.emplace_back();
+    }
+  }
+  for (unsigned A = 0; A != K; ++A) {
+    const unsigned V = Vars[A];
+    assert(CompOf[V] < 0 && "appending an already covered variable");
+    if (S.BlockOf[A] == Unstamped) {
+      // Uncovered: only its diagonal was finite, and it is not inside
+      // any appended block.
+      Finite -= isFinite(M.at(2 * V, 2 * V)) +
+                isFinite(M.at(2 * V + 1, 2 * V + 1));
+      continue;
+    }
+    int C = S.BlockOf[S.UF.find(A)];
+    Comps[static_cast<std::size_t>(C)].push_back(V);
+    CompOf[V] = C;
+  }
+  return Finite;
+}
+
+Partition optoct::extractPartition(const HalfDbm &M,
+                                   const std::vector<unsigned> &Vars) {
+  Partition Result(M.numVars());
+  Result.appendExactComponents(M, Vars);
   return Result;
 }
 

@@ -77,9 +77,6 @@ public:
   /// removing a cut variable could split it.
   void removeVar(unsigned Var);
 
-  /// All covered variables, ascending.
-  std::vector<unsigned> sortedVars() const;
-
   /// Grows (or shrinks) the variable universe. When shrinking, all
   /// removed variables must already be uncovered.
   void resizeVars(unsigned NewNumVars) {
@@ -108,6 +105,26 @@ public:
 
   bool operator==(const Partition &Other) const;
 
+  /// Appends, as new blocks, the exact independent components of the
+  /// entries of \p M restricted to \p Vars (sorted ascending, none of
+  /// them covered yet): U and V are related iff some inequality between
+  /// them is finite, and a variable with no finite entry besides its
+  /// diagonal stays uncovered. Returns the number of finite entries
+  /// inside the appended blocks (their sub-DBMs, diagonals included).
+  /// One O(|Vars|^2) pass over the rows of \p M.
+  ///
+  /// Block order is part of the canonical output (constraints() walks
+  /// the blocks in partition order), so it is fixed: blocks come in the
+  /// order of their oldest *stamp*, members ascending. The pass visits
+  /// Vars[A] for A ascending and stamps, the first time each is met,
+  /// Vars[A] itself if it has a finite unary bound, then for B < A
+  /// ascending with Vars[B] related to Vars[A], Vars[B] and then
+  /// Vars[A]. This is exactly the order addSingleton/relate calls made
+  /// in that sequence leave behind: a merge keeps the older block's
+  /// index and an erase keeps the others in order.
+  std::size_t appendExactComponents(const HalfDbm &M,
+                                    const std::vector<unsigned> &Vars);
+
 private:
   void rebuildIndex();
 
@@ -115,10 +132,9 @@ private:
   std::vector<int> CompOf;
 };
 
-/// Computes the exact independent components of the (fully meaningful)
-/// entries of \p M restricted to \p Vars: U and V are related iff some
-/// inequality between them is finite; a variable with no finite entry at
-/// all is uncovered. Runs in O(|Vars|^2).
+/// The exact independent components of the (fully meaningful) entries
+/// of \p M restricted to \p Vars (sorted ascending), in the block order
+/// of Partition::appendExactComponents.
 Partition extractPartition(const HalfDbm &M, const std::vector<unsigned> &Vars);
 
 /// Exact components over all variables of \p M (requires M fully

@@ -101,7 +101,11 @@ inline std::string benchContextJson(const char *SimdTier = nullptr) {
     if (!First)
       Out += ", ";
     First = false;
-    Out += "\"" + jsonEscape(Name) + "\": \"" + jsonEscape(Value) + "\"";
+    Out += '"';
+    Out += jsonEscape(Name);
+    Out += "\": \"";
+    Out += jsonEscape(Value);
+    Out += '"';
   }
   Out += "},\n  \"cpu\": {";
   CpuFeatures F = cpuFeatures();

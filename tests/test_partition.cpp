@@ -149,6 +149,129 @@ TEST(Partition, ExtractRestrictedToSubset) {
   EXPECT_FALSE(P.contains(3));
 }
 
+/// The pairwise scan, the reference for the one-scan pass's block order:
+/// addSingleton for a finite unary bound, then relate() for every
+/// related pair.
+Partition referenceExtract(const HalfDbm &M,
+                           const std::vector<unsigned> &Vars) {
+  Partition Result(M.numVars());
+  for (std::size_t A = 0; A != Vars.size(); ++A) {
+    unsigned V = Vars[A];
+    if (isFinite(M.at(2 * V, 2 * V + 1)) || isFinite(M.at(2 * V + 1, 2 * V)))
+      Result.addSingleton(V);
+    for (std::size_t B = 0; B != A; ++B) {
+      unsigned U = Vars[B];
+      unsigned Lo = U < V ? U : V, Hi = U < V ? V : U;
+      bool Related = false;
+      for (unsigned I = 0; I != 2 && !Related; ++I)
+        for (unsigned J = 0; J != 2 && !Related; ++J)
+          Related = isFinite(M.at(2 * Hi + I, 2 * Lo + J));
+      if (Related)
+        Result.relate(U, V);
+    }
+  }
+  return Result;
+}
+
+/// Finite entries inside the blocks of \p P, diagonals included.
+std::size_t countInsideBlocks(const HalfDbm &M, const Partition &P) {
+  std::size_t Finite = 0;
+  for (std::size_t C = 0; C != P.numComponents(); ++C) {
+    const std::vector<unsigned> &Vars = P.component(C);
+    for (std::size_t A = 0; A != Vars.size(); ++A)
+      for (std::size_t B = 0; B <= A; ++B)
+        for (unsigned R = 0; R != 2; ++R)
+          for (unsigned S = 0; S != 2; ++S)
+            Finite += isFinite(M.at(2 * Vars[A] + R, 2 * Vars[B] + S));
+  }
+  return Finite;
+}
+
+/// A random half-DBM over \p N variables: each variable is unrelated,
+/// unary-only, relational-only or both, and a pair of relational
+/// variables is related with probability \p Density through one to
+/// four finite entries.
+HalfDbm randomHalfDbm(unsigned N, double Density, Rng &R) {
+  HalfDbm M(N);
+  M.initTop();
+  std::vector<int> Role(N);
+  for (unsigned V = 0; V != N; ++V) {
+    Role[V] = R.intIn(0, 3); // bit 0: unary, bit 1: relational
+    if (Role[V] & 1) {
+      if (R.chance(0.7))
+        M.at(2 * V + 1, 2 * V) = R.intIn(-5, 20);
+      else
+        M.at(2 * V, 2 * V + 1) = R.intIn(-5, 20);
+    }
+  }
+  for (unsigned V = 0; V != N; ++V)
+    for (unsigned U = 0; U != V; ++U) {
+      if (!(Role[U] & 2) || !(Role[V] & 2) || !R.chance(Density))
+        continue;
+      int Entries = R.intIn(1, 4);
+      for (int K = 0; K != Entries; ++K)
+        M.at(2 * V + static_cast<unsigned>(R.intIn(0, 1)),
+             2 * U + static_cast<unsigned>(R.intIn(0, 1))) = R.intIn(-5, 20);
+    }
+  return M;
+}
+
+TEST(Partition, OneScanMatchesPairwiseScanBlockForBlock) {
+  Rng R(2015);
+  const double Densities[] = {0.0, 0.02, 0.1, 0.3, 0.6, 1.0};
+  unsigned Cases = 0;
+  for (unsigned N = 0; N <= 40; ++N)
+    for (double Density : Densities)
+      for (int Rep = 0; Rep != 3; ++Rep) {
+        HalfDbm M = randomHalfDbm(N, Density, R);
+        // All variables, then a random sorted subset.
+        std::vector<unsigned> All(N), Subset;
+        for (unsigned V = 0; V != N; ++V) {
+          All[V] = V;
+          if (R.chance(0.6))
+            Subset.push_back(V);
+        }
+        for (const std::vector<unsigned> *Vars : {&All, &Subset}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "n=" << N << " density=" << Density
+                       << " rep=" << Rep << " |vars|=" << Vars->size());
+          Partition Ref = referenceExtract(M, *Vars);
+          Partition Got(N);
+          std::size_t Finite = Got.appendExactComponents(M, *Vars);
+          ASSERT_EQ(Got.numComponents(), Ref.numComponents());
+          for (std::size_t C = 0; C != Ref.numComponents(); ++C)
+            ASSERT_EQ(Got.component(C), Ref.component(C)) << "block " << C;
+          for (unsigned V = 0; V != N; ++V)
+            ASSERT_EQ(Got.componentOf(V), Ref.componentOf(V)) << "var " << V;
+          EXPECT_EQ(Finite, countInsideBlocks(M, Ref));
+          ++Cases;
+        }
+      }
+  EXPECT_EQ(Cases, 41u * 6 * 3 * 2);
+}
+
+TEST(Partition, AppendedBlocksFollowExistingOnes) {
+  // Two disjoint variable sets appended one after the other, as the
+  // decomposed closure rebuilds its partition component by component:
+  // blocks of the second pass come after all blocks of the first.
+  HalfDbm M(6);
+  M.initTop();
+  M.set(2 * 4, 2 * 5, 1.0);     // relate 4, 5
+  M.set(2 * 1 + 1, 2 * 1, 2.0); // 2 v1 <= 2
+  M.set(2 * 0, 2 * 2, 3.0);     // relate 0, 2
+  Partition P(6);
+  // Finite entries: two diagonal zeros per covered variable plus the
+  // bounds inside the blocks; uncovered v3's diagonal is not counted.
+  EXPECT_EQ(P.appendExactComponents(M, {3, 4, 5}), 2u * 2 + 1);
+  EXPECT_EQ(P.appendExactComponents(M, {0, 1, 2}), 2u * 3 + 1 + 1);
+  ASSERT_EQ(P.numComponents(), 3u);
+  EXPECT_EQ(P.component(0), (std::vector<unsigned>{4, 5}));
+  // v1 is stamped (its unary bound) before v0 and v2 are related.
+  EXPECT_EQ(P.component(1), std::vector<unsigned>{1});
+  EXPECT_EQ(P.component(2), (std::vector<unsigned>{0, 2}));
+  EXPECT_FALSE(P.contains(3));
+}
+
 TEST(Partition, RefinementIsCoarsenedByInputs) {
   Rng R(99);
   for (int It = 0; It != 50; ++It) {

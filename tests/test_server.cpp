@@ -2082,7 +2082,9 @@ TEST(DaemonProtocolFuzz, MutatedBodiesNeverCrashDecoders) {
         S.resize(R.indexBelow(S.size() + 1));
         break;
       case 2: // stray escape introducer
-        S.insert(R.indexBelow(S.size() + 1), "%");
+        S.insert(S.begin() +
+                     static_cast<std::ptrdiff_t>(R.indexBelow(S.size() + 1)),
+                 '%');
         break;
       case 3: // insert one random byte
         S.insert(R.indexBelow(S.size() + 1), 1,

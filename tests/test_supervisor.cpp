@@ -580,7 +580,8 @@ TEST_F(Supervisor, CpuBackstopIsPerJobNotPerWorkerLifetime) {
   // below the deadline even in a sanitizer build.
   std::string Vars, Init, Body;
   for (int V = 0; V != 12; ++V) {
-    std::string N = "v" + std::to_string(V);
+    std::string N = "v";
+    N += std::to_string(V);
     Vars += ", " + N;
     Init += N + " = 0;\n";
     Body += "  if (" + N + " < i) { " + N + " = " + N + " + 1; }\n";
