@@ -132,8 +132,8 @@ public:
 
   /// Forks a child running \p Main into \p C. Besides every other live
   /// member's pipe ends, the child closes \p ExtraCloseFds (listeners,
-  /// client sockets: anything whose EOF must not be held open by a
-  /// forked copy). False (nothing spawned, errno preserved) if a pipe
+  /// client sockets, a leased cache snapshot: anything whose EOF or
+  /// lease must not be held open by a forked copy). False (nothing spawned, errno preserved) if a pipe
   /// or the fork fails; the "child.spawn" fault site's kind=alloc fails
   /// it with EAGAIN.
   bool spawn(Child &C, const Body &Main,

@@ -7,19 +7,37 @@
 #include "support/faultinject.h"
 #include "support/textcodec.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <deque>
-#include <vector>
 
 #include <fcntl.h>
 #include <sys/file.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 using namespace optoct;
 using namespace optoct::server;
+
+struct optoct::server::SnapshotImage {
+  std::string_view Bytes;
+  int Fd = -1; ///< The leased descriptor of a mapping; -1 for a buffer.
+  std::unique_ptr<char[]> Buffer;
+
+  SnapshotImage() = default;
+  SnapshotImage(const SnapshotImage &) = delete;
+  SnapshotImage &operator=(const SnapshotImage &) = delete;
+  ~SnapshotImage() {
+    if (Fd < 0)
+      return;
+    ::munmap(const_cast<char *>(Bytes.data()), Bytes.size());
+    // Released outright: a descriptor a forked child still holds would
+    // otherwise keep the lease, and the writer blocked.
+    ::fcntl(Fd, F_SETLEASE, F_UNLCK);
+    ::close(Fd);
+  }
+};
 
 namespace {
 
@@ -32,88 +50,30 @@ constexpr const char *CacheMagic = "optoct-cache v2";
 /// The FNV-1a 64 checksummed format before it: stale, not corrupt.
 constexpr const char *StaleCacheMagic = "optoct-cache v1";
 
-std::size_t entryCost(const std::string &Record) {
-  return Record.size() + InvariantCache::EntryOverheadBytes;
+std::size_t entryCost(std::size_t RecordBytes) {
+  return RecordBytes + InvariantCache::EntryOverheadBytes;
+}
+
+std::unique_ptr<char[]> copyOf(std::string_view Bytes) {
+  std::unique_ptr<char[]> Copy(new char[Bytes.size()]);
+  std::memcpy(Copy.get(), Bytes.data(), Bytes.size());
+  return Copy;
 }
 
 /// "ent <key> <len> <sum>\n" then the record. The header is at most 59
 /// bytes, inside EntryOverheadBytes, so a snapshot never exceeds the
 /// magic line plus bytes().
 void appendEntry(std::string &Out, std::uint64_t Key,
-                 const std::string &Record) {
+                 std::string_view Record) {
   Out += "ent ";
   Out += hex64(Key);
   Out += ' ';
   Out += std::to_string(Record.size());
   Out += ' ';
-  Out += hex64(crc32c(Record));
+  Out += hex64(crc32c(Record.data(), Record.size()));
   Out += '\n';
   Out += Record;
 }
-
-/// Buffered sequential reads from a file descriptor it owns.
-class FileReader {
-public:
-  explicit FileReader(int Fd) : Fd(Fd), Buf(BufBytes) {}
-  ~FileReader() { ::close(Fd); }
-  FileReader(const FileReader &) = delete;
-  FileReader &operator=(const FileReader &) = delete;
-
-  /// Replaces \p Line with the bytes up to the next '\n' and consumes
-  /// the newline. Stores at most \p Keep bytes of the line but always
-  /// consumes all of it. False if the file ends first.
-  bool readLine(std::string &Line, std::size_t Keep) {
-    Line.clear();
-    for (;;) {
-      if (Pos == End && !fill())
-        return false;
-      const char *Start = Buf.data() + Pos;
-      const char *Nl =
-          static_cast<const char *>(std::memchr(Start, '\n', End - Pos));
-      std::size_t Len = Nl ? static_cast<std::size_t>(Nl - Start) : End - Pos;
-      Line.append(Start, std::min(Len, Keep - Line.size()));
-      Pos += Len;
-      if (Nl) {
-        ++Pos;
-        return true;
-      }
-    }
-  }
-
-  /// Reads \p Len bytes into \p Dst; reads past the buffer go straight
-  /// to \p Dst. False if the file ends first.
-  bool read(char *Dst, std::size_t Len) {
-    std::size_t Take = std::min(Len, End - Pos);
-    std::memcpy(Dst, Buf.data() + Pos, Take);
-    Pos += Take;
-    for (std::size_t Got = Take; Got != Len;) {
-      ssize_t N = ::read(Fd, Dst + Got, Len - Got);
-      if (N < 0 && errno == EINTR)
-        continue;
-      if (N <= 0)
-        return false;
-      Got += static_cast<std::size_t>(N);
-    }
-    return true;
-  }
-
-private:
-  static constexpr std::size_t BufBytes = 64u << 10;
-
-  bool fill() {
-    ssize_t N;
-    do
-      N = ::read(Fd, Buf.data(), Buf.size());
-    while (N < 0 && errno == EINTR);
-    Pos = 0;
-    End = N > 0 ? static_cast<std::size_t>(N) : 0;
-    return End != 0;
-  }
-
-  int Fd;
-  std::vector<char> Buf;
-  std::size_t Pos = 0, End = 0;
-};
 
 bool isFieldSpace(char C) {
   return C == ' ' || C == '\t' || C == '\n' || C == '\v' || C == '\f' ||
@@ -122,50 +82,81 @@ bool isFieldSpace(char C) {
 
 /// Splits off the next whitespace-delimited field of \p Line at \p Pos
 /// into \p Field, as `istream >> std::string` does. False if none is left.
-bool nextField(const std::string &Line, std::size_t &Pos, std::string &Field) {
+bool nextField(std::string_view Line, std::size_t &Pos, std::string &Field) {
   while (Pos != Line.size() && isFieldSpace(Line[Pos]))
     ++Pos;
   std::size_t Start = Pos;
   while (Pos != Line.size() && !isFieldSpace(Line[Pos]))
     ++Pos;
-  Field.assign(Line, Start, Pos - Start);
+  Field.assign(Line.substr(Start, Pos - Start));
   return Pos != Start;
 }
 
-/// Streams the save() file at \p Path one entry at a time, handing
-/// each checksum-verified entry to \p OnEntry(Key, std::string &&) in
-/// file order. Only the read buffer and the current entry are held; no
-/// copy of the whole file ever exists. The header line is kept whole
-/// (it ends at the first newline, so in a sound file it is tiny).
-/// Salvage: a bad record stops the read keeping the valid prefix (true,
-/// with the reason and byte counts in \p S); only bad magic is false. A
-/// file that cannot be opened reads as empty: no snapshot yet.
-template <typename EntryFn>
-bool readSnapshot(const std::string &Path, CacheLoadStats &S,
-                  std::string &Error, EntryFn &&OnEntry) {
+/// Opens the save() file at \p Path and takes its bytes: a leased,
+/// populated, read-only mapping (see server/cache.h), or one buffer
+/// filled by read() where the lease is refused or the file is smaller
+/// than MapMinBytes. Null if the file cannot be opened: no snapshot yet.
+std::shared_ptr<const SnapshotImage> openSnapshot(const std::string &Path) {
   int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
   if (Fd < 0)
-    // No cache yet — a fresh daemon. Only an *unreadable existing* file
-    // would be suspicious, and we cannot distinguish portably; treat
-    // all open failures as cold start.
-    return true;
-  FileReader In(Fd);
-  struct stat St;
-  std::uint64_t Size =
-      ::fstat(Fd, &St) == 0 ? static_cast<std::uint64_t>(St.st_size) : 0;
+    return nullptr;
+  auto FileSize = [Fd] {
+    struct stat St;
+    return ::fstat(Fd, &St) == 0 ? static_cast<std::size_t>(St.st_size) : 0;
+  };
+  auto Img = std::make_shared<SnapshotImage>();
+  std::size_t Size = FileSize();
+  if (Size >= InvariantCache::MapMinBytes &&
+      ::fcntl(Fd, F_SETLEASE, F_RDLCK) == 0) {
+    // Breaks are polled, not signalled: with no owner, no SIGIO. The
+    // size is taken again under the lease, which a truncation must
+    // break first.
+    ::fcntl(Fd, F_SETOWN, 0);
+    Size = FileSize();
+    void *Map = ::mmap(nullptr, Size, PROT_READ, MAP_PRIVATE | MAP_POPULATE,
+                       Fd, 0);
+    if (Map != MAP_FAILED) {
+      ::madvise(Map, Size, MADV_DONTFORK);
+      Img->Bytes = {static_cast<const char *>(Map), Size};
+      Img->Fd = Fd;
+      return Img;
+    }
+    ::fcntl(Fd, F_SETLEASE, F_UNLCK);
+  }
+  Img->Buffer.reset(new char[Size]);
+  std::size_t Got = 0;
+  while (Got != Size) {
+    ssize_t N = ::read(Fd, Img->Buffer.get() + Got, Size - Got);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      break;
+    Got += static_cast<std::size_t>(N);
+  }
+  ::close(Fd);
+  Img->Bytes = {Img->Buffer.get(), Got};
+  return Img;
+}
 
-  std::string Line;
-  const std::size_t MagicLen = std::strlen(CacheMagic);
-  // One byte past the magic is enough to tell a longer line apart.
-  bool HaveLine = In.readLine(Line, MagicLen + 1);
-  if (!HaveLine || Line != CacheMagic) {
-    Error = HaveLine && Line == StaleCacheMagic
+/// Parses the save() bytes \p Data, handing each checksum-verified
+/// entry to \p OnEntry(Key, Record) in file order; Record views \p Data.
+/// Salvage: a bad record stops the parse keeping the valid prefix
+/// (true, with the reason and byte counts in \p S); only bad magic is
+/// false.
+template <typename EntryFn>
+bool parseSnapshot(std::string_view Data, CacheLoadStats &S,
+                   std::string &Error, EntryFn &&OnEntry) {
+  const std::size_t Size = Data.size();
+  std::size_t Nl = Data.find('\n');
+  std::string_view Magic = Data.substr(0, Nl);
+  if (Nl == std::string_view::npos || Magic != CacheMagic) {
+    Error = Nl != std::string_view::npos && Magic == StaleCacheMagic
                 ? "stale cache snapshot (optoct-cache v1, this build reads v2)"
                 : "bad cache magic";
     S.BytesDiscarded = Size;
     return false;
   }
-  std::uint64_t Pos = MagicLen + 1;
+  std::size_t Pos = Nl + 1;
   auto Salvage = [&](const char *Why) {
     S.Corruption = Why;
     S.BytesKept = Pos;
@@ -174,9 +165,11 @@ bool readSnapshot(const std::string &Path, CacheLoadStats &S,
   };
   std::string KeyS, LenS, SumS;
   while (Pos < Size) {
-    if (!In.readLine(Line, std::string::npos))
+    Nl = Data.find('\n', Pos);
+    if (Nl == std::string_view::npos)
       return Salvage("torn entry header");
-    if (Line.rfind("ent ", 0) != 0)
+    std::string_view Line = Data.substr(Pos, Nl - Pos);
+    if (Line.substr(0, 4) != "ent ")
       return Salvage("unrecognized entry line");
     std::size_t At = 4;
     std::uint64_t Key = 0, Len = 0, Sum = 0;
@@ -184,16 +177,14 @@ bool readSnapshot(const std::string &Path, CacheLoadStats &S,
         !nextField(Line, At, SumS) || !parseHex64(KeyS, Key) ||
         !parseU64(LenS, Len) || !parseHex64(SumS, Sum))
       return Salvage("malformed entry header");
-    std::uint64_t BodyStart = Pos + Line.size() + 1;
-    if (BodyStart > Size || Len > Size - BodyStart)
+    std::size_t BodyStart = Nl + 1;
+    if (Len > Size - BodyStart)
       return Salvage("truncated record body");
-    std::string Record(static_cast<std::size_t>(Len), '\0');
-    if (!In.read(Record.data(), Record.size()))
-      return Salvage("truncated record body");
-    if (crc32c(Record) != Sum)
+    std::string_view Record = Data.substr(BodyStart, Len);
+    if (crc32c(Record.data(), Record.size()) != Sum)
       return Salvage("record checksum mismatch");
-    Pos = BodyStart + Len;
-    OnEntry(Key, std::move(Record));
+    Pos = BodyStart + Record.size();
+    OnEntry(Key, Record);
     ++S.EntriesLoaded;
     S.BytesKept = Pos;
   }
@@ -204,7 +195,8 @@ bool readSnapshot(const std::string &Path, CacheLoadStats &S,
 
 InvariantCache::InvariantCache(const InvariantCache &Other)
     : Lru(Other.Lru), Bytes(Other.Bytes), MaxBytes_(Other.MaxBytes_),
-      Counters(Other.Counters) {
+      Counters(Other.Counters), Snap(Other.Snap),
+      SnapEntries(Other.SnapEntries) {
   for (auto It = Lru.begin(); It != Lru.end(); ++It)
     Map.emplace(It->Key, It);
 }
@@ -215,57 +207,106 @@ InvariantCache &InvariantCache::operator=(const InvariantCache &Other) {
   return *this;
 }
 
-const std::string *InvariantCache::lookup(std::uint64_t Key) {
+InvariantCache::Entry::Entry(const Entry &Other)
+    : Key(Other.Key), Record(Other.Record) {
+  if (Other.Owned) {
+    Owned = copyOf(Other.Record);
+    Record = {Owned.get(), Other.Record.size()};
+  }
+}
+
+InvariantCache::Backing InvariantCache::backing() const {
+  if (!Snap)
+    return Backing::None;
+  return Snap->Fd >= 0 ? Backing::Mapped : Backing::Buffer;
+}
+
+int InvariantCache::snapshotFd() const { return Snap ? Snap->Fd : -1; }
+
+std::optional<std::string_view> InvariantCache::lookup(std::uint64_t Key) {
   auto It = Map.find(Key);
   if (It == Map.end()) {
     ++Counters.Misses;
-    return nullptr;
+    return std::nullopt;
   }
   ++Counters.Hits;
   Lru.splice(Lru.begin(), Lru, It->second); // promote to hottest
-  return &It->second->Record;
+  return It->second->Record;
 }
 
 bool InvariantCache::lookup(std::uint64_t Key, std::string &Record) {
-  const std::string *Found = lookup(Key);
+  std::optional<std::string_view> Found = lookup(Key);
   if (Found)
     Record = *Found;
-  return Found != nullptr;
+  return Found.has_value();
 }
 
-void InvariantCache::insert(std::uint64_t Key, const std::string &Record) {
-  insert(Key, std::string(Record));
-}
-
-void InvariantCache::insert(std::uint64_t Key, std::string &&Record) {
-  if (entryCost(Record) > MaxBytes_)
+void InvariantCache::insert(std::uint64_t Key, std::string_view Record) {
+  if (!fits(Record.size()))
     return; // cannot ever fit; not worth evicting the world for
+  // Copied first: Record may view the very record place() releases.
+  std::unique_ptr<char[]> Copy = copyOf(Record);
+  Entry &E = place(Key, Record.size());
+  E.Record = {Copy.get(), Record.size()};
+  E.Owned = std::move(Copy);
+  evictToBudget();
+}
+
+InvariantCache::Entry &InvariantCache::place(std::uint64_t Key,
+                                             std::size_t RecordBytes) {
   auto It = Map.find(Key);
   if (It != Map.end()) {
     // Same key, same canonical record (content addressing) — only the
     // recency changes. Replace anyway so a salvaged-but-stale disk
     // entry heals on the next cold run-through.
-    Bytes -= entryCost(It->second->Record);
-    Bytes += entryCost(Record);
-    It->second->Record = std::move(Record);
+    Entry &E = *It->second;
+    Bytes -= entryCost(E.Record.size());
+    unview(E);
+    E.Owned.reset();
+    E.Record = {};
     Lru.splice(Lru.begin(), Lru, It->second);
   } else {
-    Bytes += entryCost(Record);
-    Lru.push_front(Entry{Key, std::move(Record)});
+    Lru.emplace_front().Key = Key;
     Map.emplace(Key, Lru.begin());
     ++Counters.Insertions;
   }
-  evictToBudget();
+  Bytes += entryCost(RecordBytes);
+  return Lru.front();
+}
+
+void InvariantCache::unview(const Entry &E) {
+  if (!E.Owned && --SnapEntries == 0)
+    Snap.reset();
 }
 
 void InvariantCache::evictToBudget() {
   while (Bytes > MaxBytes_ && !Lru.empty()) {
     const Entry &Cold = Lru.back();
-    Bytes -= entryCost(Cold.Record);
+    Bytes -= entryCost(Cold.Record.size());
+    unview(Cold);
     Map.erase(Cold.Key);
     Lru.pop_back();
     ++Counters.Evictions;
   }
+}
+
+std::size_t InvariantCache::checkSnapshotLease() {
+  if (!Snap || Snap->Fd < 0 || ::fcntl(Snap->Fd, F_GETLEASE) == F_RDLCK)
+    return 0;
+  std::size_t Dropped = 0;
+  for (auto It = Lru.begin(); It != Lru.end();) {
+    if (It->Owned) {
+      ++It;
+      continue;
+    }
+    Bytes -= entryCost(It->Record.size());
+    Map.erase(It->Key);
+    It = Lru.erase(It);
+    ++Dropped;
+  }
+  SnapEntries = 0;
+  Snap.reset();
+  return Dropped;
 }
 
 bool InvariantCache::save(const std::string &Path, std::string &Error) const {
@@ -286,10 +327,28 @@ bool InvariantCache::load(const std::string &Path, std::string &Error,
   CacheLoadStats Local;
   CacheLoadStats &S = Stats ? *Stats : Local;
   S = CacheLoadStats();
-  return readSnapshot(Path, S, Error,
-                      [this](std::uint64_t Key, std::string &&Record) {
-                        insert(Key, std::move(Record));
-                      });
+  std::shared_ptr<const SnapshotImage> Img = openSnapshot(Path);
+  if (!Img)
+    // No cache yet — a fresh daemon. Only an *unreadable existing* file
+    // would be suspicious, and we cannot distinguish portably; treat
+    // all open failures as cold start.
+    return true;
+  return parseSnapshot(
+      Img->Bytes, S, Error, [&](std::uint64_t Key, std::string_view Record) {
+        if (Snap && Snap != Img)
+          return insert(Key, Record);
+        if (!fits(Record.size()))
+          return;
+        Entry &E = place(Key, Record.size());
+        // place() lets go of Snap with the last entry it replaces.
+        if (!Snap) {
+          Snap = Img;
+          SnapEntries = 0;
+        }
+        E.Record = Record;
+        ++SnapEntries;
+        evictToBudget();
+      });
 }
 
 bool InvariantCache::saveShared(const std::string &Path,
@@ -313,25 +372,28 @@ bool InvariantCache::saveShared(const std::string &Path,
   // must survive our save. Our own keys are re-emitted from memory (at
   // least as fresh); foreign keys ride along under whatever headroom
   // our byte budget leaves, preferring the file's hot end: the longest
-  // suffix of the file's foreign entries that fits, kept as we stream.
+  // suffix of the file's foreign entries that fits, kept as we parse.
   // Bad magic or a torn tail just shrinks the merge set — a save must
   // never fail because a sibling's snapshot was damaged.
   const std::size_t Headroom = MaxBytes_ > Bytes ? MaxBytes_ - Bytes : 0;
-  std::deque<Entry> Foreign;
+  std::deque<std::pair<std::uint64_t, std::string_view>> Foreign; // OnDisk
   std::size_t ForeignBytes = 0;
-  CacheLoadStats S;
-  std::string ReadError;
-  readSnapshot(Path, S, ReadError,
-               [&](std::uint64_t Key, std::string &&Record) {
-                 if (Map.find(Key) != Map.end())
-                   return;
-                 ForeignBytes += entryCost(Record);
-                 Foreign.push_back(Entry{Key, std::move(Record)});
-                 while (ForeignBytes > Headroom) {
-                   ForeignBytes -= entryCost(Foreign.front().Record);
-                   Foreign.pop_front();
-                 }
-               });
+  std::shared_ptr<const SnapshotImage> OnDisk = openSnapshot(Path);
+  if (OnDisk) {
+    CacheLoadStats S;
+    std::string ReadError;
+    parseSnapshot(OnDisk->Bytes, S, ReadError,
+                  [&](std::uint64_t Key, std::string_view Record) {
+                    if (Map.find(Key) != Map.end())
+                      return;
+                    ForeignBytes += entryCost(Record.size());
+                    Foreign.emplace_back(Key, Record);
+                    while (ForeignBytes > Headroom) {
+                      ForeignBytes -= entryCost(Foreign.front().second.size());
+                      Foreign.pop_front();
+                    }
+                  });
+  }
 
   std::string Out;
   Out.reserve(std::strlen(CacheMagic) + 1 + ForeignBytes + Bytes);
@@ -339,8 +401,8 @@ bool InvariantCache::saveShared(const std::string &Path,
   Out += '\n';
   // Foreign survivors first (they were colder), file order preserved;
   // then ours cold-to-hot, exactly as save() writes them.
-  for (const Entry &E : Foreign)
-    appendEntry(Out, E.Key, E.Record);
+  for (const auto &[Key, Record] : Foreign)
+    appendEntry(Out, Key, Record);
   for (auto It = Lru.rbegin(); It != Lru.rend(); ++It)
     appendEntry(Out, It->Key, It->Record);
 

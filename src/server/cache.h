@@ -29,17 +29,35 @@
 ///   <record bytes>
 ///   ent ...
 ///
-/// load() streams: it reads the file through a fixed buffer one entry
-/// at a time, reads each record body straight into the string the cache
-/// keeps, checks that record's checksum, and moves it in. No copy of the
-/// whole file is held, so a warm start peaks at the cache's own bytes
-/// plus the buffer. saveShared()'s merge pass reads through the same
-/// streaming reader.
+/// load() does not copy the records. It opens the snapshot, takes a
+/// read lease on it (F_SETLEASE F_RDLCK), maps it read-only and
+/// populated, checks each record's CRC32C in place, and indexes the
+/// entries as views into the mapping. The records then live in the page
+/// cache, and a warm start allocates and faults in no memory for them.
+/// A record inserted later is an owned copy. Copies of the cache share
+/// the mapping, and it is unmapped when the last entry viewing it
+/// leaves (evicted, replaced or dropped). Where the lease is refused
+/// (another owner, an open writer, a filesystem without leases), or the
+/// file is smaller than MapMinBytes, the same parser runs over one heap
+/// buffer filled by read(), and the entries view that. saveShared()'s
+/// merge pass reads through the same open-and-parse path.
+///
+/// The lease is what makes the mapping safe. Anyone who opens or
+/// truncates the file for writing first breaks it, and blocks until the
+/// holder lets go (or, after /proc/sys/fs/lease-break-time, the kernel
+/// does); a non-blocking open fails with EAGAIN meanwhile. The lease has no owner (F_SETOWN 0), so the break raises no
+/// signal; the holder polls checkSnapshotLease() instead (the daemon
+/// once per runtime::PoolTickMs). On a pending break the cache drops
+/// every entry viewing the mapping, unmaps it and releases the lease. So
+/// a cache never serves a byte it did not verify, and a truncation can
+/// never fault it with SIGBUS. Replace a live snapshot by rename, as
+/// save() does: a rename breaks no lease.
 ///
 /// Single-threaded by design: the daemon's event loop is the only
-/// caller. (The forked workers never see the cache — it lives in the
-/// server process only, and the daemon forks its first workers before
-/// it loads the snapshot.)
+/// caller. The forked workers never see the cache. It lives in the
+/// server process only, the daemon forks its first workers before it
+/// loads the snapshot, the mapping is MADV_DONTFORK, and a worker forked
+/// later closes snapshotFd().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,7 +67,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 namespace optoct::server {
@@ -74,6 +95,9 @@ struct CacheCounters {
   std::uint64_t Evictions = 0;
 };
 
+/// The bytes of one opened snapshot file (defined in cache.cpp).
+struct SnapshotImage;
+
 class InvariantCache {
 public:
   /// Per-entry bookkeeping charge on top of the record bytes, so a
@@ -89,23 +113,48 @@ public:
   InvariantCache(InvariantCache &&) = default;
   InvariantCache &operator=(InvariantCache &&) = default;
 
+  /// Where the entries loaded from a snapshot live.
+  enum class Backing {
+    None,   ///< No loaded entry is left (or none was ever loaded).
+    Mapped, ///< A leased read-only mapping of the snapshot file.
+    Buffer, ///< One heap buffer the file was read into.
+  };
+
+  /// Snapshots smaller than this are read into a buffer, not mapped:
+  /// for them the mapping and the lease cost more than they save, and a
+  /// small file is the kind a process rewrites in place while it holds
+  /// the cache (its own write would block on its own lease).
+  static constexpr std::size_t MapMinBytes = 256u << 10;
+
   /// The cached record on a hit (the entry becomes most-recently-used),
-  /// null on a miss. Counts a hit or a miss either way. The record is
-  /// the cache's own: valid until the next insert, load or copy-assign.
-  const std::string *lookup(std::uint64_t Key);
+  /// nullopt on a miss. Counts a hit or a miss either way. The bytes are
+  /// the cache's own: valid until the next insert, load, lease check or
+  /// copy-assign.
+  std::optional<std::string_view> lookup(std::uint64_t Key);
   /// The same, copying the record into \p Record on a hit.
   bool lookup(std::uint64_t Key, std::string &Record);
 
-  /// Inserts or refreshes \p Key, then evicts cold entries until the
-  /// byte budget holds. An over-budget record is dropped silently.
-  void insert(std::uint64_t Key, const std::string &Record);
-  /// The same, taking the record's bytes without copying them.
-  void insert(std::uint64_t Key, std::string &&Record);
+  /// Inserts (a copy of) \p Record under \p Key, or refreshes it, then
+  /// evicts cold entries until the byte budget holds. An over-budget
+  /// record is dropped silently.
+  void insert(std::uint64_t Key, std::string_view Record);
 
   std::size_t entries() const { return Map.size(); }
   std::size_t bytes() const { return Bytes; }
   std::size_t maxBytes() const { return MaxBytes_; }
   const CacheCounters &counters() const { return Counters; }
+  Backing backing() const;
+  /// The leased descriptor of the mapped snapshot, -1 if none. A forked
+  /// child must close it.
+  int snapshotFd() const;
+
+  /// Polls the lease on the mapped snapshot. If a break is pending
+  /// (someone opened or truncated the file for writing), drops every
+  /// entry that views the mapping and lets go of it, and returns how
+  /// many entries went. Returns 0 when nothing is mapped or the lease
+  /// holds. A copy shares the mapping, so the lease is released only
+  /// once every copy has polled, or has dropped its loaded entries.
+  std::size_t checkSnapshotLease();
 
   /// Atomic whole-cache snapshot to \p Path (cold-to-hot order).
   bool save(const std::string &Path, std::string &Error) const;
@@ -129,16 +178,33 @@ public:
   /// the reason and discarded byte count in \p Stats); only an
   /// unreadable file or bad magic returns false with \p Error ("stale
   /// cache snapshot ..." for a v1 file) — and even then the caller is
-  /// expected to log and cold-start, not abort.
+  /// expected to log and cold-start, not abort. The loaded entries view
+  /// the file's bytes (see the file comment); a cache views one snapshot
+  /// at a time, so a second load while entries of the first remain
+  /// copies its records instead.
   bool load(const std::string &Path, std::string &Error,
             CacheLoadStats *Stats = nullptr);
 
 private:
   struct Entry {
     std::uint64_t Key = 0;
-    std::string Record;
+    std::string_view Record;       ///< Into Owned, or into Snap's bytes.
+    std::unique_ptr<char[]> Owned; ///< Null for a loaded record.
+
+    Entry() = default;
+    /// Copies an owned record; a loaded one stays a view.
+    Entry(const Entry &Other);
+    Entry &operator=(const Entry &) = delete;
   };
 
+  bool fits(std::size_t RecordBytes) const {
+    return RecordBytes + EntryOverheadBytes <= MaxBytes_;
+  }
+  /// The entry for \p Key, hottest and charged \p RecordBytes, with any
+  /// record it held released; the caller stores the new record.
+  Entry &place(std::uint64_t Key, std::size_t RecordBytes);
+  /// Accounts for \p E leaving Snap's views; unmaps with the last one.
+  void unview(const Entry &E);
   void evictToBudget();
 
   /// Front = hottest, back = coldest.
@@ -147,6 +213,10 @@ private:
   std::size_t Bytes = 0;
   std::size_t MaxBytes_ = 0;
   CacheCounters Counters;
+  /// The snapshot the loaded entries view, shared with copies; null
+  /// once no entry views it.
+  std::shared_ptr<const SnapshotImage> Snap;
+  std::size_t SnapEntries = 0; ///< Entries viewing Snap.
 };
 
 } // namespace optoct::server

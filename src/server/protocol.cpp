@@ -223,11 +223,11 @@ std::string optoct::server::encodeAnalyzeResponse(const AnalyzeResponse &R) {
   return Out;
 }
 
-void optoct::server::appendAnalyzeResponse(std::string &Out,
-                                           const AnalyzeResponse &R,
-                                           const std::string *Record) {
-  const std::string &Payload =
-      R.Ok ? (Record ? *Record : R.ResultRecord) : R.Error;
+void optoct::server::appendAnalyzeResponse(
+    std::string &Out, const AnalyzeResponse &R,
+    std::optional<std::string_view> Record) {
+  std::string_view Payload =
+      R.Ok ? Record.value_or(R.ResultRecord) : std::string_view(R.Error);
   // The fixed lines plus the payload with room for an escape (two extra
   // bytes) every 16 bytes, more than a record has, so a reply is built
   // in at most one allocation. Growth stays geometric when \p Out holds

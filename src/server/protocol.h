@@ -31,7 +31,9 @@
 #include "runtime/batch.h"
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace optoct::server {
 
@@ -111,9 +113,11 @@ struct AnalyzeResponse {
 std::string encodeAnalyzeResponse(const AnalyzeResponse &R);
 /// Appends encodeAnalyzeResponse(R) to \p Out. \p Record, when given,
 /// is the result payload in place of R.ResultRecord, so a reply can be
-/// encoded from bytes the caller holds elsewhere without copying them.
-void appendAnalyzeResponse(std::string &Out, const AnalyzeResponse &R,
-                           const std::string *Record = nullptr);
+/// encoded from bytes the caller holds elsewhere (a cache entry, owned
+/// or in a mapped snapshot) without copying them.
+void appendAnalyzeResponse(
+    std::string &Out, const AnalyzeResponse &R,
+    std::optional<std::string_view> Record = std::nullopt);
 bool decodeAnalyzeResponse(const std::string &Body, AnalyzeResponse &R,
                            std::string &Error);
 

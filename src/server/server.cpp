@@ -74,9 +74,9 @@ Server::Server(ServerOptions Opts)
           this->Opts.MaxRequestMs, [this] {
             // Besides its siblings' pipes (the pool closes those), a
             // forked worker must not hold open the listeners, the
-            // clients or the wake pipe.
+            // clients, the wake pipe or the leased snapshot.
             std::vector<int> Fds = {ListenFd, TcpListenFd, WakePipe[0],
-                                    WakePipe[1]};
+                                    WakePipe[1], Cache.snapshotFd()};
             for (const auto &KV : Clients)
               Fds.push_back(KV.second.Fd);
             return Fds;
@@ -178,9 +178,10 @@ bool Server::start(std::string &Error) {
       TcpPort = ntohs(Bound.sin_port);
   }
 
-  // Workers first: a worker forked after the snapshot load would map
-  // the whole cache (copy-on-write, but counted in its RSS and address
-  // space), though it never reads it.
+  // Workers first: a worker forked after the snapshot load would map a
+  // snapshot read into a buffer (copy-on-write, but counted in its RSS
+  // and address space), though it never reads it. A mapped snapshot is
+  // MADV_DONTFORK, and a worker closes its descriptor.
   Counters.Workers = Opts.Workers != 0
                          ? Opts.Workers
                          : std::max(1u, std::thread::hardware_concurrency());
@@ -225,6 +226,7 @@ void Server::requestStop() {
 void Server::serve() {
   std::vector<pollfd> Fds;
   std::vector<std::uint64_t> ClientOfFd; // parallel: client seq or 0
+  std::chrono::steady_clock::time_point NextLeasePoll{};
   while (!StopFlag) {
     // Respawns whatever died last round (a failed fork costs a round,
     // never the slot) and hands the new workers queued jobs.
@@ -259,6 +261,19 @@ void Server::serve() {
       break;
     if (StopFlag)
       break;
+
+    // Once per pool tick, and before this pass serves a hit: a writer
+    // opening the snapshot waits on the lease until the cache lets go
+    // of its mapping here.
+    auto Now = std::chrono::steady_clock::now();
+    if (Now >= NextLeasePoll) {
+      NextLeasePoll = Now + std::chrono::milliseconds(runtime::PoolTickMs);
+      if (std::size_t Dropped = Cache.checkSnapshotLease())
+        std::fprintf(stderr,
+                     "optoctd: cache file %s is being written; dropped %zu "
+                     "mapped entries\n",
+                     Opts.CachePath.c_str(), Dropped);
+    }
 
     for (std::size_t I = 0; I != WorkerBase && N > 0; ++I) {
       if (Fds[I].revents == 0)
@@ -494,14 +509,14 @@ void Server::handleAnalyze(std::uint64_t Seq, const std::string &Body) {
         R.Key = Key;
         ++Counters.QuarantineReplies;
         ++Counters.Served;
-        sendResponse(Seq, R, &QIt->second.Record);
+        sendResponse(Seq, R, QIt->second.Record);
         return;
       }
       // TTL expired: half-open — forget the ledger and let this request
       // probe with a fresh worker.
       Crashes.erase(QIt);
     }
-    if (const std::string *Record = Cache.lookup(Key)) {
+    if (std::optional<std::string_view> Record = Cache.lookup(Key)) {
       AnalyzeResponse R;
       R.Id = Req.Id;
       R.Ok = true;
@@ -595,7 +610,7 @@ void Server::noteReplied(std::uint64_t Seq) {
 }
 
 void Server::sendResponse(std::uint64_t Seq, const AnalyzeResponse &R,
-                          const std::string *Record) {
+                          std::optional<std::string_view> Record) {
   if (Seq == 0)
     return; // requester disconnected while the job ran
   auto It = Clients.find(Seq);

@@ -214,7 +214,7 @@ private:
   /// given, is the result payload in place of R.ResultRecord (a cache
   /// or quarantine hit replies from the stored bytes, uncopied).
   void sendResponse(std::uint64_t Seq, const AnalyzeResponse &R,
-                    const std::string *Record = nullptr);
+                    std::optional<std::string_view> Record = std::nullopt);
   /// The scheduler's completion callback: caches, quarantines and
   /// answers every waiter of job \p Tag (or sheds them while draining).
   void onJobDone(std::uint64_t Tag, runtime::Supervisor::Outcome &&O);

@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 namespace optoct::support {
 
@@ -44,7 +45,7 @@ constexpr std::uint64_t escapeMask(std::uint64_t W) {
 /// Appends \p S to \p Out with '%', control bytes, and DEL escaped as
 /// %XX (lowercase hex); everything else passes through verbatim. Scans
 /// eight bytes at a time and appends the runs between escapes whole.
-inline void appendPercentEscaped(std::string &Out, const std::string &S) {
+inline void appendPercentEscaped(std::string &Out, std::string_view S) {
   static constexpr char HexDigits[] = "0123456789abcdef";
   const char *P = S.data();
   const std::size_t N = S.size();

@@ -195,8 +195,9 @@ TEST(Serialize, MutationFuzzSmokeNeverCrashes) {
     }
     std::string Error;
     auto Back = deserializeOctagon(Mutant, Error);
-    if (!Back)
+    if (!Back) {
       EXPECT_FALSE(Error.empty()) << "rejection must say why";
+    }
   }
   // Truncations of every length, same contract.
   for (std::size_t Len = 0; Len < Seed.size(); ++Len) {

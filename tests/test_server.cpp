@@ -40,12 +40,14 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <pthread.h>
 #include <signal.h>
@@ -1074,6 +1076,191 @@ TEST_F(DaemonCache, CopyIsIndependentOfTheOriginal) {
   ::unlink(Path.c_str());
 }
 
+// --- Snapshot entries served from the file's bytes --------------------------
+
+namespace {
+
+constexpr std::size_t LargeRecordBytes = 64u << 10;
+
+/// Record \p Key of a snapshot large enough to be mapped.
+std::string largeRecord(std::uint64_t Key) {
+  std::string R(LargeRecordBytes, static_cast<char>('a' + Key % 26));
+  R += "\nrecord " + support::hex64(Key) + " % end\n";
+  return R;
+}
+
+/// A snapshot of keys 1..N holding largeRecord(K), above MapMinBytes.
+void writeLargeSnapshot(const std::string &Path, std::uint64_t N) {
+  std::string Bytes = CacheMagicLine;
+  for (std::uint64_t K = 1; K <= N; ++K)
+    Bytes += snapshotEntry(K, largeRecord(K));
+  ASSERT_GE(Bytes.size(), server::InvariantCache::MapMinBytes);
+  writeBytes(Path, Bytes);
+}
+
+} // namespace
+
+// A writer that opens the loaded file in place waits on the lease until
+// the cache polls; the poll drops every mapped entry, keeps the owned
+// ones and unmaps the file before the writer's open returns.
+TEST_F(DaemonCache, InPlaceRewriteDropsMappedEntries) {
+  std::string Path = tempPath("cache_rewrite");
+  writeLargeSnapshot(Path, 8);
+  server::InvariantCache Cache(64u << 20);
+  std::string Error;
+  ASSERT_TRUE(Cache.load(Path, Error)) << Error;
+  if (Cache.backing() != server::InvariantCache::Backing::Mapped)
+    GTEST_SKIP() << "no read lease on " << Path;
+  Cache.insert(100, "owned");
+  EXPECT_EQ(Cache.checkSnapshotLease(), 0u) << "no writer yet";
+
+  pid_t Pid = ::fork();
+  ASSERT_GE(Pid, 0);
+  if (Pid == 0) {
+    int Fd = ::open(Path.c_str(), O_WRONLY | O_TRUNC);
+    const char Text[] = "rewritten in place\n";
+    bool Ok = Fd >= 0 && ::write(Fd, Text, sizeof(Text) - 1) ==
+                             static_cast<ssize_t>(sizeof(Text) - 1);
+    std::_Exit(Ok ? 0 : 1);
+  }
+  // A drop means the child's open was pending on the lease.
+  std::size_t Dropped = 0;
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((Dropped = Cache.checkSnapshotLease()) == 0 &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // The child inherited the leased descriptor, so only an explicit
+  // release, not the close, lets its open return well before the
+  // kernel's lease-break-time.
+  auto Released = std::chrono::steady_clock::now();
+  int St = 0;
+  ASSERT_EQ(::waitpid(Pid, &St, 0), Pid);
+  EXPECT_LT(std::chrono::steady_clock::now() - Released,
+            std::chrono::seconds(5));
+  EXPECT_TRUE(WIFEXITED(St) && WEXITSTATUS(St) == 0);
+
+  EXPECT_EQ(Dropped, 8u);
+  EXPECT_EQ(Cache.backing(), server::InvariantCache::Backing::None);
+  EXPECT_EQ(Cache.snapshotFd(), -1);
+  EXPECT_EQ(Cache.entries(), 1u);
+  EXPECT_EQ(Cache.bytes(), 5 + server::InvariantCache::EntryOverheadBytes);
+  std::string Record;
+  for (std::uint64_t K = 1; K <= 8; ++K)
+    EXPECT_FALSE(Cache.lookup(K, Record)) << "key " << K;
+  ASSERT_TRUE(Cache.lookup(100, Record));
+  EXPECT_EQ(Record, "owned");
+  EXPECT_EQ(Cache.checkSnapshotLease(), 0u);
+
+  server::InvariantCache Fresh(64u << 20);
+  EXPECT_FALSE(Fresh.load(Path, Error));
+  EXPECT_EQ(Error, "bad cache magic");
+  ::unlink(Path.c_str());
+}
+
+// With a writer holding the file open the lease is refused, and the
+// same parser runs over one read() buffer: same entries, same stats.
+TEST_F(DaemonCache, RefusedLeaseReadsOneBuffer) {
+  std::string Path = tempPath("cache_refused");
+  std::string SavePath = tempPath("cache_refused.saved");
+  writeLargeSnapshot(Path, 6);
+  {
+    // A torn tail, so the stats have something to say.
+    std::ofstream Out(Path, std::ios::binary | std::ios::app);
+    Out << "ent 0000000000000007 100 0000000000000000\npartial";
+  }
+  std::string Error;
+  server::InvariantCache Read(64u << 20);
+  server::CacheLoadStats ReadStats;
+  int Writer = ::open(Path.c_str(), O_WRONLY);
+  ASSERT_GE(Writer, 0);
+  ASSERT_TRUE(Read.load(Path, Error, &ReadStats)) << Error;
+  ::close(Writer);
+  EXPECT_EQ(Read.backing(), server::InvariantCache::Backing::Buffer);
+  EXPECT_EQ(Read.snapshotFd(), -1);
+
+  server::InvariantCache Mapped(64u << 20);
+  server::CacheLoadStats MappedStats;
+  ASSERT_TRUE(Mapped.load(Path, Error, &MappedStats)) << Error;
+  EXPECT_NE(Mapped.backing(), server::InvariantCache::Backing::None);
+
+  EXPECT_EQ(ReadStats.EntriesLoaded, 6u);
+  EXPECT_EQ(ReadStats.Corruption, "truncated record body");
+  EXPECT_EQ(ReadStats.EntriesLoaded, MappedStats.EntriesLoaded);
+  EXPECT_EQ(ReadStats.BytesKept, MappedStats.BytesKept);
+  EXPECT_EQ(ReadStats.BytesDiscarded, MappedStats.BytesDiscarded);
+  EXPECT_EQ(ReadStats.Corruption, MappedStats.Corruption);
+  EXPECT_EQ(Read.bytes(), Mapped.bytes());
+  EXPECT_EQ(savedBytes(Read, SavePath), savedBytes(Mapped, SavePath));
+  std::string Record;
+  ASSERT_TRUE(Read.lookup(3, Record));
+  EXPECT_EQ(Record, largeRecord(3));
+  ::unlink(Path.c_str());
+  ::unlink(SavePath.c_str());
+}
+
+// The mapping, and with it the lease, goes with the last entry that
+// views it, whether evicted or replaced.
+TEST_F(DaemonCache, MappingIsReleasedWithItsLastEntry) {
+  std::string Path = tempPath("cache_release");
+  writeLargeSnapshot(Path, 8);
+  const std::size_t Slot = largeRecord(1).size() +
+                           server::InvariantCache::EntryOverheadBytes;
+  server::InvariantCache Cache(8 * Slot);
+  std::string Error;
+  ASSERT_TRUE(Cache.load(Path, Error)) << Error;
+  ASSERT_EQ(Cache.entries(), 8u);
+  if (Cache.backing() != server::InvariantCache::Backing::Mapped)
+    GTEST_SKIP() << "no read lease on " << Path;
+
+  // Seven owned inserts evict keys 1..7; key 8 still views the file.
+  for (std::uint64_t K = 101; K <= 107; ++K)
+    Cache.insert(K, largeRecord(K));
+  EXPECT_EQ(Cache.counters().Evictions, 7u);
+  EXPECT_EQ(Cache.backing(), server::InvariantCache::Backing::Mapped);
+  std::string Record;
+  ASSERT_TRUE(Cache.lookup(8, Record));
+  EXPECT_EQ(Record, largeRecord(8));
+
+  // Replaced by an owned copy of its own bytes, taken before the file
+  // is unmapped.
+  Cache.insert(8, *Cache.lookup(8));
+  EXPECT_EQ(Cache.backing(), server::InvariantCache::Backing::None);
+  EXPECT_EQ(Cache.snapshotFd(), -1);
+  EXPECT_EQ(Cache.entries(), 8u);
+  ASSERT_TRUE(Cache.lookup(8, Record));
+  EXPECT_EQ(Record, largeRecord(8));
+
+  // No lease is left to break: a writer's open does not wait.
+  int Writer = ::open(Path.c_str(), O_WRONLY | O_NONBLOCK);
+  EXPECT_GE(Writer, 0) << std::strerror(errno);
+  ::close(Writer);
+  ::unlink(Path.c_str());
+}
+
+// A copy of a loaded cache shares the snapshot's bytes and keeps them
+// after the original is gone.
+TEST_F(DaemonCache, LoadedCopyOutlivesTheOriginal) {
+  std::string Path = tempPath("cache_loaded_copy");
+  writeLargeSnapshot(Path, 4);
+  std::optional<server::InvariantCache> Orig(std::in_place, 64u << 20);
+  std::string Error;
+  ASSERT_TRUE(Orig->load(Path, Error)) << Error;
+  server::InvariantCache Copy = *Orig;
+  Orig->insert(100, "original only");
+  Orig.reset();
+
+  EXPECT_EQ(Copy.entries(), 4u);
+  EXPECT_NE(Copy.backing(), server::InvariantCache::Backing::None);
+  EXPECT_EQ(Copy.checkSnapshotLease(), 0u);
+  std::string Record;
+  for (std::uint64_t K = 1; K <= 4; ++K) {
+    ASSERT_TRUE(Copy.lookup(K, Record)) << "key " << K;
+    EXPECT_EQ(Record, largeRecord(K));
+  }
+  EXPECT_FALSE(Copy.lookup(100, Record));
+  ::unlink(Path.c_str());
+}
+
 // --- The daemon end to end --------------------------------------------------
 
 namespace {
@@ -1557,6 +1744,56 @@ TEST_F(Daemon, SalvagesCacheTailCorruptionOnStartup) {
 }
 
 #ifdef OPTOCT_DAEMON_BIN
+namespace {
+
+/// The live children of \p Parent, found by scanning /proc.
+std::vector<pid_t> childrenOf(pid_t Parent) {
+  std::vector<pid_t> Kids;
+  DIR *Proc = ::opendir("/proc");
+  if (!Proc)
+    return Kids;
+  while (dirent *E = ::readdir(Proc)) {
+    pid_t Pid = static_cast<pid_t>(std::atoi(E->d_name));
+    std::ifstream Stat("/proc/" + std::string(E->d_name) + "/stat");
+    std::string Line;
+    if (Pid <= 0 || !std::getline(Stat, Line))
+      continue;
+    // "pid (comm) state ppid ...": comm may hold spaces, so split after
+    // its closing parenthesis.
+    std::istringstream Rest(Line.substr(Line.rfind(')') + 1));
+    char State = 0;
+    pid_t PPid = 0;
+    if (Rest >> State >> PPid && PPid == Parent && State != 'Z')
+      Kids.push_back(Pid);
+  }
+  ::closedir(Proc);
+  return Kids;
+}
+
+/// Whether process \p Pid maps the file at \p Path or has it open.
+bool holdsFile(pid_t Pid, const std::string &Path) {
+  std::string Dir = "/proc/" + std::to_string(Pid);
+  std::ifstream Maps(Dir + "/maps");
+  for (std::string Line; std::getline(Maps, Line);)
+    if (Line.size() >= Path.size() &&
+        Line.compare(Line.size() - Path.size(), Path.size(), Path) == 0)
+      return true;
+  DIR *Fds = ::opendir((Dir + "/fd").c_str());
+  if (!Fds)
+    return false;
+  bool Found = false;
+  while (dirent *E = ::readdir(Fds)) {
+    char Target[4096];
+    ssize_t N = ::readlink((Dir + "/fd/" + E->d_name).c_str(), Target,
+                           sizeof(Target));
+    Found |= N > 0 && std::string(Target, static_cast<std::size_t>(N)) == Path;
+  }
+  ::closedir(Fds);
+  return Found;
+}
+
+} // namespace
+
 // The worker memory fence counts only what a worker maps after fork.
 // The real optoctd binary runs here, so its workers fork from a
 // single-threaded daemon as in production (a daemon thread inside this
@@ -1564,7 +1801,8 @@ TEST_F(Daemon, SalvagesCacheTailCorruptionOnStartup) {
 // fence cannot see). Its warm cache is larger than the fence; with
 // --recycle-after=1 the second miss runs on a worker forked after the
 // load, which must still have its whole budget. Each program carries a
-// 1 MiB comment, so the worker has to map fresh memory for it.
+// 1 MiB comment, so the worker has to map fresh memory for it. No worker
+// maps the snapshot or holds its leased descriptor.
 TEST_F(Daemon, WarmCacheDoesNotCountAgainstWorkerMemoryFence) {
   std::string CachePath = tempPath("daemon_cache_fence");
   std::string Socket = tempPath("daemon_fence.sock");
@@ -1575,6 +1813,13 @@ TEST_F(Daemon, WarmCacheDoesNotCountAgainstWorkerMemoryFence) {
     Out << CacheMagicLine;
     for (std::uint64_t K = 1; K <= 40; ++K)
       Out << snapshotEntry(K, std::string(1u << 20, 'a' + K % 26));
+  }
+  bool Mappable = false;
+  {
+    server::InvariantCache Probe(64u << 20);
+    std::string ProbeError;
+    Probe.load(CachePath, ProbeError);
+    Mappable = Probe.backing() == server::InvariantCache::Backing::Mapped;
   }
   std::vector<std::string> Args = {
       OPTOCT_DAEMON_BIN,     "--socket=" + Socket,
@@ -1621,6 +1866,19 @@ TEST_F(Daemon, WarmCacheDoesNotCountAgainstWorkerMemoryFence) {
     EXPECT_EQ(Stats.CrashedReplies, 0u);
     EXPECT_GE(Stats.WorkersSpawned, 2u) << "the second miss ran on a respawn";
     EXPECT_GE(Stats.WorkersRecycled, 1u);
+
+    std::vector<pid_t> Workers;
+    for (int Try = 0; Try != 200 && Workers.empty(); ++Try) {
+      Workers = childrenOf(Pid);
+      if (Workers.empty())
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_FALSE(Workers.empty());
+    for (pid_t W : Workers)
+      EXPECT_FALSE(holdsFile(W, CachePath)) << "worker " << W;
+    if (Mappable) {
+      EXPECT_TRUE(holdsFile(Pid, CachePath)) << "the daemon maps the snapshot";
+    }
   }
   ::kill(Pid, SIGTERM);
   int St = 0;

@@ -56,8 +56,9 @@ TEST_F(SimdDispatchTest, ScalarAlwaysSupported) {
 TEST_F(SimdDispatchTest, TiersAreMonotone) {
   // A higher tier being supported implies every lower one is: AVX-512
   // machines run the AVX2 kernels too.
-  if (simdTierSupported(SimdTier::Avx512))
+  if (simdTierSupported(SimdTier::Avx512)) {
     EXPECT_TRUE(simdTierSupported(SimdTier::Avx2));
+  }
   EXPECT_TRUE(simdTierSupported(simdBestTier()));
 }
 
@@ -113,8 +114,9 @@ TEST_F(SimdDispatchTest, ForceTierInstallsAndClamps) {
        {SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512}) {
     SimdTier Got = simdForceTier(Tier);
     EXPECT_TRUE(simdTierSupported(Got));
-    if (simdTierSupported(Tier))
+    if (simdTierSupported(Tier)) {
       EXPECT_EQ(Got, Tier);
+    }
     EXPECT_EQ(activeSimdTier(), Got);
     // The installed table must agree with the tier it claims to be.
     EXPECT_STREQ(activeSpanKernels().Name, simdTierName(Got));

@@ -313,8 +313,9 @@ TEST(Crc32c, KnownAnswers) {
   for (const Case &C : Cases) {
     EXPECT_EQ(support::crc32cPortable(C.In->data(), C.In->size()), C.Want);
     EXPECT_EQ(support::crc32c(*C.In), C.Want);
-    if (support::crc32cHardwareSupported())
+    if (support::crc32cHardwareSupported()) {
       EXPECT_EQ(support::crc32cHardware(C.In->data(), C.In->size()), C.Want);
+    }
   }
   EXPECT_EQ(support::crc32c(std::string()), 0u);
 }
