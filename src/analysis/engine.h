@@ -11,6 +11,19 @@
 /// narrowing sweeps, then one final pass that checks assertions and
 /// records invariants.
 ///
+/// The fixpoint step copies an element only where the semantics need
+/// one. The domains' lattice operators take const operands and close
+/// an unclosed operand in their own scratch, so a stored invariant —
+/// in particular an unclosed widening iterate, which must stay
+/// unclosed for termination — is read, never copied or closed in
+/// place. Each edge's post-state is closed once (isBottom) and tested
+/// for inclusion in the stored target first: inclusion needs only its
+/// left side closed, and the target changes iff the post-state is not
+/// included (a join is the pointwise max of closed DBMs, closure only
+/// tightens the target, widening keeps every bound that did not grow).
+/// Only then are join and widening computed, straight into the stored
+/// slot. A block's post-state moves along its last out-edge.
+///
 /// Octagon work is timed with the cycle counter around every domain
 /// call so the harnesses can report the Fig. 8 octagon-analysis time
 /// and the Table 3 %oct share.
@@ -126,8 +139,8 @@ AnalysisResult<DomainT> analyze(const cfg::Cfg &G,
       DomainT::makeTop(G.block(G.entry()).NumSlots);
   Worklist.insert(G.entry());
 
-  // Propagates the post-state of \p From along \p E, merging into the
-  // target. Returns true when the target changed.
+  // Propagates the post-state \p Out of a block along \p E, merging it
+  // into the target. Returns true when the target changed.
   auto propagate = [&](DomainT Out, const cfg::Edge &E, bool Widen) {
     std::uint64_t Begin = readCycles();
     bool Changed = false;
@@ -137,22 +150,15 @@ AnalysisResult<DomainT> analyze(const cfg::Cfg &G,
       if (!Target) {
         Target = std::move(Out);
         Changed = true;
-      } else {
-        // The stored value is kept pristine (in particular, a widening
-        // result stays unclosed — required for termination): join and
-        // leq work on copies.
-        DomainT TargetCopy = *Target;
-        DomainT Joined = DomainT::join(TargetCopy, Out);
+      } else if (!Out.leq(*Target)) {
+        DomainT Joined = DomainT::join(*Target, Out);
         if (Widen)
           Joined = Opts.WideningThresholds.empty()
                        ? DomainT::widen(*Target, Joined)
                        : DomainT::widenWithThresholds(
                              *Target, Joined, Opts.WideningThresholds);
-        DomainT Probe = Joined;
-        if (!Probe.leq(*Target)) {
-          *Target = std::move(Joined);
-          Changed = true;
-        }
+        *Target = std::move(Joined);
+        Changed = true;
       }
     }
     OctCycles += readCycles() - Begin;
@@ -179,7 +185,9 @@ AnalysisResult<DomainT> analyze(const cfg::Cfg &G,
       OctCycles += readCycles() - Begin;
     }
 
-    for (const cfg::Edge &E : Block.Succs) {
+    for (std::size_t I = 0, NumSuccs = Block.Succs.size(); I != NumSuccs;
+         ++I) {
+      const cfg::Edge &E = Block.Succs[I];
       bool TargetIsLoopHead = G.block(E.Target).IsLoopHead;
       bool Widen = false;
       if (TargetIsLoopHead && Result.BlockInvariant[E.Target]) {
@@ -187,7 +195,9 @@ AnalysisResult<DomainT> analyze(const cfg::Cfg &G,
         // spent.
         Widen = ++JoinCount[E.Target] > Opts.WideningDelay;
       }
-      if (propagate(State, E, Widen))
+      bool Changed = I + 1 == NumSuccs ? propagate(std::move(State), E, Widen)
+                                       : propagate(State, E, Widen);
+      if (Changed)
         Worklist.insert(E.Target);
     }
   }
@@ -196,7 +206,12 @@ AnalysisResult<DomainT> analyze(const cfg::Cfg &G,
   // Each block's input is recomputed from its predecessors' post-states;
   // loop heads tighten with the narrowing operator, other blocks take
   // the recomputed value (sound: transfer functions are monotone and
-  // the iteration starts at a post-fixpoint).
+  // the iteration starts at a post-fixpoint). A predecessor's post-state
+  // is recomputed for each edge that reads it, not kept for its later
+  // successors: kept, the post-states of loop heads and branches stay
+  // live while the blocks between their successors are swept, which
+  // raised a daemon worker's peak resident memory by about 0.35 MB on
+  // the small daemon-churn programs.
   for (unsigned Pass = 0; Pass != Opts.NarrowingPasses; ++Pass) {
     std::uint64_t Begin = readCycles();
     for (unsigned B : G.rpo()) {

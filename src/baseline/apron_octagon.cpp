@@ -6,6 +6,7 @@
 #include "support/timing.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 
 using namespace optoct;
@@ -65,6 +66,20 @@ void ApronOctagon::incrementalClose(const std::vector<unsigned> &Touched) {
   Closed = true;
 }
 
+const ApronOctagon &ApronOctagon::closedOperand(const ApronOctagon &O,
+                                                unsigned Slot) {
+  if (O.Closed)
+    return O;
+  // Copy assignment reuses a slot's buffer once it is large enough.
+  static thread_local ApronOctagon Scratch[2] = {ApronOctagon(0),
+                                                 ApronOctagon(0)};
+  assert(Slot < 2 && "two operand slots");
+  ApronOctagon &S = Scratch[Slot];
+  S = O;
+  S.close();
+  return S;
+}
+
 ApronOctagon ApronOctagon::meet(const ApronOctagon &A, const ApronOctagon &B) {
   assert(A.numVars() == B.numVars() && "dimension mismatch");
   if (A.Empty || B.Empty)
@@ -76,10 +91,11 @@ ApronOctagon ApronOctagon::meet(const ApronOctagon &A, const ApronOctagon &B) {
   return R;
 }
 
-ApronOctagon ApronOctagon::join(ApronOctagon &A, ApronOctagon &B) {
-  assert(A.numVars() == B.numVars() && "dimension mismatch");
-  A.close();
-  B.close();
+ApronOctagon ApronOctagon::join(const ApronOctagon &AIn,
+                                const ApronOctagon &BIn) {
+  assert(AIn.numVars() == BIn.numVars() && "dimension mismatch");
+  const ApronOctagon &A = closedOperand(AIn, 0);
+  const ApronOctagon &B = closedOperand(BIn, 1);
   if (A.Empty)
     return B;
   if (B.Empty)
@@ -91,16 +107,18 @@ ApronOctagon ApronOctagon::join(ApronOctagon &A, ApronOctagon &B) {
   return R;
 }
 
-ApronOctagon ApronOctagon::widen(const ApronOctagon &Old, ApronOctagon &New) {
+ApronOctagon ApronOctagon::widen(const ApronOctagon &Old,
+                                 const ApronOctagon &New) {
   static const std::vector<double> NoThresholds;
   return widenWithThresholds(Old, New, NoThresholds);
 }
 
 ApronOctagon
-ApronOctagon::widenWithThresholds(const ApronOctagon &Old, ApronOctagon &New,
+ApronOctagon::widenWithThresholds(const ApronOctagon &Old,
+                                  const ApronOctagon &NewIn,
                                   const std::vector<double> &Thresholds) {
-  assert(Old.numVars() == New.numVars() && "dimension mismatch");
-  New.close();
+  assert(Old.numVars() == NewIn.numVars() && "dimension mismatch");
+  const ApronOctagon &New = closedOperand(NewIn, 1);
   if (Old.Empty)
     return New;
   if (New.Empty)
@@ -128,9 +146,10 @@ ApronOctagon::widenWithThresholds(const ApronOctagon &Old, ApronOctagon &New,
   return R;
 }
 
-ApronOctagon ApronOctagon::narrow(ApronOctagon &Old, const ApronOctagon &New) {
-  assert(Old.numVars() == New.numVars() && "dimension mismatch");
-  Old.close();
+ApronOctagon ApronOctagon::narrow(const ApronOctagon &OldIn,
+                                  const ApronOctagon &New) {
+  assert(OldIn.numVars() == New.numVars() && "dimension mismatch");
+  const ApronOctagon &Old = closedOperand(OldIn, 0);
   if (Old.Empty || New.Empty)
     return makeBottom(Old.numVars());
   ApronOctagon R(Old.numVars());
@@ -142,27 +161,27 @@ ApronOctagon ApronOctagon::narrow(ApronOctagon &Old, const ApronOctagon &New) {
   return R;
 }
 
-bool ApronOctagon::leq(ApronOctagon &Other) {
+bool ApronOctagon::leq(const ApronOctagon &Other) const {
   assert(numVars() == Other.numVars() && "dimension mismatch");
-  close();
-  if (Empty)
+  const ApronOctagon &A = closedOperand(*this, 0);
+  if (A.Empty)
     return true;
   if (Other.Empty)
     return false;
-  for (std::size_t I = 0, E = M.size(); I != E; ++I)
-    if (M.data()[I] > Other.M.data()[I])
+  for (std::size_t I = 0, E = A.M.size(); I != E; ++I)
+    if (A.M.data()[I] > Other.M.data()[I])
       return false;
   return true;
 }
 
-bool ApronOctagon::equals(ApronOctagon &Other) {
-  assert(numVars() == Other.numVars() && "dimension mismatch");
-  close();
-  Other.close();
-  if (Empty || Other.Empty)
-    return Empty == Other.Empty;
-  for (std::size_t I = 0, E = M.size(); I != E; ++I)
-    if (M.data()[I] != Other.M.data()[I])
+bool ApronOctagon::equals(const ApronOctagon &OtherIn) const {
+  assert(numVars() == OtherIn.numVars() && "dimension mismatch");
+  const ApronOctagon &A = closedOperand(*this, 0);
+  const ApronOctagon &B = closedOperand(OtherIn, 1);
+  if (A.Empty || B.Empty)
+    return A.Empty == B.Empty;
+  for (std::size_t I = 0, E = A.M.size(); I != E; ++I)
+    if (A.M.data()[I] != B.M.data()[I])
       return false;
   return true;
 }

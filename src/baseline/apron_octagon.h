@@ -8,6 +8,11 @@
 /// either library — the paper's "keep the APRON API, replace the
 /// implementation" methodology in reverse.
 ///
+/// The operand contract is Octagon's too: the lattice operators take
+/// const operands, and one that must be read closed but is not is
+/// closed into per-thread operand scratch, never in place. Widening
+/// reads only its newer operand closed and leaves its result unclosed.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef OPTOCT_BASELINE_APRON_OCTAGON_H
@@ -53,17 +58,18 @@ public:
   void close();
 
   static ApronOctagon meet(const ApronOctagon &A, const ApronOctagon &B);
-  static ApronOctagon join(ApronOctagon &A, ApronOctagon &B);
-  static ApronOctagon widen(const ApronOctagon &Old, ApronOctagon &New);
-  static ApronOctagon narrow(ApronOctagon &Old, const ApronOctagon &New);
+  static ApronOctagon join(const ApronOctagon &A, const ApronOctagon &B);
+  static ApronOctagon widen(const ApronOctagon &Old, const ApronOctagon &New);
+  static ApronOctagon narrow(const ApronOctagon &Old, const ApronOctagon &New);
   /// Widening with thresholds (variable-level values; unary entries use
   /// their doubles), mirroring Octagon::widenWithThresholds.
   static ApronOctagon
-  widenWithThresholds(const ApronOctagon &Old, ApronOctagon &New,
+  widenWithThresholds(const ApronOctagon &Old, const ApronOctagon &New,
                       const std::vector<double> &Thresholds);
 
-  bool leq(ApronOctagon &Other);
-  bool equals(ApronOctagon &Other);
+  /// Inclusion; reads *this closed and Other as stored.
+  bool leq(const ApronOctagon &Other) const;
+  bool equals(const ApronOctagon &Other) const;
 
   void addConstraint(const OctCons &C);
   void addConstraints(const std::vector<OctCons> &Cs);
@@ -80,6 +86,11 @@ public:
   std::string str(const std::vector<std::string> *Names = nullptr);
 
 private:
+  /// \p O itself when closed, else its closure in the calling thread's
+  /// operand scratch \p Slot (0 or 1), valid until that slot's next use.
+  static const ApronOctagon &closedOperand(const ApronOctagon &O,
+                                           unsigned Slot);
+
   void markEmpty() {
     Empty = true;
     Closed = true;

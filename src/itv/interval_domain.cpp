@@ -40,7 +40,8 @@ IntervalDomain IntervalDomain::meet(const IntervalDomain &A,
   return R;
 }
 
-IntervalDomain IntervalDomain::join(IntervalDomain &A, IntervalDomain &B) {
+IntervalDomain IntervalDomain::join(const IntervalDomain &A,
+                                    const IntervalDomain &B) {
   assert(A.numVars() == B.numVars() && "dimension mismatch");
   if (A.Empty)
     return B;
@@ -55,14 +56,14 @@ IntervalDomain IntervalDomain::join(IntervalDomain &A, IntervalDomain &B) {
 }
 
 IntervalDomain IntervalDomain::widen(const IntervalDomain &Old,
-                                     IntervalDomain &New) {
+                                     const IntervalDomain &New) {
   static const std::vector<double> NoThresholds;
   return widenWithThresholds(Old, New, NoThresholds);
 }
 
 IntervalDomain
 IntervalDomain::widenWithThresholds(const IntervalDomain &Old,
-                                    IntervalDomain &New,
+                                    const IntervalDomain &New,
                                     const std::vector<double> &Thresholds) {
   assert(Old.numVars() == New.numVars() && "dimension mismatch");
   if (Old.Empty)
@@ -99,7 +100,7 @@ IntervalDomain::widenWithThresholds(const IntervalDomain &Old,
   return R;
 }
 
-IntervalDomain IntervalDomain::narrow(IntervalDomain &Old,
+IntervalDomain IntervalDomain::narrow(const IntervalDomain &Old,
                                       const IntervalDomain &New) {
   assert(Old.numVars() == New.numVars() && "dimension mismatch");
   if (Old.Empty || New.Empty)
@@ -114,7 +115,7 @@ IntervalDomain IntervalDomain::narrow(IntervalDomain &Old,
   return R;
 }
 
-bool IntervalDomain::leq(IntervalDomain &Other) {
+bool IntervalDomain::leq(const IntervalDomain &Other) const {
   assert(numVars() == Other.numVars() && "dimension mismatch");
   if (Empty)
     return true;
@@ -126,7 +127,7 @@ bool IntervalDomain::leq(IntervalDomain &Other) {
   return true;
 }
 
-bool IntervalDomain::equals(IntervalDomain &Other) {
+bool IntervalDomain::equals(const IntervalDomain &Other) const {
   return leq(Other) && Other.leq(*this);
 }
 

@@ -51,19 +51,20 @@ public:
 
   static IntervalDomain meet(const IntervalDomain &A,
                              const IntervalDomain &B);
-  static IntervalDomain join(IntervalDomain &A, IntervalDomain &B);
+  static IntervalDomain join(const IntervalDomain &A,
+                             const IntervalDomain &B);
   static IntervalDomain widen(const IntervalDomain &Old,
-                              IntervalDomain &New);
-  static IntervalDomain narrow(IntervalDomain &Old,
+                              const IntervalDomain &New);
+  static IntervalDomain narrow(const IntervalDomain &Old,
                                const IntervalDomain &New);
   /// Widening with thresholds: growing bounds land on the next
   /// threshold (upper) or its negation (lower) before +-infinity.
   static IntervalDomain
-  widenWithThresholds(const IntervalDomain &Old, IntervalDomain &New,
+  widenWithThresholds(const IntervalDomain &Old, const IntervalDomain &New,
                       const std::vector<double> &Thresholds);
 
-  bool leq(IntervalDomain &Other);
-  bool equals(IntervalDomain &Other);
+  bool leq(const IntervalDomain &Other) const;
+  bool equals(const IntervalDomain &Other) const;
 
   void addConstraint(const OctCons &C);
   void addConstraints(const std::vector<OctCons> &Cs);

@@ -21,11 +21,15 @@
 /// Closure/consistency conventions:
 ///   * close() is idempotent and cached via the Closed flag; emptiness
 ///     is detected by closure and cached in the Empty flag.
-///   * join requires closed arguments and therefore takes mutable
-///     references (it closes them in place, like APRON's lazy closure);
-///     its result is closed.
-///   * widen never closes its first (older) argument — required for
-///     termination — and leaves its result unclosed.
+///   * The lattice operators (join, widening, narrowing, inclusion,
+///     equality) take const operands and never mutate them. An operand
+///     whose algorithm needs the closed form and that is not closed is
+///     closed into per-thread operand scratch (closedOperand), so a
+///     stored element keeps its exact buffer, partition and Closed flag.
+///   * join's result is closed. Widening closes only its newer operand
+///     (in scratch) and leaves its result unclosed: a widening iterate
+///     must stay unclosed for termination, and inclusion A ⊑ B needs
+///     only A closed, so the iterate never has to be closed in place.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,8 +91,9 @@ public:
   /// construction — copies dominate the engine's allocation profile, so
   /// the cell budget is a deterministic memory-pressure proxy. Moves
   /// transfer the buffer and charge nothing. Defined inline: the engine
-  /// copies octagons on every propagate, and an out-of-line ctor costs
-  /// measurable batch throughput.
+  /// copies an octagon on every block visit, and an out-of-line ctor
+  /// costs measurable batch throughput. Copy assignment reuses the
+  /// destination's buffer when it is large enough and charges nothing.
   Octagon(const Octagon &Other)
       : M(Other.M), P(Other.P), Kind(Other.Kind),
         NniExplicit(Other.NniExplicit), FullyInit(Other.FullyInit),
@@ -106,6 +111,9 @@ public:
   DbmKind kind() const { return Kind; }
   const Partition &partition() const { return P; }
   bool isClosed() const { return Closed; }
+  /// The packed half-DBM buffer as stored; slots outside the partition
+  /// hold no meaning unless the buffer is fully initialized.
+  const HalfDbm &dbm() const { return M; }
 
   /// Number of finite entries the materialized half DBM would have
   /// (including the implicit diagonal of uncovered variables).
@@ -138,22 +146,27 @@ public:
   /// call the octagon is closed (or known empty).
   void close();
 
-  /// Lattice operators (Section 4). join closes both arguments.
+  /// Lattice operators (Section 4). Operands are read-only; join, the
+  /// widenings' newer operand and narrowing's older operand are read in
+  /// their closed form.
   static Octagon meet(const Octagon &A, const Octagon &B);
-  static Octagon join(Octagon &A, Octagon &B);
-  static Octagon widen(const Octagon &Old, Octagon &New);
-  static Octagon narrow(Octagon &Old, const Octagon &New);
+  static Octagon join(const Octagon &A, const Octagon &B);
+  static Octagon widen(const Octagon &Old, const Octagon &New);
+  static Octagon narrow(const Octagon &Old, const Octagon &New);
 
   /// Widening with thresholds (Mine): a growing bound jumps to the
   /// smallest threshold in \p Thresholds (sorted ascending) that still
   /// dominates the new value, instead of straight to +inf. Plain
   /// widening is the empty-threshold special case.
-  static Octagon widenWithThresholds(const Octagon &Old, Octagon &New,
+  static Octagon widenWithThresholds(const Octagon &Old, const Octagon &New,
                                      const std::vector<double> &Thresholds);
 
-  /// Inclusion gamma(this) ⊆ gamma(Other); closes *this.
-  bool leq(Octagon &Other);
-  bool equals(Octagon &Other);
+  /// Inclusion gamma(this) ⊆ gamma(Other). Reads *this closed and
+  /// Other as stored: with the left side closed the pointwise test is
+  /// exact whether or not Other is closed (Mine).
+  bool leq(const Octagon &Other) const;
+  /// Semantic equality; compares both sides' closed forms.
+  bool equals(const Octagon &Other) const;
 
   /// Meets with one octagonal constraint, then restores closure
   /// incrementally (Section 5.6) when the octagon was closed.
@@ -278,6 +291,11 @@ private:
   bool FullyInit = false;
   bool Closed = true; ///< Top is closed.
   bool Empty = false;
+
+  /// Returns \p O itself when it is closed, otherwise its closure in
+  /// the calling thread's operand scratch \p Slot (0 or 1). The result
+  /// is valid until the next call with the same slot on this thread.
+  static const Octagon &closedOperand(const Octagon &O, unsigned Slot);
 
   static ClosureScratch &scratch();
   friend void reserveClosureScratch(unsigned NumVars);

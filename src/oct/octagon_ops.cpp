@@ -156,6 +156,21 @@ std::size_t batchedEntryPass(SpanCountFn Kernel, const Partition &RP,
 
 } // namespace
 
+const Octagon &Octagon::closedOperand(const Octagon &O, unsigned Slot) {
+  if (O.Closed)
+    return O;
+  // Copy assignment reuses a slot's buffers once they are large enough,
+  // so closing an operand allocates only when its slot grows. A slot is
+  // working storage, not an element, and charges no DBM-cell fuel.
+  static thread_local Octagon Scratch[2] = {Octagon(0, PrivateTag{}),
+                                            Octagon(0, PrivateTag{})};
+  assert(Slot < 2 && "two operand slots");
+  Octagon &S = Scratch[Slot];
+  S = O;
+  S.close();
+  return S;
+}
+
 Octagon Octagon::meet(const Octagon &A, const Octagon &B) {
   assert(A.numVars() == B.numVars() && "dimension mismatch");
   unsigned N = A.numVars();
@@ -198,11 +213,11 @@ Octagon Octagon::meet(const Octagon &A, const Octagon &B) {
   return R;
 }
 
-Octagon Octagon::join(Octagon &A, Octagon &B) {
-  assert(A.numVars() == B.numVars() && "dimension mismatch");
-  unsigned N = A.numVars();
-  A.close();
-  B.close();
+Octagon Octagon::join(const Octagon &AIn, const Octagon &BIn) {
+  assert(AIn.numVars() == BIn.numVars() && "dimension mismatch");
+  unsigned N = AIn.numVars();
+  const Octagon &A = closedOperand(AIn, 0);
+  const Octagon &B = closedOperand(BIn, 1);
   if (A.Empty)
     return B;
   if (B.Empty)
@@ -249,20 +264,21 @@ Octagon Octagon::join(Octagon &A, Octagon &B) {
   return R;
 }
 
-Octagon Octagon::widen(const Octagon &Old, Octagon &New) {
+Octagon Octagon::widen(const Octagon &Old, const Octagon &New) {
   static const std::vector<double> NoThresholds;
   return widenWithThresholds(Old, New, NoThresholds);
 }
 
-Octagon Octagon::widenWithThresholds(const Octagon &Old, Octagon &New,
+Octagon Octagon::widenWithThresholds(const Octagon &Old,
+                                     const Octagon &NewIn,
                                      const std::vector<double> &Thresholds) {
-  assert(Old.numVars() == New.numVars() && "dimension mismatch");
+  assert(Old.numVars() == NewIn.numVars() && "dimension mismatch");
   assert(std::is_sorted(Thresholds.begin(), Thresholds.end()) &&
          "thresholds must be sorted ascending");
   unsigned N = Old.numVars();
-  // Standard octagon widening: close the new argument for precision,
-  // never the old one (termination).
-  New.close();
+  // Standard octagon widening: read the new argument closed for
+  // precision, never the old one (termination).
+  const Octagon &New = closedOperand(NewIn, 1);
   if (Old.Empty)
     return New;
   if (New.Empty)
@@ -329,10 +345,10 @@ Octagon Octagon::widenWithThresholds(const Octagon &Old, Octagon &New,
   return R;
 }
 
-Octagon Octagon::narrow(Octagon &Old, const Octagon &New) {
-  assert(Old.numVars() == New.numVars() && "dimension mismatch");
-  unsigned N = Old.numVars();
-  Old.close();
+Octagon Octagon::narrow(const Octagon &OldIn, const Octagon &New) {
+  assert(OldIn.numVars() == New.numVars() && "dimension mismatch");
+  unsigned N = OldIn.numVars();
+  const Octagon &Old = closedOperand(OldIn, 0);
   if (Old.Empty || New.Empty)
     return makeBottom(N);
 
@@ -363,26 +379,25 @@ Octagon Octagon::narrow(Octagon &Old, const Octagon &New) {
   return R;
 }
 
-bool Octagon::leq(Octagon &Other) {
+bool Octagon::leq(const Octagon &Other) const {
   assert(numVars() == Other.numVars() && "dimension mismatch");
-  close();
-  if (Empty)
+  const Octagon &A = closedOperand(*this, 0);
+  if (A.Empty)
     return true;
   if (Other.Empty)
     return false;
   // gamma(this) ⊆ gamma(Other) iff every bound of Other is implied:
   // this*(i,j) <= Other(i,j). Entries of Other outside its components
   // are +inf and need no check, so only Other's submatrices are read.
-  // (Other is deliberately not closed here: the test is sound either
-  // way, and closing a stored widening iterate would endanger
-  // termination.)
+  // (Other is deliberately not closed: the test is exact either way,
+  // and a stored widening iterate must stay unclosed.)
   const SpanKernels &Kern = activeSpanKernels();
-  if (FullyInit && Other.FullyInit) {
+  if (A.FullyInit && Other.FullyInit) {
     // Both buffers fully meaningful: one flat early-exit predicate over
     // the packed storage. Other's slots outside its components hold
     // materialized trivial values, which cannot fabricate a violation
     // (anything <= +inf; both diagonals are 0).
-    return Kern.SpanLeq(M.data(), Other.M.data(), M.size());
+    return Kern.SpanLeq(A.M.data(), Other.M.data(), A.M.size());
   }
   BlockScratch &S = blockScratch();
   for (std::size_t C = 0, E = Other.P.numComponents(); C != E; ++C) {
@@ -394,9 +409,10 @@ bool Octagon::leq(Octagon &Other) {
     // the early exit cheap — a violation in the first rows costs one
     // tiny pack and one kernel call, not a whole-component gather.
     S.ensure(4 * Vars.size());
-    for (std::size_t A = 0, NumV = Vars.size(); A != NumV; ++A) {
-      std::size_t Len = packRowPairEntry(S.A.data(), M, P, FullyInit, Vars, A);
-      packRowPair(S.B.data(), Other.M, Vars, A);
+    for (std::size_t Row = 0, NumV = Vars.size(); Row != NumV; ++Row) {
+      std::size_t Len =
+          packRowPairEntry(S.A.data(), A.M, A.P, A.FullyInit, Vars, Row);
+      packRowPair(S.B.data(), Other.M, Vars, Row);
       if (!Kern.SpanLeq(S.A.data(), S.B.data(), Len))
         return false;
     }
@@ -407,52 +423,51 @@ bool Octagon::leq(Octagon &Other) {
   return true;
 }
 
-bool Octagon::equals(Octagon &Other) {
-  assert(numVars() == Other.numVars() && "dimension mismatch");
-  close();
-  Other.close();
-  if (Empty || Other.Empty)
-    return Empty == Other.Empty;
+bool Octagon::equals(const Octagon &OtherIn) const {
+  assert(numVars() == OtherIn.numVars() && "dimension mismatch");
+  const Octagon &A = closedOperand(*this, 0);
+  const Octagon &B = closedOperand(OtherIn, 1);
+  if (A.Empty || B.Empty)
+    return A.Empty == B.Empty;
   // The strongly closed form is canonical for non-empty octagons.
   const SpanKernels &Kern = activeSpanKernels();
-  if (FullyInit && Other.FullyInit) {
+  if (A.FullyInit && B.FullyInit) {
     // Closure materialized both buffers (including the trivial slots
     // outside their exact partitions), so canonical equality is one
     // flat early-exit compare of the packed storage.
-    return Kern.SpanEq(M.data(), Other.M.data(), M.size());
+    return Kern.SpanEq(A.M.data(), B.M.data(), A.M.size());
   }
   // Any non-trivial entry of either side lies inside a component of
   // its own partition, so two one-sided sweeps cover every pair that
-  // could differ: first all pairs inside Other's components (the
-  // receiver read through entry()'s implicit trivia), then pairs
-  // inside this side's components — skipping blocks the first sweep
-  // already verified in full because they exist identically in
-  // Other's partition (the common fixpoint-iterate case). Pairs
-  // covered by neither partition are trivial on both sides. No merged
-  // partition is materialized, so equality stays allocation-free, and
-  // flushing one row pair per kernel call keeps the early exit cheap
-  // on unequal inputs.
+  // could differ: first all pairs inside B's components (A read
+  // through entry()'s implicit trivia), then pairs inside A's
+  // components — skipping blocks the first sweep already verified in
+  // full because they exist identically in B's partition (the common
+  // fixpoint-iterate case). Pairs covered by neither partition are
+  // trivial on both sides. No merged partition is materialized, so
+  // equality stays allocation-free, and flushing one row pair per
+  // kernel call keeps the early exit cheap on unequal inputs.
   BlockScratch &S = blockScratch();
-  for (std::size_t C = 0, E = Other.P.numComponents(); C != E; ++C) {
-    const std::vector<unsigned> &Vars = Other.P.component(C);
+  for (std::size_t C = 0, E = B.P.numComponents(); C != E; ++C) {
+    const std::vector<unsigned> &Vars = B.P.component(C);
     S.ensure(4 * Vars.size());
-    for (std::size_t A = 0, NumV = Vars.size(); A != NumV; ++A) {
-      std::size_t Len = packRowPairEntry(S.A.data(), M, P, FullyInit, Vars, A);
-      packRowPair(S.B.data(), Other.M, Vars, A);
+    for (std::size_t Row = 0, NumV = Vars.size(); Row != NumV; ++Row) {
+      std::size_t Len =
+          packRowPairEntry(S.A.data(), A.M, A.P, A.FullyInit, Vars, Row);
+      packRowPair(S.B.data(), B.M, Vars, Row);
       if (!Kern.SpanEq(S.A.data(), S.B.data(), Len))
         return false;
     }
   }
-  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C) {
-    const std::vector<unsigned> &Vars = P.component(C);
-    int CB = Other.P.componentOf(Vars[0]);
-    if (CB >= 0 && Other.P.component(static_cast<std::size_t>(CB)) == Vars)
+  for (std::size_t C = 0, E = A.P.numComponents(); C != E; ++C) {
+    const std::vector<unsigned> &Vars = A.P.component(C);
+    int CB = B.P.componentOf(Vars[0]);
+    if (CB >= 0 && B.P.component(static_cast<std::size_t>(CB)) == Vars)
       continue;
     S.ensure(4 * Vars.size());
-    for (std::size_t A = 0, NumV = Vars.size(); A != NumV; ++A) {
-      std::size_t Len = packRowPair(S.A.data(), M, Vars, A);
-      packRowPairEntry(S.B.data(), Other.M, Other.P, Other.FullyInit, Vars,
-                       A);
+    for (std::size_t Row = 0, NumV = Vars.size(); Row != NumV; ++Row) {
+      std::size_t Len = packRowPair(S.A.data(), A.M, Vars, Row);
+      packRowPairEntry(S.B.data(), B.M, B.P, B.FullyInit, Vars, Row);
       if (!Kern.SpanEq(S.A.data(), S.B.data(), Len))
         return false;
     }

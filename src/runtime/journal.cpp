@@ -28,9 +28,13 @@ namespace {
 using optoct::support::crc32c;
 using optoct::support::fnv1a64;
 
-constexpr const char *JournalMagic = "optoct-journal v2";
-/// The FNV-1a 64 checksummed format before it: stale, not corrupt.
-constexpr const char *StaleJournalMagic = "optoct-journal v1";
+constexpr const char *JournalMagic = "optoct-journal v3";
+/// The formats before it, refused by name as stale rather than corrupt:
+/// v1 checksummed records with FNV-1a 64; v2 holds records whose
+/// num_closures counts the closures of the engine that joined before it
+/// tested inclusion.
+constexpr const char *StaleJournalMagics[] = {"optoct-journal v1",
+                                              "optoct-journal v2"};
 
 /// Mixes one string into a running fingerprint, length-prefixed so
 /// ("ab","c") and ("a","bc") hash differently.
@@ -275,10 +279,11 @@ JournalLoad optoct::runtime::loadJournal(const std::string &Path) {
 
   std::string Line;
   if (!NextLine(Line) || Line != JournalMagic) {
-    L.Error = Line == StaleJournalMagic
-                  ? "stale journal (optoct-journal v1, this build reads v2); "
-                    "rerun without --resume"
-                  : "bad journal magic";
+    L.Error = "bad journal magic";
+    for (const char *Stale : StaleJournalMagics)
+      if (Line == Stale)
+        L.Error = "stale journal (" + Line +
+                  ", this build reads v3); rerun without --resume";
     return L;
   }
   if (!NextLine(Line) || Line.rfind("meta ", 0) != 0) {

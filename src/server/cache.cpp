@@ -46,9 +46,13 @@ using support::hex64;
 using support::parseHex64;
 using support::parseU64;
 
-constexpr const char *CacheMagic = "optoct-cache v2";
-/// The FNV-1a 64 checksummed format before it: stale, not corrupt.
-constexpr const char *StaleCacheMagic = "optoct-cache v1";
+constexpr const char *CacheMagic = "optoct-cache v3";
+/// The formats before it, refused by name as stale rather than corrupt:
+/// v1 checksummed records with FNV-1a 64; v2 holds records whose
+/// num_closures counts the closures of the engine that joined before it
+/// tested inclusion.
+constexpr const char *StaleCacheMagics[] = {"optoct-cache v1",
+                                            "optoct-cache v2"};
 
 std::size_t entryCost(std::size_t RecordBytes) {
   return RecordBytes + InvariantCache::EntryOverheadBytes;
@@ -150,9 +154,11 @@ bool parseSnapshot(std::string_view Data, CacheLoadStats &S,
   std::size_t Nl = Data.find('\n');
   std::string_view Magic = Data.substr(0, Nl);
   if (Nl == std::string_view::npos || Magic != CacheMagic) {
-    Error = Nl != std::string_view::npos && Magic == StaleCacheMagic
-                ? "stale cache snapshot (optoct-cache v1, this build reads v2)"
-                : "bad cache magic";
+    Error = "bad cache magic";
+    for (const char *Stale : StaleCacheMagics)
+      if (Nl != std::string_view::npos && Magic == Stale)
+        Error = "stale cache snapshot (" + std::string(Magic) +
+                ", this build reads v3)";
     S.BytesDiscarded = Size;
     return false;
   }
@@ -196,7 +202,7 @@ bool parseSnapshot(std::string_view Data, CacheLoadStats &S,
 InvariantCache::InvariantCache(const InvariantCache &Other)
     : Lru(Other.Lru), Bytes(Other.Bytes), MaxBytes_(Other.MaxBytes_),
       Counters(Other.Counters), Snap(Other.Snap),
-      SnapEntries(Other.SnapEntries) {
+      SnapEntries(Other.SnapEntries), Dirty(Other.Dirty) {
   for (auto It = Lru.begin(); It != Lru.end(); ++It)
     Map.emplace(It->Key, It);
 }
@@ -244,6 +250,7 @@ bool InvariantCache::lookup(std::uint64_t Key, std::string &Record) {
 void InvariantCache::insert(std::uint64_t Key, std::string_view Record) {
   if (!fits(Record.size()))
     return; // cannot ever fit; not worth evicting the world for
+  Dirty = true;
   // Copied first: Record may view the very record place() releases.
   std::unique_ptr<char[]> Copy = copyOf(Record);
   Entry &E = place(Key, Record.size());
@@ -287,6 +294,7 @@ void InvariantCache::evictToBudget() {
     Map.erase(Cold.Key);
     Lru.pop_back();
     ++Counters.Evictions;
+    Dirty = true;
   }
 }
 
@@ -303,6 +311,7 @@ std::size_t InvariantCache::checkSnapshotLease() {
     Map.erase(It->Key);
     It = Lru.erase(It);
     ++Dropped;
+    Dirty = true;
   }
   SnapEntries = 0;
   Snap.reset();
@@ -333,12 +342,14 @@ bool InvariantCache::load(const std::string &Path, std::string &Error,
     // would be suspicious, and we cannot distinguish portably; treat
     // all open failures as cold start.
     return true;
-  return parseSnapshot(
+  bool Usable = parseSnapshot(
       Img->Bytes, S, Error, [&](std::uint64_t Key, std::string_view Record) {
         if (Snap && Snap != Img)
           return insert(Key, Record);
-        if (!fits(Record.size()))
+        if (!fits(Record.size())) {
+          Dirty = true;
           return;
+        }
         Entry &E = place(Key, Record.size());
         // place() lets go of Snap with the last entry it replaces.
         if (!Snap) {
@@ -349,6 +360,9 @@ bool InvariantCache::load(const std::string &Path, std::string &Error,
         ++SnapEntries;
         evictToBudget();
       });
+  if (!Usable || !S.Corruption.empty())
+    Dirty = true; // the file holds bytes a save would not write back
+  return Usable;
 }
 
 bool InvariantCache::saveShared(const std::string &Path,

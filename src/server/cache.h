@@ -21,10 +21,11 @@
 /// A daemon killed mid-save leaves either the old cache file or the new
 /// one, nothing in between.
 ///
-/// File format ("optoct-cache v2"; v1 was the same with FNV-1a 64
-/// checksums, and load() names such a file stale rather than corrupt):
+/// File format ("optoct-cache v3"; v1 was the same with FNV-1a 64
+/// checksums, v2 the same with records whose num_closures an older
+/// engine counted, and load() names either stale rather than corrupt):
 ///
-///   optoct-cache v2
+///   optoct-cache v3
 ///   ent <key-hex16> <recordbytes> <crc32c-hex16>
 ///   <record bytes>
 ///   ent ...
@@ -147,6 +148,12 @@ public:
   /// The leased descriptor of the mapped snapshot, -1 if none. A forked
   /// child must close it.
   int snapshotFd() const;
+  /// True once the entries may differ from the snapshot last loaded:
+  /// insert, eviction, a lease-break drop, and a load that salvaged a
+  /// prefix, skipped a record or discarded the file all set it. Lookups
+  /// reorder recency only and leave it alone, so a daemon that served
+  /// nothing but hits has no reason to rewrite its snapshot.
+  bool dirty() const { return Dirty; }
 
   /// Polls the lease on the mapped snapshot. If a break is pending
   /// (someone opened or truncated the file for writing), drops every
@@ -177,8 +184,8 @@ public:
   /// a bad record stops the load keeping the valid prefix (true, with
   /// the reason and discarded byte count in \p Stats); only an
   /// unreadable file or bad magic returns false with \p Error ("stale
-  /// cache snapshot ..." for a v1 file) — and even then the caller is
-  /// expected to log and cold-start, not abort. The loaded entries view
+  /// cache snapshot ..." for a v1 or v2 file) — and even then the caller
+  /// is expected to log and cold-start, not abort. The loaded entries view
   /// the file's bytes (see the file comment); a cache views one snapshot
   /// at a time, so a second load while entries of the first remain
   /// copies its records instead.
@@ -217,6 +224,7 @@ private:
   /// once no entry views it.
   std::shared_ptr<const SnapshotImage> Snap;
   std::size_t SnapEntries = 0; ///< Entries viewing Snap.
+  bool Dirty = false;
 };
 
 } // namespace optoct::server

@@ -44,10 +44,15 @@ namespace optoct::server {
 /// incompatible change to the frame bodies below or to the framing.
 ///   1: Unix-socket protocol (no handshake).
 ///   2: Hello handshake + TCP transport, 'OFR1' frames (FNV-1a 64).
-///   3: 'OFR2' frames, checksummed with CRC32C (this version). A version
-///      2 peer never gets as far as a Hello: its first frame's magic
-///      marks it stale (runtime/ipc.h).
-constexpr std::uint32_t ProtocolVersion = 3;
+///   3: 'OFR2' frames, checksummed with CRC32C. A version 2 peer never
+///      gets as far as a Hello: its first frame's magic marks it stale
+///      (runtime/ipc.h).
+///   4: Same frames; a result record's num_closures comes from the
+///      engine that tests inclusion before it joins and so counts fewer
+///      closures per job (this version). A version 3 peer frames as
+///      'OFR2' and is refused at the Hello, so a fleet never mixes
+///      records whose closure counts disagree.
+constexpr std::uint32_t ProtocolVersion = 4;
 
 /// Hello body ("helo <version>\nend\n"), symmetric in both directions.
 /// Doubles as the replica client's health probe: a daemon that answers

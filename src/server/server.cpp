@@ -810,7 +810,9 @@ void Server::shutdown() {
   // into whatever fd the kernel reused. The destructor closes them
   // once no other thread can hold a reference.
 
-  if (!Opts.CachePath.empty() && Cache.entries() != 0) {
+  // A cache that only served hits since it loaded holds what the file
+  // holds: rewriting it would re-map, re-check and fsync the same bytes.
+  if (!Opts.CachePath.empty() && Cache.entries() != 0 && Cache.dirty()) {
     std::string Error;
     // saveShared, not save: N replicas may point at one cache file, and
     // a plain overwrite would clobber whatever a sibling persisted.

@@ -20,8 +20,9 @@
 
 namespace optoct {
 
-/// Fixed-capacity aligned array of trivially-copyable T. Contents are
-/// uninitialized after construction and after resizeDiscard().
+/// Aligned array of trivially-copyable T. Contents are uninitialized
+/// after construction and after resizeDiscard(); copy assignment keeps
+/// the storage when it is large enough.
 template <typename T> class AlignedBuffer {
   static constexpr std::size_t Alignment = 32; // AVX2 vector width
 
@@ -38,15 +39,19 @@ public:
 
   AlignedBuffer(AlignedBuffer &&Other) noexcept
       : Data(std::exchange(Other.Data, nullptr)),
-        Count(std::exchange(Other.Count, 0)) {}
+        Count(std::exchange(Other.Count, 0)),
+        Capacity(std::exchange(Other.Capacity, 0)) {}
 
+  /// A buffer assigned operands of varying sizes (the lattice operators'
+  /// closed-operand scratch) allocates only when it grows.
   AlignedBuffer &operator=(const AlignedBuffer &Other) {
     if (this == &Other)
       return *this;
-    if (Count != Other.Count) {
+    if (Other.Count > Capacity) {
       deallocate();
       allocate(Other.Count);
     }
+    Count = Other.Count;
     if (Count != 0)
       std::memcpy(Data, Other.Data, Count * sizeof(T));
     return *this;
@@ -58,6 +63,7 @@ public:
     deallocate();
     Data = std::exchange(Other.Data, nullptr);
     Count = std::exchange(Other.Count, 0);
+    Capacity = std::exchange(Other.Capacity, 0);
     return *this;
   }
 
@@ -93,7 +99,7 @@ public:
 
 private:
   void allocate(std::size_t NewCount) {
-    Count = NewCount;
+    Count = Capacity = NewCount;
     if (Count == 0) {
       Data = nullptr;
       return;
@@ -110,11 +116,12 @@ private:
   void deallocate() {
     std::free(Data);
     Data = nullptr;
-    Count = 0;
+    Count = Capacity = 0;
   }
 
   T *Data = nullptr;
   std::size_t Count = 0;
+  std::size_t Capacity = 0; ///< Allocated elements; Count <= Capacity.
 };
 
 } // namespace optoct

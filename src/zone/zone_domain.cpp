@@ -63,6 +63,18 @@ void ZoneDomain::close() {
   Closed = true;
 }
 
+const ZoneDomain &ZoneDomain::closedOperand(const ZoneDomain &Z,
+                                            unsigned Slot) {
+  if (Z.Closed)
+    return Z;
+  static thread_local ZoneDomain Scratch[2] = {ZoneDomain(0), ZoneDomain(0)};
+  assert(Slot < 2 && "two operand slots");
+  ZoneDomain &S = Scratch[Slot];
+  S = Z;
+  S.close();
+  return S;
+}
+
 ZoneDomain ZoneDomain::meet(const ZoneDomain &A, const ZoneDomain &B) {
   assert(A.N == B.N && "dimension mismatch");
   if (A.Empty || B.Empty)
@@ -74,10 +86,10 @@ ZoneDomain ZoneDomain::meet(const ZoneDomain &A, const ZoneDomain &B) {
   return R;
 }
 
-ZoneDomain ZoneDomain::join(ZoneDomain &A, ZoneDomain &B) {
-  assert(A.N == B.N && "dimension mismatch");
-  A.close();
-  B.close();
+ZoneDomain ZoneDomain::join(const ZoneDomain &AIn, const ZoneDomain &BIn) {
+  assert(AIn.N == BIn.N && "dimension mismatch");
+  const ZoneDomain &A = closedOperand(AIn, 0);
+  const ZoneDomain &B = closedOperand(BIn, 1);
   if (A.Empty)
     return B;
   if (B.Empty)
@@ -89,16 +101,16 @@ ZoneDomain ZoneDomain::join(ZoneDomain &A, ZoneDomain &B) {
   return R;
 }
 
-ZoneDomain ZoneDomain::widen(const ZoneDomain &Old, ZoneDomain &New) {
+ZoneDomain ZoneDomain::widen(const ZoneDomain &Old, const ZoneDomain &New) {
   static const std::vector<double> NoThresholds;
   return widenWithThresholds(Old, New, NoThresholds);
 }
 
 ZoneDomain
-ZoneDomain::widenWithThresholds(const ZoneDomain &Old, ZoneDomain &New,
+ZoneDomain::widenWithThresholds(const ZoneDomain &Old, const ZoneDomain &NewIn,
                                 const std::vector<double> &Thresholds) {
-  assert(Old.N == New.N && "dimension mismatch");
-  New.close();
+  assert(Old.N == NewIn.N && "dimension mismatch");
+  const ZoneDomain &New = closedOperand(NewIn, 1);
   if (Old.Empty)
     return New;
   if (New.Empty)
@@ -118,9 +130,9 @@ ZoneDomain::widenWithThresholds(const ZoneDomain &Old, ZoneDomain &New,
   return R;
 }
 
-ZoneDomain ZoneDomain::narrow(ZoneDomain &Old, const ZoneDomain &New) {
-  assert(Old.N == New.N && "dimension mismatch");
-  Old.close();
+ZoneDomain ZoneDomain::narrow(const ZoneDomain &OldIn, const ZoneDomain &New) {
+  assert(OldIn.N == New.N && "dimension mismatch");
+  const ZoneDomain &Old = closedOperand(OldIn, 0);
   if (Old.Empty || New.Empty)
     return makeBottom(Old.N);
   ZoneDomain R(Old.N);
@@ -130,27 +142,27 @@ ZoneDomain ZoneDomain::narrow(ZoneDomain &Old, const ZoneDomain &New) {
   return R;
 }
 
-bool ZoneDomain::leq(ZoneDomain &Other) {
+bool ZoneDomain::leq(const ZoneDomain &Other) const {
   assert(N == Other.N && "dimension mismatch");
-  close();
-  if (Empty)
+  const ZoneDomain &A = closedOperand(*this, 0);
+  if (A.Empty)
     return true;
   if (Other.Empty)
     return false;
-  for (std::size_t I = 0, E = M.size(); I != E; ++I)
-    if (M[I] > Other.M[I])
+  for (std::size_t I = 0, E = A.M.size(); I != E; ++I)
+    if (A.M[I] > Other.M[I])
       return false;
   return true;
 }
 
-bool ZoneDomain::equals(ZoneDomain &Other) {
-  assert(N == Other.N && "dimension mismatch");
-  close();
-  Other.close();
-  if (Empty || Other.Empty)
-    return Empty == Other.Empty;
-  for (std::size_t I = 0, E = M.size(); I != E; ++I)
-    if (M[I] != Other.M[I])
+bool ZoneDomain::equals(const ZoneDomain &OtherIn) const {
+  assert(N == OtherIn.N && "dimension mismatch");
+  const ZoneDomain &A = closedOperand(*this, 0);
+  const ZoneDomain &B = closedOperand(OtherIn, 1);
+  if (A.Empty || B.Empty)
+    return A.Empty == B.Empty;
+  for (std::size_t I = 0, E = A.M.size(); I != E; ++I)
+    if (A.M[I] != B.M[I])
       return false;
   return true;
 }

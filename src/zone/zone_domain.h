@@ -44,15 +44,17 @@ public:
   void close();
 
   static ZoneDomain meet(const ZoneDomain &A, const ZoneDomain &B);
-  static ZoneDomain join(ZoneDomain &A, ZoneDomain &B);
-  static ZoneDomain widen(const ZoneDomain &Old, ZoneDomain &New);
-  static ZoneDomain narrow(ZoneDomain &Old, const ZoneDomain &New);
+  /// Operands are const, as in optoct::Octagon: one that must be read
+  /// closed but is not is closed into per-thread operand scratch.
+  static ZoneDomain join(const ZoneDomain &A, const ZoneDomain &B);
+  static ZoneDomain widen(const ZoneDomain &Old, const ZoneDomain &New);
+  static ZoneDomain narrow(const ZoneDomain &Old, const ZoneDomain &New);
   static ZoneDomain widenWithThresholds(const ZoneDomain &Old,
-                                        ZoneDomain &New,
+                                        const ZoneDomain &New,
                                         const std::vector<double> &Thresholds);
 
-  bool leq(ZoneDomain &Other);
-  bool equals(ZoneDomain &Other);
+  bool leq(const ZoneDomain &Other) const;
+  bool equals(const ZoneDomain &Other) const;
 
   /// Octagonal constraints: differences and unary bounds are exact;
   /// sums (v_i + v_j <= c) are absorbed through the partner's bound
@@ -87,6 +89,9 @@ private:
     Empty = true;
     Closed = true;
   }
+  /// \p Z itself when closed, else its closure in the calling thread's
+  /// operand scratch \p Slot (0 or 1), valid until that slot's next use.
+  static const ZoneDomain &closedOperand(const ZoneDomain &Z, unsigned Slot);
   /// Tightens entry (I, J) to \p Bound.
   void tighten(unsigned I, unsigned J, double Bound) {
     if (Bound < at(I, J)) {

@@ -16,6 +16,12 @@
 /// legitimately moves them must say so and bump the cache and journal
 /// formats, since a build's caches and journals replay these bytes.
 ///
+/// A second digest set is taken with NumClosures zeroed. It pins the
+/// rest of the record — invariants, assert outcomes, nmin/nmax, block
+/// visits — apart from the closure count, which engine changes that
+/// skip redundant closures legitimately lower. When only the count
+/// moves, the masked digests stay put while the full ones change.
+///
 //===----------------------------------------------------------------------===//
 
 #include "runtime/batch.h"
@@ -36,7 +42,9 @@ namespace {
 
 constexpr unsigned SeedsPerSpec = 20;
 
-std::uint64_t specDigest(const std::string &Spec) {
+/// \p MaskClosures zeroes NumClosures before serializing, so the digest
+/// pins everything in the record except the closure count.
+std::uint64_t specDigest(const std::string &Spec, bool MaskClosures) {
   const workloads::WorkloadSpec *Base = workloads::findBenchmark(Spec);
   EXPECT_NE(Base, nullptr) << Spec;
   if (!Base)
@@ -50,6 +58,8 @@ std::uint64_t specDigest(const std::string &Spec) {
     runtime::JobResult R = runtime::runJob(Job);
     EXPECT_EQ(R.Status, runtime::JobStatus::Ok) << Job.Name;
     server::canonicalizeResult(R);
+    if (MaskClosures)
+      R.NumClosures = 0;
     H = support::fnv1a64(runtime::serializeJobResult(R), H);
   }
   return H;
@@ -60,25 +70,44 @@ struct Golden {
   std::uint64_t Digest;
 };
 
-// Taken from the analyzer with pairwise partition extraction and
-// per-cell nni recounts; the single-pass closure bookkeeping (one-scan
-// exact components, span-copied components, no per-assignment recount)
-// reproduces them.
-const Golden Goldens[] = {
-    {"series", 0xf0b6e17bfce69284ull},
-    {"matmult", 0x26678e18c7e6efa7ull},
-    {"sor", 0x3fd34c809233b781ull},
-    {"lufact", 0x823912b1d48eee2eull},
-    {"firefox", 0xcd20b6ef6dc32bbfull},
-};
-
-TEST(CanonicalGolden, MissPathRecordsMatchCommittedDigests) {
+void expectDigests(const Golden (&Goldens)[5], bool MaskClosures) {
   for (const Golden &G : Goldens) {
-    std::uint64_t D = specDigest(G.Spec);
+    std::uint64_t D = specDigest(G.Spec, MaskClosures);
     char Hex[32];
     std::snprintf(Hex, sizeof(Hex), "0x%016" PRIx64, D);
     EXPECT_EQ(D, G.Digest) << G.Spec << " digest is now " << Hex;
   }
+}
+
+// Full records, taken from the engine that tests inclusion before it
+// joins and reads stored iterates through const operators (fewer
+// closures per job than the copying engine before it).
+const Golden Goldens[] = {
+    {"series", 0x690083dd0c92fa96ull},
+    {"matmult", 0x853250c30b02251eull},
+    {"sor", 0x92d7537d99a53644ull},
+    {"lufact", 0x385bea39c2045231ull},
+    {"firefox", 0x8b74a196ef849682ull},
+};
+
+// Records with NumClosures zeroed. Taken from the copying engine, which
+// joined before it tested inclusion and closed a copy of the stored
+// target on every join; the current engine reproduces them, so only
+// the closure count moved.
+const Golden MaskedGoldens[] = {
+    {"series", 0xab6a222ca50cf520ull},
+    {"matmult", 0x35ed52d862b6601aull},
+    {"sor", 0xb4e03c52f017c996ull},
+    {"lufact", 0x6a062aaa9e47b756ull},
+    {"firefox", 0x26a12f55d26a960dull},
+};
+
+TEST(CanonicalGolden, MissPathRecordsMatchCommittedDigests) {
+  expectDigests(Goldens, /*MaskClosures=*/false);
+}
+
+TEST(CanonicalGolden, MissPathRecordsWithoutClosureCountMatchCommittedDigests) {
+  expectDigests(MaskedGoldens, /*MaskClosures=*/true);
 }
 
 } // namespace

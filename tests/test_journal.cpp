@@ -7,6 +7,7 @@
 
 #include "runtime/batch.h"
 #include "runtime/journal.h"
+#include "support/crc32c.h"
 #include "support/faultinject.h"
 #include "support/fnv.h"
 #include "support/textcodec.h"
@@ -331,51 +332,61 @@ TEST_F(Journal, ResumeRejectsForeignJournal) {
 }
 
 // A journal of the FNV-1a 64 format ("optoct-journal v1", written the
-// way the writer before CRC32C did) is refused by name on --resume:
-// never salvaged, never taken for a foreign job set, and left as it was.
+// way the writer before CRC32C did) and one of the CRC32C format whose
+// records carry an older engine's closure counts ("optoct-journal v2")
+// are each refused by name on --resume: never salvaged, never taken for
+// a foreign job set, and left as they were.
 TEST_F(Journal, ResumeRefusesStaleJournalByName) {
   std::vector<BatchJob> Jobs = testJobs();
-  std::string FullPath = tempPath("v2full");
-  std::string Path = tempPath("v1");
+  std::string FullPath = tempPath("v3full");
   BatchOptions Opts;
   Opts.JournalPath = FullPath;
   runBatch(Jobs, Opts);
   JournalLoad Full = loadJournal(FullPath);
   ASSERT_TRUE(Full.Error.empty()) << Full.Error;
-  EXPECT_EQ(slurp(FullPath).rfind("optoct-journal v2\nmeta ", 0), 0u);
+  EXPECT_EQ(slurp(FullPath).rfind("optoct-journal v3\nmeta ", 0), 0u);
 
-  std::string V1 = "optoct-journal v1\nmeta " +
-                   support::hex64(Full.Fingerprint) + " " +
-                   std::to_string(Full.JobCount) + "\n";
-  for (std::size_t I = 0; I != 2; ++I) {
-    std::string Body = serializeJobResult(Full.Records[I].second);
-    V1 += "rec " + std::to_string(Full.Records[I].first) + " " +
-          std::to_string(Body.size()) + " " +
-          support::hex64(support::fnv1a64(Body)) + "\n" + Body + "\n";
-  }
-  spill(Path, V1);
-
-  JournalLoad L = loadJournal(Path);
-  EXPECT_FALSE(L.HeaderOk);
-  EXPECT_TRUE(L.Records.empty());
-  EXPECT_EQ(L.Error, "stale journal (optoct-journal v1, this build reads "
-                     "v2); rerun without --resume");
-
-  BatchOptions Resume;
-  Resume.JournalPath = Path;
-  Resume.Resume = true;
-  for (IsolationMode Mode : {IsolationMode::Thread, IsolationMode::Process}) {
-    Resume.Isolation = Mode;
-    try {
-      runBatch(Jobs, Resume);
-      ADD_FAILURE() << "a stale journal was resumed";
-    } catch (const std::runtime_error &E) {
-      EXPECT_EQ(std::string(E.what()), "journal resume: " + L.Error);
+  for (const char *Version : {"v1", "v2"}) {
+    SCOPED_TRACE(Version);
+    bool V1 = std::string(Version) == "v1";
+    std::string Path = tempPath(Version);
+    std::string Stale = std::string("optoct-journal ") + Version + "\nmeta " +
+                        support::hex64(Full.Fingerprint) + " " +
+                        std::to_string(Full.JobCount) + "\n";
+    for (std::size_t I = 0; I != 2; ++I) {
+      std::string Body = serializeJobResult(Full.Records[I].second);
+      Stale += "rec " + std::to_string(Full.Records[I].first) + " " +
+               std::to_string(Body.size()) + " " +
+               support::hex64(V1 ? support::fnv1a64(Body)
+                                 : support::crc32c(Body)) +
+               "\n" + Body + "\n";
     }
+    spill(Path, Stale);
+
+    JournalLoad L = loadJournal(Path);
+    EXPECT_FALSE(L.HeaderOk);
+    EXPECT_TRUE(L.Records.empty());
+    EXPECT_EQ(L.Error, std::string("stale journal (optoct-journal ") +
+                           Version +
+                           ", this build reads v3); rerun without --resume");
+
+    BatchOptions Resume;
+    Resume.JournalPath = Path;
+    Resume.Resume = true;
+    for (IsolationMode Mode :
+         {IsolationMode::Thread, IsolationMode::Process}) {
+      Resume.Isolation = Mode;
+      try {
+        runBatch(Jobs, Resume);
+        ADD_FAILURE() << "a stale journal was resumed";
+      } catch (const std::runtime_error &E) {
+        EXPECT_EQ(std::string(E.what()), "journal resume: " + L.Error);
+      }
+    }
+    EXPECT_EQ(slurp(Path), Stale);
+    std::remove(Path.c_str());
   }
-  EXPECT_EQ(slurp(Path), V1);
   std::remove(FullPath.c_str());
-  std::remove(Path.c_str());
 }
 
 TEST_F(Journal, ResumeWithoutJournalIsRejected) {

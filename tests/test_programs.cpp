@@ -14,6 +14,7 @@
 #include "lang/parser.h"
 #include "oct/config.h"
 #include "oct/octagon.h"
+#include "reference_engine.h"
 
 #include <gtest/gtest.h>
 
@@ -48,6 +49,19 @@ TEST_P(ClassicPrograms, ExpectedVerdictsAndLibraryAgreement) {
   for (std::size_t I = 0; I != Opt.Asserts.size(); ++I)
     EXPECT_EQ(Opt.Asserts[I].Proven, Ref.Asserts[I].Proven)
         << "line " << Opt.Asserts[I].Line;
+}
+
+// The copy-free fixpoint step against the copying step it replaced
+// (tests/reference_engine.h), with both libraries.
+TEST_P(ClassicPrograms, CopyFreeStepMatchesReferenceStep) {
+  const ProgramCase &C = GetParam();
+  std::string Error;
+  auto P = lang::parseProgram(C.Source, Error);
+  ASSERT_TRUE(P) << Error;
+  cfg::Cfg G = cfg::Cfg::build(*P);
+  optoct::testing::expectMatchesReference<Octagon>(G, {}, C.Name);
+  optoct::testing::expectMatchesReference<baseline::ApronOctagon>(G, {},
+                                                                  C.Name);
 }
 
 const ProgramCase Cases[] = {

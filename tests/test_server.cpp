@@ -52,6 +52,7 @@
 #include <pthread.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -833,7 +834,9 @@ bool referenceParse(const std::string &Data,
   std::size_t Pos = Data.find('\n');
   if (Pos == std::string::npos || Data.substr(0, Pos + 1) != CacheMagicLine) {
     Error = Data.substr(0, Pos + 1) == CacheMagicLineV1
-                ? "stale cache snapshot (optoct-cache v1, this build reads v2)"
+                ? "stale cache snapshot (optoct-cache v1, this build reads v3)"
+            : Data.substr(0, Pos + 1) == CacheMagicLineV2
+                ? "stale cache snapshot (optoct-cache v2, this build reads v3)"
                 : "bad cache magic";
     S.BytesDiscarded = Data.size();
     return false;
@@ -1034,22 +1037,33 @@ TEST_F(DaemonCache, StreamingLoadSalvagesExactlyLikeWholeBlobParser) {
 
 // A copy has its own recency list: promoting or inserting in the copy
 // leaves the original's entries and order as they were.
-// A v1 snapshot (FNV-1a 64 checksums) is refused whole and by name;
-// none of its entries is loaded, though each one is sound in its own
-// format.
+// A v1 snapshot (FNV-1a 64 checksums) and a v2 snapshot (CRC32C, but
+// records whose closure counts an older engine took) are each refused
+// whole and by name; none of their entries is loaded, though each one
+// is sound in its own format.
 TEST_F(DaemonCache, StaleSnapshotIsRefusedByName) {
-  std::string Path = tempPath("cache_v1");
-  writeBytes(Path, CacheMagicLineV1 + snapshotEntryV1(1, "one") +
-                       snapshotEntryV1(2, "two"));
-  server::InvariantCache Cache(1u << 20);
-  server::CacheLoadStats Stats;
-  std::string Error;
-  EXPECT_FALSE(Cache.load(Path, Error, &Stats));
-  EXPECT_EQ(Error,
-            "stale cache snapshot (optoct-cache v1, this build reads v2)");
-  EXPECT_EQ(Cache.entries(), 0u);
-  EXPECT_EQ(Stats.EntriesLoaded, 0u);
-  ::unlink(Path.c_str());
+  struct Stale {
+    const char *Name;
+    std::string Bytes;
+  };
+  for (const Stale &S :
+       {Stale{"v1", CacheMagicLineV1 + snapshotEntryV1(1, "one") +
+                        snapshotEntryV1(2, "two")},
+        Stale{"v2", CacheMagicLineV2 + snapshotEntry(1, "one") +
+                        snapshotEntry(2, "two")}}) {
+    std::string Path = tempPath(std::string("cache_") + S.Name);
+    writeBytes(Path, S.Bytes);
+    server::InvariantCache Cache(1u << 20);
+    server::CacheLoadStats Stats;
+    std::string Error;
+    EXPECT_FALSE(Cache.load(Path, Error, &Stats));
+    EXPECT_EQ(Error, std::string("stale cache snapshot (optoct-cache ") +
+                         S.Name + ", this build reads v3)");
+    EXPECT_EQ(Cache.entries(), 0u);
+    EXPECT_EQ(Stats.EntriesLoaded, 0u);
+    EXPECT_EQ(Stats.BytesDiscarded, S.Bytes.size());
+    ::unlink(Path.c_str());
+  }
 }
 
 TEST_F(DaemonCache, CopyIsIndependentOfTheOriginal) {
@@ -1587,6 +1601,85 @@ TEST_F(Daemon, CachePersistsAcrossRestart) {
   ::unlink(CachePath.c_str());
 }
 
+// A warm daemon that served only hits holds what its snapshot holds, so
+// it exits without rewriting the file: same inode, modification time
+// and bytes. One miss makes the next exit persist again.
+TEST_F(Daemon, HitOnlyWarmDaemonLeavesItsSnapshotUntouched) {
+  std::string CachePath = tempPath("daemon_cache_hit_only");
+  server::ServerOptions Opts;
+  Opts.Workers = 1;
+  Opts.CachePath = CachePath;
+  server::AnalyzeRequest Req;
+  Req.Job.Name = "hit_only";
+  Req.Job.Source = loopProgram(17);
+  startServer(Opts);
+  {
+    server::DaemonClient Client;
+    connect(Client);
+    server::AnalyzeResponse Cold;
+    served(Client, Req, Cold);
+    EXPECT_FALSE(Cold.Cached);
+  }
+  stopServer();
+
+  auto snapshot = [&](struct stat &St, std::string &Bytes) {
+    ASSERT_EQ(::stat(CachePath.c_str(), &St), 0);
+    std::ifstream In(CachePath, std::ios::binary);
+    std::ostringstream Buf;
+    Buf << In.rdbuf();
+    Bytes = Buf.str();
+  };
+  struct stat Before {};
+  std::string BytesBefore;
+  snapshot(Before, BytesBefore);
+  // Past the file system's timestamp granularity, so a rewrite would
+  // show in the modification time even if it kept the inode.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  startServer(Opts);
+  {
+    server::DaemonClient Client;
+    connect(Client);
+    for (int I = 0; I != 3; ++I) {
+      server::AnalyzeResponse Warm;
+      served(Client, Req, Warm);
+      EXPECT_TRUE(Warm.Cached);
+    }
+  }
+  stopServer();
+  struct stat After {};
+  std::string BytesAfter;
+  snapshot(After, BytesAfter);
+  EXPECT_EQ(After.st_ino, Before.st_ino);
+  EXPECT_EQ(After.st_mtim.tv_sec, Before.st_mtim.tv_sec);
+  EXPECT_EQ(After.st_mtim.tv_nsec, Before.st_mtim.tv_nsec);
+  EXPECT_EQ(BytesAfter, BytesBefore);
+
+  // A miss dirties the cache: the next exit writes a new snapshot
+  // holding both records.
+  startServer(Opts);
+  {
+    server::DaemonClient Client;
+    connect(Client);
+    server::AnalyzeRequest Other = Req;
+    Other.Job.Name = "hit_only_miss";
+    Other.Job.Source = loopProgram(18);
+    server::AnalyzeResponse Miss;
+    served(Client, Other, Miss);
+    EXPECT_FALSE(Miss.Cached);
+  }
+  stopServer();
+  struct stat Rewritten {};
+  std::string BytesRewritten;
+  snapshot(Rewritten, BytesRewritten);
+  EXPECT_GT(BytesRewritten.size(), BytesBefore.size());
+  EXPECT_NE(BytesRewritten.find(BytesBefore.substr(BytesBefore.find('\n'))),
+            std::string::npos)
+      << "the first record survives the rewrite";
+  ::unlink(CachePath.c_str());
+  ::unlink((CachePath + ".lock").c_str());
+}
+
 // Satellite regression: a corrupt persisted cache file must never stop
 // the daemon from starting — it logs, discards (or salvages), and
 // serves cold.
@@ -1647,8 +1740,45 @@ TEST_F(Daemon, StaleFramePeerIsVersionRejectedAndClosed) {
   EXPECT_EQ(Stats.Hellos, 1u); // ours
 }
 
-// A v1 snapshot holding the very record a request asks for: the daemon
-// names the snapshot stale in its log, starts cold and runs the request.
+// A version 3 peer frames exactly as this build does ('OFR2'), so its
+// frames parse; the Hello is where it is refused. Its result records
+// carry the closure counts of the engine before this one, so a fleet
+// must not mix it in. It gets the daemon's Hello, to report the skew,
+// and then a clean close.
+TEST_F(Daemon, VersionThreePeerIsRefusedAtHello) {
+  server::ServerOptions Opts;
+  Opts.Workers = 1;
+  startServer(Opts);
+  int Fd = rawConnect(SocketPath);
+  ASSERT_GE(Fd, 0);
+  std::string Hello =
+      ipc::frameBytes(ipc::MsgType::Hello, server::encodeHello(3));
+  ASSERT_EQ(::send(Fd, Hello.data(), Hello.size(), 0),
+            static_cast<ssize_t>(Hello.size()));
+  ipc::MsgType Type{};
+  std::string Body;
+  ASSERT_EQ(ipc::readFrame(Fd, Type, Body), ipc::ReadStatus::Ok);
+  EXPECT_EQ(Type, ipc::MsgType::Hello);
+  std::uint32_t Version = 0;
+  ASSERT_TRUE(server::decodeHello(Body, Version));
+  EXPECT_EQ(Version, 4u);
+  EXPECT_EQ(Version, server::ProtocolVersion);
+  EXPECT_EQ(drainUntilEof(Fd), 0u);
+  ::close(Fd);
+
+  server::DaemonClient Client;
+  connect(Client);
+  server::DaemonStats Stats;
+  std::string Error;
+  ASSERT_TRUE(Client.queryStats(Stats, Error)) << Error;
+  EXPECT_EQ(Stats.VersionRejects, 1u);
+  EXPECT_EQ(Stats.Requests, 0u);
+  EXPECT_EQ(Stats.Hellos, 1u); // ours
+}
+
+// A v1 or v2 snapshot holding the very record a request asks for: the
+// daemon names the snapshot stale in its log, starts cold and runs the
+// request.
 TEST_F(Daemon, StaleCacheSnapshotStartsColdAndSaysWhy) {
   server::AnalyzeRequest Req;
   Req.Job.Name = "stale_snapshot";
@@ -1663,33 +1793,41 @@ TEST_F(Daemon, StaleCacheSnapshotStartsColdAndSaysWhy) {
     served(Client, Req, Cold);
     stopServer();
   }
-  std::string CachePath = tempPath("daemon_cache_v1");
-  writeBytes(CachePath, CacheMagicLineV1 +
-                            snapshotEntryV1(Cold.Key, Cold.ResultRecord));
+  for (const char *Version : {"v1", "v2"}) {
+    SCOPED_TRACE(Version);
+    bool V1 = std::string(Version) == "v1";
+    std::string CachePath = tempPath(std::string("daemon_cache_") + Version);
+    writeBytes(CachePath,
+               V1 ? CacheMagicLineV1 +
+                        snapshotEntryV1(Cold.Key, Cold.ResultRecord)
+                  : CacheMagicLineV2 +
+                        snapshotEntry(Cold.Key, Cold.ResultRecord));
 
-  server::ServerOptions Opts;
-  Opts.Workers = 1;
-  Opts.CachePath = CachePath;
-  ::testing::internal::CaptureStderr();
-  startServer(Opts);
-  std::string Log = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(Log.find("(stale cache snapshot (optoct-cache v1, this build "
-                     "reads v2), "),
-            std::string::npos)
-      << Log;
-  EXPECT_NE(Log.find("starting with a cold cache"), std::string::npos) << Log;
-  server::DaemonClient Client;
-  connect(Client);
-  server::AnalyzeResponse Again;
-  served(Client, Req, Again);
-  EXPECT_FALSE(Again.Cached);
-  EXPECT_EQ(Again.ResultRecord, Cold.ResultRecord);
-  server::DaemonStats Stats;
-  std::string Error;
-  ASSERT_TRUE(Client.queryStats(Stats, Error)) << Error;
-  EXPECT_EQ(Stats.CacheHits, 0u);
-  stopServer();
-  ::unlink(CachePath.c_str());
+    server::ServerOptions Opts;
+    Opts.Workers = 1;
+    Opts.CachePath = CachePath;
+    ::testing::internal::CaptureStderr();
+    startServer(Opts);
+    std::string Log = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(Log.find(std::string("(stale cache snapshot (optoct-cache ") +
+                       Version + ", this build reads v3), "),
+              std::string::npos)
+        << Log;
+    EXPECT_NE(Log.find("starting with a cold cache"), std::string::npos)
+        << Log;
+    server::DaemonClient Client;
+    connect(Client);
+    server::AnalyzeResponse Again;
+    served(Client, Req, Again);
+    EXPECT_FALSE(Again.Cached);
+    EXPECT_EQ(Again.ResultRecord, Cold.ResultRecord);
+    server::DaemonStats Stats;
+    std::string Error;
+    ASSERT_TRUE(Client.queryStats(Stats, Error)) << Error;
+    EXPECT_EQ(Stats.CacheHits, 0u);
+    stopServer();
+    ::unlink(CachePath.c_str());
+  }
 }
 
 // A bit-flipped (salvageable-prefix) cache file also starts fine,
