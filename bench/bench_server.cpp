@@ -25,7 +25,10 @@
 /// halfway: reports the healthy-path p50 (the replica layer's overhead
 /// over the plain client), the latency of the single request that paid
 /// the failover detection, the p50 on the surviving replica — and
-/// whether every reply stayed byte-identical to the cold pass.
+/// whether every reply stayed byte-identical to the cold pass. Its
+/// five SIGSTOP runs fork two daemons each and freeze the preferred one
+/// halfway: per run, the p50, p99 and max latency at a 250 ms receive
+/// timeout, the price of a frozen replica under sticky failover.
 ///
 ///   --requests=<n>  stream length per pass           (default 400)
 ///   --repeat=<r>    fraction of repeated programs     (default 0.5)
@@ -51,10 +54,13 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace optoct;
@@ -92,6 +98,46 @@ double percentile(std::vector<double> Sorted, double P) {
     return 0.0;
   std::size_t I = static_cast<std::size_t>(P * (Sorted.size() - 1));
   return Sorted[I];
+}
+
+/// One daemon in a forked process, so the SIGSTOP leg can freeze it.
+pid_t forkDaemon(const std::string &Socket, unsigned Workers) {
+  std::fflush(nullptr); // the child must not flush our buffered output
+  pid_t Pid = ::fork();
+  if (Pid == 0) {
+    server::ServerOptions O;
+    O.SocketPath = Socket;
+    O.Workers = Workers;
+    server::Server S(std::move(O));
+    std::string E;
+    if (!S.start(E))
+      std::_Exit(41);
+    S.serve();
+    std::_Exit(0);
+  }
+  return Pid;
+}
+
+bool waitForDaemon(const std::string &Socket) {
+  for (int Try = 0; Try != 250; ++Try) {
+    server::DaemonClient Probe;
+    std::string E;
+    if (Probe.connect(Socket, E))
+      return true;
+    ::usleep(20 * 1000);
+  }
+  return false;
+}
+
+/// Thaws, terminates and reaps a forked daemon (its drain retires the
+/// workers).
+void stopDaemon(pid_t Pid, const std::string &Socket) {
+  if (Pid > 0) {
+    ::kill(Pid, SIGCONT);
+    ::kill(Pid, SIGTERM);
+    ::waitpid(Pid, nullptr, 0);
+  }
+  std::remove(Socket.c_str());
 }
 
 } // namespace
@@ -399,6 +445,78 @@ int main(int Argc, char **Argv) {
     }
   }
 
+  // --- SIGSTOP leg: freeze the preferred replica mid-stream ----------
+  // A stopped daemon keeps its sockets open and answers nothing, so only
+  // the receive timeout gets a request past it, and sticky failover
+  // makes that one request per client. Each run forks two fresh daemons
+  // (only a process can be frozen), replays the stream through a
+  // replica client and SIGSTOPs the preferred daemon halfway.
+  struct StopRun {
+    double P50Ms = 0.0, P99Ms = 0.0, MaxMs = 0.0, Failovers = 0.0;
+  };
+  std::vector<StopRun> StopRuns;
+  const std::uint64_t StopRecvTimeoutMs = 250;
+  for (unsigned Run = 0; AllServed && DaemonAStopped && Run != 5; ++Run) {
+    std::string Paths[2];
+    pid_t Pids[2];
+    for (int D = 0; D != 2; ++D) {
+      Paths[D] = "bench_server_s" + std::to_string(D) + "." +
+                 std::to_string(::getpid()) + ".sock";
+      Pids[D] = forkDaemon(Paths[D], Workers);
+      if (Pids[D] <= 0 || !waitForDaemon(Paths[D])) {
+        std::fprintf(stderr, "error: sigstop leg: daemon did not start\n");
+        AllServed = false;
+      }
+    }
+    server::ReplicaOptions RO;
+    RO.Endpoints = {Paths[0], Paths[1]};
+    RO.Retry.MaxAttempts = 4;
+    RO.Retry.Seed = 7;
+    RO.RecvTimeoutMs = StopRecvTimeoutMs;
+    server::ReplicaClient Replica(std::move(RO));
+    std::vector<double> LatMs;
+    StopRun SR;
+    for (std::size_t I = 0; AllServed && I != Stream.size(); ++I) {
+      if (I == Stream.size() / 2)
+        ::kill(Pids[0], SIGSTOP); // the preferred replica freezes
+      server::AnalyzeRequest Req;
+      Req.Job.Name = "loop" + std::to_string(Stream[I]);
+      Req.Job.Source = loopProgram(Stream[I]);
+      server::AnalyzeResponse Resp;
+      server::ReplicaReplyInfo Info;
+      auto T0 = std::chrono::steady_clock::now();
+      if (!Replica.analyze(Req, Resp, Error, &Info) || !Resp.Ok ||
+          Info.Path == server::ReplyPath::Local) {
+        std::fprintf(stderr, "error: sigstop request failed: %s%s\n",
+                     Error.c_str(), Resp.Error.c_str());
+        AllServed = false;
+        break;
+      }
+      LatMs.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - T0)
+                          .count());
+      SR.Failovers += Info.Path == server::ReplyPath::Failover;
+      if (support::fnv1a64(Resp.ResultRecord) != Digests[0][I])
+        Fo.ByteIdentical = false;
+    }
+    for (int D = 0; D != 2; ++D)
+      stopDaemon(Pids[D], Paths[D]);
+    std::sort(LatMs.begin(), LatMs.end());
+    SR.P50Ms = percentile(LatMs, 0.50);
+    SR.P99Ms = percentile(LatMs, 0.99);
+    SR.MaxMs = LatMs.empty() ? 0.0 : LatMs.back();
+    StopRuns.push_back(SR);
+    std::printf("sigstop run %u: p50 %.3f ms, p99 %.3f ms, max %.1f ms, "
+                "%.0f failovers\n",
+                Run, SR.P50Ms, SR.P99Ms, SR.MaxMs, SR.Failovers);
+  }
+  auto RunList = [&](double StopRun::*Field) {
+    std::ostringstream L;
+    for (std::size_t R = 0; R != StopRuns.size(); ++R)
+      L << (R ? ", " : "") << StopRuns[R].*Field;
+    return "[" + L.str() + "]";
+  };
+
   Client.close();
   if (!DaemonAStopped) {
     Daemon.requestStop();
@@ -468,7 +586,12 @@ int main(int Argc, char **Argv) {
       << ", \"failover_request_ms\": " << Fo.FailoverMs
       << ", \"after_kill_p50_ms\": " << Fo.AfterP50Ms
       << ", \"replies_byte_identical\": "
-      << (Fo.ByteIdentical ? "true" : "false") << "},\n"
+      << (Fo.ByteIdentical ? "true" : "false")
+      << ",\n    \"sigstop\": {\"recv_timeout_ms\": " << StopRecvTimeoutMs
+      << ", \"p50_ms\": " << RunList(&StopRun::P50Ms)
+      << ", \"p99_ms\": " << RunList(&StopRun::P99Ms)
+      << ", \"max_ms\": " << RunList(&StopRun::MaxMs)
+      << ", \"failover_replies\": " << RunList(&StopRun::Failovers) << "}},\n"
       << "  \"replay_byte_identical\": " << (Deterministic ? "true" : "false")
       << "\n}\n";
   std::printf("wrote %s\n", JsonPath.c_str());

@@ -96,7 +96,6 @@ opt_oct_daemon_t *opt_oct_daemon_connect(const char *socket_path) {
 }
 
 opt_oct_daemon_t *opt_oct_daemon_connect_replicas(const char *endpoints,
-                                                  uint64_t hedge_after_ms,
                                                   int local_fallback) {
   if (!endpoints)
     return nullptr;
@@ -105,7 +104,6 @@ opt_oct_daemon_t *opt_oct_daemon_connect_replicas(const char *endpoints,
     RO.Endpoints = server::parseEndpointList(endpoints);
     if (RO.Endpoints.empty())
       return nullptr;
-    RO.HedgeAfterMs = hedge_after_ms;
     RO.LocalFallback = local_fallback != 0;
     RO.Retry.MaxAttempts = 1; // single sweep unless set_retry opts in
     return new opt_oct_daemon_t(std::move(RO));

@@ -36,25 +36,24 @@ extern "C" {
 typedef struct opt_oct_daemon_t opt_oct_daemon_t;
 typedef struct opt_oct_daemon_result_t opt_oct_daemon_result_t;
 
-/* Connects to the daemon listening on `socket_path` — a Unix socket
- * path or a "tcp:host:port" endpoint. NULL if none. The handle is a
- * one-endpoint replica client: no local fallback, no receive timeout
- * (a long analysis waits), single-shot until opt_oct_daemon_set_retry. */
+/* Connects to the daemon listening on the Unix socket `socket_path`.
+ * NULL if none (or if it names the removed TCP transport). The
+ * handle is a one-endpoint replica client: no local fallback, no
+ * receive timeout (a long analysis waits), single-shot until
+ * opt_oct_daemon_set_retry. */
 opt_oct_daemon_t *opt_oct_daemon_connect(const char *socket_path);
 void opt_oct_daemon_disconnect(opt_oct_daemon_t *d);
 
-/* Replica-tier handle over a comma-separated endpoint list (Unix paths
- * and/or tcp:host:port; spaces around items are ignored): each analyze
- * fails over across replicas from the last one that answered,
- * optionally hedges a second request after `hedge_after_ms` (0 = off),
- * and — when `local_fallback` is nonzero — degrades to in-process
- * analysis when every replica is down, byte-identical to a daemon reply
- * and flagged "local" in opt_oct_daemon_result_path. Connections are
- * opened lazily, so this returns non-NULL even with every replica down
- * (availability is decided per request); NULL only on invalid
- * arguments. */
+/* Replica-tier handle over a comma-separated list of Unix socket paths
+ * (spaces around items are ignored): each analyze fails over across
+ * replicas from the last one that answered and — when `local_fallback`
+ * is nonzero — degrades to in-process analysis when every replica is
+ * down, byte-identical to a daemon reply and flagged "local" in
+ * opt_oct_daemon_result_path. Connections are opened lazily, so this
+ * returns non-NULL even with every replica down (availability is
+ * decided per request); NULL only on invalid arguments, which include
+ * an endpoint of the removed TCP transport. */
 opt_oct_daemon_t *opt_oct_daemon_connect_replicas(const char *endpoints,
-                                                  uint64_t hedge_after_ms,
                                                   int local_fallback);
 
 /* Retry policy for subsequent analyze calls on this handle. By default
@@ -110,8 +109,8 @@ const char *opt_oct_daemon_result_error(const opt_oct_daemon_result_t *r);
 unsigned opt_oct_daemon_result_asserts_proven(const opt_oct_daemon_result_t *r);
 unsigned opt_oct_daemon_result_asserts_total(const opt_oct_daemon_result_t *r);
 /* How a result was obtained, for every handle: "primary" (the
- * preferred endpoint answered on the first sweep), "failover",
- * "hedged", or "local". "" for NULL input. */
+ * preferred endpoint answered on the first sweep), "failover", or
+ * "local". "" for NULL input. */
 const char *opt_oct_daemon_result_path(const opt_oct_daemon_result_t *r);
 /* Loop-head invariants, in RPO; i < .._num_invariants(r). */
 size_t opt_oct_daemon_result_num_invariants(const opt_oct_daemon_result_t *r);

@@ -65,14 +65,17 @@ bool writeAllFd(int Fd, const char *Data, std::size_t Len) {
   return true;
 }
 
-/// Blocking full read; returns bytes read (short only at EOF/error).
-std::size_t readAllFd(int Fd, char *Data, std::size_t Len) {
+/// Blocking full read; returns bytes read, short only at EOF, on an
+/// error, or when the socket's receive timeout (SO_RCVTIMEO) expires,
+/// which sets \p TimedOut.
+std::size_t readAllFd(int Fd, char *Data, std::size_t Len, bool &TimedOut) {
   std::size_t Got = 0;
   while (Got != Len) {
     ssize_t N = ::read(Fd, Data + Got, Len - Got);
     if (N < 0) {
       if (errno == EINTR)
         continue;
+      TimedOut = errno == EAGAIN || errno == EWOULDBLOCK;
       break;
     }
     if (N == 0)
@@ -136,7 +139,10 @@ ReadStatus optoct::runtime::ipc::readFrame(int Fd, MsgType &Type,
                                            std::string &Body,
                                            std::uint64_t MaxFrame) {
   char Header[HeaderBytes];
-  std::size_t Got = readAllFd(Fd, Header, HeaderBytes);
+  bool TimedOut = false;
+  std::size_t Got = readAllFd(Fd, Header, HeaderBytes, TimedOut);
+  if (TimedOut)
+    return ReadStatus::Timeout;
   if (Got == 0)
     return ReadStatus::Eof;
   if (Got != HeaderBytes)
@@ -146,8 +152,8 @@ ReadStatus optoct::runtime::ipc::readFrame(int Fd, MsgType &Type,
       S != ReadStatus::Ok)
     return S;
   Body.resize(static_cast<std::size_t>(BodyLen));
-  if (readAllFd(Fd, Body.data(), Body.size()) != Body.size())
-    return ReadStatus::Torn;
+  if (readAllFd(Fd, Body.data(), Body.size(), TimedOut) != Body.size())
+    return TimedOut ? ReadStatus::Timeout : ReadStatus::Torn;
   if (support::crc32c(Body) != Sum)
     return ReadStatus::Torn;
   return ReadStatus::Ok;

@@ -84,6 +84,9 @@ enum class ReadStatus {
   Eof,   ///< Clean close before any byte of a frame (peer finished).
   Torn,  ///< Partial frame, bad magic, oversize, or checksum mismatch.
   Stale, ///< The peer speaks the previous frame format ('OFR1').
+  /// The socket's receive timeout (SO_RCVTIMEO) expired first: the
+  /// peer is alive or frozen, not gone.
+  Timeout,
 };
 
 /// Blocking read of exactly one frame (the worker side; its only job

@@ -7,10 +7,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <sstream>
-#include <thread>
+#include <stdexcept>
 
 #include <unistd.h>
 
@@ -47,6 +45,42 @@ std::uint64_t optoct::server::derivedRetrySeed() {
   return X ^ (X >> 31);
 }
 
+namespace {
+
+/// A "tcp:host:port" endpoint names the removed TCP transport; tried as
+/// a socket path, it would fail over to the local degrade on every
+/// request.
+void refuseRemovedTransport(const std::string &Endpoint) {
+  if (Endpoint.rfind("tcp:", 0) == 0)
+    throw std::invalid_argument("endpoint '" + Endpoint +
+                                "': the tcp: transport was removed; "
+                                "replicas listen on Unix sockets only");
+}
+
+/// One call on \p C, opening its connection to \p Endpoint if none is
+/// pooled. A pooled connection that fails may be stale (the daemon
+/// restarted since the last call) and gets one reconnect-and-retry; a
+/// connection just opened gets none, and neither does a timeout — the
+/// daemon is frozen or busy, and a retry would wait out another one.
+template <typename CallT>
+bool callWithReconnect(DaemonClient &C, const std::string &Endpoint,
+                       std::string &Error, unsigned &Connects, CallT Call) {
+  bool Pooled = C.connected();
+  if (!Pooled) {
+    ++Connects;
+    if (!C.connect(Endpoint, Error))
+      return false;
+  }
+  if (Call())
+    return true;
+  if (!Pooled || C.timedOut())
+    return false;
+  ++Connects;
+  return C.connect(Endpoint, Error) && Call();
+}
+
+} // namespace
+
 std::vector<std::string>
 optoct::server::parseEndpointList(const std::string &List) {
   std::vector<std::string> Out;
@@ -54,8 +88,10 @@ optoct::server::parseEndpointList(const std::string &List) {
   std::string Item;
   while (std::getline(In, Item, ',')) {
     std::size_t B = Item.find_first_not_of(' ');
-    if (B != std::string::npos)
-      Out.push_back(Item.substr(B, Item.find_last_not_of(' ') - B + 1));
+    if (B == std::string::npos)
+      continue;
+    Out.push_back(Item.substr(B, Item.find_last_not_of(' ') - B + 1));
+    refuseRemovedTransport(Out.back());
   }
   return Out;
 }
@@ -76,8 +112,6 @@ const char *optoct::server::replyPathName(ReplyPath P) {
     return "primary";
   case ReplyPath::Failover:
     return "failover";
-  case ReplyPath::Hedged:
-    return "hedged";
   case ReplyPath::Local:
     return "local";
   }
@@ -87,6 +121,7 @@ const char *optoct::server::replyPathName(ReplyPath P) {
 ReplicaClient::ReplicaClient(ReplicaOptions O) : Opts(std::move(O)) {
   Clients.reserve(Opts.Endpoints.size());
   for (std::size_t I = 0; I != Opts.Endpoints.size(); ++I) {
+    refuseRemovedTransport(Opts.Endpoints[I]);
     auto C = std::make_unique<DaemonClient>();
     C->setRecvTimeoutMs(Opts.RecvTimeoutMs);
     Clients.push_back(std::move(C));
@@ -102,134 +137,6 @@ bool ReplicaClient::connect(std::string &Error) {
   }
   DaemonClient &C = *Clients[Preferred];
   return C.connected() || C.connect(Opts.Endpoints[Preferred], Error);
-}
-
-ReplicaClient::TryStatus ReplicaClient::tryEndpoint(std::size_t Idx,
-                                                    const AnalyzeRequest &Req,
-                                                    AnalyzeResponse &Out,
-                                                    std::string &Error,
-                                                    unsigned &Connects,
-                                                    bool AllowResend) {
-  DaemonClient &C = *Clients[Idx];
-  bool Pooled = C.connected();
-  if (!Pooled) {
-    ++Connects;
-    if (!C.connect(Opts.Endpoints[Idx], Error))
-      return TryStatus::Transport;
-  }
-  if (!C.analyze(Req, Out, Error)) {
-    // A *pooled* connection may be stale (the replica restarted since
-    // our last call); one reconnect-and-resend tells that apart from a
-    // dead replica. A connection we just opened gets no resend — and
-    // neither does a hedge leg, whose failure may be our own abort.
-    if (!Pooled || !AllowResend)
-      return TryStatus::Transport;
-    ++Connects;
-    if (!C.connect(Opts.Endpoints[Idx], Error) || !C.analyze(Req, Out, Error))
-      return TryStatus::Transport;
-  }
-  return Out.Overloaded ? TryStatus::Shed : TryStatus::Success;
-}
-
-ReplicaClient::TryStatus ReplicaClient::tryHedged(
-    std::size_t PrimaryIdx, std::size_t HedgeIdx, const AnalyzeRequest &Req,
-    AnalyzeResponse &Out, std::string &Error, unsigned &Connects,
-    std::size_t &Winner) {
-  struct Leg {
-    TryStatus St = TryStatus::Transport;
-    AnalyzeResponse Resp;
-    std::string Error;
-    unsigned Connects = 0;
-    bool Done = false;
-    bool Skipped = false; ///< Hedge never fired (primary won in time).
-  };
-  std::mutex M;
-  std::condition_variable CV;
-  Leg Legs[2];
-  const std::size_t EndpointOf[2] = {PrimaryIdx, HedgeIdx};
-
-  auto Run = [&](int L) {
-    AnalyzeResponse R;
-    std::string E;
-    unsigned Cn = 0;
-    TryStatus St =
-        tryEndpoint(EndpointOf[L], Req, R, E, Cn, /*AllowResend=*/false);
-    std::lock_guard<std::mutex> G(M);
-    Legs[L].St = St;
-    Legs[L].Resp = std::move(R);
-    Legs[L].Error = std::move(E);
-    Legs[L].Connects = Cn;
-    Legs[L].Done = true;
-    CV.notify_all();
-  };
-
-  std::thread T0([&] { Run(0); });
-  std::thread T1([&] {
-    // Hold the hedge for HedgeAfterMs; fire early if the primary leg
-    // *fails* first (that is plain failover), skip entirely if it
-    // succeeds first.
-    {
-      std::unique_lock<std::mutex> L(M);
-      CV.wait_for(L, std::chrono::milliseconds(Opts.HedgeAfterMs),
-                  [&] { return Legs[0].Done; });
-      if (Legs[0].Done && Legs[0].St == TryStatus::Success) {
-        Legs[1].Done = true;
-        Legs[1].Skipped = true;
-        CV.notify_all();
-        return;
-      }
-    }
-    Run(1);
-  });
-
-  std::size_t Win = 2;
-  {
-    std::unique_lock<std::mutex> L(M);
-    CV.wait(L, [&] {
-      return (Legs[0].Done && Legs[0].St == TryStatus::Success) ||
-             (Legs[1].Done && !Legs[1].Skipped &&
-              Legs[1].St == TryStatus::Success) ||
-             (Legs[0].Done && Legs[1].Done);
-    });
-    if (Legs[0].Done && Legs[0].St == TryStatus::Success)
-      Win = 0;
-    else if (Legs[1].Done && !Legs[1].Skipped &&
-             Legs[1].St == TryStatus::Success)
-      Win = 1;
-  }
-  // Abort the losing leg so its blocked recv wakes now instead of at
-  // the recv timeout; its thread then finishes with a transport error
-  // we ignore. The loser's connection is sacrificed (reconnects next
-  // call) — a cancelled request must never leave a half-read reply on
-  // a pooled connection.
-  if (Win == 0 && !Legs[1].Skipped)
-    Clients[HedgeIdx]->abortConnection(); // a skipped hedge never ran:
-                                          // its pooled connection stays
-  else if (Win == 1)
-    Clients[PrimaryIdx]->abortConnection();
-  T0.join();
-  T1.join();
-
-  Connects += Legs[0].Connects + Legs[1].Connects;
-  if (Win != 2) {
-    Winner = Win;
-    Out = std::move(Legs[Win].Resp);
-    return TryStatus::Success;
-  }
-  // No winner: prefer a shed verdict (the daemon spoke) over transport
-  // silence; the later leg's word wins.
-  for (int L : {1, 0}) {
-    if (Legs[L].Skipped)
-      continue;
-    if (Legs[L].St == TryStatus::Shed) {
-      Winner = static_cast<std::size_t>(L);
-      Out = std::move(Legs[L].Resp);
-      return TryStatus::Shed;
-    }
-  }
-  Error = !Legs[1].Skipped && !Legs[1].Error.empty() ? Legs[1].Error
-                                                     : Legs[0].Error;
-  return TryStatus::Transport;
 }
 
 void ReplicaClient::runLocal(const AnalyzeRequest &Req, AnalyzeResponse &Out) {
@@ -258,11 +165,6 @@ bool ReplicaClient::analyze(const AnalyzeRequest &Req, AnalyzeResponse &Out,
   ReplicaReplyInfo Scratch;
   ReplicaReplyInfo &I = Info ? *Info : Scratch;
   I = ReplicaReplyInfo();
-  // Re-arm clients that lost an earlier hedge race. Done here — before
-  // any leg thread exists — so a clear can never race with (and erase)
-  // an abort aimed at a leg of *this* call.
-  for (auto &C : Clients)
-    C->clearAbort();
   const std::size_t N = Opts.Endpoints.size();
   Rng R(Opts.Retry.Seed != 0 ? Opts.Retry.Seed : derivedRetrySeed());
   const unsigned MaxCycles = std::max(1u, Opts.Retry.MaxAttempts);
@@ -274,46 +176,25 @@ bool ReplicaClient::analyze(const AnalyzeRequest &Req, AnalyzeResponse &Out,
 
   for (unsigned Cycle = 0; Cycle != MaxCycles && N != 0; ++Cycle) {
     I.Cycles = Cycle + 1;
-    std::size_t K = 0;
-    while (K < N) {
+    for (std::size_t K = 0; K != N; ++K) {
       std::size_t Idx = (Preferred + K) % N;
-      TryStatus St;
-      std::size_t WinnerIdx = Idx;
-      bool HedgeWon = false;
-      if (K == 0 && Cycle == 0 && Opts.HedgeAfterMs != 0 && N >= 2) {
-        std::size_t HedgeIdx = (Preferred + 1) % N;
-        std::size_t WinLeg = 2;
-        St = tryHedged(Idx, HedgeIdx, Req, Out, Error, I.Connects, WinLeg);
-        if (WinLeg == 1) {
-          WinnerIdx = HedgeIdx;
-          HedgeWon = true;
-        }
-        K += 2; // both legs consumed their endpoint for this sweep
-      } else {
-        St = tryEndpoint(Idx, Req, Out, Error, I.Connects,
-                         /*AllowResend=*/true);
-        K += 1;
+      DaemonClient &C = *Clients[Idx];
+      if (!callWithReconnect(C, Opts.Endpoints[Idx], Error, I.Connects,
+                             [&] { return C.analyze(Req, Out, Error); })) {
+        LastError = Error;
+        continue;
       }
-      switch (St) {
-      case TryStatus::Success: {
-        bool FirstTry = Cycle == 0 && K <= 2 && WinnerIdx == Preferred;
-        Preferred = WinnerIdx;
-        I.Path = HedgeWon ? ReplyPath::Hedged
-                          : (FirstTry ? ReplyPath::Primary
-                                      : ReplyPath::Failover);
-        I.Endpoint = Opts.Endpoints[WinnerIdx];
-        return true;
-      }
-      case TryStatus::Shed:
+      if (Out.Overloaded) {
         SawShed = true;
         ShedResp = Out;
-        ShedEndpoint = Opts.Endpoints[WinnerIdx];
+        ShedEndpoint = Opts.Endpoints[Idx];
         HintMs = std::max(HintMs, Out.RetryMs);
-        break;
-      case TryStatus::Transport:
-        LastError = Error;
-        break;
+        continue;
       }
+      I.Path = Cycle == 0 && K == 0 ? ReplyPath::Primary : ReplyPath::Failover;
+      I.Endpoint = Opts.Endpoints[Idx];
+      Preferred = Idx;
+      return true;
     }
     if (Cycle + 1 != MaxCycles) {
       std::uint64_t Delay = retryDelayMs(Opts.Retry, Cycle + 1, HintMs, R);
@@ -351,17 +232,10 @@ bool ReplicaClient::queryStats(DaemonStats &Out, std::string &Error,
   for (std::size_t K = 0; K != N; ++K) {
     std::size_t Idx = (Preferred + K) % N;
     DaemonClient &C = *Clients[Idx];
-    C.clearAbort(); // single-threaded path: no hedge race to lose
-    bool Pooled = C.connected();
-    if (!Pooled && !C.connect(Opts.Endpoints[Idx], LastError))
+    unsigned Connects = 0;
+    if (!callWithReconnect(C, Opts.Endpoints[Idx], LastError, Connects,
+                           [&] { return C.queryStats(Out, LastError); }))
       continue;
-    if (!C.queryStats(Out, LastError)) {
-      if (!Pooled)
-        continue;
-      if (!C.connect(Opts.Endpoints[Idx], LastError) ||
-          !C.queryStats(Out, LastError))
-        continue;
-    }
     Preferred = Idx;
     if (FromEndpoint)
       *FromEndpoint = Opts.Endpoints[Idx];

@@ -4,25 +4,22 @@
 /// The daemon client: the one retrying, failover-aware way to talk to
 /// optoctd, whether there is one daemon or N replicas. Wraps one
 /// DaemonClient (the single-connection transport, server/client.h) per
-/// endpoint (Unix path or "tcp:host:port") and layers the availability
-/// policy on top:
+/// endpoint (a Unix socket path) and layers the availability policy on
+/// top:
 ///
 ///   * retry and failover — endpoints are tried in order from a sticky
 ///     preferred replica (the last one that answered); a transport error
 ///     or a version-mismatched replica moves on to the next, and a
 ///     pooled connection gone stale (the daemon restarted) gets one
-///     reconnect-and-resend first. A full sweep with no answer backs off
-///     (RetryPolicy's jittered schedule, floored by the daemon's own
-///     backoff hint) and sweeps again, up to Retry.MaxAttempts cycles.
-///     With one endpoint this is plain retry-with-reconnect: what
-///     `optoctd --client --socket=P` and opt_oct_daemon_connect use.
-///   * hedging — optionally, after HedgeAfterMs without a reply from
-///     the preferred replica, the same request is raced against the
-///     next one; the first decoded reply wins and the loser is
-///     hard-aborted (DaemonClient::abortConnection). Safe because
-///     requests are deterministic and replies canonicalized: both legs
-///     would return byte-identical bytes, so "first wins" changes
-///     latency, never content. Needs two endpoints.
+///     reconnect-and-resend first. A receive timeout is not staleness:
+///     the replica is frozen or busy, and a resend would wait out a
+///     second timeout, so it fails over at once. Stickiness means a dead
+///     or frozen replica costs one request per client, not one per
+///     request. A full sweep with no answer backs off (RetryPolicy's
+///     jittered schedule, floored by the daemon's own backoff hint) and
+///     sweeps again, up to Retry.MaxAttempts cycles. With one endpoint
+///     this is plain retry-with-reconnect: what `optoctd --client
+///     --socket=P` and opt_oct_daemon_connect use.
 ///   * overload honesty — a shed ("overloaded") reply is the daemon's
 ///     verdict, not a transport error: it fails over within the cycle,
 ///     but if *every* replica sheds through every cycle the caller gets
@@ -83,36 +80,31 @@ std::uint64_t retryDelayMs(const RetryPolicy &P, unsigned Attempt,
 /// one client — never share a jitter stream by accident.
 std::uint64_t derivedRetrySeed();
 
-/// Splits a comma-separated endpoint list ("a.sock, tcp:h:p") into
+/// Splits a comma-separated endpoint list ("a.sock, b.sock") into
 /// endpoints, trimming ASCII spaces around each and dropping empty
 /// items. The one parser behind `optoctd --endpoints` and
-/// opt_oct_daemon_connect_replicas.
+/// opt_oct_daemon_connect_replicas. Throws std::invalid_argument on an
+/// endpoint of the removed TCP transport, as ReplicaClient does.
 std::vector<std::string> parseEndpointList(const std::string &List);
 
 /// How a replica-tier reply was obtained.
 enum class ReplyPath {
   Primary,  ///< The preferred replica answered first try.
   Failover, ///< A different replica (or a later cycle) answered.
-  Hedged,   ///< The hedge leg won the race against the preferred replica.
   Local,    ///< All replicas down: in-process analysis served it.
 };
 
 const char *replyPathName(ReplyPath P);
 
 struct ReplicaOptions {
-  /// Tried in order from the sticky preferred replica; each is a Unix
-  /// socket path or "tcp:host:port".
+  /// Unix socket paths, tried in order from the sticky preferred
+  /// replica.
   std::vector<std::string> Endpoints;
 
   /// Cycle policy: MaxAttempts full endpoint sweeps, with the jittered
   /// exponential backoff between sweeps (not between endpoints — a
   /// dead replica should cost microseconds, not a backoff).
   RetryPolicy Retry;
-
-  /// Milliseconds to wait on the preferred replica before racing the
-  /// same request against the next one. 0 = hedging off. Needs >= 2
-  /// endpoints to do anything.
-  std::uint64_t HedgeAfterMs = 0;
 
   /// Degrade to in-process analysis when every replica is transport
   /// dead (never on shed — overload is a verdict, not an outage).
@@ -129,7 +121,7 @@ struct ReplicaOptions {
 /// --socket`, opt_oct_daemon_connect): \p Endpoint under \p Retry, no
 /// local fallback (the caller asked for that daemon's answer) and no
 /// receive timeout (with nowhere to fail over to, a long analysis must
-/// not read as a dead daemon). Hedging needs two endpoints, so it is off.
+/// not read as a dead daemon).
 ReplicaOptions singleDaemonOptions(std::string Endpoint,
                                    RetryPolicy Retry = {});
 
@@ -143,6 +135,9 @@ struct ReplicaReplyInfo {
 
 class ReplicaClient {
 public:
+  /// Throws std::invalid_argument on an endpoint of the removed TCP
+  /// transport: tried as a Unix path it would fail every request over
+  /// to the local degrade without a word.
   explicit ReplicaClient(ReplicaOptions Opts);
   ~ReplicaClient();
   ReplicaClient(const ReplicaClient &) = delete;
@@ -182,27 +177,6 @@ public:
   }
 
 private:
-  /// Per-attempt outcome, driving the failover ladder.
-  enum class TryStatus {
-    Success,   ///< Decoded non-overloaded response.
-    Shed,      ///< Decoded overloaded response (daemon verdict).
-    Transport, ///< Connect/send/recv/decode failure.
-  };
-
-  /// \p AllowResend permits one reconnect-and-resend when a *pooled*
-  /// connection turns out stale; hedge legs pass false (their failure
-  /// may be our own abort — resending a cancelled request would defeat
-  /// the cancellation).
-  TryStatus tryEndpoint(std::size_t Idx, const AnalyzeRequest &Req,
-                        AnalyzeResponse &Out, std::string &Error,
-                        unsigned &Connects, bool AllowResend);
-  /// Races \p PrimaryIdx against \p HedgeIdx (launched HedgeAfterMs
-  /// later); first decoded reply wins, the loser is aborted. \p Winner
-  /// reports which leg won on Success/Shed.
-  TryStatus tryHedged(std::size_t PrimaryIdx, std::size_t HedgeIdx,
-                      const AnalyzeRequest &Req, AnalyzeResponse &Out,
-                      std::string &Error, unsigned &Connects,
-                      std::size_t &Winner);
   /// In-process degrade: same single-attempt + canonicalize + serialize
   /// pipeline as a daemon worker, so the bytes match a healthy reply.
   void runLocal(const AnalyzeRequest &Req, AnalyzeResponse &Out);

@@ -10,10 +10,7 @@
 #include <cstring>
 #include <thread>
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -30,38 +27,6 @@ bool setNonBlocking(int Fd) {
   return Flags >= 0 && ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK) == 0;
 }
 
-/// Parses "host:port" with a numeric IPv4 host (or "localhost").
-/// Hostname resolution is deliberately out of scope: replica fleets
-/// are addressed by IP, and getaddrinfo in a daemon's bind path is a
-/// startup hang waiting to happen.
-bool parseTcpBind(const std::string &Spec, sockaddr_in &Addr,
-                  std::string &Error) {
-  std::size_t Colon = Spec.rfind(':');
-  if (Colon == std::string::npos || Colon == 0 ||
-      Colon + 1 == Spec.size()) {
-    Error = "TCP bind spec must be host:port, got '" + Spec + "'";
-    return false;
-  }
-  std::string Host = Spec.substr(0, Colon);
-  if (Host == "localhost")
-    Host = "127.0.0.1";
-  std::string PortS = Spec.substr(Colon + 1);
-  char *End = nullptr;
-  unsigned long Port = std::strtoul(PortS.c_str(), &End, 10);
-  if (*End != '\0' || Port > 65535) {
-    Error = "bad TCP port in '" + Spec + "'";
-    return false;
-  }
-  std::memset(&Addr, 0, sizeof(Addr));
-  Addr.sin_family = AF_INET;
-  Addr.sin_port = htons(static_cast<std::uint16_t>(Port));
-  if (::inet_pton(AF_INET, Host.c_str(), &Addr.sin_addr) != 1) {
-    Error = "bad IPv4 host in '" + Spec + "' (numeric or localhost only)";
-    return false;
-  }
-  return true;
-}
-
 } // namespace
 
 Server::Server(ServerOptions Opts)
@@ -75,8 +40,8 @@ Server::Server(ServerOptions Opts)
             // Besides its siblings' pipes (the pool closes those), a
             // forked worker must not hold open the listeners, the
             // clients, the wake pipe or the leased snapshot.
-            std::vector<int> Fds = {ListenFd, TcpListenFd, WakePipe[0],
-                                    WakePipe[1], Cache.snapshotFd()};
+            std::vector<int> Fds = {ListenFd, WakePipe[0], WakePipe[1],
+                                    Cache.snapshotFd()};
             for (const auto &KV : Clients)
               Fds.push_back(KV.second.Fd);
             return Fds;
@@ -92,8 +57,8 @@ Server::~Server() {
 }
 
 bool Server::start(std::string &Error) {
-  if (Opts.SocketPath.empty() && Opts.TcpBind.empty()) {
-    Error = "no socket path or TCP bind configured";
+  if (Opts.SocketPath.empty()) {
+    Error = "no socket path configured";
     return false;
   }
   sockaddr_un Addr;
@@ -103,9 +68,8 @@ bool Server::start(std::string &Error) {
     Error = "socket path too long: " + Opts.SocketPath;
     return false;
   }
-  if (!Opts.SocketPath.empty())
-    std::memcpy(Addr.sun_path, Opts.SocketPath.c_str(),
-                Opts.SocketPath.size() + 1);
+  std::memcpy(Addr.sun_path, Opts.SocketPath.c_str(),
+              Opts.SocketPath.size() + 1);
 
   if (WakePipe[0] < 0) {
     if (::pipe(WakePipe) != 0) {
@@ -123,60 +87,25 @@ bool Server::start(std::string &Error) {
     }
   }
 
-  if (!Opts.SocketPath.empty()) {
-    ListenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (ListenFd < 0) {
-      Error = std::string("socket: ") + std::strerror(errno);
-      shutdown();
-      return false;
-    }
-    // A previous daemon's socket file would make bind fail with
-    // EADDRINUSE; connecting to tell a live daemon apart from a stale
-    // file is racy, so we do what most daemons do — unlink and rebind.
-    ::unlink(Opts.SocketPath.c_str());
-    if (::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) !=
-            0 ||
-        ::listen(ListenFd, 64) != 0) {
-      Error = std::string("bind/listen ") + Opts.SocketPath + ": " +
-              std::strerror(errno);
-      shutdown();
-      return false;
-    }
-    setNonBlocking(ListenFd);
+  ListenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (ListenFd < 0) {
+    Error = std::string("socket: ") + std::strerror(errno);
+    shutdown();
+    return false;
   }
-
-  if (!Opts.TcpBind.empty()) {
-    sockaddr_in TcpAddr;
-    if (!parseTcpBind(Opts.TcpBind, TcpAddr, Error)) {
-      shutdown();
-      return false;
-    }
-    TcpListenFd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (TcpListenFd < 0) {
-      Error = std::string("tcp socket: ") + std::strerror(errno);
-      shutdown();
-      return false;
-    }
-    int One = 1;
-    ::setsockopt(TcpListenFd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
-    if (::bind(TcpListenFd, reinterpret_cast<sockaddr *>(&TcpAddr),
-               sizeof(TcpAddr)) != 0 ||
-        ::listen(TcpListenFd, 64) != 0) {
-      Error = std::string("tcp bind/listen ") + Opts.TcpBind + ": " +
-              std::strerror(errno);
-      shutdown();
-      return false;
-    }
-    setNonBlocking(TcpListenFd);
-    // Read the bound port back so port 0 (ephemeral — the test and
-    // bench default, no port collisions across parallel runs) is
-    // discoverable by clients.
-    sockaddr_in Bound;
-    socklen_t BoundLen = sizeof(Bound);
-    if (::getsockname(TcpListenFd, reinterpret_cast<sockaddr *>(&Bound),
-                      &BoundLen) == 0)
-      TcpPort = ntohs(Bound.sin_port);
+  // A previous daemon's socket file would make bind fail with
+  // EADDRINUSE; connecting to tell a live daemon apart from a stale
+  // file is racy, so we do what most daemons do — unlink and rebind.
+  ::unlink(Opts.SocketPath.c_str());
+  if (::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) !=
+          0 ||
+      ::listen(ListenFd, 64) != 0) {
+    Error = std::string("bind/listen ") + Opts.SocketPath + ": " +
+            std::strerror(errno);
+    shutdown();
+    return false;
   }
+  setNonBlocking(ListenFd);
 
   // Workers first: a worker forked after the snapshot load would map a
   // snapshot read into a buffer (copy-on-write, but counted in its RSS
@@ -235,15 +164,9 @@ void Server::serve() {
     ClientOfFd.clear();
     Fds.push_back({WakePipe[0], POLLIN, 0});
     ClientOfFd.push_back(0);
-    if (Clients.size() < Opts.MaxClients) {
-      if (ListenFd >= 0) {
-        Fds.push_back({ListenFd, POLLIN, 0});
-        ClientOfFd.push_back(0);
-      }
-      if (TcpListenFd >= 0) {
-        Fds.push_back({TcpListenFd, POLLIN, 0});
-        ClientOfFd.push_back(0);
-      }
+    if (Clients.size() < Opts.MaxClients && ListenFd >= 0) {
+      Fds.push_back({ListenFd, POLLIN, 0});
+      ClientOfFd.push_back(0);
     }
     for (auto &KV : Clients) {
       short Ev = POLLIN;
@@ -284,9 +207,8 @@ void Server::serve() {
         }
         continue;
       }
-      if ((Fds[I].fd == ListenFd || Fds[I].fd == TcpListenFd) &&
-          ClientOfFd[I] == 0 && Fds[I].fd >= 0) {
-        acceptClients(Fds[I].fd);
+      if (Fds[I].fd == ListenFd && ClientOfFd[I] == 0) {
+        acceptClients();
         continue;
       }
       std::uint64_t Seq = ClientOfFd[I];
@@ -319,20 +241,14 @@ void Server::serve() {
   shutdown();
 }
 
-void Server::acceptClients(int ListenerFd) {
+void Server::acceptClients() {
   for (;;) {
     if (Clients.size() >= Opts.MaxClients)
       return;
-    int Fd = ::accept(ListenerFd, nullptr, nullptr);
+    int Fd = ::accept(ListenFd, nullptr, nullptr);
     if (Fd < 0)
       return; // EAGAIN or a transient error; poll will retry
     setNonBlocking(Fd);
-    if (ListenerFd == TcpListenFd) {
-      // Request/response frames are small and latency-bound; never let
-      // Nagle hold a reply hostage to the next write.
-      int One = 1;
-      ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-    }
     ClientConn C;
     C.Fd = Fd;
     C.Reader.setMaxFrameBytes(Opts.MaxFrameBytes);
@@ -720,10 +636,9 @@ DaemonStats Server::stats() const {
 void Server::drain() {
   Draining = true;
 
-  // Stop accepting immediately: the socket file disappears (and the
-  // TCP port starts refusing), so fresh connects fail fast instead of
-  // queueing behind a dying daemon.
-  closeListeners();
+  // Stop accepting immediately: the socket file disappears, so fresh
+  // connects fail fast instead of queueing behind a dying daemon.
+  closeListener();
 
   // Shed everything queued but not yet on a worker (onJobDone answers
   // "overloaded"): those clients can retry elsewhere; work already
@@ -782,22 +697,17 @@ void Server::drain() {
   Draining = false;
 }
 
-void Server::closeListeners() {
+void Server::closeListener() {
   if (ListenFd >= 0) {
     ::close(ListenFd);
     ListenFd = -1;
-    if (!Opts.SocketPath.empty())
-      ::unlink(Opts.SocketPath.c_str());
-  }
-  if (TcpListenFd >= 0) {
-    ::close(TcpListenFd);
-    TcpListenFd = -1;
+    ::unlink(Opts.SocketPath.c_str());
   }
 }
 
 void Server::shutdown() {
   // Clients first: no new requests land while the pool retires.
-  closeListeners();
+  closeListener();
   for (auto &KV : Clients)
     ::close(KV.second.Fd);
   Clients.clear();

@@ -2,10 +2,9 @@
 ///
 /// \file
 /// The optoctd core: a single-threaded poll(2) event loop that accepts
-/// analysis requests over a Unix-domain stream socket and/or a TCP
-/// listener (ServerOptions::TcpBind — both speak the same checksummed
-/// frames, and a Hello handshake pins the protocol version so
-/// mixed-version replicas reject cleanly) and runs its cache misses on
+/// analysis requests over a Unix-domain stream socket (checksummed
+/// frames; a Hello handshake pins the protocol version so mixed-version
+/// replicas reject cleanly) and runs its cache misses on
 /// the batch's job scheduler (runtime::Supervisor): the same fenced,
 /// recyclable fork workers, retries, hard kills and death texts, so one
 /// segfaulting request costs one worker and one "crashed" response,
@@ -77,15 +76,8 @@
 namespace optoct::server {
 
 struct ServerOptions {
-  /// Unix-domain listener. May be empty when TcpBind is set — a
-  /// TCP-only replica needs no socket file.
+  /// Unix-domain listener (required).
   std::string SocketPath;
-
-  /// TCP listener as "host:port" (numeric IPv4 or "localhost"; port 0
-  /// binds an ephemeral port readable via Server::tcpPort()). Empty =
-  /// Unix socket only. Both listeners speak the identical framed
-  /// protocol; the TCP edge is what replica clients fail over across.
-  std::string TcpBind;
 
   /// Worker processes; 0 = one per hardware thread.
   unsigned Workers = 1;
@@ -161,12 +153,8 @@ public:
   /// Idempotent teardown; serve() calls it, the destructor backstops.
   void shutdown();
 
-  bool started() const { return ListenFd >= 0 || TcpListenFd >= 0; }
+  bool started() const { return ListenFd >= 0; }
   const ServerOptions &options() const { return Opts; }
-
-  /// Port the TCP listener actually bound (resolves port 0), 0 when
-  /// TCP is not enabled. Valid after start().
-  unsigned tcpPort() const { return TcpPort; }
 
   /// Counters merged with the live cache statistics.
   DaemonStats stats() const;
@@ -203,7 +191,7 @@ private:
     std::string Record; ///< Canonicalized verdict replayed while quarantined.
   };
 
-  void acceptClients(int Fd);
+  void acceptClients();
   void readClient(std::uint64_t Seq);
   bool flushClient(ClientConn &C);
   void dropClient(std::uint64_t Seq);
@@ -232,16 +220,14 @@ private:
   /// Graceful drain: shed the queue, finish in-flight jobs (bounded by
   /// DrainMs), flush client buffers. Runs between serve() and shutdown().
   void drain();
-  /// Closes both listeners and removes the socket file (idempotent).
-  void closeListeners();
+  /// Closes the listener and removes the socket file (idempotent).
+  void closeListener();
 
   ServerOptions Opts;
   InvariantCache Cache;
   DaemonStats Counters; ///< Cache fields filled lazily by stats().
 
-  int ListenFd = -1;    ///< Unix-domain listener (-1 = disabled).
-  int TcpListenFd = -1; ///< TCP listener (-1 = disabled).
-  unsigned TcpPort = 0; ///< Bound TCP port (ephemeral ports resolved).
+  int ListenFd = -1; ///< Unix-domain listener (-1 = closed).
   int WakePipe[2] = {-1, -1}; ///< Self-pipe: requestStop pokes [1].
   std::atomic<bool> StopFlag{false}; ///< Lock-free: signal-handler safe.
   std::map<std::uint64_t, ClientConn> Clients; ///< By accept sequence.

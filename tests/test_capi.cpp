@@ -454,8 +454,12 @@ protected:
 TEST_F(CApiDaemon, ConnectReturnsNullWithoutADaemon) {
   EXPECT_EQ(opt_oct_daemon_connect(nullptr), nullptr);
   EXPECT_EQ(opt_oct_daemon_connect(socketPath("nobody").c_str()), nullptr);
-  EXPECT_EQ(opt_oct_daemon_connect_replicas(nullptr, 0, 1), nullptr);
-  EXPECT_EQ(opt_oct_daemon_connect_replicas(",", 0, 1), nullptr);
+  EXPECT_EQ(opt_oct_daemon_connect_replicas(nullptr, 1), nullptr);
+  EXPECT_EQ(opt_oct_daemon_connect_replicas(",", 1), nullptr);
+  // The removed TCP transport is refused, not tried as a Unix path
+  // (which would degrade every request to local without a word).
+  std::string List = socketPath("live") + ",tcp:127.0.0.1:7000";
+  EXPECT_EQ(opt_oct_daemon_connect_replicas(List.c_str(), 1), nullptr);
   opt_oct_daemon_disconnect(nullptr);
 }
 
@@ -587,8 +591,7 @@ TEST_F(CApiDaemon, ReplicasFailOverPastADeadFirstEndpoint) {
   startServer(Opts);
   std::string List = socketPath("dead") + "," + SocketPath;
   opt_oct_daemon_t *D =
-      opt_oct_daemon_connect_replicas(List.c_str(), /*hedge_after_ms=*/0,
-                                      /*local_fallback=*/0);
+      opt_oct_daemon_connect_replicas(List.c_str(), /*local_fallback=*/0);
   ASSERT_NE(D, nullptr);
   opt_oct_daemon_result_t *R = opt_oct_daemon_analyze(D, "loop", DaemonLoop);
   ASSERT_NE(R, nullptr);
@@ -614,7 +617,7 @@ TEST_F(CApiDaemon, AllDownWithLocalFallbackMatchesTheDaemon) {
 
   // Lazily connected: the handle exists with every replica down.
   std::string List = Down + "," + socketPath("dead");
-  opt_oct_daemon_t *D = opt_oct_daemon_connect_replicas(List.c_str(), 0, 1);
+  opt_oct_daemon_t *D = opt_oct_daemon_connect_replicas(List.c_str(), 1);
   ASSERT_NE(D, nullptr);
   opt_oct_daemon_result_t *Local =
       opt_oct_daemon_analyze(D, "loop", DaemonLoop);
@@ -635,7 +638,7 @@ TEST_F(CApiDaemon, AllDownWithLocalFallbackMatchesTheDaemon) {
 
 TEST_F(CApiDaemon, AllDownWithoutFallbackReturnsNull) {
   std::string List = socketPath("dead1") + "," + socketPath("dead2");
-  opt_oct_daemon_t *D = opt_oct_daemon_connect_replicas(List.c_str(), 0, 0);
+  opt_oct_daemon_t *D = opt_oct_daemon_connect_replicas(List.c_str(), 0);
   ASSERT_NE(D, nullptr);
   opt_oct_daemon_result_t *R = opt_oct_daemon_analyze(D, "loop", DaemonLoop);
   EXPECT_EQ(R, nullptr);

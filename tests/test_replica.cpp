@@ -1,21 +1,22 @@
 //===- tests/test_replica.cpp - Replicated daemon tier tests --------------===//
 ///
 /// The replica tier end to end, four layers:
-///   * ReplicaTcpStream.* — the FrameReader's adversarial-input
-///     guarantees re-proven on the TCP edge: slow-loris byte-at-a-time
-///     delivery, a torn frame at every prefix length, oversized length
-///     prefixes, and garbage before the Hello — bounded memory, clean
-///     close, daemon keeps serving.
-///   * ReplicaDaemon.*   — TCP transport + Hello version negotiation
-///     against in-process servers, and the ReplicaClient policy ladder:
-///     failover, hedging past a stalled replica, shed verdicts
-///     surviving the sweep, and the all-down local degrade producing
-///     byte-identical records.
+///   * ReplicaStream.*   — the FrameReader's adversarial-input
+///     guarantees re-proven on the daemon's Unix socket: slow-loris
+///     byte-at-a-time delivery, a torn frame at every prefix length,
+///     oversized length prefixes, garbage before the Hello, and a
+///     half-open peer — bounded memory, clean close, daemon keeps
+///     serving.
+///   * ReplicaDaemon.*   — Hello version negotiation against in-process
+///     servers, and the ReplicaClient policy ladder: failover past a
+///     dead or stalled replica, shed verdicts surviving the sweep, and
+///     the all-down local degrade producing byte-identical records.
 ///   * ReplicaChaos.*    — the chaos harness: real forked daemon
 ///     processes SIGKILLed and SIGSTOPped mid-flood while partial
 ///     writes and half-open sockets land on the survivors; every reply
 ///     must match the single-daemon canonical bytes with zero
-///     client-visible failures.
+///     client-visible failures, and a frozen replica costs one receive
+///     timeout, once.
 ///   * DaemonCacheShared.* — N caches persisting to one path: flock
 ///     merge keeps sibling entries, concurrent savers never corrupt,
 ///     a crash during persist leaves the previous snapshot readable,
@@ -39,18 +40,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -81,24 +82,14 @@ std::string tempPath(const std::string &Name) {
          std::to_string(::getpid());
 }
 
-/// Raw TCP connect to 127.0.0.1:\p Port — the protocol-violation edge
-/// the cooperative DaemonClient cannot express.
-int rawTcpConnect(unsigned Port) {
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (Fd < 0)
-    return -1;
-  sockaddr_in Addr;
-  std::memset(&Addr, 0, sizeof(Addr));
-  Addr.sin_family = AF_INET;
-  Addr.sin_port = htons(static_cast<std::uint16_t>(Port));
-  ::inet_pton(AF_INET, "127.0.0.1", &Addr.sin_addr);
-  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
-    ::close(Fd);
-    return -1;
-  }
-  return Fd;
+std::int64_t msSince(std::chrono::steady_clock::time_point T0) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now() - T0)
+      .count();
 }
 
+/// Raw connect to the socket at \p Path — the protocol-violation edge
+/// the cooperative DaemonClient cannot express.
 int rawUnixConnect(const std::string &Path) {
   int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (Fd < 0)
@@ -158,9 +149,9 @@ protected:
   }
 
   /// Starts a server; returns its index. Fills an unset SocketPath with
-  /// a unique temp path unless \p TcpOnly.
-  std::size_t startServer(server::ServerOptions Opts, bool TcpOnly = false) {
-    if (Opts.SocketPath.empty() && !TcpOnly)
+  /// a unique temp path.
+  std::size_t startServer(server::ServerOptions Opts) {
+    if (Opts.SocketPath.empty())
       Opts.SocketPath =
           tempPath("srv" + std::to_string(Instances.size()) + ".sock");
     auto Inst = std::make_unique<Instance>();
@@ -180,8 +171,7 @@ protected:
       Inst.Loop.join();
     }
     Inst.Srv.reset();
-    if (!Inst.SocketPath.empty())
-      ::unlink(Inst.SocketPath.c_str());
+    ::unlink(Inst.SocketPath.c_str());
   }
 
   void stopAll() {
@@ -191,7 +181,6 @@ protected:
     Instances.clear();
   }
 
-  unsigned tcpPort(std::size_t I) const { return Instances[I]->Srv->tcpPort(); }
   const std::string &socketPath(std::size_t I) const {
     return Instances[I]->SocketPath;
   }
@@ -207,35 +196,32 @@ protected:
 
 } // namespace
 
-// --- Adversarial FrameReader input on the TCP edge --------------------------
+// --- Adversarial FrameReader input on the Unix socket -----------------------
 
-class ReplicaTcpStream : public MultiDaemon {
+class ReplicaStream : public MultiDaemon {
 protected:
-  unsigned startTcpServer() {
+  std::string startStreamServer() {
     server::ServerOptions Opts;
     Opts.Workers = 1;
-    Opts.TcpBind = "127.0.0.1:0";
     Opts.MaxFrameBytes = 1u << 20;
-    startServer(Opts, /*TcpOnly=*/true);
-    return tcpPort(0);
+    return socketPath(startServer(Opts));
   }
 
   /// The daemon still serves a cooperative client — the liveness probe
   /// every adversarial case ends with.
-  void expectStillServing(unsigned Port) {
+  void expectStillServing(const std::string &Path) {
     server::DaemonClient Client;
     std::string Error;
-    ASSERT_TRUE(Client.connect("tcp:127.0.0.1:" + std::to_string(Port), Error))
-        << Error;
+    ASSERT_TRUE(Client.connect(Path, Error)) << Error;
     server::AnalyzeResponse Resp;
     ASSERT_TRUE(Client.analyze("alive", loopProgram(5), Resp, Error)) << Error;
     EXPECT_TRUE(Resp.Ok) << Resp.Error;
   }
 };
 
-TEST_F(ReplicaTcpStream, SlowLorisByteAtATimeStillServed) {
-  unsigned Port = startTcpServer();
-  int Fd = rawTcpConnect(Port);
+TEST_F(ReplicaStream, SlowLorisByteAtATimeStillServed) {
+  std::string Path = startStreamServer();
+  int Fd = rawUnixConnect(Path);
   ASSERT_GE(Fd, 0);
   // A full well-formed conversation (Hello + Request) trickled one
   // byte per send: framing must reassemble, not time out or misparse.
@@ -260,110 +246,68 @@ TEST_F(ReplicaTcpStream, SlowLorisByteAtATimeStillServed) {
   EXPECT_TRUE(Resp.Ok);
   EXPECT_EQ(Resp.Id, 21u);
   ::close(Fd);
-  expectStillServing(Port);
+  expectStillServing(Path);
 }
 
-TEST_F(ReplicaTcpStream, TornFrameAtEveryPrefixLengthNeverWedges) {
-  unsigned Port = startTcpServer();
+TEST_F(ReplicaStream, TornFrameAtEveryPrefixLengthNeverWedges) {
+  std::string Path = startStreamServer();
   std::string Wire = ipc::frameBytes(
       ipc::MsgType::Hello, server::encodeHello(server::ProtocolVersion));
   // Disconnect after every possible prefix of a valid frame, including
   // zero bytes: each torn peer must cost the daemon nothing but the
   // accept. (This is the SIGKILLed-client-mid-write shape.)
   for (std::size_t Cut = 0; Cut != Wire.size(); ++Cut) {
-    int Fd = rawTcpConnect(Port);
+    int Fd = rawUnixConnect(Path);
     ASSERT_GE(Fd, 0) << "cut=" << Cut;
     ASSERT_TRUE(sendAllRaw(Fd, Wire.substr(0, Cut)));
     ::close(Fd);
   }
-  expectStillServing(Port);
+  expectStillServing(Path);
 }
 
-TEST_F(ReplicaTcpStream, OversizedLengthPrefixDropsClientBeforeAllocation) {
-  unsigned Port = startTcpServer();
-  int Fd = rawTcpConnect(Port);
+TEST_F(ReplicaStream, OversizedLengthPrefixDropsClientBeforeAllocation) {
+  std::string Path = startStreamServer();
+  int Fd = rawUnixConnect(Path);
   ASSERT_GE(Fd, 0);
   // Announce a 1 TiB body: the daemon must reject on the prefix alone
   // (bounded memory) and close; it must never wait for the body.
   ASSERT_TRUE(sendAllRaw(Fd, headerAnnouncing(1ull << 40)));
   EXPECT_EQ(drainUntilEof(Fd), 0u); // dropped, nothing sent back
   ::close(Fd);
-  expectStillServing(Port);
+  expectStillServing(Path);
 }
 
-TEST_F(ReplicaTcpStream, GarbageBeforeHelloDropsClientCleanly) {
-  unsigned Port = startTcpServer();
-  int Fd = rawTcpConnect(Port);
+TEST_F(ReplicaStream, GarbageBeforeHelloDropsClientCleanly) {
+  std::string Path = startStreamServer();
+  int Fd = rawUnixConnect(Path);
   ASSERT_GE(Fd, 0);
   ASSERT_TRUE(sendAllRaw(Fd, "GET / HTTP/1.1\r\nHost: optoctd\r\n\r\n"));
   EXPECT_EQ(drainUntilEof(Fd), 0u); // bad magic: dropped, no reply bytes
   ::close(Fd);
-  expectStillServing(Port);
+  expectStillServing(Path);
 }
 
-TEST_F(ReplicaTcpStream, HalfOpenSocketDoesNotBlockOtherClients) {
-  unsigned Port = startTcpServer();
+TEST_F(ReplicaStream, HalfOpenSocketDoesNotBlockOtherClients) {
+  std::string Path = startStreamServer();
   // A peer that connects, sends half a frame, and goes silent (no
   // close): the poll loop must keep serving everyone else around it.
-  int Stale = rawTcpConnect(Port);
+  int Stale = rawUnixConnect(Path);
   ASSERT_GE(Stale, 0);
   ASSERT_TRUE(sendAllRaw(Stale, headerAnnouncing(64).substr(0, 9)));
   for (int I = 0; I != 3; ++I)
-    expectStillServing(Port);
+    expectStillServing(Path);
   ::close(Stale);
 }
 
-// --- TCP transport, Hello negotiation, and the ReplicaClient ladder ---------
+// --- Hello negotiation and the ReplicaClient ladder -------------------------
 
 class ReplicaDaemon : public MultiDaemon {};
-
-TEST_F(ReplicaDaemon, TcpServesAndReplaysByteIdenticalFromCache) {
-  server::ServerOptions Opts;
-  Opts.Workers = 1;
-  Opts.TcpBind = "localhost:0";
-  startServer(Opts, /*TcpOnly=*/true);
-  std::string Endpoint = "tcp:localhost:" + std::to_string(tcpPort(0));
-
-  server::DaemonClient Client;
-  std::string Error;
-  ASSERT_TRUE(Client.connect(Endpoint, Error)) << Error;
-  server::AnalyzeResponse Cold, Warm;
-  ASSERT_TRUE(Client.analyze("tcpjob", loopProgram(9), Cold, Error)) << Error;
-  ASSERT_TRUE(Client.analyze("tcpjob", loopProgram(9), Warm, Error)) << Error;
-  ASSERT_TRUE(Cold.Ok) << Cold.Error;
-  ASSERT_TRUE(Warm.Ok) << Warm.Error;
-  EXPECT_FALSE(Cold.Cached);
-  EXPECT_TRUE(Warm.Cached);
-  EXPECT_EQ(Cold.ResultRecord, Warm.ResultRecord); // byte-identical replay
-}
-
-TEST_F(ReplicaDaemon, DualListenersServeTheSameCache) {
-  server::ServerOptions Opts;
-  Opts.Workers = 1;
-  Opts.TcpBind = "127.0.0.1:0";
-  startServer(Opts); // unix socket AND tcp on one daemon
-  std::string Error;
-
-  server::DaemonClient UnixClient, TcpClient;
-  ASSERT_TRUE(UnixClient.connect(socketPath(0), Error)) << Error;
-  ASSERT_TRUE(TcpClient.connect(
-      "tcp:127.0.0.1:" + std::to_string(tcpPort(0)), Error))
-      << Error;
-  server::AnalyzeResponse A, B;
-  ASSERT_TRUE(UnixClient.analyze("dual", loopProgram(11), A, Error)) << Error;
-  ASSERT_TRUE(TcpClient.analyze("dual", loopProgram(11), B, Error)) << Error;
-  ASSERT_TRUE(A.Ok && B.Ok);
-  EXPECT_FALSE(A.Cached);
-  EXPECT_TRUE(B.Cached); // one cache behind both transports
-  EXPECT_EQ(A.ResultRecord, B.ResultRecord);
-}
 
 TEST_F(ReplicaDaemon, HelloVersionMismatchRejectedWithServerVersion) {
   server::ServerOptions Opts;
   Opts.Workers = 1;
-  Opts.TcpBind = "127.0.0.1:0";
-  startServer(Opts, /*TcpOnly=*/true);
-  int Fd = rawTcpConnect(tcpPort(0));
+  startServer(Opts);
+  int Fd = rawUnixConnect(socketPath(0));
   ASSERT_GE(Fd, 0);
   // A peer from "the future": the daemon must answer with its own
   // version (so the peer can report the skew) and then close, before
@@ -387,17 +331,14 @@ TEST_F(ReplicaDaemon, HelloVersionMismatchRejectedWithServerVersion) {
 TEST_F(ReplicaDaemon, MismatchedClientConnectFailsWithVersionError) {
   server::ServerOptions Opts;
   Opts.Workers = 1;
-  Opts.TcpBind = "127.0.0.1:0";
-  startServer(Opts, /*TcpOnly=*/true);
+  startServer(Opts);
   // The client-side symmetric check: fake a skewed daemon by speaking
   // to ourselves through a raw socketpair is overkill — instead verify
   // the cooperative path counts and succeeds, then that the error
   // string from a mismatch parse is stable.
   server::DaemonClient Client;
   std::string Error;
-  ASSERT_TRUE(Client.connect(
-      "tcp:127.0.0.1:" + std::to_string(tcpPort(0)), Error))
-      << Error;
+  ASSERT_TRUE(Client.connect(socketPath(0), Error)) << Error;
   server::DaemonStats S;
   ASSERT_TRUE(Client.queryStats(S, Error)) << Error;
   EXPECT_GE(S.Hellos, 1u);
@@ -407,9 +348,8 @@ TEST_F(ReplicaDaemon, MismatchedClientConnectFailsWithVersionError) {
 TEST_F(ReplicaDaemon, LegacyRequestWithoutHelloStillServed) {
   server::ServerOptions Opts;
   Opts.Workers = 1;
-  Opts.TcpBind = "127.0.0.1:0";
-  startServer(Opts, /*TcpOnly=*/true);
-  int Fd = rawTcpConnect(tcpPort(0));
+  startServer(Opts);
+  int Fd = rawUnixConnect(socketPath(0));
   ASSERT_GE(Fd, 0);
   // A Request frame with no handshake (a PR-9-era client): still
   // served — the handshake is how *new* clients detect skew, not a
@@ -567,7 +507,7 @@ TEST_F(ReplicaDaemon, SustainedShedReturnsDaemonVerdictNotLocal) {
   EXPECT_EQ(Info.Cycles, 2u);
 }
 
-TEST_F(ReplicaDaemon, HedgeWinsPastStalledPrimary) {
+TEST_F(ReplicaDaemon, StalledPrimaryFailsOverAfterOneRecvTimeout) {
   // "Primary" accepts connections but never answers — the half-open /
   // SIGSTOP shape from the client's point of view.
   std::string StallPath = tempPath("stall.sock");
@@ -590,23 +530,21 @@ TEST_F(ReplicaDaemon, HedgeWinsPastStalledPrimary) {
   RO.Endpoints = {StallPath, socketPath(0)};
   RO.Retry.MaxAttempts = 1;
   RO.Retry.Seed = 7;
-  RO.HedgeAfterMs = 25;
-  RO.RecvTimeoutMs = 10'000; // the hedge, not the timeout, must win
+  RO.RecvTimeoutMs = 300;
   server::ReplicaClient Replica(RO);
   server::AnalyzeResponse Resp;
   server::ReplicaReplyInfo Info;
   std::string Error;
   auto T0 = std::chrono::steady_clock::now();
-  ASSERT_TRUE(Replica.analyze(requestFor("hedge", 10), Resp, Error, &Info))
+  ASSERT_TRUE(Replica.analyze(requestFor("stall", 10), Resp, Error, &Info))
       << Error;
-  auto Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - T0)
-                .count();
+  std::int64_t Ms = msSince(T0);
   ASSERT_TRUE(Resp.Ok) << Resp.Error;
-  EXPECT_EQ(Info.Path, server::ReplyPath::Hedged);
+  EXPECT_EQ(Info.Path, server::ReplyPath::Failover);
   EXPECT_EQ(Info.Endpoint, socketPath(0));
-  // Far below the 10s recv timeout: the hedge is what answered.
-  EXPECT_LT(Ms, 5000);
+  // The unanswered Hello costs exactly one receive timeout.
+  EXPECT_GE(Ms, 300);
+  EXPECT_LT(Ms, 450);
   ::close(StallFd);
   ::unlink(StallPath.c_str());
 }
@@ -790,7 +728,45 @@ TEST_F(ReplicaChaos, KillOneReplicaMidFloodZeroFailuresByteIdentical) {
   EXPECT_EQ(Locals, 0u);
 }
 
-TEST_F(ReplicaChaos, SigstopReplicaIsHedgedPastMidFlood) {
+// A receive timeout is not a stale connection: a frozen daemon's pooled
+// connection gets no reconnect-and-resend (whose Hello would wait out a
+// second timeout), and the error names the timeout.
+TEST_F(ReplicaChaos, TimeoutOnPooledConnectionFailsOverWithoutResend) {
+  ForkedReplica Reps[2];
+  server::ReplicaOptions RO;
+  for (int I = 0; I != 2; ++I) {
+    RO.Endpoints.push_back(tempPath("pooled" + std::to_string(I) + ".sock"));
+    ASSERT_TRUE(Reps[I].start(RO.Endpoints.back()));
+    ASSERT_TRUE(waitForDaemon(RO.Endpoints.back()));
+  }
+  RO.Retry.MaxAttempts = 1;
+  RO.RecvTimeoutMs = 400;
+  server::ReplicaClient Replica(RO);
+  server::DaemonClient Plain;
+  Plain.setRecvTimeoutMs(RO.RecvTimeoutMs);
+  server::AnalyzeResponse Resp;
+  server::ReplicaReplyInfo Info;
+  std::string Error;
+  ASSERT_TRUE(Plain.connect(RO.Endpoints[0], Error)) << Error;
+  ASSERT_TRUE(Replica.analyze(requestFor("warm", 8), Resp, Error, &Info))
+      << Error;
+  ASSERT_EQ(Info.Path, server::ReplyPath::Primary);
+  Reps[0].signal(SIGSTOP);
+
+  auto T0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(Replica.analyze(requestFor("next", 9), Resp, Error, &Info))
+      << Error;
+  EXPECT_LT(msSince(T0), 600); // under 1.5 receive timeouts
+  EXPECT_EQ(Info.Path, server::ReplyPath::Failover);
+  EXPECT_EQ(Info.Endpoint, RO.Endpoints[1]);
+
+  EXPECT_FALSE(Plain.analyze("next", loopProgram(9), Resp, Error));
+  EXPECT_TRUE(Plain.timedOut());
+  EXPECT_NE(Error.find("400 ms receive timeout"), std::string::npos) << Error;
+  Reps[0].signal(SIGCONT);
+}
+
+TEST_F(ReplicaChaos, SigstopReplicaFailsOverOnceMidFlood) {
   ForkedReplica Reps[2];
   server::ReplicaOptions RO;
   for (int I = 0; I != 2; ++I) {
@@ -802,13 +778,12 @@ TEST_F(ReplicaChaos, SigstopReplicaIsHedgedPastMidFlood) {
   RO.Retry.MaxAttempts = 3;
   RO.Retry.BaseBackoffMs = 5;
   RO.Retry.Seed = 7;
-  RO.HedgeAfterMs = 30;
-  RO.RecvTimeoutMs = 3000;
+  RO.RecvTimeoutMs = 1000;
   server::ReplicaClient Replica(std::move(RO));
 
   // Warm the preferred replica, then freeze it: a SIGSTOPped daemon
   // holds its sockets open but answers nothing — the failure mode only
-  // hedging (or the recv timeout) gets past.
+  // the receive timeout gets past.
   server::AnalyzeResponse Resp;
   server::ReplicaReplyInfo Info;
   std::string Error;
@@ -817,22 +792,26 @@ TEST_F(ReplicaChaos, SigstopReplicaIsHedgedPastMidFlood) {
   ASSERT_TRUE(Resp.Ok);
   std::size_t FrozenIdx =
       Replica.preferredEndpoint() == Replica.options().Endpoints[0] ? 0 : 1;
+  const std::string &Survivor = Replica.options().Endpoints[1 - FrozenIdx];
   Reps[FrozenIdx].signal(SIGSTOP);
 
   auto T0 = std::chrono::steady_clock::now();
+  unsigned Failovers = 0;
   for (unsigned I = 0; I != 6; ++I) {
     ASSERT_TRUE(Replica.analyze(requestFor("s" + std::to_string(I), 8 + I),
                                 Resp, Error, &Info))
         << "request " << I << ": " << Error;
     ASSERT_TRUE(Resp.Ok) << Resp.Error;
-    EXPECT_NE(Info.Path, server::ReplyPath::Local);
+    EXPECT_EQ(Info.Endpoint, Survivor) << "request " << I;
+    if (Info.Path == server::ReplyPath::Failover)
+      ++Failovers;
+    else
+      EXPECT_EQ(Info.Path, server::ReplyPath::Primary) << "request " << I;
   }
-  auto Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - T0)
-                .count();
-  // 6 requests against a frozen preferred replica: hedging must keep
-  // each one near HedgeAfterMs, far under one recv timeout each.
-  EXPECT_LT(Ms, 6 * 3000);
+  // Sticky failover: the frozen replica costs the first request one
+  // receive timeout, and the survivor serves the rest as primary.
+  EXPECT_EQ(Failovers, 1u);
+  EXPECT_LT(msSince(T0), 1500);
   Reps[FrozenIdx].signal(SIGCONT);
 }
 
@@ -1105,9 +1084,24 @@ TEST(EndpointList, SplitsTrimsAndDropsEmptyItems) {
   // Spaces around an item are not part of the endpoint: " b" used to
   // become a socket path that failed with a misleading connect error.
   EXPECT_EQ(server::parseEndpointList("a, b"), V({"a", "b"}));
-  EXPECT_EQ(server::parseEndpointList(" /tmp/r1.sock ,tcp:127.0.0.1:7000 "),
-            V({"/tmp/r1.sock", "tcp:127.0.0.1:7000"}));
+  EXPECT_EQ(server::parseEndpointList(" /tmp/r1.sock ,./r2.sock "),
+            V({"/tmp/r1.sock", "./r2.sock"}));
   EXPECT_EQ(server::parseEndpointList("a,,b,"), V({"a", "b"}));
   EXPECT_EQ(server::parseEndpointList(" , "), V());
   EXPECT_EQ(server::parseEndpointList(""), V());
+}
+
+TEST(EndpointList, RemovedTcpTransportIsRefusedByName) {
+  // Tried as a Unix path, a tcp: endpoint would fail every request over
+  // to the local degrade without a word.
+  try {
+    server::parseEndpointList("a.sock, tcp:127.0.0.1:7000");
+    ADD_FAILURE() << "tcp: endpoint accepted";
+  } catch (const std::invalid_argument &E) {
+    EXPECT_NE(std::string(E.what()).find("tcp: transport was removed"),
+              std::string::npos)
+        << E.what();
+  }
+  EXPECT_THROW(server::ReplicaClient(server::singleDaemonOptions("tcp:h:1")),
+               std::invalid_argument);
 }

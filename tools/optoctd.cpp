@@ -10,11 +10,6 @@
 /// crashed to that one client; everyone else keeps being served.
 ///
 ///   optoctd --socket=<path> [options]
-///     --tcp=<host:port>   additionally (or, without --socket, only)
-///                         listen on TCP — same framed protocol, for
-///                         replicas on other hosts; port 0 binds an
-///                         ephemeral port, announced on stderr as
-///                         "optoctd: tcp port <n>"
 ///     --workers=N         worker processes (default 1; 0 = one per
 ///                         hardware thread)
 ///     --cache-mb=N        invariant-cache budget in MiB (default 64)
@@ -58,19 +53,15 @@
 ///
 /// Client mode: connect to a running daemon, submit programs, print
 /// one line per response plus (with --stats) the daemon's counters.
-/// --socket also accepts a "tcp:host:port" endpoint.
 ///
 ///   optoctd --client --socket=<path> [files.imp...]
 ///     --endpoints=<e1,e2,...>
-///                         replica mode: a comma-separated endpoint
-///                         list (Unix paths and/or tcp:host:port)
-///                         behind one ReplicaClient — failover across
-///                         replicas, optional hedging, and local
+///                         replica mode: a comma-separated list of Unix
+///                         socket paths behind one ReplicaClient —
+///                         sticky failover across replicas, and local
 ///                         in-process degrade when all are down. Each
 ///                         response line gains a trailing
-///                         path=<primary|failover|hedged|local>
-///     --hedge-ms=<n>      replica mode: race the next replica if the
-///                         preferred one has not answered in n ms
+///                         path=<primary|failover|local>
 ///     --no-local-fallback replica mode: all-replicas-down is a
 ///                         transport error instead of local analysis
 ///     --generated         submit the 17 generated paper workloads
@@ -98,7 +89,8 @@
 ///   <name> OVERLOADED after <n> attempts (retry_ms=<hint>)
 ///
 /// Exit codes: 0 all responses ok and proven, 1 some unproven, failed,
-/// or shed, 2 usage/transport errors, 3 some request crashed its worker.
+/// or shed, 2 usage/transport errors (an endpoint of the removed TCP
+/// transport among them), 3 some request crashed its worker.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -139,15 +131,15 @@ struct DaemonCliOptions {
   bool PrintInvariants = false;
   analysis::AnalysisOptions Engine;
   std::uint64_t MaxDbmCells = 0;
-  /// Retry policy, plus (--endpoints) the replica list, hedging and
-  /// local fallback. Without --endpoints the client is one-endpoint.
+  /// Retry policy, plus (--endpoints) the replica list and local
+  /// fallback. Without --endpoints the client is one-endpoint.
   server::ReplicaOptions Replica;
 };
 
 void usage(const char *Argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--socket=<path>] [--tcp=<host:port>] [--workers=N]\n"
+      "usage: %s --socket=<path> [--workers=N]\n"
       "       [--cache-mb=N] [--cache-file=<path>] [--deadline-ms=<n>]\n"
       "       [--max-rss-mb=<n>] [--recycle-after=<n>] [--retries=<n>]\n"
       "       [--max-frame-mb=<n>] [--max-clients=<n>] [--max-queue=<n>]\n"
@@ -155,12 +147,12 @@ void usage(const char *Argv0) {
       "       [--quarantine-after=<n>] [--quarantine-ttl-ms=<n>]\n"
       "       [--max-request-ms=<n>] [--drain-ms=<n>] [--inject=<spec>]\n"
       "       [--fault-seed=<n>]\n"
-      "   or: %s --client --socket=<path|tcp:host:port> [files.imp...]\n"
-      "       [--endpoints=<e1,e2,...>] [--hedge-ms=<n>]\n"
-      "       [--no-local-fallback] [--generated] [--repeat=<n>]\n"
-      "       [--no-cache] [--stats] [--invariants] [--retry-attempts=<n>]\n"
-      "       [--retry-base-ms=<n>] [--widening-delay=<k>] [--narrowing=<k>]\n"
-      "       [--no-linearize] [--thresholds=a,b,...] [--max-cells=<n>]\n",
+      "   or: %s --client --socket=<path> [files.imp...]\n"
+      "       [--endpoints=<e1,e2,...>] [--no-local-fallback] [--generated]\n"
+      "       [--repeat=<n>] [--no-cache] [--stats] [--invariants]\n"
+      "       [--retry-attempts=<n>] [--retry-base-ms=<n>]\n"
+      "       [--widening-delay=<k>] [--narrowing=<k>] [--no-linearize]\n"
+      "       [--thresholds=a,b,...] [--max-cells=<n>]\n",
       Argv0, Argv0);
 }
 
@@ -208,14 +200,9 @@ bool parseArgs(int Argc, char **Argv, DaemonCliOptions &Opts) {
       Opts.ClientMode = true;
     else if (Arg.rfind("--socket=", 0) == 0)
       Opts.Server.SocketPath = Arg.substr(9);
-    else if (Arg.rfind("--tcp=", 0) == 0)
-      Opts.Server.TcpBind = Arg.substr(6);
     else if (Arg.rfind("--endpoints=", 0) == 0)
       Opts.Replica.Endpoints = server::parseEndpointList(Arg.substr(12));
-    else if (Arg.rfind("--hedge-ms=", 0) == 0) {
-      if (!parseU64(Arg.substr(11), "--hedge-ms", Opts.Replica.HedgeAfterMs))
-        return false;
-    } else if (Arg == "--no-local-fallback")
+    else if (Arg == "--no-local-fallback")
       Opts.Replica.LocalFallback = false;
     else if (Arg.rfind("--workers=", 0) == 0) {
       if (!parseUnsigned(Arg.substr(10), "--workers", Opts.Server.Workers))
@@ -337,10 +324,8 @@ bool parseArgs(int Argc, char **Argv, DaemonCliOptions &Opts) {
     } else
       Opts.Files.push_back(Arg);
   }
-  if (!Opts.ClientMode && Opts.Server.SocketPath.empty() &&
-      Opts.Server.TcpBind.empty()) {
-    std::fprintf(stderr, "error: --socket=<path> or --tcp=<host:port> "
-                         "is required\n");
+  if (!Opts.ClientMode && Opts.Server.SocketPath.empty()) {
+    std::fprintf(stderr, "error: --socket=<path> is required\n");
     return false;
   }
   if (Opts.ClientMode && Opts.Server.SocketPath.empty() &&
@@ -386,19 +371,10 @@ int runDaemon(const DaemonCliOptions &Opts) {
   ::sigaction(SIGTERM, &SA, nullptr);
   ::sigaction(SIGINT, &SA, nullptr);
 
-  std::string Where = Opts.Server.SocketPath;
-  if (Daemon.tcpPort() != 0) {
-    if (!Where.empty())
-      Where += " + ";
-    Where += "tcp port " + std::to_string(Daemon.tcpPort());
-    // Machine-greppable line: with --tcp=host:0 this is how a harness
-    // learns the ephemeral port it must hand to clients.
-    std::fprintf(stderr, "optoctd: tcp port %u\n", Daemon.tcpPort());
-  }
   std::fprintf(stderr,
                "optoctd: serving on %s (%u workers, %zu MiB cache, "
                "simd tier %s)\n",
-               Where.c_str(),
+               Opts.Server.SocketPath.c_str(),
                static_cast<unsigned>(Daemon.stats().Workers),
                Opts.Server.CacheMaxBytes >> 20,
                simdTierName(activeSimdTier()));
