@@ -9,8 +9,6 @@
 ///   * sparse closure off (dense closures regardless of density),
 ///   * decomposition off (monolithic matrices, no components),
 ///   * sparsity threshold sweep (t in {0.5, 0.75, 0.9}),
-///   * lazy (within-component-only) strengthening — the follow-on
-///     extension that trades join precision for decomposition,
 ///
 /// plus the APRON baseline for scale.
 ///
@@ -55,8 +53,6 @@ int main() {
        }},
       {"threshold t = 0.5", [] { octConfig().SparsityThreshold = 0.5; }},
       {"threshold t = 0.9", [] { octConfig().SparsityThreshold = 0.9; }},
-      {"lazy strengthening (extension)",
-       [] { octConfig().LazyStrengthening = true; }},
   };
 
   TextTable Table({"Configuration", "analysis ms", "#closures",

@@ -10,7 +10,11 @@
 /// kernels of oct/simd_kernels.h over a whole block — or over many small
 /// components' blocks laid end to end, so k tiny components pay one
 /// kernel dispatch instead of k — and scatter() writes the results back
-/// to the same slots pack() read.
+/// to the same slots pack() read. Closure uses the same pair: the
+/// decomposed closure (dense and sparse components alike) and the
+/// decomposed incremental closure pack one component at a time into
+/// ClosureScratch::DenseTmp, close it there and scatter it back, so no
+/// closure kernel walks a component in place.
 ///
 /// Slot-set equivalence (what keeps nni exact): a block holds exactly
 /// the stored lower-triangle slots whose variable pair lies inside the

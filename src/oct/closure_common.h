@@ -29,11 +29,13 @@ struct ClosureScratch {
   /// operand d_i = O(i, i^1) is T[i^1].
   AlignedBuffer<double> T;
   /// Index lists of finite entries for the sparse closure (Section 5.3).
-  std::vector<unsigned> IdxColK, IdxColK1, IdxRowK, IdxRowK1, IdxT;
-  /// Contiguous copy of each component the decomposed closure closes:
-  /// its sparsity is counted there and the dense kernel runs there (the
-  /// hot per-closure allocation otherwise). Per-thread like the rest of
-  /// the scratch.
+  std::vector<unsigned> IdxRowK, IdxRowK1, IdxT;
+  /// The one place a component of a decomposed octagon is closed: the
+  /// decomposed closure packs each component here, counts its sparsity
+  /// and runs the dense or sparse shortest-path kernel; the incremental
+  /// closure packs each touched component here and runs its pivot
+  /// passes. Both scatter the block back. Per-thread like the rest of
+  /// the scratch, so no closure allocates it.
   HalfDbm DenseTmp;
 
   /// Grows the buffers to hold at least \p Dim (= 2n) doubles each.

@@ -10,6 +10,12 @@
 /// strengthening step. All of Algorithm 3's optimizations (column
 /// buffering, scalar replacement, vectorization) apply.
 ///
+/// A decomposed octagon runs the same pivot passes on each touched
+/// component packed into a contiguous block (oct/blocked_layout.h), with
+/// the touched variables renumbered to block positions; its
+/// strengthening is the decomposed closure's strengthenAndMerge on the
+/// whole matrix.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef OPTOCT_OCT_CLOSURE_INCREMENTAL_H
@@ -18,28 +24,21 @@
 #include "oct/closure_common.h"
 #include "oct/dbm.h"
 
-#include <cstddef>
 #include <vector>
 
 namespace optoct {
+
+/// One fused pivot-pair pass (variable \p K) of Algorithm 3 over the
+/// whole fully initialized half DBM \p M, vectorized. The shortest-path
+/// half of the incremental closure: no strengthening, no emptiness
+/// check. It only lowers entries.
+void incrementalPivotPass(HalfDbm &M, unsigned K, ClosureScratch &Scratch);
 
 /// Incremental strong closure of a fully initialized half DBM that was
 /// strongly closed before the rows/columns of the variables in
 /// \p Touched were modified. Returns false if the octagon became empty.
 bool incrementalClosureDense(HalfDbm &M, const std::vector<unsigned> &Touched,
                              ClosureScratch &Scratch);
-
-/// Restricted variant for the Decomposed kind: the DBM is meaningful
-/// only on \p Vars (sorted; must contain every variable of \p Touched)
-/// and the pass touches only entries within \p Vars. The caller is
-/// responsible for the emptiness check on the component diagonal.
-/// Returns the number of entries lowered from +inf to a finite bound:
-/// closure only lowers entries, so this is exactly the change to the
-/// component's count of finite entries.
-std::size_t incrementalClosureRestricted(HalfDbm &M,
-                                  const std::vector<unsigned> &Vars,
-                                  const std::vector<unsigned> &Touched,
-                                  ClosureScratch &Scratch);
 
 } // namespace optoct
 

@@ -9,43 +9,24 @@
 
 using namespace optoct;
 
-namespace {
-
-/// Builds the list of extended indices 2v, 2v+1 for each v in Vars,
-/// ascending (Vars is sorted).
-std::vector<unsigned> extendedIndices(const std::vector<unsigned> &Vars) {
-  std::vector<unsigned> E;
-  E.reserve(2 * Vars.size());
-  for (unsigned V : Vars) {
-    E.push_back(2 * V);
-    E.push_back(2 * V + 1);
-  }
-  return E;
-}
-
-} // namespace
-
-void optoct::shortestPathSparseRestricted(HalfDbm &M,
-                                          const std::vector<unsigned> &Vars,
-                                          ClosureScratch &Scratch) {
-  if (Vars.empty())
-    return;
+void optoct::shortestPathSparse(HalfDbm &M, ClosureScratch &Scratch) {
   unsigned D = M.dim();
+  if (D == 0)
+    return;
   Scratch.ensure(D);
   double *ColK = Scratch.ColK.data();
   double *ColK1 = Scratch.ColK1.data();
   double *RowK = Scratch.RowK.data();
   double *RowK1 = Scratch.RowK1.data();
-  std::vector<unsigned> EVars = extendedIndices(Vars);
 
-  for (unsigned K : Vars) {
+  for (unsigned K = 0, N = M.numVars(); K != N; ++K) {
     support::pollBudget();
     support::faultPoint("closure.pivot");
     unsigned KK = 2 * K, KK1 = 2 * K + 1;
     double OkK1 = M.at(KK, KK1);
     double Ok1K = M.at(KK1, KK);
 
-    // Update the pivot columns (linear scan over the component — this is
+    // Update the pivot columns (linear scan over the matrix — this is
     // the quadratic part of the complexity) and gather their values.
     //
     // The adds would want boundAdd (Vk/Vk1 can be +inf while the
@@ -56,7 +37,7 @@ void optoct::shortestPathSparseRestricted(HalfDbm &M,
     // sanitized at the domain boundary). The sparse inner loops below
     // are safe as-is — their index lists admit only finite operands.
     const bool FinK1 = isFinite(OkK1), FinK = isFinite(Ok1K);
-    for (unsigned I : EVars) {
+    for (unsigned I = 0; I != D; ++I) {
       if (I == KK || I == KK1) {
         ColK[I] = I == KK ? 0.0 : Ok1K;
         ColK1[I] = I == KK ? OkK1 : 0.0;
@@ -81,11 +62,11 @@ void optoct::shortestPathSparseRestricted(HalfDbm &M,
     }
 
     // Index the finite row operands. By coherence O(2k,j) = ColK1[j^1]
-    // and O(2k+1,j) = ColK[j^1]; EVars is xor-closed so scanning it in
-    // order yields sorted index lists.
+    // and O(2k+1,j) = ColK[j^1]; scanning j in order yields sorted index
+    // lists.
     Scratch.IdxRowK.clear();
     Scratch.IdxRowK1.clear();
-    for (unsigned J : EVars) {
+    for (unsigned J = 0; J != D; ++J) {
       double Rk = ColK1[J ^ 1u];
       double Rk1 = ColK[J ^ 1u];
       RowK[J] = Rk;
@@ -98,7 +79,7 @@ void optoct::shortestPathSparseRestricted(HalfDbm &M,
 
     // Remaining entries: update (i,j) only when both operands are
     // finite. The index lists are sorted, so "j <= (i|1)" is a prefix.
-    for (unsigned I : EVars) {
+    for (unsigned I = 0; I != D; ++I) {
       double C1 = ColK[I];
       double C2 = ColK1[I];
       unsigned Limit = I | 1u;
@@ -132,7 +113,12 @@ std::size_t optoct::strengthenSparseRestricted(
     return 0;
   Scratch.ensure(M.dim());
   double *T = Scratch.T.data();
-  std::vector<unsigned> EVars = extendedIndices(Vars);
+  std::vector<unsigned> EVars;
+  EVars.reserve(2 * Vars.size());
+  for (unsigned V : Vars) {
+    EVars.push_back(2 * V);
+    EVars.push_back(2 * V + 1);
+  }
 
   // Index the finite diagonal operands T[j] = O(j^1, j).
   Scratch.IdxT.clear();
@@ -164,9 +150,9 @@ std::size_t optoct::strengthenSparseRestricted(
 
 bool optoct::closureSparse(HalfDbm &M, ClosureScratch &Scratch,
                            std::size_t &NniOut) {
+  shortestPathSparse(M, Scratch);
   std::vector<unsigned> AllVars(M.numVars());
   std::iota(AllVars.begin(), AllVars.end(), 0u);
-  shortestPathSparseRestricted(M, AllVars, Scratch);
   strengthenSparseRestricted(M, AllVars, Scratch);
 
   unsigned D = M.dim();

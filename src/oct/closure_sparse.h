@@ -9,10 +9,11 @@
 /// likewise indexes the finite diagonal operands. Complexity is
 /// O(n^2 + sum_k k_k * l_k), quadratic for very sparse matrices.
 ///
-/// All routines exist in a *restricted* form that operates on the
-/// submatrix induced by a sorted variable list — this is how the
-/// decomposed closure (Section 5.4) runs the sparse algorithms directly
-/// on (possibly non-contiguous) independent components without copying.
+/// The decomposed closure (Section 5.4) runs the shortest-path step on
+/// each sparse component packed into a contiguous block
+/// (oct/blocked_layout.h), the same pack its dense components take.
+/// Strengthening keeps a *restricted* form over a sorted variable list:
+/// the merged component it strengthens is rarely worth a pack.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,12 +28,9 @@
 
 namespace optoct {
 
-/// Sparse shortest-path closure restricted to the components' variables
-/// \p Vars (sorted ascending). Touches only entries whose endpoints both
-/// lie in \p Vars.
-void shortestPathSparseRestricted(HalfDbm &M,
-                                  const std::vector<unsigned> &Vars,
-                                  ClosureScratch &Scratch);
+/// Sparse shortest-path closure of a fully initialized half DBM (no
+/// strengthening, no emptiness check).
+void shortestPathSparse(HalfDbm &M, ClosureScratch &Scratch);
 
 /// Sparse strengthening restricted to \p Vars (sorted ascending).
 /// Returns the number of entries it lowered from +inf to a finite bound

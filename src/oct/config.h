@@ -7,10 +7,8 @@
 ///   * SparsityThreshold — the t in "use Dense if D < t" (Section 3.5).
 ///   * EnableDecomposition — maintain independent components (Section 3.3).
 ///   * EnableSparse — use the sparse closure for sparse DBMs (Section 5.3).
-///   * LazyStrengthening — optional extension (follow-on ELINA work): skip
-///     materializing entailed cross-component constraints in decomposed
-///     strengthening, keeping components separate. Off by default to match
-///     the 2015 paper (Section 5.4 merges such components).
+/// Strengthening has one mode, the paper's: decomposed strengthening
+/// merges every component holding a unary bound (Section 5.4).
 ///
 /// Every knob's *initial* value can be overridden from the environment,
 /// so CI legs and external harnesses can force a configuration without
@@ -18,7 +16,6 @@
 /// headers for cross-machine comparability):
 ///   * OPTOCT_DECOMPOSITION=0        — no independent components
 ///   * OPTOCT_SPARSE=0               — no sparse closure
-///   * OPTOCT_LAZY_STRENGTHENING=1   — enable the post-2015 extension
 ///   * OPTOCT_SPARSITY_THRESHOLD=t   — the Section 3.5 threshold, in [0,1]
 ///   * OPTOCT_SIMD=scalar|avx2|avx512 — force a kernel tier (this one is
 ///     read by oct/simd_dispatch.cpp at startup, not through octConfig())
@@ -53,10 +50,6 @@ struct OctConfig {
 
   /// Use the index-driven sparse closure when D >= SparsityThreshold.
   bool EnableSparse = true;
-
-  /// Extension beyond the 2015 paper: leave cross-component entailed
-  /// constraints implicit during decomposed strengthening.
-  bool LazyStrengthening = false;
 };
 
 /// Library-wide configuration instance.

@@ -38,8 +38,6 @@ OctConfig configFromEnv() {
   C.EnableDecomposition =
       envFlag("OPTOCT_DECOMPOSITION", C.EnableDecomposition);
   C.EnableSparse = envFlag("OPTOCT_SPARSE", C.EnableSparse);
-  C.LazyStrengthening =
-      envFlag("OPTOCT_LAZY_STRENGTHENING", C.LazyStrengthening);
   if (const char *T = std::getenv("OPTOCT_SPARSITY_THRESHOLD")) {
     char *End = nullptr;
     double Value = std::strtod(T, &End);
@@ -306,10 +304,8 @@ void Octagon::closeDecomposed() {
   // Shortest-path closure per component; it cannot connect variables in
   // different components (Section 5.4). Each component is packed into a
   // contiguous temporary (the per-thread scratch, reused across
-  // closures), which is where the dense kernel runs and where the
-  // submatrix's own sparsity is counted before each closure (Sections
-  // 3.3 and 4.3). The sparse kernel runs in place on the rare sparse
-  // components, leaving the pack unused.
+  // closures), where its own sparsity is counted (Sections 3.3 and 4.3)
+  // and the dense or sparse kernel runs, then scattered back.
   HalfDbm &Tmp = scratch().DenseTmp;
   for (std::size_t C = 0, E = P.numComponents(); C != E; ++C) {
     const std::vector<unsigned> &Vars = P.component(C);
@@ -317,11 +313,10 @@ void Octagon::closeDecomposed() {
     packComponent(Tmp.data(), M, Vars);
     double SubD = 1.0 - static_cast<double>(Tmp.countFinite()) /
                             static_cast<double>(Tmp.size());
-    if (Cfg.EnableSparse && SubD >= Cfg.SparsityThreshold) {
-      shortestPathSparseRestricted(M, Vars, scratch());
-      continue;
-    }
-    shortestPathDense(Tmp, scratch());
+    if (Cfg.EnableSparse && SubD >= Cfg.SparsityThreshold)
+      shortestPathSparse(Tmp, scratch());
+    else
+      shortestPathDense(Tmp, scratch());
     scatterComponent(Tmp.data(), M, Vars);
   }
 
@@ -360,8 +355,8 @@ bool Octagon::normalizeCoveredDiagonal() {
 
 std::size_t Octagon::strengthenAndMerge() {
   // Components holding a finite unary (diagonal-block) bound: only those
-  // participate in strengthening, and in the faithful 2015 semantics
-  // they merge into a single component (Section 5.4).
+  // participate in strengthening, and they merge into a single component
+  // (Section 5.4).
   std::vector<std::size_t> Bounded;
   for (std::size_t C = 0, E = P.numComponents(); C != E; ++C) {
     for (unsigned V : P.component(C))
@@ -373,15 +368,6 @@ std::size_t Octagon::strengthenAndMerge() {
   }
   if (Bounded.empty())
     return 0;
-
-  if (octConfig().LazyStrengthening) {
-    // Extension: strengthen within each component only, leaving the
-    // entailed cross-component constraints implicit.
-    std::size_t Fresh = 0;
-    for (std::size_t C : Bounded)
-      Fresh += strengthenSparseRestricted(M, P.component(C), scratch());
-    return Fresh;
-  }
 
   // The merge initializes the new cross entries to +inf, which changes
   // no count.
@@ -645,8 +631,12 @@ void Octagon::incrementalClose(const std::vector<unsigned> &Touched) {
   }
 
   // Decomposed: the touched variables already share one component with
-  // everything the new constraints relate them to; run restricted pivot
-  // passes there, then the global strengthening phase.
+  // everything the new constraints relate them to. Pack each touched
+  // component once, run the pivot passes of its touched variables
+  // (renumbered to block positions) on the block, and scatter it back;
+  // then the global strengthening phase. Closure only lowers entries, so
+  // the block's finite count grows by exactly the entries the passes
+  // took from +inf to finite.
   std::size_t Fresh = 0;
   std::vector<std::size_t> TouchedComps;
   for (unsigned V : Touched) {
@@ -657,13 +647,20 @@ void Octagon::incrementalClose(const std::vector<unsigned> &Touched) {
   std::sort(TouchedComps.begin(), TouchedComps.end());
   TouchedComps.erase(std::unique(TouchedComps.begin(), TouchedComps.end()),
                      TouchedComps.end());
+  HalfDbm &Tmp = scratch().DenseTmp;
   for (std::size_t C : TouchedComps) {
     const std::vector<unsigned> &Vars = P.component(C);
-    std::vector<unsigned> Local;
-    for (unsigned V : Touched)
-      if (P.componentOf(V) == static_cast<int>(C))
-        Local.push_back(V);
-    Fresh += incrementalClosureRestricted(M, Vars, Local, scratch());
+    Tmp.resizeDiscard(static_cast<unsigned>(Vars.size()));
+    packComponent(Tmp.data(), M, Vars);
+    std::size_t Before = Tmp.countFinite();
+    for (unsigned V : Touched) {
+      if (P.componentOf(V) != static_cast<int>(C))
+        continue;
+      auto Pos = std::lower_bound(Vars.begin(), Vars.end(), V) - Vars.begin();
+      incrementalPivotPass(Tmp, static_cast<unsigned>(Pos), scratch());
+    }
+    Fresh += Tmp.countFinite() - Before;
+    scatterComponent(Tmp.data(), M, Vars);
   }
   Fresh += strengthenAndMerge();
 

@@ -202,7 +202,10 @@ public:
   /// Requires a closed octagon to preserve the remaining relations.
   void removeTrailingVars(unsigned Count);
 
-  /// Human-readable dump (for tests/examples).
+  /// The invariant text that canonical reports, cache records and daemon
+  /// replies carry. Closes first. Constraints are listed component by
+  /// component, so the text is identical across SIMD tiers but its order
+  /// follows the representation (dense or decomposed).
   std::string str(const std::vector<std::string> *Names = nullptr);
 
 private:

@@ -6,10 +6,14 @@
 /// executable specification closureFullReference on random DBMs across
 /// sizes and densities, including empty (negative-cycle) cases, plus
 /// algebraic property tests (idempotence, decrease-only, coherence).
+/// The decomposed compositions (a component packed into a contiguous
+/// block, closed there, scattered back, then strengthened on the whole
+/// matrix) run on blocks whose variables interleave.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "baseline/closure_apron.h"
+#include "oct/blocked_layout.h"
 #include "oct/closure_dense.h"
 #include "oct/closure_incremental.h"
 #include "oct/closure_reference.h"
@@ -35,6 +39,27 @@ void PrintTo(const ClosureCase &C, std::ostream *OS) {
 }
 
 class ClosureDifferential : public ::testing::TestWithParam<ClosureCase> {};
+
+/// Two independent components that interleave: the even and the odd
+/// variables. \p All lists every variable.
+void evenOddComponents(unsigned NumVars, std::vector<unsigned> &Even,
+                       std::vector<unsigned> &Odd, std::vector<unsigned> &All) {
+  for (unsigned V = 0; V != NumVars; ++V) {
+    (V % 2 ? Odd : Even).push_back(V);
+    All.push_back(V);
+  }
+}
+
+/// The emptiness check that ends a closure: false on a negative diagonal
+/// entry, otherwise zeroes the diagonal.
+bool normalizeDiagonal(HalfDbm &M) {
+  for (unsigned I = 0; I != M.dim(); ++I)
+    if (M.at(I, I) < 0.0)
+      return false;
+  for (unsigned I = 0; I != M.dim(); ++I)
+    M.at(I, I) = 0.0;
+  return true;
+}
 
 TEST_P(ClosureDifferential, DenseMatchesReference) {
   ClosureCase C = GetParam();
@@ -127,31 +152,89 @@ TEST_P(ClosureDifferential, RestrictedSparseOnBlocksMatchesReference) {
     return;
   Rng R(C.Seed);
   HalfDbm M(C.NumVars);
-  // Two independent blocks: even and odd variables.
-  std::vector<unsigned> Even, Odd;
-  for (unsigned V = 0; V != C.NumVars; ++V)
-    (V % 2 ? Odd : Even).push_back(V);
+  std::vector<unsigned> Even, Odd, All;
+  evenOddComponents(C.NumVars, Even, Odd, All);
   randomizeBlockDbm(M, R, {Even, Odd}, C.Density);
   HalfDbm Ref = M;
   bool RefOk = referenceClose(Ref);
 
-  // Closure per block + strengthening over all variables must equal the
-  // monolithic strong closure on block-structured matrices.
+  // The sparse leg of the decomposed closure: each component packed,
+  // closed by the sparse kernel and scattered back, then strengthening
+  // over all variables, must equal the monolithic strong closure on
+  // block-structured matrices.
+  forEachSimdTier([&](SimdTier Tier) {
+    HalfDbm Work = M;
+    ClosureScratch Scratch;
+    for (const std::vector<unsigned> *Comp : {&Even, &Odd}) {
+      HalfDbm Block(static_cast<unsigned>(Comp->size()));
+      packComponent(Block.data(), Work, *Comp);
+      shortestPathSparse(Block, Scratch);
+      scatterComponent(Block.data(), Work, *Comp);
+    }
+    strengthenSparseRestricted(Work, All, Scratch);
+    bool Ok = normalizeDiagonal(Work);
+    ASSERT_EQ(Ok, RefOk) << simdTierName(Tier);
+    if (Ok)
+      expectDbmEq(Work, Ref, simdTierName(Tier));
+  });
+}
+
+/// The decomposed leg of Octagon::incrementalClose: a block-structured
+/// matrix whose components interleave, each component closed, one entry
+/// of the even component tightened. The component is packed, the pivot
+/// passes run at the touched variables' block positions, the block is
+/// scattered back and the whole matrix strengthened; the result must be
+/// the strong closure. The block's finite count grows by exactly the
+/// entries the passes took from +inf to finite.
+void checkPackedIncremental(const ClosureCase &C) {
+  if (C.NumVars < 4)
+    return;
+  Rng R(C.Seed + 5);
+  HalfDbm M(C.NumVars);
+  std::vector<unsigned> Even, Odd, All;
+  evenOddComponents(C.NumVars, Even, Odd, All);
+  randomizeBlockDbm(M, R, {Even, Odd}, C.Density);
   ClosureScratch Scratch;
-  shortestPathSparseRestricted(M, Even, Scratch);
-  shortestPathSparseRestricted(M, Odd, Scratch);
-  std::vector<unsigned> All(C.NumVars);
-  for (unsigned V = 0; V != C.NumVars; ++V)
-    All[V] = V;
-  strengthenSparseRestricted(M, All, Scratch);
-  bool Ok = true;
-  for (unsigned I = 0; I != M.dim() && Ok; ++I)
-    Ok = M.at(I, I) >= 0.0;
-  for (unsigned I = 0; I != M.dim(); ++I)
-    M.at(I, I) = Ok ? 0.0 : M.at(I, I);
-  ASSERT_EQ(Ok, RefOk);
-  if (Ok)
-    expectDbmEq(M, Ref, "restricted block closure");
+  for (const std::vector<unsigned> *Comp : {&Even, &Odd}) {
+    HalfDbm Block(static_cast<unsigned>(Comp->size()));
+    packComponent(Block.data(), M, *Comp);
+    if (!closureDense(Block, Scratch))
+      return;
+    scatterComponent(Block.data(), M, *Comp);
+  }
+
+  // Block positions of the two endpoints of the tightened arc.
+  unsigned PosA = static_cast<unsigned>(R.indexBelow(Even.size()));
+  unsigned PosB = static_cast<unsigned>(R.indexBelow(Even.size()));
+  unsigned I = 2 * Even[PosA] + static_cast<unsigned>(R.indexBelow(2));
+  unsigned J = 2 * Even[PosB] + static_cast<unsigned>(R.indexBelow(2));
+  double NewBound = R.intIn(-3, 10);
+  if (I == J || !(NewBound < M.get(I, J)))
+    return;
+  M.set(I, J, NewBound);
+  HalfDbm Ref = M;
+  bool RefOk = referenceClose(Ref);
+
+  forEachSimdTier([&](SimdTier Tier) {
+    HalfDbm Work = M;
+    ClosureScratch TierScratch;
+    HalfDbm Block(static_cast<unsigned>(Even.size()));
+    packComponent(Block.data(), Work, Even);
+    const HalfDbm Pre = Block;
+    for (unsigned Pos : {PosA, PosB})
+      incrementalPivotPass(Block, Pos, TierScratch);
+    std::size_t Transitions = 0;
+    for (std::size_t K = 0; K != Block.size(); ++K)
+      Transitions += !isFinite(Pre.data()[K]) && isFinite(Block.data()[K]);
+    EXPECT_EQ(Block.countFinite() - Pre.countFinite(), Transitions)
+        << simdTierName(Tier);
+    scatterComponent(Block.data(), Work, Even);
+    strengthenSparseRestricted(Work, All, TierScratch);
+    bool Ok = normalizeDiagonal(Work);
+    ASSERT_EQ(Ok, RefOk) << simdTierName(Tier);
+    if (Ok)
+      expectDbmEq(Work, Ref, simdTierName(Tier));
+  });
 }
 
 TEST_P(ClosureDifferential, ClosureIsIdempotent) {
@@ -183,6 +266,7 @@ TEST_P(ClosureDifferential, ClosureOnlyDecreasesEntries) {
 
 TEST_P(ClosureDifferential, IncrementalMatchesFullAfterConstraint) {
   ClosureCase C = GetParam();
+  checkPackedIncremental(C);
   if (C.NumVars < 2)
     return;
   Rng R(C.Seed + 3);

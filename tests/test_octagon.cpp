@@ -361,21 +361,4 @@ TEST_F(OctagonTest, StrengtheningMergesBoundedComponents) {
   EXPECT_EQ(O.partition().componentOf(0), O.partition().componentOf(2));
 }
 
-TEST_F(OctagonTest, LazyStrengtheningKeepsComponentsAndIsSound) {
-  octConfig().LazyStrengthening = true;
-  Octagon O(4);
-  O.addConstraint(OctCons::upper(0, 2.0));
-  O.addConstraint(OctCons::upper(2, 3.0));
-  O.close();
-  // Components stay separate (the extension's point)...
-  EXPECT_NE(O.partition().componentOf(0), O.partition().componentOf(2));
-  // ...and the result is a sound over-approximation of the faithful one.
-  octConfig().LazyStrengthening = false;
-  Octagon F(4);
-  F.addConstraint(OctCons::upper(0, 2.0));
-  F.addConstraint(OctCons::upper(2, 3.0));
-  F.close();
-  EXPECT_TRUE(F.leq(O));
-}
-
 } // namespace

@@ -4,15 +4,13 @@
 /// A battery of small classic verification programs (folklore examples
 /// from the abstract-interpretation literature), each analyzed with
 /// OptOctagon and the baseline. Checks the expected verdicts and that
-/// the two libraries agree; also covers the LazyStrengthening extension
-/// (which must stay a *sound over-approximation* of the faithful mode).
+/// the two libraries agree.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/engine.h"
 #include "baseline/apron_octagon.h"
 #include "lang/parser.h"
-#include "oct/config.h"
 #include "oct/octagon.h"
 #include "reference_engine.h"
 
@@ -227,40 +225,5 @@ const ProgramCase Cases[] = {
 
 INSTANTIATE_TEST_SUITE_P(Battery, ClassicPrograms,
                          ::testing::ValuesIn(Cases));
-
-/// The lazy-strengthening extension must over-approximate the faithful
-/// semantics everywhere (it can prove fewer assertions, never more
-/// constraints).
-TEST(LazyStrengthening, SoundOverApproximationOfFaithful) {
-  const char *Source = "var a, b, c, d;\n"
-                       "a = havoc(); assume(a >= 0 && a <= 4);\n"
-                       "c = havoc(); assume(c >= 1 && c <= 3);\n"
-                       "b = a + 1; d = c - 1;\n"
-                       "while (*) { b = b + 1; d = d + 1; }\n"
-                       "assert(b >= 1);\n";
-  std::string Error;
-  auto P = lang::parseProgram(Source, Error);
-  ASSERT_TRUE(P) << Error;
-  cfg::Cfg G = cfg::Cfg::build(*P);
-
-  OctConfig Saved = octConfig();
-  auto Faithful = analyze<Octagon>(G);
-  octConfig().LazyStrengthening = true;
-  auto Lazy = analyze<Octagon>(G);
-  octConfig() = Saved;
-
-  ASSERT_EQ(Faithful.BlockInvariant.size(), Lazy.BlockInvariant.size());
-  for (unsigned B = 0; B != G.size(); ++B) {
-    if (!Faithful.BlockInvariant[B] || !Lazy.BlockInvariant[B])
-      continue;
-    Octagon F = *Faithful.BlockInvariant[B];
-    Octagon L = *Lazy.BlockInvariant[B];
-    octConfig().LazyStrengthening = true; // read lazily-closed form
-    EXPECT_TRUE(F.leq(L)) << "block " << B;
-    octConfig() = Saved;
-  }
-  // Lazy mode cannot prove more assertions than faithful mode.
-  EXPECT_LE(Lazy.assertsProven(), Faithful.assertsProven());
-}
 
 } // namespace
