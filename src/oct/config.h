@@ -2,30 +2,22 @@
 ///
 /// \file
 /// Global knobs corresponding to the paper's design choices, exposed so
-/// the ablation benchmarks (bench_ablation) can toggle each optimization
-/// independently:
+/// the ablation benchmarks (bench_ablation, bench_fig7_trace) and the
+/// CLI analyzer (`optoct --no-decomposition`, `--no-sparse`,
+/// `--threshold=t`) can toggle each optimization independently:
 ///   * SparsityThreshold — the t in "use Dense if D < t" (Section 3.5).
 ///   * EnableDecomposition — maintain independent components (Section 3.3).
 ///   * EnableSparse — use the sparse closure for sparse DBMs (Section 5.3).
 /// Strengthening has one mode, the paper's: decomposed strengthening
 /// merges every component holding a unary bound (Section 5.4).
 ///
-/// Every knob's *initial* value can be overridden from the environment,
-/// so CI legs and external harnesses can force a configuration without
-/// recompiling (the benches record these variables in their JSON
-/// headers for cross-machine comparability):
-///   * OPTOCT_DECOMPOSITION=0        — no independent components
-///   * OPTOCT_SPARSE=0               — no sparse closure
-///   * OPTOCT_SPARSITY_THRESHOLD=t   — the Section 3.5 threshold, in [0,1]
-///   * OPTOCT_SIMD=scalar|avx2|avx512 — force a kernel tier (this one is
-///     read by oct/simd_dispatch.cpp at startup, not through octConfig())
+/// The knobs are set in-process only; no environment variable reaches
+/// them. The batch runtime, optoctd and the C API never write them, so
+/// every serving path runs the defaults below, and a request's
+/// canonical bytes depend on no representation setting.
 /// The scalar/vector ablation (Section 5.2) is the SIMD tier alone:
-/// OPTOCT_SIMD=scalar, or simdForceTier(SimdTier::Scalar) in-process.
-/// For the boolean flags, "0" means off and any other non-empty value
-/// means on; unset/empty keeps the built-in default. The variables are
-/// read once, on first use of octConfig(); later writes through
-/// octConfig() still win (the ablation benches toggle knobs between
-/// runs as before).
+/// OPTOCT_SIMD=scalar|avx2|avx512 (read by oct/simd_dispatch.cpp at
+/// startup), or simdForceTier(SimdTier::Scalar) in-process.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,8 +30,7 @@ namespace optoct {
 /// domain only ever reads it, so any number of concurrent analyses may
 /// run under one configuration. Writes are not synchronized — flip the
 /// knobs only while no analysis thread is running (benchmarks toggle
-/// them between runs; the batch runtime configures before spawning
-/// workers).
+/// them between runs; the CLI sets them before it analyzes).
 struct OctConfig {
   /// Sparsity decision threshold t (Section 3.5): a DBM with sparsity
   /// D = 1 - nni/(2n^2+2n) is treated as dense when D < t.

@@ -16,41 +16,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 using namespace optoct;
 
-namespace {
-
-/// "0" (and only "0") turns a flag off; unset/empty keeps the default.
-bool envFlag(const char *Name, bool Default) {
-  const char *V = std::getenv(Name);
-  if (!V || !*V)
-    return Default;
-  return !(V[0] == '0' && !V[1]);
-}
-
-/// Initial configuration with the OPTOCT_* environment overrides
-/// applied (see oct/config.h). Read once, before any analysis thread
-/// can exist, so the read-mostly contract of octConfig() holds.
-OctConfig configFromEnv() {
-  OctConfig C;
-  C.EnableDecomposition =
-      envFlag("OPTOCT_DECOMPOSITION", C.EnableDecomposition);
-  C.EnableSparse = envFlag("OPTOCT_SPARSE", C.EnableSparse);
-  if (const char *T = std::getenv("OPTOCT_SPARSITY_THRESHOLD")) {
-    char *End = nullptr;
-    double Value = std::strtod(T, &End);
-    if (End != T && Value >= 0.0 && Value <= 1.0)
-      C.SparsityThreshold = Value;
-  }
-  return C;
-}
-
-} // namespace
-
 OctConfig &optoct::octConfig() {
-  static OctConfig Config = configFromEnv();
+  static OctConfig Config;
   return Config;
 }
 

@@ -2,10 +2,11 @@
 ///
 /// \file
 /// Perf numbers are only comparable when the JSON that records them
-/// also records what produced them: the OPTOCT_* environment overrides
-/// (oct/config.h) and whether the AVX kernels were compiled in *and*
-/// available on the machine. Every bench that writes a checked-in JSON
-/// baseline embeds benchContextJson() in its header.
+/// also records what produced them: the OPTOCT_* environment (the
+/// OPTOCT_SIMD tier override, oct/simd_dispatch.h) and whether the AVX
+/// kernels were compiled in *and* available on the machine. Every bench
+/// that writes a checked-in JSON baseline embeds benchContextJson() in
+/// its header.
 ///
 //===----------------------------------------------------------------------===//
 

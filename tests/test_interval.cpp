@@ -173,4 +173,58 @@ TEST(IntervalVsOctagon, OctagonNeverProvesFewer) {
   }
 }
 
+//===--------------------------------------------------------------------===//
+// The precision ladder: interval ⊑ octagon on the analyzer. Octagons
+// subsume zones (difference-bound matrices), so a difference invariant
+// is the weakest relation the upper rung must keep.
+//===--------------------------------------------------------------------===//
+
+struct LadderResult {
+  unsigned Itv, Oct, Total;
+};
+
+LadderResult analyzeLadder(const char *Source) {
+  TwoAnalyses R = analyzeBoth(Source);
+  EXPECT_EQ(R.Itv.Asserts.size(), R.Oct.Asserts.size());
+  return {R.Itv.assertsProven(), R.Oct.assertsProven(),
+          static_cast<unsigned>(R.Oct.Asserts.size())};
+}
+
+TEST(PrecisionLadder, DifferenceInvariantNeedsZones) {
+  // y - x stays constant: a difference bound, which octagons keep and
+  // intervals do not.
+  LadderResult R = analyzeLadder("var x, y;\n"
+                                 "x = 0; y = 5;\n"
+                                 "while (*) { x = x + 1; y = y + 1; }\n"
+                                 "assert(y - x == 5);\n");
+  EXPECT_EQ(R.Itv, 0u);
+  EXPECT_EQ(R.Oct, 1u);
+}
+
+TEST(PrecisionLadder, SumInvariantNeedsOctagons) {
+  // x + y stays constant under transfer: only octagons track sums.
+  LadderResult R = analyzeLadder("var x, y;\n"
+                                 "x = 0; y = 10;\n"
+                                 "while (*) { x = x + 1; y = y - 1; }\n"
+                                 "assert(x + y == 10);\n");
+  EXPECT_EQ(R.Itv, 0u);
+  EXPECT_EQ(R.Oct, 1u);
+}
+
+TEST(PrecisionLadder, MonotoneOnBattery) {
+  const char *Programs[] = {
+      "var i; i = 0; while (i < 9) { i = i + 1; } assert(i == 9);",
+      "var a, b; a = havoc(); assume(a >= 0 && a <= 5); b = a;\n"
+      "assert(b - a == 0); assert(b <= 5);",
+      "var p, q; p = 1; q = -1;\n"
+      "while (*) { p = p + 2; q = q - 2; }\n"
+      "assert(p >= 1); assert(p + q <= 0);",
+  };
+  for (const char *Source : Programs) {
+    LadderResult R = analyzeLadder(Source);
+    EXPECT_LE(R.Itv, R.Oct) << Source;
+    EXPECT_LE(R.Oct, R.Total) << Source;
+  }
+}
+
 } // namespace
