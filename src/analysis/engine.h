@@ -12,17 +12,22 @@
 /// records invariants.
 ///
 /// The fixpoint step copies an element only where the semantics need
-/// one. The domains' lattice operators take const operands and close
-/// an unclosed operand in their own scratch, so a stored invariant —
-/// in particular an unclosed widening iterate, which must stay
-/// unclosed for termination — is read, never copied or closed in
-/// place. Each edge's post-state is closed once (isBottom) and tested
-/// for inclusion in the stored target first: inclusion needs only its
-/// left side closed, and the target changes iff the post-state is not
-/// included (a join is the pointwise max of closed DBMs, closure only
-/// tightens the target, widening keeps every bound that did not grow).
-/// Only then are join and widening computed, straight into the stored
-/// slot. A block's post-state moves along its last out-edge.
+/// one, and closes each state once. The domains' lattice operators take
+/// const operands, so a stored invariant is read, never closed in
+/// place. A loop head's unclosed widening or narrowing iterate, which
+/// must stay unclosed for termination, is widened as stored; every
+/// other read of it (the block visit, the join into the slot, the
+/// narrowing sweep and the final pass) reads a closed copy made once
+/// beside it and dropped when the slot is stored again. Each edge's
+/// post-state is closed once (isBottom; after guards the octagon closes
+/// incrementally) and tested for inclusion in the stored target first:
+/// inclusion needs only its left side closed, and the target changes
+/// iff the post-state is not included (a join is the pointwise max of
+/// closed DBMs, closure only tightens the target, widening keeps every
+/// bound that did not grow). Only then are join and widening computed,
+/// straight into the stored slot. A block's post-state moves along its
+/// last out-edge. The returned invariants are the stored slots: a loop
+/// head's is its unclosed iterate.
 ///
 /// Octagon work is timed with the cycle counter around every domain
 /// call so the harnesses can report the Fig. 8 octagon-analysis time
@@ -139,6 +144,30 @@ AnalysisResult<DomainT> analyze(const cfg::Cfg &G,
       DomainT::makeTop(G.block(G.entry()).NumSlots);
   Worklist.insert(G.entry());
 
+  // A loop head's slot holds an unclosed widening or narrowing iterate
+  // (IsIterate). Widening reads it as stored; every other read wants
+  // its closed form, so a closed copy is made once, lazily, beside it
+  // (copy + isBottom, which every domain has) and dropped whenever the
+  // slot is stored. Any other slot is read as stored: a join result and
+  // a post-state that isBottom closed are closed already.
+  std::vector<char> IsIterate(NumBlocks, 0);
+  std::vector<std::optional<DomainT>> ClosedIterate(NumBlocks);
+  auto closedSlot = [&](unsigned B) -> DomainT & {
+    if (!IsIterate[B])
+      return *Result.BlockInvariant[B];
+    std::optional<DomainT> &Copy = ClosedIterate[B];
+    if (!Copy) {
+      Copy.emplace(*Result.BlockInvariant[B]);
+      Copy->isBottom();
+    }
+    return *Copy;
+  };
+  auto store = [&](unsigned B, DomainT Value, bool Iterate) {
+    Result.BlockInvariant[B] = std::move(Value);
+    IsIterate[B] = Iterate;
+    ClosedIterate[B].reset();
+  };
+
   // Propagates the post-state \p Out of a block along \p E, merging it
   // into the target. Returns true when the target changed.
   auto propagate = [&](DomainT Out, const cfg::Edge &E, bool Widen) {
@@ -148,16 +177,16 @@ AnalysisResult<DomainT> analyze(const cfg::Cfg &G,
     if (!Out.isBottom()) {
       std::optional<DomainT> &Target = Result.BlockInvariant[E.Target];
       if (!Target) {
-        Target = std::move(Out);
+        store(E.Target, std::move(Out), /*Iterate=*/false);
         Changed = true;
       } else if (!Out.leq(*Target)) {
-        DomainT Joined = DomainT::join(*Target, Out);
+        DomainT Joined = DomainT::join(closedSlot(E.Target), Out);
         if (Widen)
           Joined = Opts.WideningThresholds.empty()
                        ? DomainT::widen(*Target, Joined)
                        : DomainT::widenWithThresholds(
                              *Target, Joined, Opts.WideningThresholds);
-        *Target = std::move(Joined);
+        store(E.Target, std::move(Joined), /*Iterate=*/Widen);
         Changed = true;
       }
     }
@@ -177,13 +206,11 @@ AnalysisResult<DomainT> analyze(const cfg::Cfg &G,
     support::faultPoint("engine.visit");
 
     const cfg::BasicBlock &Block = G.block(B);
-    DomainT State = *Result.BlockInvariant[B];
-    {
-      std::uint64_t Begin = readCycles();
-      for (const lang::Stmt *S : Block.Stmts)
-        applyStmt(State, *S, nullptr, Opts.LinearizeGuards);
-      OctCycles += readCycles() - Begin;
-    }
+    std::uint64_t Begin = readCycles();
+    DomainT State = closedSlot(B);
+    for (const lang::Stmt *S : Block.Stmts)
+      applyStmt(State, *S, nullptr, Opts.LinearizeGuards);
+    OctCycles += readCycles() - Begin;
 
     for (std::size_t I = 0, NumSuccs = Block.Succs.size(); I != NumSuccs;
          ++I) {
@@ -225,7 +252,7 @@ AnalysisResult<DomainT> analyze(const cfg::Cfg &G,
         for (const cfg::Edge &E : G.block(P).Succs) {
           if (E.Target != B)
             continue;
-          DomainT Out = *Result.BlockInvariant[P];
+          DomainT Out = closedSlot(P);
           for (const lang::Stmt *S : G.block(P).Stmts)
             applyStmt(Out, *S, nullptr, Opts.LinearizeGuards);
           applyEdge(Out, E, Opts.LinearizeGuards);
@@ -238,10 +265,9 @@ AnalysisResult<DomainT> analyze(const cfg::Cfg &G,
       if (!NewIn || !Result.BlockInvariant[B])
         continue;
       if (G.block(B).IsLoopHead)
-        Result.BlockInvariant[B] =
-            DomainT::narrow(*Result.BlockInvariant[B], *NewIn);
+        store(B, DomainT::narrow(closedSlot(B), *NewIn), /*Iterate=*/true);
       else
-        Result.BlockInvariant[B] = std::move(*NewIn);
+        store(B, std::move(*NewIn), /*Iterate=*/false);
     }
     OctCycles += readCycles() - Begin;
   }
@@ -256,9 +282,8 @@ AnalysisResult<DomainT> analyze(const cfg::Cfg &G,
     Result.Status = RunStatus::Degraded;
     Result.DegradedBy = E.reason();
     Result.StatusDetail = E.what();
-    for (std::size_t B = 0; B != NumBlocks; ++B)
-      Result.BlockInvariant[B] =
-          DomainT::makeTop(G.block(static_cast<unsigned>(B)).NumSlots);
+    for (unsigned B = 0; B != NumBlocks; ++B)
+      store(B, DomainT::makeTop(G.block(B).NumSlots), /*Iterate=*/false);
   }
 
   // Final pass: recheck assertions under the stable invariants.
@@ -270,8 +295,8 @@ AnalysisResult<DomainT> analyze(const cfg::Cfg &G,
           Result.Asserts.push_back({S->Line, true});
       continue;
     }
-    DomainT State = *Result.BlockInvariant[B];
     std::uint64_t Begin = readCycles();
+    DomainT State = closedSlot(B);
     for (const lang::Stmt *S : G.block(B).Stmts)
       applyStmt(State, *S, &Result.Asserts, Opts.LinearizeGuards);
     OctCycles += readCycles() - Begin;

@@ -30,6 +30,12 @@ struct ClosureScratch {
   AlignedBuffer<double> T;
   /// Index lists of finite entries for the sparse closure (Section 5.3).
   std::vector<unsigned> IdxRowK, IdxRowK1, IdxT;
+  /// The extended rows {2v, 2v+1} of the variables a restricted
+  /// strengthening covers (strengthenSparseRestricted).
+  std::vector<unsigned> EVars;
+  /// The components the decomposed strengthening merges: those holding
+  /// a finite unary bound (Section 5.4).
+  std::vector<std::size_t> BoundedComps;
   /// The one place a component of a decomposed octagon is closed: the
   /// decomposed closure packs each component here, counts its sparsity
   /// and runs the dense or sparse shortest-path kernel; the incremental

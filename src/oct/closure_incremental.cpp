@@ -59,14 +59,14 @@ void optoct::incrementalPivotPass(HalfDbm &M, unsigned K,
     Kern.MinPlusRow2(M.row(I), RowK, ColK[I], RowK1, ColK1[I], (I | 1u) + 1);
 }
 
-bool optoct::incrementalClosureDense(HalfDbm &M,
-                                     const std::vector<unsigned> &Touched,
+bool optoct::incrementalClosureDense(HalfDbm &M, const unsigned *Touched,
+                                     unsigned NumTouched,
                                      ClosureScratch &Scratch) {
   unsigned D = M.dim();
   if (D == 0)
     return true;
-  for (unsigned K : Touched)
-    incrementalPivotPass(M, K, Scratch);
+  for (unsigned T = 0; T != NumTouched; ++T)
+    incrementalPivotPass(M, Touched[T], Scratch);
   strengthenDense(M, Scratch);
 
   for (unsigned I = 0; I != D; ++I)

@@ -35,10 +35,18 @@ namespace optoct {
 void incrementalPivotPass(HalfDbm &M, unsigned K, ClosureScratch &Scratch);
 
 /// Incremental strong closure of a fully initialized half DBM that was
-/// strongly closed before the rows/columns of the variables in
-/// \p Touched were modified. Returns false if the octagon became empty.
-bool incrementalClosureDense(HalfDbm &M, const std::vector<unsigned> &Touched,
-                             ClosureScratch &Scratch);
+/// strongly closed before the rows/columns of the \p NumTouched
+/// variables at \p Touched were modified. Returns false if the octagon
+/// became empty. Allocates nothing beyond growing \p Scratch.
+bool incrementalClosureDense(HalfDbm &M, const unsigned *Touched,
+                             unsigned NumTouched, ClosureScratch &Scratch);
+inline bool incrementalClosureDense(HalfDbm &M,
+                                    const std::vector<unsigned> &Touched,
+                                    ClosureScratch &Scratch) {
+  return incrementalClosureDense(M, Touched.data(),
+                                 static_cast<unsigned>(Touched.size()),
+                                 Scratch);
+}
 
 } // namespace optoct
 

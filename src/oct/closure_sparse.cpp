@@ -113,8 +113,8 @@ std::size_t optoct::strengthenSparseRestricted(
     return 0;
   Scratch.ensure(M.dim());
   double *T = Scratch.T.data();
-  std::vector<unsigned> EVars;
-  EVars.reserve(2 * Vars.size());
+  std::vector<unsigned> &EVars = Scratch.EVars;
+  EVars.clear();
   for (unsigned V : Vars) {
     EVars.push_back(2 * V);
     EVars.push_back(2 * V + 1);

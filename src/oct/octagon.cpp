@@ -84,6 +84,7 @@ Octagon Octagon::makeBottom(unsigned NumVars) {
 void Octagon::markEmpty() {
   Empty = true;
   Closed = true;
+  NumDeferred = 0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -222,6 +223,14 @@ void Octagon::closeInner() {
   if (P.isWhole() && !FullyInit)
     FullyInit = true;
 
+  if (NumDeferred != 0) {
+    closeDeferred();
+    Closed = true;
+    if (StatsSink)
+      StatsSink->recordIncrementalClosure(readCycles() - Begin);
+    return;
+  }
+
   if (P.empty()) {
     // Top closure (Section 5.5): nothing to minimize.
     Kind = DbmKind::Top;
@@ -293,7 +302,10 @@ void Octagon::closeDecomposed() {
   strengthenAndMerge();
   if (!normalizeCoveredDiagonal())
     return;
+  recomputeExactPartition();
+}
 
+void Octagon::recomputeExactPartition() {
   // Exact recomputation of the components within each (possibly merged)
   // block, counting nni in the same pass (Section 3.5).
   Partition NewP(numVars());
@@ -327,7 +339,8 @@ std::size_t Octagon::strengthenAndMerge() {
   // Components holding a finite unary (diagonal-block) bound: only those
   // participate in strengthening, and they merge into a single component
   // (Section 5.4).
-  std::vector<std::size_t> Bounded;
+  std::vector<std::size_t> &Bounded = scratch().BoundedComps;
+  Bounded.clear();
   for (std::size_t C = 0, E = P.numComponents(); C != E; ++C) {
     for (unsigned V : P.component(C))
       if (isFinite(M.at(2 * V, 2 * V + 1)) ||
@@ -584,74 +597,138 @@ void Octagon::closeAudited() {
 // Incremental closure (Section 5.6)
 //===----------------------------------------------------------------------===//
 
-void Octagon::incrementalClose(const std::vector<unsigned> &Touched) {
-  if (Empty)
-    return;
-  if (FullyInit && (P.isWhole() || !octConfig().EnableDecomposition)) {
-    if (!incrementalClosureDense(M, Touched, scratch())) {
-      markEmpty();
-      return;
-    }
-    if (Kind == DbmKind::Dense)
-      NniExplicit = M.size(); // dense over-approximation (Section 4.1)
-    else
-      NniExplicit = M.countFinite();
-    Closed = true;
-    return;
+bool Octagon::recordDeferred(unsigned V) {
+  for (unsigned K = 0; K != NumDeferred; ++K)
+    if (Deferred[K] == V)
+      return true;
+  if (NumDeferred == DeferredCloseCutoff) {
+    NumDeferred = 0;
+    return false;
   }
+  Deferred[NumDeferred++] = V;
+  return true;
+}
 
-  // Decomposed: the touched variables already share one component with
-  // everything the new constraints relate them to. Pack each touched
-  // component once, run the pivot passes of its touched variables
-  // (renumbered to block positions) on the block, and scatter it back;
-  // then the global strengthening phase. Closure only lowers entries, so
-  // the block's finite count grows by exactly the entries the passes
-  // took from +inf to finite.
-  std::size_t Fresh = 0;
-  std::vector<std::size_t> TouchedComps;
-  for (unsigned V : Touched) {
-    int C = P.componentOf(V);
-    if (C >= 0)
-      TouchedComps.push_back(static_cast<std::size_t>(C));
+std::size_t Octagon::pivotTouchedComponents(const unsigned *Touched,
+                                            unsigned NumTouched) {
+  // The touched variables already share one component with everything
+  // the new constraints relate them to. Closure only lowers entries, so
+  // a block's finite count grows by exactly the entries the passes took
+  // from +inf to finite. At most DeferredCloseCutoff variables arrive
+  // here, so their components fit a fixed array. The components are
+  // disjoint, so their order does not matter.
+  std::array<int, DeferredCloseCutoff> Comps;
+  unsigned NumComps = 0;
+  for (unsigned T = 0; T != NumTouched; ++T) {
+    int C = P.componentOf(Touched[T]);
+    if (C >= 0 && std::find(Comps.begin(), Comps.begin() + NumComps, C) ==
+                      Comps.begin() + NumComps)
+      Comps[NumComps++] = C;
   }
-  std::sort(TouchedComps.begin(), TouchedComps.end());
-  TouchedComps.erase(std::unique(TouchedComps.begin(), TouchedComps.end()),
-                     TouchedComps.end());
+  std::size_t Fresh = 0;
   HalfDbm &Tmp = scratch().DenseTmp;
-  for (std::size_t C : TouchedComps) {
-    const std::vector<unsigned> &Vars = P.component(C);
+  for (unsigned K = 0; K != NumComps; ++K) {
+    const std::vector<unsigned> &Vars =
+        P.component(static_cast<std::size_t>(Comps[K]));
     Tmp.resizeDiscard(static_cast<unsigned>(Vars.size()));
     packComponent(Tmp.data(), M, Vars);
     std::size_t Before = Tmp.countFinite();
-    for (unsigned V : Touched) {
-      if (P.componentOf(V) != static_cast<int>(C))
+    for (unsigned T = 0; T != NumTouched; ++T) {
+      if (P.componentOf(Touched[T]) != Comps[K])
         continue;
-      auto Pos = std::lower_bound(Vars.begin(), Vars.end(), V) - Vars.begin();
+      auto Pos = std::lower_bound(Vars.begin(), Vars.end(), Touched[T]) -
+                 Vars.begin();
       incrementalPivotPass(Tmp, static_cast<unsigned>(Pos), scratch());
     }
     Fresh += Tmp.countFinite() - Before;
     scatterComponent(Tmp.data(), M, Vars);
   }
+  return Fresh;
+}
+
+void Octagon::closeDeferred() {
+  // The record is consumed here whatever the outcome.
+  std::array<unsigned, DeferredCloseCutoff> T = Deferred;
+  unsigned NumT = NumDeferred;
+  NumDeferred = 0;
+  OctConfig &Cfg = octConfig();
+
+  if (FullyInit && (P.isWhole() || !Cfg.EnableDecomposition)) {
+    // The whole-matrix leg of closeMonolithic, with the pivot passes of
+    // the recorded variables in place of the full shortest-path closure.
+    // The sparse-or-dense decision reads the same pre-closure sparsity,
+    // and the bookkeeping after it is the same.
+    bool SparseLeg = Cfg.EnableSparse && sparsity() >= Cfg.SparsityThreshold;
+    if (!incrementalClosureDense(M, T.data(), NumT, scratch())) {
+      markEmpty();
+      return;
+    }
+    if (SparseLeg) {
+      NniExplicit = M.countFinite();
+      if (Cfg.EnableDecomposition)
+        P = extractPartition(M);
+    } else {
+      NniExplicit = M.size(); // dense over-approximation (Section 4.1)
+    }
+    reclassify();
+    return;
+  }
+
+  // The decomposed leg of closeDecomposed: pivot passes on the touched
+  // components only, then the same strengthening, emptiness check and
+  // exact partition.
+  pivotTouchedComponents(T.data(), NumT);
+  strengthenAndMerge();
+  if (!normalizeCoveredDiagonal())
+    return;
+  recomputeExactPartition();
+}
+
+void Octagon::incrementalClose(const unsigned *Touched, unsigned NumTouched) {
+  if (Empty)
+    return;
+  std::uint64_t Begin = StatsSink ? readCycles() : 0;
+  if (FullyInit && (P.isWhole() || !octConfig().EnableDecomposition)) {
+    if (!incrementalClosureDense(M, Touched, NumTouched, scratch())) {
+      markEmpty();
+    } else {
+      if (Kind == DbmKind::Dense)
+        NniExplicit = M.size(); // dense over-approximation (Section 4.1)
+      else
+        NniExplicit = M.countFinite();
+      Closed = true;
+    }
+    if (StatsSink)
+      StatsSink->recordIncrementalClosure(readCycles() - Begin);
+    return;
+  }
+
+  // Decomposed: the pivot passes on the touched components, then the
+  // global strengthening phase.
+  std::size_t Fresh = pivotTouchedComponents(Touched, NumTouched);
   Fresh += strengthenAndMerge();
 
   // The covered diagonal stays finite, so normalizing it changes no
   // count.
-  if (!normalizeCoveredDiagonal())
-    return;
-  if (FullyInit) {
-    // A materialized element can arrive with an inexact count: Section
-    // 4.1's 2n(n+1) of a Dense element whose partition the assignment's
-    // forget split, or relateInit/forgetVar's diagonal pair counted
-    // twice or not at all. Recounting its components makes it exact.
-    std::size_t Nni = 2 * (numVars() - P.coveredVars());
-    for (std::size_t C = 0, E = P.numComponents(); C != E; ++C)
-      Nni += countComponentFinite(M, P.component(C));
-    NniExplicit = Nni;
-  } else {
-    // A lazily initialized element's count is exact, and closure only
-    // lowers entries, so nni grows by exactly the entries the kernels
-    // took from +inf to finite.
-    NniExplicit += Fresh;
+  if (normalizeCoveredDiagonal()) {
+    if (FullyInit) {
+      // A materialized element can arrive with an inexact count: Section
+      // 4.1's 2n(n+1) of a Dense element whose partition the
+      // assignment's forget split, or relateInit/forgetVar's diagonal
+      // pair counted twice or not at all. Recounting its components
+      // makes it exact.
+      std::size_t Nni = 2 * (numVars() - P.coveredVars());
+      for (std::size_t C = 0, E = P.numComponents(); C != E; ++C)
+        Nni += countComponentFinite(M, P.component(C));
+      NniExplicit = Nni;
+    } else {
+      // A lazily initialized element's count is exact, and closure only
+      // lowers entries, so nni grows by exactly the entries the kernels
+      // took from +inf to finite.
+      NniExplicit += Fresh;
+    }
+    Closed = true;
   }
-  Closed = true;
+  if (StatsSink)
+    StatsSink->recordIncrementalClosure(readCycles() - Begin);
 }

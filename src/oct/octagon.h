@@ -21,6 +21,22 @@
 /// Closure/consistency conventions:
 ///   * close() is idempotent and cached via the Closed flag; emptiness
 ///     is detected by closure and cached in the Empty flag.
+///   * Every state is closed once, and incrementally where a closed
+///     element only gained constraints. Constraints met into a closed
+///     element (addConstraints, a guard or an assume) leave it unclosed,
+///     bit for bit, with the variables of every lowered entry in a small
+///     inline record; close() then restores closure with the pivot
+///     passes over those variables alone (Section 5.6; Chawdhary,
+///     Robbins and King), recomputes the exact partition and the kind
+///     as a full closure does, and so reaches the same element. Strong
+///     closure is canonical, so only the cost differs. Successive
+///     guards add to the record; x := +-x + c and addVars commute with
+///     closure and keep it; every other change drops it, as does a
+///     record that outgrows DeferredCloseCutoff variables, and a full
+///     closure runs instead.
+///   * The statistics sink counts full closures (numClosures, the Fig. 7
+///     trace, nmin/nmax). Incremental closures, after an assignment or
+///     after guards, are counted apart (numIncrementalClosures).
 ///   * The lattice operators (join, widening, narrowing, inclusion,
 ///     equality) take const operands and never mutate them. An operand
 ///     whose algorithm needs the closed form and that is not closed is
@@ -43,6 +59,7 @@
 #include "support/budget.h"
 #include "support/stats.h"
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -97,7 +114,8 @@ public:
   Octagon(const Octagon &Other)
       : M(Other.M), P(Other.P), Kind(Other.Kind),
         NniExplicit(Other.NniExplicit), FullyInit(Other.FullyInit),
-        Closed(Other.Closed), Empty(Other.Empty) {
+        Closed(Other.Closed), Empty(Other.Empty),
+        NumDeferred(Other.NumDeferred), Deferred(Other.Deferred) {
     support::chargeDbmCells(M.size());
   }
   Octagon &operator=(const Octagon &Other) = default;
@@ -143,8 +161,17 @@ public:
   }
 
   /// Strong closure with kind dispatch (Section 5); cached. After the
-  /// call the octagon is closed (or known empty).
+  /// call the octagon is closed (or known empty). An element closed but
+  /// for recorded guards closes incrementally (see the conventions).
   void close();
+
+  /// The most variables a deferred guard record holds. Guards that
+  /// lower entries of more variables since the last closure are closed
+  /// in full. bench_incremental's |T| sweep sizes it: up to 12 touched
+  /// variables the incremental closure beats the full one at every
+  /// component size measured (16 to 96), and at 16 it no longer does on
+  /// a 16-variable component (EXPERIMENTS.md).
+  static constexpr unsigned DeferredCloseCutoff = 12;
 
   /// Lattice operators (Section 4). Operands are read-only; join, the
   /// widenings' newer operand and narrowing's older operand are read in
@@ -168,12 +195,13 @@ public:
   /// Semantic equality; compares both sides' closed forms.
   bool equals(const Octagon &Other) const;
 
-  /// Meets with one octagonal constraint, then restores closure
-  /// incrementally (Section 5.6) when the octagon was closed.
+  /// Meets with one octagonal constraint. The result is unclosed; when
+  /// the octagon was closed (or closed but for earlier guards), the
+  /// next close() restores closure incrementally (Section 5.6).
   void addConstraint(const OctCons &C);
 
-  /// Meets with several constraints at once (single incremental-closure
-  /// pass over all touched variables).
+  /// Meets with several constraints at once; one deferred incremental
+  /// closure covers the variables of every entry they lower.
   void addConstraints(const std::vector<OctCons> &Cs);
 
   /// Assignment transfer function x := e. Exact for the octagonal forms
@@ -266,9 +294,33 @@ private:
   /// finite.
   std::size_t strengthenAndMerge();
 
-  /// Incremental closure after constraints touching \p Touched
-  /// (Section 5.6).
-  void incrementalClose(const std::vector<unsigned> &Touched);
+  /// Incremental closure after an assignment changed the entries of
+  /// the \p NumTouched variables at \p Touched (Section 5.6). Keeps the
+  /// partition and kind.
+  void incrementalClose(const unsigned *Touched, unsigned NumTouched);
+
+  /// The deferred guard closure: closeInner's path for an element that
+  /// holds a record. Restores closure over the recorded variables, then
+  /// recomputes nni, the exact partition and the kind exactly as the
+  /// full closure of the same element's representation would.
+  void closeDeferred();
+
+  /// The shortest-path half of the incremental closure on a decomposed
+  /// element: each component holding a touched variable is packed once,
+  /// the pivot passes of its touched variables run on the block, and
+  /// the block is scattered back. Returns the entries the passes took
+  /// from +inf to finite.
+  std::size_t pivotTouchedComponents(const unsigned *Touched,
+                                     unsigned NumTouched);
+
+  /// The exact components within each block of the partition and the
+  /// nni they count (Section 3.5), then the kind: the end of the
+  /// decomposed closure, full or deferred.
+  void recomputeExactPartition();
+
+  /// Adds \p V to the deferred record. Returns false, dropping the
+  /// record, when it is full.
+  bool recordDeferred(unsigned V);
 
   /// Recomputes Kind from the partition/sparsity after a closure.
   void reclassify();
@@ -294,6 +346,11 @@ private:
   bool FullyInit = false;
   bool Closed = true; ///< Top is closed.
   bool Empty = false;
+  /// The deferred guard record: while NumDeferred != 0 the element is
+  /// its closed form met with constraints whose entries all lie in the
+  /// rows and columns of Deferred[0..NumDeferred).
+  unsigned NumDeferred = 0;
+  std::array<unsigned, DeferredCloseCutoff> Deferred{};
 
   /// Returns \p O itself when it is closed, otherwise its closure in
   /// the calling thread's operand scratch \p Slot (0 or 1). The result
@@ -302,6 +359,9 @@ private:
 
   static ClosureScratch &scratch();
   friend void reserveClosureScratch(unsigned NumVars);
+  /// Test peer: inspects and drops the deferred record, so a test can
+  /// close a bit-identical copy in full.
+  friend struct OctagonTestAccess;
 };
 
 } // namespace optoct

@@ -28,6 +28,10 @@ void Octagon::addConstraints(const std::vector<OctCons> &Cs) {
   if (Empty || Cs.empty())
     return;
   bool Changed = false;
+  // A closed element, or one closed but for earlier guards, records the
+  // variables of every entry this meet lowers, so close() can restore
+  // closure incrementally; a record that fills up is dropped.
+  bool Track = Closed || NumDeferred != 0;
 
   for (const OctCons &C : Cs) {
     assert(C.I < numVars() && (C.isUnary() || C.J < numVars()) &&
@@ -50,13 +54,17 @@ void Octagon::addConstraints(const std::vector<OctCons> &Cs) {
     if (Bound < Old) {
       setEntry(E.Row, E.Col, Bound);
       Changed = true;
+      Track = Track && recordDeferred(C.I) &&
+              (C.isUnary() || recordDeferred(C.J));
     }
   }
   if (!Changed)
     return;
-  // Like APRON's meet-with-constraints, the result is left unclosed;
-  // the next operator needing the closed form triggers a full closure
-  // (incremental closure is reserved for assignments, Section 5.6).
+  // Like APRON's meet-with-constraints, the result is left unclosed, so
+  // every operator sees the same element as before; the next closure is
+  // incremental over the record (Section 5.6), or full without one.
+  if (!Track)
+    NumDeferred = 0;
   Closed = false;
   Kind = P.empty()    ? DbmKind::Top
          : P.isWhole() ? Kind
@@ -168,7 +176,8 @@ void Octagon::assign(unsigned X, const LinExpr &E) {
     Closed = false;
     // The new arcs live in the bands of both x and y, so the
     // incremental closure must pivot both variables.
-    incrementalClose({X, Y});
+    const unsigned Touched[] = {X, Y};
+    incrementalClose(Touched, 2);
     return;
   }
 
@@ -182,7 +191,7 @@ void Octagon::assign(unsigned X, const LinExpr &E) {
     setEntry(2 * X + 1, 2 * X, 2 * E.Const);
     setEntry(2 * X, 2 * X + 1, -2 * E.Const);
     Closed = false;
-    incrementalClose({X});
+    incrementalClose(&X, 1);
     return;
   }
 
@@ -204,7 +213,7 @@ void Octagon::assign(unsigned X, const LinExpr &E) {
   if (Iv.Lo != -Infinity)
     setEntry(2 * X, 2 * X + 1, -2 * Iv.Lo);
   Closed = false;
-  incrementalClose({X});
+  incrementalClose(&X, 1);
 }
 
 void Octagon::havoc(unsigned X) {

@@ -126,6 +126,7 @@ JobResult runJobAttemptInner(const BatchJob &Job, const BatchOptions &Opts,
     }
     R.NumClosures = JScope.stats().numClosures();
     R.ClosureCycles = JScope.stats().closureCycles();
+    R.IncrementalClosures = JScope.stats().numIncrementalClosures();
     R.OctagonCycles = Result.OctagonCycles;
     R.BlockVisits = Result.BlockVisits;
     R.NMin = JScope.stats().minVars();
@@ -290,6 +291,7 @@ void optoct::runtime::tallyBatchReport(BatchReport &Report) {
     Report.AssertsTotal += R.AssertsTotal;
     Report.NumClosures += R.NumClosures;
     Report.ClosureCycles += R.ClosureCycles;
+    Report.IncrementalClosures += R.IncrementalClosures;
     Report.OctagonCycles += R.OctagonCycles;
     Report.BlockVisits += R.BlockVisits;
   }
@@ -497,6 +499,8 @@ std::string optoct::runtime::reportToJson(const BatchReport &Report,
   Out << "  \"num_closures\": " << Report.NumClosures << ",\n";
   if (!Canonical) {
     Out << "  \"closure_cycles\": " << Report.ClosureCycles << ",\n";
+    Out << "  \"incremental_closures\": " << Report.IncrementalClosures
+        << ",\n";
     Out << "  \"octagon_cycles\": " << Report.OctagonCycles << ",\n";
   }
   Out << "  \"block_visits\": " << Report.BlockVisits << ",\n";
@@ -533,6 +537,7 @@ std::string optoct::runtime::reportToJson(const BatchReport &Report,
       Out << "], \"num_closures\": " << R.NumClosures;
       if (!Canonical)
         Out << ", \"closure_cycles\": " << R.ClosureCycles
+            << ", \"incremental_closures\": " << R.IncrementalClosures
             << ", \"octagon_cycles\": " << R.OctagonCycles;
       Out << ", \"block_visits\": " << R.BlockVisits
           << ", \"n_min\": " << R.NMin << ", \"n_max\": " << R.NMax;

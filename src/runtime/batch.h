@@ -110,8 +110,12 @@ struct JobResult {
   std::vector<std::string> LoopInvariants;
 
   // Per-operator statistics (from the worker's OctStats sink).
-  std::uint64_t NumClosures = 0;
+  std::uint64_t NumClosures = 0; ///< Full closures.
   std::uint64_t ClosureCycles = 0;
+  /// Incremental closures (after assignments and guards). Telemetry
+  /// like the cycle counts: canonicalization zeroes it, so it never
+  /// reaches a canonical record.
+  std::uint64_t IncrementalClosures = 0;
   std::uint64_t OctagonCycles = 0;
   std::uint64_t BlockVisits = 0;
   unsigned NMin = 0, NMax = 0; ///< DBM sizes seen at closures.
@@ -220,6 +224,7 @@ struct BatchReport {
   unsigned AssertsProven = 0, AssertsTotal = 0;
   std::uint64_t NumClosures = 0;
   std::uint64_t ClosureCycles = 0;
+  std::uint64_t IncrementalClosures = 0;
   std::uint64_t OctagonCycles = 0;
   std::uint64_t BlockVisits = 0;
   /// Corruption events detected and recovered by the audit layer.

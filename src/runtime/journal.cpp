@@ -28,13 +28,14 @@ namespace {
 using optoct::support::crc32c;
 using optoct::support::fnv1a64;
 
-constexpr const char *JournalMagic = "optoct-journal v3";
+constexpr const char *JournalMagic = "optoct-journal v4";
 /// The formats before it, refused by name as stale rather than corrupt:
 /// v1 checksummed records with FNV-1a 64; v2 holds records whose
 /// num_closures counts the closures of the engine that joined before it
-/// tested inclusion.
-constexpr const char *StaleJournalMagics[] = {"optoct-journal v1",
-                                              "optoct-journal v2"};
+/// tested inclusion; v3 holds records whose num_closures also counts
+/// the full closures that guards and stored widening iterates now skip.
+constexpr const char *StaleJournalMagics[] = {
+    "optoct-journal v1", "optoct-journal v2", "optoct-journal v3"};
 
 /// Mixes one string into a running fingerprint, length-prefixed so
 /// ("ab","c") and ("a","bc") hash differently.
@@ -155,7 +156,12 @@ std::string optoct::runtime::serializeJobResult(const JobResult &R) {
     Out << "inv " << escapeValue(Inv) << "\n";
   Out << "counters " << R.NumClosures << " " << R.ClosureCycles << " "
       << R.OctagonCycles << " " << R.BlockVisits << " " << R.NMin << " "
-      << R.NMax << "\n";
+      << R.NMax;
+  // The incremental closure count trails only when set, so a
+  // canonicalized record, which zeroes it, keeps its six counters.
+  if (R.IncrementalClosures != 0)
+    Out << " " << R.IncrementalClosures;
+  Out << "\n";
   Out << "wall " << formatDouble(R.WallSeconds) << "\n";
   Out << "audit " << R.AuditValidations << " " << R.AuditCrossChecks << " "
       << R.AuditIncidentCount << "\n";
@@ -226,7 +232,10 @@ bool optoct::runtime::deserializeJobResult(const std::string &Text,
       std::istringstream F(Rest);
       if (!(F >> R.NumClosures >> R.ClosureCycles >> R.OctagonCycles >>
             R.BlockVisits >> R.NMin >> R.NMax))
-        return Fail("expected six counters");
+        return Fail("expected six or seven counters");
+      if (!(F >> std::ws).eof() &&
+          (!(F >> R.IncrementalClosures) || !(F >> std::ws).eof()))
+        return Fail("expected six or seven counters");
     } else if (Key == "wall") {
       errno = 0;
       char *End = nullptr;
@@ -283,7 +292,7 @@ JournalLoad optoct::runtime::loadJournal(const std::string &Path) {
     for (const char *Stale : StaleJournalMagics)
       if (Line == Stale)
         L.Error = "stale journal (" + Line +
-                  ", this build reads v3); rerun without --resume";
+                  ", this build reads v4); rerun without --resume";
     return L;
   }
   if (!NextLine(Line) || Line.rfind("meta ", 0) != 0) {

@@ -7,7 +7,7 @@
 ///
 /// File format (text framing, binary-safe percent-escaped bodies):
 ///
-///   optoct-journal v3
+///   optoct-journal v4
 ///   meta <fingerprint-hex> <jobcount>
 ///   rec <index> <bodybytes> <crc32c-hex16>
 ///   <body>
@@ -16,7 +16,7 @@
 /// Each `rec` line frames one serialized JobResult (serializeJobResult
 /// below); the checksum (support/crc32c.h, zero-extended to 16 hex
 /// digits) covers the body bytes. A v1 journal (FNV-1a 64 checksums)
-/// and a v2 journal (records whose num_closures an older engine
+/// and a v2 or v3 journal (records whose num_closures an older engine
 /// counted) are refused as stale by name, never salvaged.
 /// Records are written with a single write(2) each and fsync'd before
 /// the append returns, so after a crash the file is a valid prefix plus
@@ -51,7 +51,10 @@ std::uint64_t jobSetFingerprint(const std::vector<BatchJob> &Jobs,
                                 const BatchOptions &Opts);
 
 /// Lossless text serialization of one JobResult (the journal record
-/// body; also the unit of the round-trip property tests).
+/// body; also the unit of the round-trip property tests). The
+/// `counters` line holds six counters, then the incremental closure
+/// count only when it is non-zero: a canonicalized result zeroes it, so
+/// cache records and replies never carry it.
 std::string serializeJobResult(const JobResult &R);
 
 /// Parses a record body; returns false with \p Error set on malformed

@@ -46,13 +46,14 @@ using support::hex64;
 using support::parseHex64;
 using support::parseU64;
 
-constexpr const char *CacheMagic = "optoct-cache v3";
+constexpr const char *CacheMagic = "optoct-cache v4";
 /// The formats before it, refused by name as stale rather than corrupt:
 /// v1 checksummed records with FNV-1a 64; v2 holds records whose
 /// num_closures counts the closures of the engine that joined before it
-/// tested inclusion.
-constexpr const char *StaleCacheMagics[] = {"optoct-cache v1",
-                                            "optoct-cache v2"};
+/// tested inclusion; v3 holds records whose num_closures also counts
+/// the full closures that guards and stored widening iterates now skip.
+constexpr const char *StaleCacheMagics[] = {
+    "optoct-cache v1", "optoct-cache v2", "optoct-cache v3"};
 
 std::size_t entryCost(std::size_t RecordBytes) {
   return RecordBytes + InvariantCache::EntryOverheadBytes;
@@ -158,7 +159,7 @@ bool parseSnapshot(std::string_view Data, CacheLoadStats &S,
     for (const char *Stale : StaleCacheMagics)
       if (Nl != std::string_view::npos && Magic == Stale)
         Error = "stale cache snapshot (" + std::string(Magic) +
-                ", this build reads v3)";
+                ", this build reads v4)";
     S.BytesDiscarded = Size;
     return false;
   }

@@ -21,11 +21,12 @@
 /// A daemon killed mid-save leaves either the old cache file or the new
 /// one, nothing in between.
 ///
-/// File format ("optoct-cache v3"; v1 was the same with FNV-1a 64
-/// checksums, v2 the same with records whose num_closures an older
-/// engine counted, and load() names either stale rather than corrupt):
+/// File format ("optoct-cache v4"; v1 was the same with FNV-1a 64
+/// checksums, v2 and v3 the same with records whose num_closures an
+/// older engine counted, and load() names each stale rather than
+/// corrupt):
 ///
-///   optoct-cache v3
+///   optoct-cache v4
 ///   ent <key-hex16> <recordbytes> <crc32c-hex16>
 ///   <record bytes>
 ///   ent ...

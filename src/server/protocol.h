@@ -49,10 +49,14 @@ namespace optoct::server {
 ///      (runtime/ipc.h).
 ///   4: Same frames; a result record's num_closures comes from the
 ///      engine that tests inclusion before it joins and so counts fewer
-///      closures per job (this version). A version 3 peer frames as
-///      'OFR2' and is refused at the Hello, so a fleet never mixes
-///      records whose closure counts disagree.
-constexpr std::uint32_t ProtocolVersion = 4;
+///      closures per job. A version 3 peer frames as 'OFR2' and is
+///      refused at the Hello, so a fleet never mixes records whose
+///      closure counts disagree.
+///   5: Same frames; num_closures counts full closures only. Guards
+///      close incrementally and a loop head's widening iterate is closed
+///      once, so it counts fewer again (this version). A version 4 peer
+///      is refused at the Hello for the same reason.
+constexpr std::uint32_t ProtocolVersion = 5;
 
 /// Hello body ("helo <version>\nend\n"), symmetric in both directions.
 /// Doubles as the replica client's health probe: a daemon that answers
@@ -169,10 +173,11 @@ bool decodeStatsResponse(const std::string &Body, std::uint64_t &Id,
                          DaemonStats &S, std::string &Error);
 
 /// Zeroes the timing fields (WallSeconds, cycle counters) that vary
-/// between identical runs. Applied to every result before caching *and*
-/// before any cold response, so a cached replay is byte-identical to
-/// the cold response for the same request — the property the CI smoke
-/// diffs.
+/// between identical runs, and the incremental closure count, which is
+/// telemetry and never part of a record. Applied to every result before
+/// caching *and* before any cold response, so a cached replay is
+/// byte-identical to the cold response for the same request — the
+/// property the CI smoke diffs.
 void canonicalizeResult(runtime::JobResult &R);
 
 /// Content-address of a request: the journal's job-set fingerprint

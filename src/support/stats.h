@@ -27,6 +27,12 @@ struct ClosureEvent {
 
 /// Statistics gathered while a program analysis runs against one octagon
 /// library. Attached to the domain adapters in src/analysis.
+///
+/// A closure is a full closure of one element (dense, sparse, decomposed
+/// or top); it is counted, traced and sizes nmin/nmax. The incremental
+/// closures that restore a closed element after an assignment or after
+/// guards (Section 5.6) are counted apart, with their own cycles, and
+/// record no trace event.
 class OctStats {
 public:
   void recordClosure(std::uint64_t Cycles, unsigned NumVars, int KindTag) {
@@ -40,11 +46,18 @@ public:
       Trace.push_back({Cycles, NumVars, KindTag});
   }
 
+  void recordIncrementalClosure(std::uint64_t Cycles) {
+    ++NumIncrementalClosures;
+    IncrementalCycles += Cycles;
+  }
+
   void addOctagonCycles(std::uint64_t Cycles) { OctagonCycles += Cycles; }
 
   void reset() {
     NumClosures = 0;
     ClosureCycles = 0;
+    NumIncrementalClosures = 0;
+    IncrementalCycles = 0;
     OctagonCycles = 0;
     MinVars = std::numeric_limits<unsigned>::max();
     MaxVars = 0;
@@ -55,6 +68,10 @@ public:
 
   std::uint64_t numClosures() const { return NumClosures; }
   std::uint64_t closureCycles() const { return ClosureCycles; }
+  std::uint64_t numIncrementalClosures() const {
+    return NumIncrementalClosures;
+  }
+  std::uint64_t incrementalCycles() const { return IncrementalCycles; }
   std::uint64_t octagonCycles() const { return OctagonCycles; }
   unsigned minVars() const { return NumClosures == 0 ? 0 : MinVars; }
   unsigned maxVars() const { return MaxVars; }
@@ -63,6 +80,8 @@ public:
 private:
   std::uint64_t NumClosures = 0;
   std::uint64_t ClosureCycles = 0;
+  std::uint64_t NumIncrementalClosures = 0;
+  std::uint64_t IncrementalCycles = 0;
   std::uint64_t OctagonCycles = 0;
   unsigned MinVars = std::numeric_limits<unsigned>::max();
   unsigned MaxVars = 0;

@@ -57,6 +57,7 @@ RunResult runWith(const cfg::Cfg &Graph, bool TraceClosures,
   RunResult R;
   R.NumClosures = Stats.numClosures();
   R.ClosureCycles = Stats.closureCycles();
+  R.IncrementalClosures = Stats.numIncrementalClosures();
   R.OctagonCycles = Result.OctagonCycles;
   R.NMin = Stats.minVars();
   R.NMax = Stats.maxVars();

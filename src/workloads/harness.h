@@ -31,8 +31,11 @@ enum class Library {
 
 /// Measurements from one analysis run.
 struct RunResult {
-  std::uint64_t NumClosures = 0;
+  std::uint64_t NumClosures = 0; ///< Full closures.
   std::uint64_t ClosureCycles = 0;
+  /// Incremental closures (after assignments and guards), OptOctagon
+  /// only.
+  std::uint64_t IncrementalClosures = 0;
   std::uint64_t OctagonCycles = 0; ///< All domain operations.
   unsigned NMin = 0, NMax = 0;     ///< DBM sizes seen at closures.
   double WallSeconds = 0.0;        ///< Whole analysis wall time.

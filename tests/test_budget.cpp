@@ -182,6 +182,86 @@ TEST(Budget, VisitFuelExhaustionDegradesToSoundTop) {
   }
 }
 
+/// An Octagon that counts widenings and, once the engine has degraded
+/// (the degrade stores makeTop in every block; the first makeTop is the
+/// entry state), notes whether each state it is copied from is Top. The
+/// final pass copies every block's state, so after a degrade it must
+/// copy only Top — never a closed copy of an iterate made before the
+/// budget tripped.
+struct CopySpy : Octagon {
+  static inline unsigned TopsMade = 0;
+  static inline unsigned Widenings = 0;
+  static inline std::vector<bool> SourcesAfterDegrade;
+
+  explicit CopySpy(Octagon O) : Octagon(std::move(O)) {}
+  CopySpy(const CopySpy &O) : Octagon(O) {
+    if (TopsMade > 1)
+      SourcesAfterDegrade.push_back(O.isTop());
+  }
+  CopySpy(CopySpy &&) = default;
+  CopySpy &operator=(const CopySpy &) = default;
+  CopySpy &operator=(CopySpy &&) = default;
+
+  static CopySpy makeTop(unsigned N) {
+    ++TopsMade;
+    return CopySpy(Octagon::makeTop(N));
+  }
+  static CopySpy makeBottom(unsigned N) {
+    return CopySpy(Octagon::makeBottom(N));
+  }
+  static CopySpy join(const CopySpy &A, const CopySpy &B) {
+    return CopySpy(Octagon::join(A, B));
+  }
+  static CopySpy widen(const CopySpy &Old, const CopySpy &New) {
+    ++Widenings;
+    return CopySpy(Octagon::widen(Old, New));
+  }
+  static CopySpy widenWithThresholds(const CopySpy &Old, const CopySpy &New,
+                                     const std::vector<double> &T) {
+    ++Widenings;
+    return CopySpy(Octagon::widenWithThresholds(Old, New, T));
+  }
+  static CopySpy narrow(const CopySpy &Old, const CopySpy &New) {
+    return CopySpy(Octagon::narrow(Old, New));
+  }
+};
+
+// The engine keeps a closed copy of a loop head's widening iterate
+// beside it. A budget that trips after the loop head has widened
+// degrades every block to Top, and the final pass must then read those
+// Top states, not a closed copy left from before the trip.
+TEST(Budget, TripAfterWideningFinalPassReadsTop) {
+  lang::Program Prog;
+  cfg::Cfg Graph = buildCfg(LoopProgram, Prog);
+
+  unsigned Checked = 0;
+  for (unsigned Visits = 1; Visits != 200; ++Visits) {
+    CopySpy::TopsMade = 0;
+    CopySpy::Widenings = 0;
+    CopySpy::SourcesAfterDegrade.clear();
+    analysis::AnalysisOptions Opts;
+    Opts.MaxBlockVisits = Visits;
+    auto R = analysis::analyze<CopySpy>(Graph, Opts);
+    if (R.Status != analysis::RunStatus::Degraded)
+      break; // converged within the budget
+    if (CopySpy::Widenings == 0)
+      continue; // tripped before the loop head widened
+    ++Checked;
+    SCOPED_TRACE("max block visits " + std::to_string(Visits));
+    EXPECT_GT(CopySpy::TopsMade, 1u);
+    ASSERT_FALSE(CopySpy::SourcesAfterDegrade.empty());
+    for (bool SourceWasTop : CopySpy::SourcesAfterDegrade)
+      EXPECT_TRUE(SourceWasTop);
+    for (unsigned B = 0; B != Graph.size(); ++B) {
+      ASSERT_TRUE(R.BlockInvariant[B]);
+      EXPECT_TRUE(R.BlockInvariant[B]->isTop()) << "block " << B;
+    }
+    // Under Top neither assertion is provable.
+    EXPECT_EQ(R.assertsProven(), 0u);
+  }
+  EXPECT_GT(Checked, 0u);
+}
+
 TEST(Budget, CancelledTokenDegradesTheRun) {
   lang::Program Prog;
   cfg::Cfg Graph = buildCfg(LoopProgram, Prog);

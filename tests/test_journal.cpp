@@ -81,6 +81,7 @@ JobResult sampleResult() {
   R.LoopInvariants = {"bb2: { x0 <= 4.5 }", "bb5: unreachable"};
   R.NumClosures = 123456789012345ull;
   R.ClosureCycles = 987654321;
+  R.IncrementalClosures = 31337;
   R.OctagonCycles = 55;
   R.BlockVisits = 4242;
   R.NMin = 2;
@@ -108,6 +109,7 @@ void expectEqualResults(const JobResult &A, const JobResult &B) {
   EXPECT_EQ(A.LoopInvariants, B.LoopInvariants);
   EXPECT_EQ(A.NumClosures, B.NumClosures);
   EXPECT_EQ(A.ClosureCycles, B.ClosureCycles);
+  EXPECT_EQ(A.IncrementalClosures, B.IncrementalClosures);
   EXPECT_EQ(A.OctagonCycles, B.OctagonCycles);
   EXPECT_EQ(A.BlockVisits, B.BlockVisits);
   EXPECT_EQ(A.NMin, B.NMin);
@@ -162,6 +164,10 @@ TEST_F(Journal, DeserializeRejectsMalformedBodies) {
   EXPECT_FALSE(deserializeJobResult("name x\nstatus ok\nattempts joe\n", R, E));
   EXPECT_FALSE(
       deserializeJobResult("name x\nstatus ok\ncounters 1 2\n", R, E));
+  EXPECT_FALSE(deserializeJobResult(
+      "name x\nstatus ok\ncounters 1 2 3 4 5 6 7 8\n", R, E));
+  EXPECT_FALSE(deserializeJobResult(
+      "name x\nstatus ok\ncounters 1 2 3 4 5 6 x\n", R, E));
   EXPECT_FALSE(deserializeJobResult("name x\nstatus ok\nwall soon\n", R, E));
   EXPECT_FALSE(E.empty());
 }
@@ -332,21 +338,21 @@ TEST_F(Journal, ResumeRejectsForeignJournal) {
 }
 
 // A journal of the FNV-1a 64 format ("optoct-journal v1", written the
-// way the writer before CRC32C did) and one of the CRC32C format whose
-// records carry an older engine's closure counts ("optoct-journal v2")
-// are each refused by name on --resume: never salvaged, never taken for
-// a foreign job set, and left as they were.
+// way the writer before CRC32C did) and ones of the CRC32C format whose
+// records carry an older engine's closure counts ("optoct-journal v2"
+// and "v3") are each refused by name on --resume: never salvaged, never
+// taken for a foreign job set, and left as they were.
 TEST_F(Journal, ResumeRefusesStaleJournalByName) {
   std::vector<BatchJob> Jobs = testJobs();
-  std::string FullPath = tempPath("v3full");
+  std::string FullPath = tempPath("v4full");
   BatchOptions Opts;
   Opts.JournalPath = FullPath;
   runBatch(Jobs, Opts);
   JournalLoad Full = loadJournal(FullPath);
   ASSERT_TRUE(Full.Error.empty()) << Full.Error;
-  EXPECT_EQ(slurp(FullPath).rfind("optoct-journal v3\nmeta ", 0), 0u);
+  EXPECT_EQ(slurp(FullPath).rfind("optoct-journal v4\nmeta ", 0), 0u);
 
-  for (const char *Version : {"v1", "v2"}) {
+  for (const char *Version : {"v1", "v2", "v3"}) {
     SCOPED_TRACE(Version);
     bool V1 = std::string(Version) == "v1";
     std::string Path = tempPath(Version);
@@ -368,7 +374,7 @@ TEST_F(Journal, ResumeRefusesStaleJournalByName) {
     EXPECT_TRUE(L.Records.empty());
     EXPECT_EQ(L.Error, std::string("stale journal (optoct-journal ") +
                            Version +
-                           ", this build reads v3); rerun without --resume");
+                           ", this build reads v4); rerun without --resume");
 
     BatchOptions Resume;
     Resume.JournalPath = Path;

@@ -833,11 +833,12 @@ bool referenceParse(const std::string &Data,
                     server::CacheLoadStats &S, std::string &Error) {
   std::size_t Pos = Data.find('\n');
   if (Pos == std::string::npos || Data.substr(0, Pos + 1) != CacheMagicLine) {
-    Error = Data.substr(0, Pos + 1) == CacheMagicLineV1
-                ? "stale cache snapshot (optoct-cache v1, this build reads v3)"
-            : Data.substr(0, Pos + 1) == CacheMagicLineV2
-                ? "stale cache snapshot (optoct-cache v2, this build reads v3)"
-                : "bad cache magic";
+    Error = "bad cache magic";
+    for (const char *Stale :
+         {CacheMagicLineV1, CacheMagicLineV2, CacheMagicLineV3})
+      if (Data.substr(0, Pos + 1) == Stale)
+        Error = "stale cache snapshot (" + Data.substr(0, Pos) +
+                ", this build reads v4)";
     S.BytesDiscarded = Data.size();
     return false;
   }
@@ -1031,16 +1032,17 @@ TEST_F(DaemonCache, StreamingLoadSalvagesExactlyLikeWholeBlobParser) {
        {"optoct-cache v2"s, "optoct-cache v2 \n"s, "optoct-cache v21\n"s,
         "optoct-cache v\n"s, "\n"s, ""s, "optoct-cache v2\r\n"s,
         "xoptoct-cache v2\n"s, "optoct-cache v1\n"s, "optoct-cache v1"s, "optoct-cache v3\n"s,
+        "optoct-cache v3"s, "optoct-cache v5\n"s,
         std::string(100000, 'q')})
     expectSalvageParity(M + Sound.substr(Magic.size()), "magic " + M);
 }
 
 // A copy has its own recency list: promoting or inserting in the copy
 // leaves the original's entries and order as they were.
-// A v1 snapshot (FNV-1a 64 checksums) and a v2 snapshot (CRC32C, but
-// records whose closure counts an older engine took) are each refused
-// whole and by name; none of their entries is loaded, though each one
-// is sound in its own format.
+// A v1 snapshot (FNV-1a 64 checksums) and a v2 or v3 snapshot (CRC32C,
+// but records whose closure counts an older engine took) are each
+// refused whole and by name; none of their entries is loaded, though
+// each one is sound in its own format.
 TEST_F(DaemonCache, StaleSnapshotIsRefusedByName) {
   struct Stale {
     const char *Name;
@@ -1050,6 +1052,8 @@ TEST_F(DaemonCache, StaleSnapshotIsRefusedByName) {
        {Stale{"v1", CacheMagicLineV1 + snapshotEntryV1(1, "one") +
                         snapshotEntryV1(2, "two")},
         Stale{"v2", CacheMagicLineV2 + snapshotEntry(1, "one") +
+                        snapshotEntry(2, "two")},
+        Stale{"v3", CacheMagicLineV3 + snapshotEntry(1, "one") +
                         snapshotEntry(2, "two")}}) {
     std::string Path = tempPath(std::string("cache_") + S.Name);
     writeBytes(Path, S.Bytes);
@@ -1058,7 +1062,7 @@ TEST_F(DaemonCache, StaleSnapshotIsRefusedByName) {
     std::string Error;
     EXPECT_FALSE(Cache.load(Path, Error, &Stats));
     EXPECT_EQ(Error, std::string("stale cache snapshot (optoct-cache ") +
-                         S.Name + ", this build reads v3)");
+                         S.Name + ", this build reads v4)");
     EXPECT_EQ(Cache.entries(), 0u);
     EXPECT_EQ(Stats.EntriesLoaded, 0u);
     EXPECT_EQ(Stats.BytesDiscarded, S.Bytes.size());
@@ -1740,19 +1744,17 @@ TEST_F(Daemon, StaleFramePeerIsVersionRejectedAndClosed) {
   EXPECT_EQ(Stats.Hellos, 1u); // ours
 }
 
-// A version 3 peer frames exactly as this build does ('OFR2'), so its
-// frames parse; the Hello is where it is refused. Its result records
-// carry the closure counts of the engine before this one, so a fleet
+// A version 3 or 4 peer frames exactly as this build does ('OFR2'), so
+// its frames parse; the Hello is where it is refused. Its result records
+// carry the closure counts of an engine before this one, so a fleet
 // must not mix it in. It gets the daemon's Hello, to report the skew,
 // and then a clean close.
-TEST_F(Daemon, VersionThreePeerIsRefusedAtHello) {
-  server::ServerOptions Opts;
-  Opts.Workers = 1;
-  startServer(Opts);
+void expectRefusedAtHello(const std::string &SocketPath,
+                          std::uint32_t PeerVersion) {
   int Fd = rawConnect(SocketPath);
   ASSERT_GE(Fd, 0);
   std::string Hello =
-      ipc::frameBytes(ipc::MsgType::Hello, server::encodeHello(3));
+      ipc::frameBytes(ipc::MsgType::Hello, server::encodeHello(PeerVersion));
   ASSERT_EQ(::send(Fd, Hello.data(), Hello.size(), 0),
             static_cast<ssize_t>(Hello.size()));
   ipc::MsgType Type{};
@@ -1761,22 +1763,43 @@ TEST_F(Daemon, VersionThreePeerIsRefusedAtHello) {
   EXPECT_EQ(Type, ipc::MsgType::Hello);
   std::uint32_t Version = 0;
   ASSERT_TRUE(server::decodeHello(Body, Version));
-  EXPECT_EQ(Version, 4u);
+  EXPECT_EQ(Version, 5u);
   EXPECT_EQ(Version, server::ProtocolVersion);
   EXPECT_EQ(drainUntilEof(Fd), 0u);
   ::close(Fd);
+}
 
-  server::DaemonClient Client;
-  connect(Client);
+void expectOnlyVersionRejects(server::DaemonClient &Client,
+                              std::uint64_t Rejects) {
   server::DaemonStats Stats;
   std::string Error;
   ASSERT_TRUE(Client.queryStats(Stats, Error)) << Error;
-  EXPECT_EQ(Stats.VersionRejects, 1u);
+  EXPECT_EQ(Stats.VersionRejects, Rejects);
   EXPECT_EQ(Stats.Requests, 0u);
   EXPECT_EQ(Stats.Hellos, 1u); // ours
 }
 
-// A v1 or v2 snapshot holding the very record a request asks for: the
+TEST_F(Daemon, VersionThreePeerIsRefusedAtHello) {
+  server::ServerOptions Opts;
+  Opts.Workers = 1;
+  startServer(Opts);
+  expectRefusedAtHello(SocketPath, 3);
+  server::DaemonClient Client;
+  connect(Client);
+  expectOnlyVersionRejects(Client, 1);
+}
+
+TEST_F(Daemon, VersionFourPeerIsRefusedAtHello) {
+  server::ServerOptions Opts;
+  Opts.Workers = 1;
+  startServer(Opts);
+  expectRefusedAtHello(SocketPath, 4);
+  server::DaemonClient Client;
+  connect(Client);
+  expectOnlyVersionRejects(Client, 1);
+}
+
+// A v1, v2 or v3 snapshot holding the very record a request asks for: the
 // daemon names the snapshot stale in its log, starts cold and runs the
 // request.
 TEST_F(Daemon, StaleCacheSnapshotStartsColdAndSaysWhy) {
@@ -1793,14 +1816,14 @@ TEST_F(Daemon, StaleCacheSnapshotStartsColdAndSaysWhy) {
     served(Client, Req, Cold);
     stopServer();
   }
-  for (const char *Version : {"v1", "v2"}) {
+  for (const char *Version : {"v1", "v2", "v3"}) {
     SCOPED_TRACE(Version);
     bool V1 = std::string(Version) == "v1";
     std::string CachePath = tempPath(std::string("daemon_cache_") + Version);
     writeBytes(CachePath,
                V1 ? CacheMagicLineV1 +
                         snapshotEntryV1(Cold.Key, Cold.ResultRecord)
-                  : CacheMagicLineV2 +
+                  : std::string("optoct-cache ") + Version + "\n" +
                         snapshotEntry(Cold.Key, Cold.ResultRecord));
 
     server::ServerOptions Opts;
@@ -1810,7 +1833,7 @@ TEST_F(Daemon, StaleCacheSnapshotStartsColdAndSaysWhy) {
     startServer(Opts);
     std::string Log = ::testing::internal::GetCapturedStderr();
     EXPECT_NE(Log.find(std::string("(stale cache snapshot (optoct-cache ") +
-                       Version + ", this build reads v3), "),
+                       Version + ", this build reads v4), "),
               std::string::npos)
         << Log;
     EXPECT_NE(Log.find("starting with a cold cache"), std::string::npos)

@@ -5,8 +5,9 @@
 /// feed to readers directly: frame headers (runtime/ipc.h) and cache
 /// snapshot entries (server/cache.h). The plain builders write the
 /// current format; the *V1 ones write the FNV-1a 64 format, the input
-/// of the stale-format tests. A v2 snapshot frames its entries exactly
-/// as the current format does (snapshotEntry) under its own magic line.
+/// of the stale-format tests. A v2 or v3 snapshot frames its entries
+/// exactly as the current format does (snapshotEntry) under its own
+/// magic line.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +26,8 @@ namespace optoct::wire {
 
 inline constexpr const char *FrameMagic = "OFR2";
 inline constexpr const char *FrameMagicV1 = "OFR1";
-inline constexpr const char *CacheMagicLine = "optoct-cache v3\n";
+inline constexpr const char *CacheMagicLine = "optoct-cache v4\n";
+inline constexpr const char *CacheMagicLineV3 = "optoct-cache v3\n";
 inline constexpr const char *CacheMagicLineV2 = "optoct-cache v2\n";
 inline constexpr const char *CacheMagicLineV1 = "optoct-cache v1\n";
 
