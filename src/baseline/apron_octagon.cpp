@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 
 using namespace optoct;
 using namespace optoct::baseline;
@@ -412,31 +411,6 @@ void ApronOctagon::removeTrailingVars(unsigned Count) {
 }
 
 std::string ApronOctagon::str(const std::vector<std::string> *Names) {
-  if (Empty)
-    return "bottom";
-  auto Name = [&](unsigned V) {
-    if (Names && V < Names->size())
-      return (*Names)[V];
-    char Buf[16];
-    std::snprintf(Buf, sizeof(Buf), "v%u", V);
-    return std::string(Buf);
-  };
   std::vector<OctCons> Cs = constraints();
-  if (Cs.empty())
-    return "top";
-  std::string Out;
-  for (const OctCons &C : Cs) {
-    if (!Out.empty())
-      Out += " && ";
-    char Buf[64];
-    if (C.isUnary())
-      std::snprintf(Buf, sizeof(Buf), "%s%s <= %g", C.CoefI < 0 ? "-" : "",
-                    Name(C.I).c_str(), C.Bound);
-    else
-      std::snprintf(Buf, sizeof(Buf), "%s%s %c %s <= %g",
-                    C.CoefI < 0 ? "-" : "", Name(C.I).c_str(),
-                    C.CoefJ < 0 ? '-' : '+', Name(C.J).c_str(), C.Bound);
-    Out += Buf;
-  }
-  return Out;
+  return Empty ? "bottom" : renderConstraints(Cs, Names);
 }

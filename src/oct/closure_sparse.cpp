@@ -107,10 +107,11 @@ void optoct::shortestPathSparse(HalfDbm &M, ClosureScratch &Scratch) {
   }
 }
 
-std::size_t optoct::strengthenSparseRestricted(
-    HalfDbm &M, const std::vector<unsigned> &Vars, ClosureScratch &Scratch) {
+void optoct::strengthenSparseRestricted(HalfDbm &M,
+                                        const std::vector<unsigned> &Vars,
+                                        ClosureScratch &Scratch) {
   if (Vars.empty())
-    return 0;
+    return;
   Scratch.ensure(M.dim());
   double *T = Scratch.T.data();
   std::vector<unsigned> &EVars = Scratch.EVars;
@@ -128,7 +129,6 @@ std::size_t optoct::strengthenSparseRestricted(
       Scratch.IdxT.push_back(J);
   }
 
-  std::size_t Fresh = 0;
   for (unsigned I : EVars) {
     double Di = T[I ^ 1u];
     if (!isFinite(Di))
@@ -139,13 +139,10 @@ std::size_t optoct::strengthenSparseRestricted(
       if (J > Limit)
         break;
       double S = (Di + T[J]) * 0.5;
-      if (S < Row[J]) {
-        Fresh += !isFinite(Row[J]);
+      if (S < Row[J])
         Row[J] = S;
-      }
     }
   }
-  return Fresh;
 }
 
 bool optoct::closureSparse(HalfDbm &M, ClosureScratch &Scratch,

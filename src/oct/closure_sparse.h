@@ -33,9 +33,7 @@ namespace optoct {
 void shortestPathSparse(HalfDbm &M, ClosureScratch &Scratch);
 
 /// Sparse strengthening restricted to \p Vars (sorted ascending).
-/// Returns the number of entries it lowered from +inf to a finite bound
-/// (strengthening only lowers entries, so this is its change to nni).
-std::size_t strengthenSparseRestricted(HalfDbm &M, const std::vector<unsigned> &Vars,
+void strengthenSparseRestricted(HalfDbm &M, const std::vector<unsigned> &Vars,
                                 ClosureScratch &Scratch);
 
 /// Full sparse strong closure of a fully initialized matrix. Computes

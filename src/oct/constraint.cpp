@@ -20,6 +20,42 @@ void LinExpr::addTerm(int Coef, unsigned Var) {
   Terms.emplace_back(Coef, Var);
 }
 
+std::string optoct::renderConstraints(const std::vector<OctCons> &Cs,
+                                      const std::vector<std::string> *Names) {
+  if (Cs.empty())
+    return "top";
+  auto AppendName = [&](std::string &Out, unsigned V) {
+    if (Names && V < Names->size()) {
+      Out += (*Names)[V];
+      return;
+    }
+    char Buf[16];
+    std::snprintf(Buf, sizeof(Buf), "v%u", V);
+    Out += Buf;
+  };
+  std::string Out;
+  for (const OctCons &C : Cs) {
+    if (!Out.empty())
+      Out += " && ";
+    if (C.CoefI < 0)
+      Out += '-';
+    AppendName(Out, C.I);
+    if (!C.isUnary()) {
+      Out += C.CoefJ < 0 ? " - " : " + ";
+      AppendName(Out, C.J);
+    }
+    // + 0.0 canonicalizes a negative-zero bound to "0": which sign of
+    // zero survives a min/max tie differs between the SIMD kernels
+    // (MINPD/MAXPD keep the second operand) and scalar code, and the
+    // two are indistinguishable everywhere except printf — invariant
+    // strings must not depend on that.
+    char Buf[32];
+    std::snprintf(Buf, sizeof(Buf), " <= %g", C.Bound + 0.0);
+    Out += Buf;
+  }
+  return Out;
+}
+
 std::string LinExpr::str() const {
   std::string Out;
   char Buf[48];

@@ -75,6 +75,14 @@ struct OctCons {
   }
 };
 
+/// The invariant text of a non-empty element's constraints, in the
+/// order given: "top" for none, otherwise the constraints joined by
+/// " && ", each as "[-]a +|- b <= c" or "[-]a <= c" with the bound in
+/// %g. Variables are named from \p Names where it has an entry, "v<i>"
+/// otherwise. Both octagon libraries print their invariants with it.
+std::string renderConstraints(const std::vector<OctCons> &Cs,
+                              const std::vector<std::string> *Names);
+
 /// Upper/lower bounds of a variable or expression; either end may be
 /// infinite.
 struct Interval {

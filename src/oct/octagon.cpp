@@ -302,10 +302,7 @@ void Octagon::closeDecomposed() {
   strengthenAndMerge();
   if (!normalizeCoveredDiagonal())
     return;
-  recomputeExactPartition();
-}
 
-void Octagon::recomputeExactPartition() {
   // Exact recomputation of the components within each (possibly merged)
   // block, counting nni in the same pass (Section 3.5).
   Partition NewP(numVars());
@@ -335,7 +332,7 @@ bool Octagon::normalizeCoveredDiagonal() {
   return true;
 }
 
-std::size_t Octagon::strengthenAndMerge() {
+void Octagon::strengthenAndMerge() {
   // Components holding a finite unary (diagonal-block) bound: only those
   // participate in strengthening, and they merge into a single component
   // (Section 5.4).
@@ -350,15 +347,13 @@ std::size_t Octagon::strengthenAndMerge() {
       }
   }
   if (Bounded.empty())
-    return 0;
+    return;
 
-  // The merge initializes the new cross entries to +inf, which changes
-  // no count.
   int Merged = mergeComponentsInit(Bounded);
   assert(Merged >= 0 && "merge of a non-empty list cannot fail");
   // The merged submatrix is likely sparse: use the sparse strengthening
   // (Section 5.4).
-  return strengthenSparseRestricted(
+  strengthenSparseRestricted(
       M, P.component(static_cast<std::size_t>(Merged)), scratch());
 }
 
@@ -609,14 +604,12 @@ bool Octagon::recordDeferred(unsigned V) {
   return true;
 }
 
-std::size_t Octagon::pivotTouchedComponents(const unsigned *Touched,
-                                            unsigned NumTouched) {
+void Octagon::pivotTouchedComponents(const unsigned *Touched,
+                                     unsigned NumTouched) {
   // The touched variables already share one component with everything
-  // the new constraints relate them to. Closure only lowers entries, so
-  // a block's finite count grows by exactly the entries the passes took
-  // from +inf to finite. At most DeferredCloseCutoff variables arrive
-  // here, so their components fit a fixed array. The components are
-  // disjoint, so their order does not matter.
+  // the new constraints relate them to. At most DeferredCloseCutoff
+  // variables arrive here, so their components fit a fixed array. The
+  // components are disjoint, so their order does not matter.
   std::array<int, DeferredCloseCutoff> Comps;
   unsigned NumComps = 0;
   for (unsigned T = 0; T != NumTouched; ++T) {
@@ -625,14 +618,12 @@ std::size_t Octagon::pivotTouchedComponents(const unsigned *Touched,
                       Comps.begin() + NumComps)
       Comps[NumComps++] = C;
   }
-  std::size_t Fresh = 0;
   HalfDbm &Tmp = scratch().DenseTmp;
   for (unsigned K = 0; K != NumComps; ++K) {
     const std::vector<unsigned> &Vars =
         P.component(static_cast<std::size_t>(Comps[K]));
     Tmp.resizeDiscard(static_cast<unsigned>(Vars.size()));
     packComponent(Tmp.data(), M, Vars);
-    std::size_t Before = Tmp.countFinite();
     for (unsigned T = 0; T != NumTouched; ++T) {
       if (P.componentOf(Touched[T]) != Comps[K])
         continue;
@@ -640,10 +631,8 @@ std::size_t Octagon::pivotTouchedComponents(const unsigned *Touched,
                  Vars.begin();
       incrementalPivotPass(Tmp, static_cast<unsigned>(Pos), scratch());
     }
-    Fresh += Tmp.countFinite() - Before;
     scatterComponent(Tmp.data(), M, Vars);
   }
-  return Fresh;
 }
 
 void Octagon::closeDeferred() {
@@ -675,60 +664,18 @@ void Octagon::closeDeferred() {
   }
 
   // The decomposed leg of closeDecomposed: pivot passes on the touched
-  // components only, then the same strengthening, emptiness check and
-  // exact partition.
+  // components only, then the same strengthening and emptiness check.
+  // The maintained partition stays (it may be coarser than the exact
+  // one; only a full closure recomputes that), and nni is recounted
+  // over its components, so Section 3.5's kind decision reads an exact
+  // count whatever the element's history.
   pivotTouchedComponents(T.data(), NumT);
   strengthenAndMerge();
   if (!normalizeCoveredDiagonal())
     return;
-  recomputeExactPartition();
-}
-
-void Octagon::incrementalClose(const unsigned *Touched, unsigned NumTouched) {
-  if (Empty)
-    return;
-  std::uint64_t Begin = StatsSink ? readCycles() : 0;
-  if (FullyInit && (P.isWhole() || !octConfig().EnableDecomposition)) {
-    if (!incrementalClosureDense(M, Touched, NumTouched, scratch())) {
-      markEmpty();
-    } else {
-      if (Kind == DbmKind::Dense)
-        NniExplicit = M.size(); // dense over-approximation (Section 4.1)
-      else
-        NniExplicit = M.countFinite();
-      Closed = true;
-    }
-    if (StatsSink)
-      StatsSink->recordIncrementalClosure(readCycles() - Begin);
-    return;
-  }
-
-  // Decomposed: the pivot passes on the touched components, then the
-  // global strengthening phase.
-  std::size_t Fresh = pivotTouchedComponents(Touched, NumTouched);
-  Fresh += strengthenAndMerge();
-
-  // The covered diagonal stays finite, so normalizing it changes no
-  // count.
-  if (normalizeCoveredDiagonal()) {
-    if (FullyInit) {
-      // A materialized element can arrive with an inexact count: Section
-      // 4.1's 2n(n+1) of a Dense element whose partition the
-      // assignment's forget split, or relateInit/forgetVar's diagonal
-      // pair counted twice or not at all. Recounting its components
-      // makes it exact.
-      std::size_t Nni = 2 * (numVars() - P.coveredVars());
-      for (std::size_t C = 0, E = P.numComponents(); C != E; ++C)
-        Nni += countComponentFinite(M, P.component(C));
-      NniExplicit = Nni;
-    } else {
-      // A lazily initialized element's count is exact, and closure only
-      // lowers entries, so nni grows by exactly the entries the kernels
-      // took from +inf to finite.
-      NniExplicit += Fresh;
-    }
-    Closed = true;
-  }
-  if (StatsSink)
-    StatsSink->recordIncrementalClosure(readCycles() - Begin);
+  std::size_t Nni = FullyInit ? 2 * (numVars() - P.coveredVars()) : 0;
+  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C)
+    Nni += countComponentFinite(M, P.component(C));
+  NniExplicit = Nni;
+  reclassify();
 }

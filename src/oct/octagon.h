@@ -21,19 +21,24 @@
 /// Closure/consistency conventions:
 ///   * close() is idempotent and cached via the Closed flag; emptiness
 ///     is detected by closure and cached in the Empty flag.
-///   * Every state is closed once, and incrementally where a closed
-///     element only gained constraints. Constraints met into a closed
-///     element (addConstraints, a guard or an assume) leave it unclosed,
-///     bit for bit, with the variables of every lowered entry in a small
-///     inline record; close() then restores closure with the pivot
-///     passes over those variables alone (Section 5.6; Chawdhary,
-///     Robbins and King), recomputes the exact partition and the kind
-///     as a full closure does, and so reaches the same element. Strong
-///     closure is canonical, so only the cost differs. Successive
-///     guards add to the record; x := +-x + c and addVars commute with
-///     closure and keep it; every other change drops it, as does a
-///     record that outgrows DeferredCloseCutoff variables, and a full
-///     closure runs instead.
+///   * close() is the one way a closure runs, inside the audit when it
+///     is on. Every state is closed once, and incrementally where a
+///     closed element only changed in the rows of a few variables.
+///     Constraints met into a closed element (addConstraints, a guard
+///     or an assume) leave it unclosed, bit for bit, with the variables
+///     of every lowered entry in a small inline record. An assignment
+///     x := +-y + c, x := c or its interval fallback forgets x, meets
+///     the new bounds and records x (and y) the same way (Chawdhary,
+///     Robbins and King: forget, then meet), then closes at once, so
+///     its result is closed. close() restores closure with the pivot
+///     passes over the recorded variables alone (Section 5.6),
+///     recounts nni and takes Section 3.5's kind decision. Strong
+///     closure is canonical, so the entries equal a full closure's;
+///     the partition may stay coarser than the exact one a full closure
+///     recomputes. Successive guards add to the record; x := +-x + c
+///     and addVars commute with closure and keep it; every other change
+///     drops it, as does a record that outgrows DeferredCloseCutoff
+///     variables, and a full closure runs instead.
 ///   * The statistics sink counts full closures (numClosures, the Fig. 7
 ///     trace, nmin/nmax). Incremental closures, after an assignment or
 ///     after guards, are counted apart (numIncrementalClosures).
@@ -219,7 +224,9 @@ public:
   Interval evalInterval(const LinExpr &E);
 
   /// All non-trivial constraints of the (closed) octagon, without
-  /// coherent duplicates. Closes first.
+  /// coherent duplicates. Closes first. Listed by variable, in the
+  /// baseline library's order: VA ascending, then VB <= VA ascending,
+  /// then the signs, so no representation decision moves the order.
   std::vector<OctCons> constraints();
 
   /// Appends \p Count fresh unconstrained variables (indices at the
@@ -231,9 +238,9 @@ public:
   void removeTrailingVars(unsigned Count);
 
   /// The invariant text that canonical reports, cache records and daemon
-  /// replies carry. Closes first. Constraints are listed component by
-  /// component, so the text is identical across SIMD tiers but its order
-  /// follows the representation (dense or decomposed).
+  /// replies carry (renderConstraints over constraints()). Closes first.
+  /// The text depends on the abstract element alone: not on the SIMD
+  /// tier, the partition, the kind or OctConfig.
   std::string str(const std::vector<std::string> *Names = nullptr);
 
 private:
@@ -290,37 +297,29 @@ private:
 
   /// Strengthening phase of the decomposed closure: merges components
   /// holding finite unary bounds, then strengthens (Section 5.4).
-  /// Returns the number of entries strengthening took from +inf to
-  /// finite.
-  std::size_t strengthenAndMerge();
+  void strengthenAndMerge();
 
-  /// Incremental closure after an assignment changed the entries of
-  /// the \p NumTouched variables at \p Touched (Section 5.6). Keeps the
-  /// partition and kind.
-  void incrementalClose(const unsigned *Touched, unsigned NumTouched);
-
-  /// The deferred guard closure: closeInner's path for an element that
-  /// holds a record. Restores closure over the recorded variables, then
-  /// recomputes nni, the exact partition and the kind exactly as the
-  /// full closure of the same element's representation would.
+  /// The incremental closure: closeInner's path for an element that
+  /// holds a record. Restores closure over the recorded variables,
+  /// recounts nni and reclassifies. The whole-matrix leg recomputes the
+  /// partition as closeMonolithic does; the decomposed leg keeps the
+  /// maintained one.
   void closeDeferred();
 
   /// The shortest-path half of the incremental closure on a decomposed
   /// element: each component holding a touched variable is packed once,
   /// the pivot passes of its touched variables run on the block, and
-  /// the block is scattered back. Returns the entries the passes took
-  /// from +inf to finite.
-  std::size_t pivotTouchedComponents(const unsigned *Touched,
-                                     unsigned NumTouched);
-
-  /// The exact components within each block of the partition and the
-  /// nni they count (Section 3.5), then the kind: the end of the
-  /// decomposed closure, full or deferred.
-  void recomputeExactPartition();
+  /// the block is scattered back.
+  void pivotTouchedComponents(const unsigned *Touched, unsigned NumTouched);
 
   /// Adds \p V to the deferred record. Returns false, dropping the
   /// record, when it is full.
   bool recordDeferred(unsigned V);
+
+  /// Closes an element that was closed before an assignment rewrote the
+  /// rows of \p X and \p Y (equal for x := c): records both and runs
+  /// close(), which pivots over them alone (Section 5.6).
+  void closeOver(unsigned X, unsigned Y);
 
   /// Recomputes Kind from the partition/sparsity after a closure.
   void reclassify();

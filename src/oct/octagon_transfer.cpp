@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 
 using namespace optoct;
@@ -66,9 +65,12 @@ void Octagon::addConstraints(const std::vector<OctCons> &Cs) {
   if (!Track)
     NumDeferred = 0;
   Closed = false;
-  Kind = P.empty()    ? DbmKind::Top
-         : P.isWhole() ? Kind
-                       : DbmKind::Decomposed;
+  // A whole partition keeps a Sparse or Dense kind; a Top input leaves
+  // with a partition, so it is Top no longer.
+  if (P.empty())
+    Kind = DbmKind::Top;
+  else if (Kind == DbmKind::Top || !P.isWhole())
+    Kind = DbmKind::Decomposed;
 }
 
 //===----------------------------------------------------------------------===//
@@ -173,11 +175,9 @@ void Octagon::assign(unsigned X, const LinExpr &E) {
       setEntry(2 * Y + 1, 2 * X, E.Const);
       setEntry(2 * Y, 2 * X + 1, -E.Const);
     }
-    Closed = false;
     // The new arcs live in the bands of both x and y, so the
     // incremental closure must pivot both variables.
-    const unsigned Touched[] = {X, Y};
-    incrementalClose(Touched, 2);
+    closeOver(X, Y);
     return;
   }
 
@@ -190,8 +190,7 @@ void Octagon::assign(unsigned X, const LinExpr &E) {
     relateInit(X, X);
     setEntry(2 * X + 1, 2 * X, 2 * E.Const);
     setEntry(2 * X, 2 * X + 1, -2 * E.Const);
-    Closed = false;
-    incrementalClose(&X, 1);
+    closeOver(X, X);
     return;
   }
 
@@ -212,8 +211,15 @@ void Octagon::assign(unsigned X, const LinExpr &E) {
     setEntry(2 * X + 1, 2 * X, 2 * Iv.Hi);
   if (Iv.Lo != -Infinity)
     setEntry(2 * X, 2 * X + 1, -2 * Iv.Lo);
+  closeOver(X, X);
+}
+
+void Octagon::closeOver(unsigned X, unsigned Y) {
+  // The element was closed, so the record is empty and holds both.
   Closed = false;
-  incrementalClose(&X, 1);
+  recordDeferred(X);
+  recordDeferred(Y);
+  close();
 }
 
 void Octagon::havoc(unsigned X) {
@@ -274,33 +280,37 @@ std::vector<OctCons> Octagon::constraints() {
   std::vector<OctCons> Out;
   if (Empty)
     return Out;
-  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C) {
-    const std::vector<unsigned> &Vars = P.component(C);
-    for (std::size_t A = 0; A != Vars.size(); ++A)
-      for (std::size_t B = 0; B <= A; ++B) {
-        unsigned VA = Vars[A], VB = Vars[B];
-        for (unsigned R = 0; R != 2; ++R)
-          for (unsigned S = 0; S != 2; ++S) {
-            unsigned I = 2 * VA + R, J = 2 * VB + S;
-            if (I == J)
-              continue;
-            double Bound = M.at(I, J);
-            if (!isFinite(Bound))
-              continue;
-            // Entry (i,j) encodes vhat_j - vhat_i <= bound.
-            if (VA == VB) {
-              // Unary: (2v+1,2v) is 2v <= b; (2v,2v+1) is -2v <= b.
-              if (R == 1)
-                Out.push_back(OctCons::upper(VA, Bound / 2));
-              else
-                Out.push_back(OctCons::lower(VA, Bound / 2));
-              continue;
-            }
-            int CoefB = S == 0 ? +1 : -1; // vhat_j contributes +-vB
-            int CoefA = R == 0 ? -1 : +1; // -vhat_i contributes -+vA
-            Out.push_back({CoefB, VB, CoefA, VA, Bound});
+  // Entries outside VA's block are trivial, so walking the block's
+  // members up to VA (blocks are sorted) lists in the baseline's order.
+  for (unsigned VA = 0, N = numVars(); VA != N; ++VA) {
+    int CA = P.componentOf(VA);
+    if (CA < 0)
+      continue;
+    for (unsigned VB : P.component(static_cast<std::size_t>(CA))) {
+      if (VB > VA)
+        break;
+      for (unsigned R = 0; R != 2; ++R)
+        for (unsigned S = 0; S != 2; ++S) {
+          unsigned I = 2 * VA + R, J = 2 * VB + S;
+          if (I == J)
+            continue;
+          double Bound = M.at(I, J);
+          if (!isFinite(Bound))
+            continue;
+          // Entry (i,j) encodes vhat_j - vhat_i <= bound.
+          if (VA == VB) {
+            // Unary: (2v+1,2v) is 2v <= b; (2v,2v+1) is -2v <= b.
+            if (R == 1)
+              Out.push_back(OctCons::upper(VA, Bound / 2));
+            else
+              Out.push_back(OctCons::lower(VA, Bound / 2));
+            continue;
           }
-      }
+          int CoefB = S == 0 ? +1 : -1; // vhat_j contributes +-vB
+          int CoefA = R == 0 ? -1 : +1; // -vhat_i contributes -+vA
+          Out.push_back({CoefB, VB, CoefA, VA, Bound});
+        }
+    }
   }
   return Out;
 }
@@ -379,38 +389,6 @@ void Octagon::removeTrailingVars(unsigned Count) {
 //===----------------------------------------------------------------------===//
 
 std::string Octagon::str(const std::vector<std::string> *Names) {
-  if (Empty)
-    return "bottom";
-  auto Name = [&](unsigned V) {
-    if (Names && V < Names->size())
-      return (*Names)[V];
-    char Buf[16];
-    std::snprintf(Buf, sizeof(Buf), "v%u", V);
-    return std::string(Buf);
-  };
   std::vector<OctCons> Cs = constraints();
-  if (Cs.empty())
-    return "top";
-  std::string Out;
-  for (const OctCons &C : Cs) {
-    if (!Out.empty())
-      Out += " && ";
-    char Buf[64];
-    // + 0.0 canonicalizes a negative-zero bound to "0": which sign of
-    // zero survives a min/max tie differs between the SIMD kernels
-    // (MINPD/MAXPD keep the second operand) and scalar code, and the
-    // two are indistinguishable everywhere except printf — invariant
-    // strings must not depend on that.
-    double Bound = C.Bound + 0.0;
-    if (C.isUnary()) {
-      std::snprintf(Buf, sizeof(Buf), "%s%s <= %g", C.CoefI < 0 ? "-" : "",
-                    Name(C.I).c_str(), Bound);
-    } else {
-      std::snprintf(Buf, sizeof(Buf), "%s%s %c %s <= %g",
-                    C.CoefI < 0 ? "-" : "", Name(C.I).c_str(),
-                    C.CoefJ < 0 ? '-' : '+', Name(C.J).c_str(), Bound);
-    }
-    Out += Buf;
-  }
-  return Out;
+  return Empty ? "bottom" : renderConstraints(Cs, Names);
 }

@@ -224,13 +224,11 @@ namespace {
 /// not allocate it per component. Indices are positions in Vars.
 struct ExtractScratch {
   UnionFind UF;
-  std::vector<unsigned> Order; ///< Stamped positions, in stamp order.
-  /// Unstamped, Stamped, or (at a union-find root, once blocks are
-  /// numbered) the index of the position's appended block.
+  std::vector<char> Covered;
+  /// At a union-find root, once its block is appended: the block's
+  /// index; -1 before.
   std::vector<int> BlockOf;
 };
-
-constexpr int Unstamped = -2, Stamped = -1;
 
 } // namespace
 
@@ -239,14 +237,8 @@ std::size_t Partition::appendExactComponents(const HalfDbm &M,
   static thread_local ExtractScratch S;
   const unsigned K = static_cast<unsigned>(Vars.size());
   S.UF.reset(K);
-  S.Order.clear();
-  S.BlockOf.assign(K, Unstamped);
-  auto Stamp = [&](unsigned A) {
-    if (S.BlockOf[A] == Unstamped) {
-      S.BlockOf[A] = Stamped;
-      S.Order.push_back(A);
-    }
-  };
+  S.Covered.assign(K, 0);
+  S.BlockOf.assign(K, -1);
 
   std::size_t Finite = 0;
   for (unsigned A = 0; A != K; ++A) {
@@ -254,7 +246,7 @@ std::size_t Partition::appendExactComponents(const HalfDbm &M,
     const double *R0 = M.row(2 * V), *R1 = M.row(2 * V + 1);
     // The 2x2 diagonal block: its off-diagonal entries encode +-2v <= c.
     if (isFinite(R0[2 * V + 1]) || isFinite(R1[2 * V]))
-      Stamp(A);
+      S.Covered[A] = 1;
     Finite += isFinite(R0[2 * V]) + isFinite(R0[2 * V + 1]) +
               isFinite(R1[2 * V]) + isFinite(R1[2 * V + 1]);
     for (unsigned B = 0; B != A; ++B) {
@@ -264,32 +256,28 @@ std::size_t Partition::appendExactComponents(const HalfDbm &M,
       if (Pair == 0)
         continue;
       Finite += Pair;
-      Stamp(B);
-      Stamp(A);
+      S.Covered[A] = S.Covered[B] = 1;
       S.UF.merge(A, B);
     }
   }
 
-  // Blocks in oldest-stamp order (a root is stamped, like every member
-  // of its set), then members ascending.
-  for (unsigned A : S.Order) {
-    unsigned Root = S.UF.find(A);
-    if (S.BlockOf[Root] == Stamped) {
-      S.BlockOf[Root] = static_cast<int>(Comps.size());
-      Comps.emplace_back();
-    }
-  }
+  // Positions ascending: a block is appended at its smallest member,
+  // and members come in ascending order.
   for (unsigned A = 0; A != K; ++A) {
     const unsigned V = Vars[A];
     assert(CompOf[V] < 0 && "appending an already covered variable");
-    if (S.BlockOf[A] == Unstamped) {
+    if (!S.Covered[A]) {
       // Uncovered: only its diagonal was finite, and it is not inside
       // any appended block.
       Finite -= isFinite(M.at(2 * V, 2 * V)) +
                 isFinite(M.at(2 * V + 1, 2 * V + 1));
       continue;
     }
-    int C = S.BlockOf[S.UF.find(A)];
+    int &C = S.BlockOf[S.UF.find(A)];
+    if (C < 0) {
+      C = static_cast<int>(Comps.size());
+      Comps.emplace_back();
+    }
     Comps[static_cast<std::size_t>(C)].push_back(V);
     CompOf[V] = C;
   }

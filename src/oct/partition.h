@@ -111,17 +111,8 @@ public:
   /// them is finite, and a variable with no finite entry besides its
   /// diagonal stays uncovered. Returns the number of finite entries
   /// inside the appended blocks (their sub-DBMs, diagonals included).
-  /// One O(|Vars|^2) pass over the rows of \p M.
-  ///
-  /// Block order is part of the canonical output (constraints() walks
-  /// the blocks in partition order), so it is fixed: blocks come in the
-  /// order of their oldest *stamp*, members ascending. The pass visits
-  /// Vars[A] for A ascending and stamps, the first time each is met,
-  /// Vars[A] itself if it has a finite unary bound, then for B < A
-  /// ascending with Vars[B] related to Vars[A], Vars[B] and then
-  /// Vars[A]. This is exactly the order addSingleton/relate calls made
-  /// in that sequence leave behind: a merge keeps the older block's
-  /// index and an erase keeps the others in order.
+  /// One O(|Vars|^2) pass over the rows of \p M. Blocks are appended
+  /// in the order of their smallest member, members ascending.
   std::size_t appendExactComponents(const HalfDbm &M,
                                     const std::vector<unsigned> &Vars);
 
@@ -133,8 +124,8 @@ private:
 };
 
 /// The exact independent components of the (fully meaningful) entries
-/// of \p M restricted to \p Vars (sorted ascending), in the block order
-/// of Partition::appendExactComponents.
+/// of \p M restricted to \p Vars (sorted ascending), as
+/// Partition::appendExactComponents appends them.
 Partition extractPartition(const HalfDbm &M, const std::vector<unsigned> &Vars);
 
 /// Exact components over all variables of \p M (requires M fully

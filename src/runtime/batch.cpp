@@ -496,8 +496,8 @@ std::string optoct::runtime::reportToJson(const BatchReport &Report,
   Out << "  \"retries\": " << Report.Retries << ",\n";
   Out << "  \"asserts_proven\": " << Report.AssertsProven << ",\n";
   Out << "  \"asserts_total\": " << Report.AssertsTotal << ",\n";
-  Out << "  \"num_closures\": " << Report.NumClosures << ",\n";
   if (!Canonical) {
+    Out << "  \"num_closures\": " << Report.NumClosures << ",\n";
     Out << "  \"closure_cycles\": " << Report.ClosureCycles << ",\n";
     Out << "  \"incremental_closures\": " << Report.IncrementalClosures
         << ",\n";
@@ -534,9 +534,10 @@ std::string optoct::runtime::reportToJson(const BatchReport &Report,
           << ", \"unproven_lines\": [";
       for (std::size_t L = 0; L != R.UnprovenAssertLines.size(); ++L)
         Out << (L ? ", " : "") << R.UnprovenAssertLines[L];
-      Out << "], \"num_closures\": " << R.NumClosures;
+      Out << "]";
       if (!Canonical)
-        Out << ", \"closure_cycles\": " << R.ClosureCycles
+        Out << ", \"num_closures\": " << R.NumClosures
+            << ", \"closure_cycles\": " << R.ClosureCycles
             << ", \"incremental_closures\": " << R.IncrementalClosures
             << ", \"octagon_cycles\": " << R.OctagonCycles;
       Out << ", \"block_visits\": " << R.BlockVisits

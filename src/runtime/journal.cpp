@@ -28,14 +28,16 @@ namespace {
 using optoct::support::crc32c;
 using optoct::support::fnv1a64;
 
-constexpr const char *JournalMagic = "optoct-journal v4";
+constexpr const char *JournalMagic = "optoct-journal v5";
 /// The formats before it, refused by name as stale rather than corrupt:
 /// v1 checksummed records with FNV-1a 64; v2 holds records whose
 /// num_closures counts the closures of the engine that joined before it
 /// tested inclusion; v3 holds records whose num_closures also counts
-/// the full closures that guards and stored widening iterates now skip.
+/// the full closures that guards and stored widening iterates now skip;
+/// v4 holds invariants listed component by component.
 constexpr const char *StaleJournalMagics[] = {
-    "optoct-journal v1", "optoct-journal v2", "optoct-journal v3"};
+    "optoct-journal v1", "optoct-journal v2", "optoct-journal v3",
+    "optoct-journal v4"};
 
 /// Mixes one string into a running fingerprint, length-prefixed so
 /// ("ab","c") and ("a","bc") hash differently.
@@ -292,7 +294,7 @@ JournalLoad optoct::runtime::loadJournal(const std::string &Path) {
     for (const char *Stale : StaleJournalMagics)
       if (Line == Stale)
         L.Error = "stale journal (" + Line +
-                  ", this build reads v4); rerun without --resume";
+                  ", this build reads v5); rerun without --resume";
     return L;
   }
   if (!NextLine(Line) || Line.rfind("meta ", 0) != 0) {

@@ -7,7 +7,7 @@
 ///
 /// File format (text framing, binary-safe percent-escaped bodies):
 ///
-///   optoct-journal v4
+///   optoct-journal v5
 ///   meta <fingerprint-hex> <jobcount>
 ///   rec <index> <bodybytes> <crc32c-hex16>
 ///   <body>
@@ -15,9 +15,10 @@
 ///
 /// Each `rec` line frames one serialized JobResult (serializeJobResult
 /// below); the checksum (support/crc32c.h, zero-extended to 16 hex
-/// digits) covers the body bytes. A v1 journal (FNV-1a 64 checksums)
-/// and a v2 or v3 journal (records whose num_closures an older engine
-/// counted) are refused as stale by name, never salvaged.
+/// digits) covers the body bytes. A v1 journal (FNV-1a 64 checksums),
+/// a v2 or v3 journal (records whose num_closures an older engine
+/// counted) and a v4 journal (invariants listed component by component)
+/// are refused as stale by name, never salvaged.
 /// Records are written with a single write(2) each and fsync'd before
 /// the append returns, so after a crash the file is a valid prefix plus
 /// at most one torn tail record — loadJournal keeps the prefix and

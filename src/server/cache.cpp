@@ -46,14 +46,16 @@ using support::hex64;
 using support::parseHex64;
 using support::parseU64;
 
-constexpr const char *CacheMagic = "optoct-cache v4";
+constexpr const char *CacheMagic = "optoct-cache v5";
 /// The formats before it, refused by name as stale rather than corrupt:
 /// v1 checksummed records with FNV-1a 64; v2 holds records whose
 /// num_closures counts the closures of the engine that joined before it
 /// tested inclusion; v3 holds records whose num_closures also counts
-/// the full closures that guards and stored widening iterates now skip.
+/// the full closures that guards and stored widening iterates now skip;
+/// v4 holds invariants listed component by component.
 constexpr const char *StaleCacheMagics[] = {
-    "optoct-cache v1", "optoct-cache v2", "optoct-cache v3"};
+    "optoct-cache v1", "optoct-cache v2", "optoct-cache v3",
+    "optoct-cache v4"};
 
 std::size_t entryCost(std::size_t RecordBytes) {
   return RecordBytes + InvariantCache::EntryOverheadBytes;
@@ -159,7 +161,7 @@ bool parseSnapshot(std::string_view Data, CacheLoadStats &S,
     for (const char *Stale : StaleCacheMagics)
       if (Nl != std::string_view::npos && Magic == Stale)
         Error = "stale cache snapshot (" + std::string(Magic) +
-                ", this build reads v4)";
+                ", this build reads v5)";
     S.BytesDiscarded = Size;
     return false;
   }

@@ -21,12 +21,12 @@
 /// A daemon killed mid-save leaves either the old cache file or the new
 /// one, nothing in between.
 ///
-/// File format ("optoct-cache v4"; v1 was the same with FNV-1a 64
+/// File format ("optoct-cache v5"; v1 was the same with FNV-1a 64
 /// checksums, v2 and v3 the same with records whose num_closures an
-/// older engine counted, and load() names each stale rather than
-/// corrupt):
+/// older engine counted, v4 the same with invariants listed component
+/// by component, and load() names each stale rather than corrupt):
 ///
-///   optoct-cache v4
+///   optoct-cache v5
 ///   ent <key-hex16> <recordbytes> <crc32c-hex16>
 ///   <record bytes>
 ///   ent ...

@@ -412,6 +412,7 @@ bool optoct::server::decodeStatsResponse(const std::string &Body,
 
 void optoct::server::canonicalizeResult(runtime::JobResult &R) {
   R.WallSeconds = 0.0;
+  R.NumClosures = 0;
   R.ClosureCycles = 0;
   R.IncrementalClosures = 0;
   R.OctagonCycles = 0;

@@ -54,9 +54,13 @@ namespace optoct::server {
 ///      closure counts disagree.
 ///   5: Same frames; num_closures counts full closures only. Guards
 ///      close incrementally and a loop head's widening iterate is closed
-///      once, so it counts fewer again (this version). A version 4 peer
-///      is refused at the Hello for the same reason.
-constexpr std::uint32_t ProtocolVersion = 5;
+///      once, so it counts fewer again. A version 4 peer is refused at
+///      the Hello for the same reason.
+///   6: Same frames; an invariant lists its constraints by variable, so
+///      its text no longer follows the representation, and a record's
+///      num_closures is 0 (this version). A version 5 peer orders the
+///      same constraints differently and is refused at the Hello.
+constexpr std::uint32_t ProtocolVersion = 6;
 
 /// Hello body ("helo <version>\nend\n"), symmetric in both directions.
 /// Doubles as the replica client's health probe: a daemon that answers
@@ -173,8 +177,9 @@ bool decodeStatsResponse(const std::string &Body, std::uint64_t &Id,
                          DaemonStats &S, std::string &Error);
 
 /// Zeroes the timing fields (WallSeconds, cycle counters) that vary
-/// between identical runs, and the incremental closure count, which is
-/// telemetry and never part of a record. Applied to every result before
+/// between identical runs, and both closure counts, which are telemetry
+/// and never part of a record: a change that only skips closures moves
+/// no canonical byte. Applied to every result before
 /// caching *and* before any cold response, so a cached replay is
 /// byte-identical to the cold response for the same request — the
 /// property the CI smoke diffs.

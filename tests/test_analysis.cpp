@@ -60,6 +60,9 @@ void expectSameInvariants(Analyzed &A) {
       for (unsigned J = 0; J <= (I | 1u); ++J)
         ASSERT_EQ(O->entry(I, J), R->entry(I, J))
             << "block " << B << " entry (" << I << "," << J << ")";
+    // Both libraries print an invariant with the same renderer, in the
+    // same order, whatever the optimized element's representation.
+    EXPECT_EQ(O->str(), R->str()) << "block " << B;
   }
   ASSERT_EQ(A.Opt.Asserts.size(), A.Ref.Asserts.size());
   for (std::size_t I = 0; I != A.Opt.Asserts.size(); ++I)

@@ -128,6 +128,65 @@ TEST_F(Audit, PoisonedResultIsDetectedAndRecovered) {
   EXPECT_TRUE(Poisoned.equals(Clean));
 }
 
+// An assignment closes through close(), so the audit sees every
+// assignment closure: one validation each, and a poisoned result right
+// after x := y + c is caught and rebuilt from the reference closure.
+TEST_F(Audit, AssignmentClosuresAreAudited) {
+  auto Assignments = [](Octagon &O) {
+    O.assign(0, LinExpr::constant(3.0)); // x := c
+    LinExpr YPlus = LinExpr::variable(0);
+    YPlus.Const = 2.0;
+    O.assign(1, YPlus); // x := y + c
+    LinExpr Sum;
+    Sum.Terms = {{1, 0}, {1, 1}};
+    O.assign(2, Sum); // the interval fallback
+  };
+  Octagon Clean(3);
+  Assignments(Clean);
+
+  support::AuditConfig Cfg;
+  Cfg.Enabled = true;
+  Cfg.CrossCheckRate = 1.0;
+  support::AuditConfigScope Scope(Cfg);
+  support::AuditLog Log;
+  support::setAuditLogSink(&Log);
+
+  // Audit rate 1: each closure is validated and cross-checked. The first
+  // assignment closes nothing beforehand (Top is closed), and each one
+  // leaves its result closed, so the three closures are the three
+  // assignments'.
+  Octagon Audited(3);
+  Assignments(Audited);
+  EXPECT_TRUE(Audited.isClosed());
+  EXPECT_EQ(Log.validations(), 3u);
+  EXPECT_EQ(Log.crossChecks(), 3u);
+  EXPECT_EQ(Log.incidentCount(), 0u);
+  EXPECT_TRUE(Audited.equals(Clean));
+
+  // Poison the closure that follows x := y + c.
+  Octagon Poisoned(3);
+  Poisoned.assign(0, LinExpr::constant(3.0));
+  support::FaultRule Rule;
+  Rule.Site = "closure.result";
+  Rule.Kind = support::FaultKind::PoisonBound;
+  Rule.Hits = 1;
+  support::FaultPlan::global().addRule(Rule);
+  LinExpr YPlus = LinExpr::variable(0);
+  YPlus.Const = 2.0;
+  Poisoned.assign(1, YPlus);
+  support::FaultPlan::global().clear();
+  ASSERT_EQ(Log.incidentCount(), 1u);
+  EXPECT_EQ(Log.incidents()[0].Where, "closure.validate");
+
+  // Recovered to the reference closure of the same input.
+  Octagon Reference(3);
+  Reference.assign(0, LinExpr::constant(3.0));
+  Reference.assign(1, YPlus);
+  EXPECT_TRUE(Poisoned.equals(Reference));
+  EXPECT_EQ(Poisoned.bounds(1).Lo, 5.0);
+  EXPECT_EQ(Poisoned.bounds(1).Hi, 5.0);
+}
+
 TEST_F(Audit, CrossCheckRateZeroNeverCrossChecks) {
   support::AuditConfig Cfg;
   Cfg.Enabled = true;

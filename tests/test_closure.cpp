@@ -179,7 +179,7 @@ TEST_P(ClosureDifferential, RestrictedSparseOnBlocksMatchesReference) {
   });
 }
 
-/// The decomposed leg of Octagon::incrementalClose: a block-structured
+/// The decomposed leg of the incremental closure: a block-structured
 /// matrix whose components interleave, each component closed, one entry
 /// of the even component tightened. The component is packed, the pivot
 /// passes run at the touched variables' block positions, the block is

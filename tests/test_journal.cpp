@@ -340,19 +340,20 @@ TEST_F(Journal, ResumeRejectsForeignJournal) {
 // A journal of the FNV-1a 64 format ("optoct-journal v1", written the
 // way the writer before CRC32C did) and ones of the CRC32C format whose
 // records carry an older engine's closure counts ("optoct-journal v2"
-// and "v3") are each refused by name on --resume: never salvaged, never
-// taken for a foreign job set, and left as they were.
+// and "v3") or invariants listed component by component ("v4") are each
+// refused by name on --resume: never salvaged, never taken for a
+// foreign job set, and left as they were.
 TEST_F(Journal, ResumeRefusesStaleJournalByName) {
   std::vector<BatchJob> Jobs = testJobs();
-  std::string FullPath = tempPath("v4full");
+  std::string FullPath = tempPath("v5full");
   BatchOptions Opts;
   Opts.JournalPath = FullPath;
   runBatch(Jobs, Opts);
   JournalLoad Full = loadJournal(FullPath);
   ASSERT_TRUE(Full.Error.empty()) << Full.Error;
-  EXPECT_EQ(slurp(FullPath).rfind("optoct-journal v4\nmeta ", 0), 0u);
+  EXPECT_EQ(slurp(FullPath).rfind("optoct-journal v5\nmeta ", 0), 0u);
 
-  for (const char *Version : {"v1", "v2", "v3"}) {
+  for (const char *Version : {"v1", "v2", "v3", "v4"}) {
     SCOPED_TRACE(Version);
     bool V1 = std::string(Version) == "v1";
     std::string Path = tempPath(Version);
@@ -374,7 +375,7 @@ TEST_F(Journal, ResumeRefusesStaleJournalByName) {
     EXPECT_TRUE(L.Records.empty());
     EXPECT_EQ(L.Error, std::string("stale journal (optoct-journal ") +
                            Version +
-                           ", this build reads v4); rerun without --resume");
+                           ", this build reads v5); rerun without --resume");
 
     BatchOptions Resume;
     Resume.JournalPath = Path;

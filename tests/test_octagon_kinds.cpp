@@ -210,4 +210,20 @@ TEST_F(KindTest, EntryAgreesWithBoundOfEverywhere) {
   }
 }
 
+// A Top element met with a chain of differences over all its variables
+// ends with a whole partition before any closure; it must leave Top then,
+// not only once it is closed.
+TEST(KindAfterMeet, TopInputRelatingEveryVariableLeavesTop) {
+  const unsigned N = 5;
+  Octagon O(N);
+  std::vector<OctCons> Chain;
+  for (unsigned V = 0; V + 1 < N; ++V)
+    Chain.push_back(OctCons::diff(V + 1, V, 1.0));
+  O.addConstraints(Chain);
+  EXPECT_TRUE(O.partition().isWhole());
+  EXPECT_NE(O.kind(), DbmKind::Top);
+  O.close();
+  EXPECT_NE(O.kind(), DbmKind::Top);
+}
+
 } // namespace

@@ -64,7 +64,15 @@ TEST_F(Fig2, O2AfterXAssign) {
   EXPECT_EQ(O.boundOf(OctCons::upper(X, 0)), 2.0);  // entry value is 2c
   EXPECT_EQ(O.boundOf(OctCons::lower(X, 0)), -2.0);
   // m is untouched: no non-trivial inequality involves it.
-  EXPECT_FALSE(O.partition().contains(M));
+  for (unsigned I = 0; I != 6; ++I)
+    for (unsigned J = 0; J != 6; ++J) {
+      if (I != J && (I / 2 == M || J / 2 == M)) {
+        EXPECT_EQ(O.entry(I, J), Infinity) << I << "," << J;
+      }
+    }
+  // The closure after x := 1 takes Section 3.5's decision: 8 of the 24
+  // entries are finite, D = 2/3 < t, so the element is Dense.
+  EXPECT_EQ(O.kind(), DbmKind::Dense);
 }
 
 TEST_F(Fig2, O3StarDerivedConstraints) {

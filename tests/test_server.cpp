@@ -560,15 +560,21 @@ TEST_F(DaemonProtocol, CanonicalizeZeroesOnlyTimingFields) {
   R.AssertsProven = 2;
   R.AssertsTotal = 2;
   R.NumClosures = 17;
+  R.IncrementalClosures = 5;
   R.WallSeconds = 1.25;
   R.ClosureCycles = 123456;
   R.OctagonCycles = 654321;
+  R.BlockVisits = 9;
   server::canonicalizeResult(R);
   EXPECT_EQ(R.WallSeconds, 0.0);
   EXPECT_EQ(R.ClosureCycles, 0u);
   EXPECT_EQ(R.OctagonCycles, 0u);
+  // Closure counts are telemetry: a change that only skips closures
+  // must move no canonical byte.
+  EXPECT_EQ(R.NumClosures, 0u);
+  EXPECT_EQ(R.IncrementalClosures, 0u);
   // Everything semantic survives.
-  EXPECT_EQ(R.NumClosures, 17u);
+  EXPECT_EQ(R.BlockVisits, 9u);
   EXPECT_EQ(R.AssertsProven, 2u);
   EXPECT_TRUE(R.Ok);
 }
@@ -835,10 +841,11 @@ bool referenceParse(const std::string &Data,
   if (Pos == std::string::npos || Data.substr(0, Pos + 1) != CacheMagicLine) {
     Error = "bad cache magic";
     for (const char *Stale :
-         {CacheMagicLineV1, CacheMagicLineV2, CacheMagicLineV3})
+         {CacheMagicLineV1, CacheMagicLineV2, CacheMagicLineV3,
+          CacheMagicLineV4})
       if (Data.substr(0, Pos + 1) == Stale)
         Error = "stale cache snapshot (" + Data.substr(0, Pos) +
-                ", this build reads v4)";
+                ", this build reads v5)";
     S.BytesDiscarded = Data.size();
     return false;
   }
@@ -1032,17 +1039,19 @@ TEST_F(DaemonCache, StreamingLoadSalvagesExactlyLikeWholeBlobParser) {
        {"optoct-cache v2"s, "optoct-cache v2 \n"s, "optoct-cache v21\n"s,
         "optoct-cache v\n"s, "\n"s, ""s, "optoct-cache v2\r\n"s,
         "xoptoct-cache v2\n"s, "optoct-cache v1\n"s, "optoct-cache v1"s, "optoct-cache v3\n"s,
-        "optoct-cache v3"s, "optoct-cache v5\n"s,
+        "optoct-cache v3"s, "optoct-cache v4\n"s, "optoct-cache v4"s,
+        "optoct-cache v6\n"s,
         std::string(100000, 'q')})
     expectSalvageParity(M + Sound.substr(Magic.size()), "magic " + M);
 }
 
 // A copy has its own recency list: promoting or inserting in the copy
 // leaves the original's entries and order as they were.
-// A v1 snapshot (FNV-1a 64 checksums) and a v2 or v3 snapshot (CRC32C,
-// but records whose closure counts an older engine took) are each
-// refused whole and by name; none of their entries is loaded, though
-// each one is sound in its own format.
+// A v1 snapshot (FNV-1a 64 checksums), a v2 or v3 snapshot (CRC32C,
+// but records whose closure counts an older engine took) and a v4
+// snapshot (invariants listed component by component) are each refused
+// whole and by name; none of their entries is loaded, though each one
+// is sound in its own format.
 TEST_F(DaemonCache, StaleSnapshotIsRefusedByName) {
   struct Stale {
     const char *Name;
@@ -1054,6 +1063,8 @@ TEST_F(DaemonCache, StaleSnapshotIsRefusedByName) {
         Stale{"v2", CacheMagicLineV2 + snapshotEntry(1, "one") +
                         snapshotEntry(2, "two")},
         Stale{"v3", CacheMagicLineV3 + snapshotEntry(1, "one") +
+                        snapshotEntry(2, "two")},
+        Stale{"v4", CacheMagicLineV4 + snapshotEntry(1, "one") +
                         snapshotEntry(2, "two")}}) {
     std::string Path = tempPath(std::string("cache_") + S.Name);
     writeBytes(Path, S.Bytes);
@@ -1062,7 +1073,7 @@ TEST_F(DaemonCache, StaleSnapshotIsRefusedByName) {
     std::string Error;
     EXPECT_FALSE(Cache.load(Path, Error, &Stats));
     EXPECT_EQ(Error, std::string("stale cache snapshot (optoct-cache ") +
-                         S.Name + ", this build reads v4)");
+                         S.Name + ", this build reads v5)");
     EXPECT_EQ(Cache.entries(), 0u);
     EXPECT_EQ(Stats.EntriesLoaded, 0u);
     EXPECT_EQ(Stats.BytesDiscarded, S.Bytes.size());
@@ -1744,9 +1755,10 @@ TEST_F(Daemon, StaleFramePeerIsVersionRejectedAndClosed) {
   EXPECT_EQ(Stats.Hellos, 1u); // ours
 }
 
-// A version 3 or 4 peer frames exactly as this build does ('OFR2'), so
-// its frames parse; the Hello is where it is refused. Its result records
-// carry the closure counts of an engine before this one, so a fleet
+// A version 3, 4 or 5 peer frames exactly as this build does ('OFR2'),
+// so its frames parse; the Hello is where it is refused. Its result
+// records carry the closure counts of an engine before this one (3, 4)
+// or list an invariant's constraints in another order (5), so a fleet
 // must not mix it in. It gets the daemon's Hello, to report the skew,
 // and then a clean close.
 void expectRefusedAtHello(const std::string &SocketPath,
@@ -1763,7 +1775,7 @@ void expectRefusedAtHello(const std::string &SocketPath,
   EXPECT_EQ(Type, ipc::MsgType::Hello);
   std::uint32_t Version = 0;
   ASSERT_TRUE(server::decodeHello(Body, Version));
-  EXPECT_EQ(Version, 5u);
+  EXPECT_EQ(Version, 6u);
   EXPECT_EQ(Version, server::ProtocolVersion);
   EXPECT_EQ(drainUntilEof(Fd), 0u);
   ::close(Fd);
@@ -1799,7 +1811,17 @@ TEST_F(Daemon, VersionFourPeerIsRefusedAtHello) {
   expectOnlyVersionRejects(Client, 1);
 }
 
-// A v1, v2 or v3 snapshot holding the very record a request asks for: the
+TEST_F(Daemon, VersionFivePeerIsRefusedAtHello) {
+  server::ServerOptions Opts;
+  Opts.Workers = 1;
+  startServer(Opts);
+  expectRefusedAtHello(SocketPath, 5);
+  server::DaemonClient Client;
+  connect(Client);
+  expectOnlyVersionRejects(Client, 1);
+}
+
+// A v1, v2, v3 or v4 snapshot holding the very record a request asks for: the
 // daemon names the snapshot stale in its log, starts cold and runs the
 // request.
 TEST_F(Daemon, StaleCacheSnapshotStartsColdAndSaysWhy) {
@@ -1816,7 +1838,7 @@ TEST_F(Daemon, StaleCacheSnapshotStartsColdAndSaysWhy) {
     served(Client, Req, Cold);
     stopServer();
   }
-  for (const char *Version : {"v1", "v2", "v3"}) {
+  for (const char *Version : {"v1", "v2", "v3", "v4"}) {
     SCOPED_TRACE(Version);
     bool V1 = std::string(Version) == "v1";
     std::string CachePath = tempPath(std::string("daemon_cache_") + Version);
@@ -1833,7 +1855,7 @@ TEST_F(Daemon, StaleCacheSnapshotStartsColdAndSaysWhy) {
     startServer(Opts);
     std::string Log = ::testing::internal::GetCapturedStderr();
     EXPECT_NE(Log.find(std::string("(stale cache snapshot (optoct-cache ") +
-                       Version + ", this build reads v4), "),
+                       Version + ", this build reads v5), "),
               std::string::npos)
         << Log;
     EXPECT_NE(Log.find("starting with a cold cache"), std::string::npos)

@@ -83,6 +83,7 @@ TEST_P(WorkloadEquivalence, LibrariesAgree) {
       for (unsigned J = 0; J <= (I | 1u); ++J)
         ASSERT_EQ(O.entry(I, J), A.entry(I, J))
             << "block " << B << " (" << I << "," << J << ")";
+    EXPECT_EQ(O.str(), A.str()) << "block " << B;
   }
 }
 

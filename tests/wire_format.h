@@ -26,7 +26,8 @@ namespace optoct::wire {
 
 inline constexpr const char *FrameMagic = "OFR2";
 inline constexpr const char *FrameMagicV1 = "OFR1";
-inline constexpr const char *CacheMagicLine = "optoct-cache v4\n";
+inline constexpr const char *CacheMagicLine = "optoct-cache v5\n";
+inline constexpr const char *CacheMagicLineV4 = "optoct-cache v4\n";
 inline constexpr const char *CacheMagicLineV3 = "optoct-cache v3\n";
 inline constexpr const char *CacheMagicLineV2 = "optoct-cache v2\n";
 inline constexpr const char *CacheMagicLineV1 = "optoct-cache v1\n";
