@@ -2,9 +2,19 @@
 ///
 /// \file
 /// Experiment A4 (Section 5.6): on an almost-closed DBM — a strongly
-/// closed matrix with one variable's band tightened, the situation after
-/// every assignment — the incremental closure restores strong closure in
-/// quadratic time versus the cubic full closure.
+/// closed matrix with one variable's band tightened — the incremental
+/// closure restores strong closure in quadratic time versus the cubic
+/// full closure.
+///
+/// The x := y + c rows compare the three ways an assignment on a closed
+/// element can be closed: the closed-form copy Octagon::assign runs
+/// (x's rows written from y's, BM_AssignCopy), the forget-then-meet
+/// matrix closed by the pivot passes over x and y
+/// (BM_AssignIncremental), and the same matrix closed in full
+/// (BM_AssignFull). Every iteration first copies its input back;
+/// BM_AssignFloorCopy and BM_AssignFloorMeet time that copy (and, for
+/// the matrix rows, the forget and meet) alone, so the difference to
+/// them is the closure's own time.
 ///
 /// The |T| sweep sizes Octagon::DeferredCloseCutoff. A closed component
 /// of n variables gains guards over |T| of them (a unary bound on each
@@ -20,6 +30,7 @@
 #include "oct/closure_dense.h"
 #include "oct/closure_incremental.h"
 #include "oct/dbm.h"
+#include "oct/octagon.h"
 #include "support/random.h"
 
 #include <benchmark/benchmark.h>
@@ -114,6 +125,110 @@ void BM_ApronIncrementalClosure(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_ApronIncrementalClosure)->Arg(16)->Arg(32)->Arg(64)->Arg(96);
+
+/// x := y + c on a closed matrix, forget-then-meet: x's rows forgotten,
+/// then x - y <= c and y - x <= -c met. Closure is left to the caller.
+void forgetAndMeet(HalfDbm &M, unsigned X, unsigned Y, double C) {
+  for (unsigned I = 0, D = M.dim(); I != D; ++I)
+    if (I / 2 != X) {
+      M.set(I, 2 * X, Infinity);
+      M.set(I, 2 * X + 1, Infinity);
+    }
+  M.set(2 * X, 2 * X + 1, Infinity);
+  M.set(2 * X + 1, 2 * X, Infinity);
+  M.set(2 * Y, 2 * X, C);
+  M.set(2 * X, 2 * Y, -C);
+}
+
+constexpr unsigned AssignX = 0, AssignY = 1;
+constexpr double AssignC = 3.0;
+
+/// The closed matrix of makeClosed as an Octagon: its finite entries
+/// met into Top and closed (it comes out Dense).
+Octagon makeClosedOctagon(unsigned NumVars) {
+  HalfDbm Closed = makeClosed(NumVars);
+  std::vector<OctCons> Cs;
+  for (unsigned I = 0, D = Closed.dim(); I != D; ++I)
+    for (unsigned J = 0; J <= (I | 1u); ++J) {
+      double B = Closed.at(I, J);
+      if (I == J || !isFinite(B))
+        continue;
+      unsigned VA = I / 2, VB = J / 2;
+      if (VA == VB)
+        Cs.push_back(I & 1u ? OctCons::upper(VA, B / 2)
+                            : OctCons::lower(VA, B / 2));
+      else
+        Cs.push_back({J & 1u ? -1 : +1, VB, I & 1u ? +1 : -1, VA, B});
+    }
+  Octagon O(NumVars);
+  O.addConstraints(Cs);
+  O.close();
+  return O;
+}
+
+void BM_AssignCopy(benchmark::State &State) {
+  unsigned N = static_cast<unsigned>(State.range(0));
+  Octagon Input = makeClosedOctagon(N);
+  LinExpr E = LinExpr::variable(AssignY);
+  E.Const = AssignC;
+  Octagon Work = Input;
+  for (auto _ : State) {
+    Work = Input;
+    Work.assign(AssignX, E);
+    benchmark::DoNotOptimize(Work.isClosed());
+  }
+}
+BENCHMARK(BM_AssignCopy)->Arg(16)->Arg(32)->Arg(64)->Arg(96);
+
+void BM_AssignFloorCopy(benchmark::State &State) {
+  unsigned N = static_cast<unsigned>(State.range(0));
+  Octagon Input = makeClosedOctagon(N);
+  Octagon Work = Input;
+  for (auto _ : State) {
+    Work = Input;
+    benchmark::DoNotOptimize(Work.isClosed());
+  }
+}
+BENCHMARK(BM_AssignFloorCopy)->Arg(16)->Arg(32)->Arg(64)->Arg(96);
+
+void BM_AssignFloorMeet(benchmark::State &State) {
+  unsigned N = static_cast<unsigned>(State.range(0));
+  HalfDbm Input = makeClosed(N);
+  HalfDbm Work(N);
+  for (auto _ : State) {
+    Work = Input;
+    forgetAndMeet(Work, AssignX, AssignY, AssignC);
+    benchmark::DoNotOptimize(Work.data());
+  }
+}
+BENCHMARK(BM_AssignFloorMeet)->Arg(16)->Arg(32)->Arg(64)->Arg(96);
+
+void BM_AssignIncremental(benchmark::State &State) {
+  unsigned N = static_cast<unsigned>(State.range(0));
+  HalfDbm Input = makeClosed(N);
+  HalfDbm Work(N);
+  ClosureScratch Scratch;
+  std::vector<unsigned> Touched = {AssignX, AssignY};
+  for (auto _ : State) {
+    Work = Input;
+    forgetAndMeet(Work, AssignX, AssignY, AssignC);
+    benchmark::DoNotOptimize(incrementalClosureDense(Work, Touched, Scratch));
+  }
+}
+BENCHMARK(BM_AssignIncremental)->Arg(16)->Arg(32)->Arg(64)->Arg(96);
+
+void BM_AssignFull(benchmark::State &State) {
+  unsigned N = static_cast<unsigned>(State.range(0));
+  HalfDbm Input = makeClosed(N);
+  HalfDbm Work(N);
+  ClosureScratch Scratch;
+  for (auto _ : State) {
+    Work = Input;
+    forgetAndMeet(Work, AssignX, AssignY, AssignC);
+    benchmark::DoNotOptimize(closureDense(Work, Scratch));
+  }
+}
+BENCHMARK(BM_AssignFull)->Arg(16)->Arg(32)->Arg(64)->Arg(96);
 
 /// (n, |T|) pairs of the sweep: |T| from 1 up to n at each component
 /// size.

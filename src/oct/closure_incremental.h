@@ -2,21 +2,21 @@
 ///
 /// \file
 /// Incremental strong closure (Section 5.6): when a closed DBM is
-/// modified only in the rows/columns of a few variables (after a guard,
-/// or after an assignment, which forgets its target and meets the new
-/// bounds), closure is restored in quadratic time by one pivot-pair
-/// pass per touched variable — the same double loop as one iteration of
-/// the outermost loop of the dense shortest-path closure — followed by
-/// a strengthening step. All of Algorithm 3's optimizations (column
+/// modified only in the rows/columns of a few variables (after a guard),
+/// closure is restored in quadratic time by one pivot-pair pass per
+/// touched variable — the same double loop as one iteration of the
+/// outermost loop of the dense shortest-path closure — followed by a
+/// strengthening step. All of Algorithm 3's optimizations (column
 /// buffering, scalar replacement, vectorization) apply.
 ///
-/// In the library, only Octagon::close() runs them, over the
-/// variables the element recorded: a whole-matrix element runs
+/// In the library, only Octagon::close() runs them, over the variables
+/// a guard record holds: a whole-matrix element runs
 /// incrementalClosureDense; a decomposed one runs the pivot passes on
 /// each touched component packed into a contiguous block
 /// (oct/blocked_layout.h), with the touched variables renumbered to
 /// block positions, then the decomposed closure's strengthenAndMerge on
-/// the whole matrix.
+/// the whole matrix. Assignments need neither: their record's closure
+/// writes x's closed rows directly (Octagon::writeAssignedRows).
 ///
 //===----------------------------------------------------------------------===//
 

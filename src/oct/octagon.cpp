@@ -159,19 +159,23 @@ void Octagon::relateInit(unsigned U, unsigned V) {
   if (!octConfig().EnableDecomposition)
     return; // partition is permanently whole
   int CU = P.componentOf(U);
+  // A materialized buffer already counts a variable's diagonal zeros;
+  // a lazy one counts them once the variable is covered.
   if (CU < 0) {
-    if (!FullyInit)
+    if (!FullyInit) {
       M.initPairTrivial(U, U);
-    NniExplicit += 2; // the two diagonal zeros become explicit
+      NniExplicit += 2;
+    }
     CU = static_cast<int>(P.addSingleton(U));
   }
   if (U == V)
     return;
   int CV = P.componentOf(V);
   if (CV < 0) {
-    if (!FullyInit)
+    if (!FullyInit) {
       M.initPairTrivial(V, V);
-    NniExplicit += 2;
+      NniExplicit += 2;
+    }
     CV = static_cast<int>(P.addSingleton(V));
   }
   if (CU != CV)
@@ -332,7 +336,7 @@ bool Octagon::normalizeCoveredDiagonal() {
   return true;
 }
 
-void Octagon::strengthenAndMerge() {
+int Octagon::mergeBoundedComponents() {
   // Components holding a finite unary (diagonal-block) bound: only those
   // participate in strengthening, and they merge into a single component
   // (Section 5.4).
@@ -346,11 +350,15 @@ void Octagon::strengthenAndMerge() {
         break;
       }
   }
-  if (Bounded.empty())
-    return;
+  if (Bounded.size() < 2)
+    return Bounded.empty() ? -1 : static_cast<int>(Bounded[0]);
+  return mergeComponentsInit(Bounded);
+}
 
-  int Merged = mergeComponentsInit(Bounded);
-  assert(Merged >= 0 && "merge of a non-empty list cannot fail");
+void Octagon::strengthenAndMerge() {
+  int Merged = mergeBoundedComponents();
+  if (Merged < 0)
+    return;
   // The merged submatrix is likely sparse: use the sparse strengthening
   // (Section 5.4).
   strengthenSparseRestricted(
@@ -635,20 +643,73 @@ void Octagon::pivotTouchedComponents(const unsigned *Touched,
   }
 }
 
+std::size_t Octagon::recountNni() const {
+  std::size_t Nni = FullyInit ? 2 * (numVars() - P.coveredVars()) : 0;
+  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C)
+    Nni += countComponentFinite(M, P.component(C));
+  return Nni;
+}
+
+void Octagon::writeAssignedRows(DeferredOp Op, unsigned X, unsigned Y) {
+  const unsigned XX = 2 * X, XX1 = 2 * X + 1;
+  if (Op == DeferredOp::Bounded) {
+    // x := c or an interval: x is a bounded singleton and joins the one
+    // block that holds finite unary bounds, as strengthenAndMerge would
+    // merge them. Nothing else relates to x, so x's entries are their
+    // strengthening, (m[i][i^1] + m[j^1][j]) / 2, evaluated as the
+    // strengthening kernels evaluate it; the rest of the block is
+    // strongly closed already.
+    std::size_t B = static_cast<std::size_t>(mergeBoundedComponents());
+    double Up = M.at(XX1, XX), Lo = M.at(XX, XX1);
+    for (unsigned V : P.component(B)) {
+      if (V == X)
+        continue;
+      for (unsigned I = 2 * V; I != 2 * V + 2; ++I) {
+        double Di = M.get(I, I ^ 1u);
+        setEntry(I, XX, (Di + Up) * 0.5);
+        setEntry(I, XX1, (Di + Lo) * 0.5);
+      }
+    }
+    return;
+  }
+  // x := y + c (x := -y + c): x equals y + c (-y + c), so its tight
+  // bounds are y's (y's negated) shifted by c. x already shares y's
+  // block, and v = y needs no case of its own: y's diagonal is 0.
+  const unsigned YPos = Op == DeferredOp::Copy ? 2 * Y : 2 * Y + 1;
+  const unsigned YNeg = YPos ^ 1u;
+  const double C = M.get(YPos, XX); // the met x - yhat <= c
+  for (unsigned V : P.component(static_cast<std::size_t>(P.componentOf(X)))) {
+    if (V == X)
+      continue;
+    for (unsigned I = 2 * V; I != 2 * V + 2; ++I) {
+      double ToPos = M.get(I, YPos), ToNeg = M.get(I, YNeg);
+      setEntry(I, XX, ToPos + C);
+      setEntry(I, XX1, ToNeg - C);
+    }
+  }
+  setEntry(XX1, XX, M.get(YNeg, YPos) + 2 * C);
+  setEntry(XX, XX1, M.get(YPos, YNeg) - 2 * C);
+}
+
 void Octagon::closeDeferred() {
   // The record is consumed here whatever the outcome.
   std::array<unsigned, DeferredCloseCutoff> T = Deferred;
   unsigned NumT = NumDeferred;
+  DeferredOp Op = DeferOp;
   NumDeferred = 0;
+  DeferOp = DeferredOp::Guards;
   OctConfig &Cfg = octConfig();
 
   if (FullyInit && (P.isWhole() || !Cfg.EnableDecomposition)) {
     // The whole-matrix leg of closeMonolithic, with the pivot passes of
-    // the recorded variables in place of the full shortest-path closure.
-    // The sparse-or-dense decision reads the same pre-closure sparsity,
-    // and the bookkeeping after it is the same.
+    // the recorded variables, or an assignment's rows, in place of the
+    // full shortest-path closure. The sparse-or-dense decision reads
+    // the same pre-closure sparsity, and the bookkeeping after it is
+    // the same.
     bool SparseLeg = Cfg.EnableSparse && sparsity() >= Cfg.SparsityThreshold;
-    if (!incrementalClosureDense(M, T.data(), NumT, scratch())) {
+    if (Op != DeferredOp::Guards) {
+      writeAssignedRows(Op, T[0], T[1]);
+    } else if (!incrementalClosureDense(M, T.data(), NumT, scratch())) {
       markEmpty();
       return;
     }
@@ -663,19 +724,28 @@ void Octagon::closeDeferred() {
     return;
   }
 
-  // The decomposed leg of closeDecomposed: pivot passes on the touched
-  // components only, then the same strengthening and emptiness check.
-  // The maintained partition stays (it may be coarser than the exact
-  // one; only a full closure recomputes that), and nni is recounted
-  // over its components, so Section 3.5's kind decision reads an exact
-  // count whatever the element's history.
+  // The decomposed leg. The maintained partition stays (it may be
+  // coarser than the exact one; only a full closure recomputes that).
+  if (Op != DeferredOp::Guards) {
+    // A closed element's nni is exact, so counting the writes keeps it
+    // exact; only a Dense element may carry Section 4.1's
+    // over-approximation (or one a forget lowered), and it is
+    // recounted.
+    bool Recount = Kind == DbmKind::Dense;
+    writeAssignedRows(Op, T[0], T[1]);
+    if (Recount)
+      NniExplicit = recountNni();
+    reclassify();
+    return;
+  }
+  // Guards: pivot passes on the touched components only, then the same
+  // strengthening and emptiness check as closeDecomposed. nni is
+  // recounted over the components, so Section 3.5's kind decision reads
+  // an exact count whatever the element's history.
   pivotTouchedComponents(T.data(), NumT);
   strengthenAndMerge();
   if (!normalizeCoveredDiagonal())
     return;
-  std::size_t Nni = FullyInit ? 2 * (numVars() - P.coveredVars()) : 0;
-  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C)
-    Nni += countComponentFinite(M, P.component(C));
-  NniExplicit = Nni;
+  NniExplicit = recountNni();
   reclassify();
 }

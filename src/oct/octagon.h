@@ -26,19 +26,24 @@
 ///     closed element only changed in the rows of a few variables.
 ///     Constraints met into a closed element (addConstraints, a guard
 ///     or an assume) leave it unclosed, bit for bit, with the variables
-///     of every lowered entry in a small inline record. An assignment
-///     x := +-y + c, x := c or its interval fallback forgets x, meets
-///     the new bounds and records x (and y) the same way (Chawdhary,
-///     Robbins and King: forget, then meet), then closes at once, so
-///     its result is closed. close() restores closure with the pivot
-///     passes over the recorded variables alone (Section 5.6),
-///     recounts nni and takes Section 3.5's kind decision. Strong
-///     closure is canonical, so the entries equal a full closure's;
-///     the partition may stay coarser than the exact one a full closure
-///     recomputes. Successive guards add to the record; x := +-x + c
-///     and addVars commute with closure and keep it; every other change
-///     drops it, as does a record that outgrows DeferredCloseCutoff
-///     variables, and a full closure runs instead.
+///     of every lowered entry in a small inline record. close() restores
+///     closure with the pivot passes over the recorded variables alone
+///     (Section 5.6), recounts nni and takes Section 3.5's kind
+///     decision. Strong closure is canonical, so the entries equal a
+///     full closure's; the partition may stay coarser than the exact one
+///     a full closure recomputes. Successive guards add to the record;
+///     x := +-x + c and addVars commute with closure and keep it; every
+///     other change drops it, as does a record that outgrows
+///     DeferredCloseCutoff variables, and a full closure runs instead.
+///   * Assignments are closed by construction. x := +-y + c, x := c and
+///     the interval fallback forget x in a closed element and meet its
+///     new bounds; the record then names the assignment in place of a
+///     guard's variables, and close() writes x's closed rows directly
+///     (Mine): for x := +-y + c, y's rows shifted by c; for a bounded
+///     x, the strengthening of x's bounds against the one block that
+///     holds finite unary bounds. No pivot pass or strengthening sweep
+///     runs; nni follows the cells written, and the kind decision is
+///     taken as after any closure.
 ///   * The statistics sink counts full closures (numClosures, the Fig. 7
 ///     trace, nmin/nmax). Incremental closures, after an assignment or
 ///     after guards, are counted apart (numIncrementalClosures).
@@ -119,7 +124,7 @@ public:
   Octagon(const Octagon &Other)
       : M(Other.M), P(Other.P), Kind(Other.Kind),
         NniExplicit(Other.NniExplicit), FullyInit(Other.FullyInit),
-        Closed(Other.Closed), Empty(Other.Empty),
+        Closed(Other.Closed), Empty(Other.Empty), DeferOp(Other.DeferOp),
         NumDeferred(Other.NumDeferred), Deferred(Other.Deferred) {
     support::chargeDbmCells(M.size());
   }
@@ -299,11 +304,18 @@ private:
   /// holding finite unary bounds, then strengthens (Section 5.4).
   void strengthenAndMerge();
 
+  /// The merge half of strengthenAndMerge: merges every component that
+  /// holds a finite unary bound, in index order. Returns the merged
+  /// block, or -1 when no component is bounded.
+  int mergeBoundedComponents();
+
   /// The incremental closure: closeInner's path for an element that
-  /// holds a record. Restores closure over the recorded variables,
-  /// recounts nni and reclassifies. The whole-matrix leg recomputes the
+  /// holds a record. A guard record restores closure over the recorded
+  /// variables; an assignment record writes x's closed rows
+  /// (writeAssignedRows). Both then take the kind decision. The
+  /// whole-matrix leg recomputes nni and, on a sparse matrix, the
   /// partition as closeMonolithic does; the decomposed leg keeps the
-  /// maintained one.
+  /// maintained partition.
   void closeDeferred();
 
   /// The shortest-path half of the incremental closure on a decomposed
@@ -312,14 +324,34 @@ private:
   /// the block is scattered back.
   void pivotTouchedComponents(const unsigned *Touched, unsigned NumTouched);
 
-  /// Adds \p V to the deferred record. Returns false, dropping the
-  /// record, when it is full.
+  /// Adds \p V to the deferred guard record. Returns false, dropping
+  /// the record, when it is full.
   bool recordDeferred(unsigned V);
 
-  /// Closes an element that was closed before an assignment rewrote the
-  /// rows of \p X and \p Y (equal for x := c): records both and runs
-  /// close(), which pivots over them alone (Section 5.6).
-  void closeOver(unsigned X, unsigned Y);
+  /// What the deferred record describes.
+  enum class DeferredOp : unsigned char {
+    Guards,  ///< Met constraints over the variables in the record.
+    Copy,    ///< x := y + c, x and y in the record, c the met m[2y][2x].
+    NegCopy, ///< x := -y + c, c the met m[2y+1][2x].
+    Bounded, ///< x := c or an interval: x alone, its unary pair met.
+  };
+
+  /// Ends an assignment on a closed element whose x was forgotten and
+  /// met with its new bounds: records the assignment and closes, which
+  /// writes x's closed rows.
+  void closeAssignment(DeferredOp Op, unsigned X, unsigned Y);
+
+  /// The closure of an assignment record (Mine's closed-form transfer):
+  /// x's rows within its block are y's rows shifted by c (Copy,
+  /// NegCopy), or the strengthening of x's unary bounds against the
+  /// one block holding finite unary bounds, which x joins (Bounded).
+  /// A closed element holds at most one such block, so these are the
+  /// only entries a closure would lower. Each write updates nni.
+  void writeAssignedRows(DeferredOp Op, unsigned X, unsigned Y);
+
+  /// nni recounted over the components: their finite entries, plus the
+  /// diagonal zeros of the uncovered variables of a materialized buffer.
+  std::size_t recountNni() const;
 
   /// Recomputes Kind from the partition/sparsity after a closure.
   void reclassify();
@@ -345,9 +377,13 @@ private:
   bool FullyInit = false;
   bool Closed = true; ///< Top is closed.
   bool Empty = false;
-  /// The deferred guard record: while NumDeferred != 0 the element is
-  /// its closed form met with constraints whose entries all lie in the
-  /// rows and columns of Deferred[0..NumDeferred).
+  /// What the record describes while NumDeferred != 0; Guards
+  /// otherwise.
+  DeferredOp DeferOp = DeferredOp::Guards;
+  /// The deferred record: while NumDeferred != 0 the element is its
+  /// closed form met with constraints whose entries all lie in the rows
+  /// and columns of Deferred[0..NumDeferred), or, for an assignment,
+  /// with x forgotten and its new bounds met.
   unsigned NumDeferred = 0;
   std::array<unsigned, DeferredCloseCutoff> Deferred{};
 

@@ -6,7 +6,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "oct/blocked_layout.h"
 #include "oct/config.h"
 #include "oct/octagon.h"
 #include "support/faultinject.h"
@@ -129,7 +128,10 @@ void Octagon::forgetVar(unsigned X) {
   setEntry(2 * X, 2 * X + 1, Infinity);
   setEntry(2 * X + 1, 2 * X, Infinity);
   if (octConfig().EnableDecomposition) {
-    NniExplicit -= 2; // X's diagonal zeros become implicit again
+    // X's diagonal zeros become implicit again, unless the buffer is
+    // materialized and still counts them.
+    if (!FullyInit)
+      NniExplicit -= 2;
     P.removeVar(X);
   }
 }
@@ -175,9 +177,7 @@ void Octagon::assign(unsigned X, const LinExpr &E) {
       setEntry(2 * Y + 1, 2 * X, E.Const);
       setEntry(2 * Y, 2 * X + 1, -E.Const);
     }
-    // The new arcs live in the bands of both x and y, so the
-    // incremental closure must pivot both variables.
-    closeOver(X, Y);
+    closeAssignment(A == 1 ? DeferredOp::Copy : DeferredOp::NegCopy, X, Y);
     return;
   }
 
@@ -190,7 +190,7 @@ void Octagon::assign(unsigned X, const LinExpr &E) {
     relateInit(X, X);
     setEntry(2 * X + 1, 2 * X, 2 * E.Const);
     setEntry(2 * X, 2 * X + 1, -2 * E.Const);
-    closeOver(X, X);
+    closeAssignment(DeferredOp::Bounded, X, X);
     return;
   }
 
@@ -211,14 +211,16 @@ void Octagon::assign(unsigned X, const LinExpr &E) {
     setEntry(2 * X + 1, 2 * X, 2 * Iv.Hi);
   if (Iv.Lo != -Infinity)
     setEntry(2 * X, 2 * X + 1, -2 * Iv.Lo);
-  closeOver(X, X);
+  closeAssignment(DeferredOp::Bounded, X, X);
 }
 
-void Octagon::closeOver(unsigned X, unsigned Y) {
-  // The element was closed, so the record is empty and holds both.
+void Octagon::closeAssignment(DeferredOp Op, unsigned X, unsigned Y) {
+  // The element was closed, so no guard record is pending.
   Closed = false;
-  recordDeferred(X);
-  recordDeferred(Y);
+  DeferOp = Op;
+  Deferred[0] = X;
+  Deferred[1] = Y;
+  NumDeferred = 2;
   close();
 }
 
@@ -374,13 +376,7 @@ void Octagon::removeTrailingVars(unsigned Count) {
   if (!octConfig().EnableDecomposition)
     P = Partition::whole(NewN);
 
-  // Recount nni within the surviving components.
-  std::size_t Nni = 0;
-  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C)
-    Nni += countComponentFinite(M, P.component(C));
-  if (FullyInit)
-    Nni += 2 * (NewN - P.coveredVars());
-  NniExplicit = Nni;
+  NniExplicit = recountNni();
   reclassify();
 }
 

@@ -30,9 +30,9 @@ struct ClosureEvent {
 ///
 /// A closure is a full closure of one element (dense, sparse, decomposed
 /// or top); it is counted, traced and sizes nmin/nmax. The incremental
-/// closures that restore a closed element after an assignment or after
-/// guards (Section 5.6) are counted apart, with their own cycles, and
-/// record no trace event.
+/// closures that restore a closed element after guards (Section 5.6),
+/// or write an assignment's closed rows, are counted apart, with their
+/// own cycles, and record no trace event.
 class OctStats {
 public:
   void recordClosure(std::uint64_t Cycles, unsigned NumVars, int KindTag) {

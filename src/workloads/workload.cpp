@@ -159,7 +159,7 @@ private:
       line("%s = -%s%s;", X.c_str(), Y.c_str(), offset(R.intIn(0, 3)).c_str());
       break;
     case 3:
-      if (X != Y && R.chance(Spec.BranchProb * 2)) {
+      if (X != Y && R.chance(std::min(1.0, Spec.BranchProb * 2))) {
         line("if (%s <= %s) {", X.c_str(), Y.c_str());
         Indent += 2;
         line("%s = %s;", X.c_str(), Y.c_str());

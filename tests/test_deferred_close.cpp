@@ -8,6 +8,12 @@
 /// closure of the same representation reaches: the same entries,
 /// partition, kind, nni and emptiness.
 ///
+/// Assignments on a closed element are closed by construction: x's rows
+/// are written directly, with no pivot pass. ClosedFormAssign checks
+/// each of x := y + c, x := -y + c, x := c and the interval fallback
+/// against a copy that forgets x, meets the new bounds and closes, in
+/// full and by the pivot passes of a guard record.
+///
 /// Each trial builds a random closed element — Top, decomposed, sparse
 /// or dense — then applies one to three guard batches, each touching
 /// between 1 and DeferredCloseCutoff + 1 variables, with x := x + c,
@@ -22,6 +28,7 @@
 
 #include "oct/config.h"
 #include "oct/octagon.h"
+#include "support/faultinject.h"
 #include "support/random.h"
 #include "support/stats.h"
 
@@ -157,7 +164,11 @@ void interleave(Rng &R, Trial &T) {
   }
 }
 
-void expectSameElement(Octagon &Deferred, Octagon &Full) {
+/// The same element: entries, emptiness and nni, and, unless
+/// \p SamePartition is false, partition and kind. Otherwise
+/// \p Deferred's partition must coarsen \p Full's.
+void expectSameElement(Octagon &Deferred, Octagon &Full,
+                       bool SamePartition = true) {
   ASSERT_EQ(Deferred.isBottom(), Full.isBottom());
   if (Full.isBottom())
     return;
@@ -166,9 +177,13 @@ void expectSameElement(Octagon &Deferred, Octagon &Full) {
     for (unsigned J = 0; J <= (I | 1u); ++J)
       ASSERT_EQ(Deferred.entry(I, J), Full.entry(I, J))
           << "entry (" << I << "," << J << ")";
+  EXPECT_EQ(Deferred.nni(), Full.nni());
+  if (!SamePartition) {
+    EXPECT_TRUE(Deferred.partition().coarsens(Full.partition()));
+    return;
+  }
   EXPECT_TRUE(Deferred.partition() == Full.partition());
   EXPECT_EQ(Deferred.kind(), Full.kind());
-  EXPECT_EQ(Deferred.nni(), Full.nni());
 }
 
 struct DeferCase {
@@ -275,6 +290,122 @@ std::vector<DeferCase> deferCases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(Family, DeferredClose,
+                         ::testing::ValuesIn(deferCases()));
+
+/// An assignment constant: a small integer or half, or a half of
+/// magnitude near 2^52. Halves there are still exact, and every sum a
+/// closure forms with the elements' small bounds stays below 2^53.
+double assignConst(Rng &R) {
+  double Small = R.intIn(-6, 6) + (R.chance(0.5) ? 0.5 : 0.0);
+  if (R.chance(0.5))
+    return Small;
+  double Big = 0x1p52 - 1024 + Small;
+  return R.chance(0.5) ? Big : -Big;
+}
+
+enum class Form { Copy, NegCopy, Const, Interval };
+
+using ClosedFormAssign = DeferredClose;
+
+TEST_P(ClosedFormAssign, MatchesForgetMeetFullClosure) {
+  const DeferCase &C = GetParam();
+  forEachSimdTier([&](SimdTier Tier) {
+    SCOPED_TRACE(simdTierName(Tier));
+    Rng R(C.Seed);
+    std::set<DbmKind> Kinds;
+    unsigned Closing = 0;
+    for (unsigned Iter = 0; Iter != 128; ++Iter) {
+      SCOPED_TRACE("trial " + std::to_string(Iter));
+      Shape S = static_cast<Shape>(Iter % 4);
+      Form F = static_cast<Form>(Iter / 4 % 4);
+      unsigned N = static_cast<unsigned>(R.intIn(2, 14));
+      Octagon O = randomClosed(R, N, S);
+      if (O.isBottom())
+        continue;
+      Kinds.insert(O.kind());
+      unsigned X = static_cast<unsigned>(R.indexBelow(N));
+      unsigned Y = (X + 1 + static_cast<unsigned>(R.indexBelow(N - 1))) % N;
+      LinExpr E;
+      E.Const = assignConst(R);
+      double Cst = E.Const;
+      // The constraints that pin x to its new value.
+      std::vector<OctCons> Meet;
+      switch (F) {
+      case Form::Copy:
+        E.Terms = {{1, Y}};
+        Meet = {OctCons::diff(X, Y, Cst), OctCons::diff(Y, X, -Cst)};
+        break;
+      case Form::NegCopy:
+        E.Terms = {{-1, Y}};
+        Meet = {OctCons::sum(X, Y, Cst), OctCons::negSum(X, Y, -Cst)};
+        break;
+      case Form::Const:
+        Meet = {OctCons::upper(X, Cst), OctCons::lower(X, -Cst)};
+        break;
+      case Form::Interval: {
+        E.addTerm(R.chance(0.5) ? 2 : -2, Y);
+        if (R.chance(0.5))
+          E.addTerm(R.chance(0.5) ? 1 : -1, (Y + 1) % N);
+        Interval Iv = Octagon(O).evalInterval(E);
+        if (isFinite(Iv.Hi))
+          Meet.push_back(OctCons::upper(X, Iv.Hi));
+        if (isFinite(-Iv.Lo))
+          Meet.push_back(OctCons::lower(X, -Iv.Lo));
+        break;
+      }
+      }
+
+      // The references: x forgotten and met, then closed in full, or
+      // by the pivot passes of a guard record, the forget-then-meet
+      // closure (Section 5.6). Both reach the same entries and nni. The
+      // full closure recomputes the exact partition, which may be finer
+      // than the maintained one that forgetting x leaves; the pivot
+      // closure keeps the maintained one, as the copy does.
+      Octagon Pivot = O;
+      Pivot.havoc(X);
+      Pivot.addConstraints(Meet);
+      Octagon Full = Pivot;
+      OctagonTestAccess::dropRecord(Full);
+      Pivot.close();
+      Full.close();
+
+      // No pivot pass may run: one would throw here.
+      support::FaultRule NoPivot;
+      NoPivot.Site = "closure.pivot";
+      NoPivot.Hits = ~0u;
+      support::FaultPlan::global().addRule(NoPivot);
+      OctStats Stats;
+      setOctStatsSink(&Stats);
+      EXPECT_NO_THROW(O.assign(X, E));
+      setOctStatsSink(nullptr);
+      support::FaultPlan::global().clear();
+
+      bool Closes = !Meet.empty();
+      Closing += Closes;
+      EXPECT_TRUE(O.isClosed());
+      EXPECT_EQ(Stats.numClosures(), 0u);
+      EXPECT_EQ(Stats.numIncrementalClosures(), Closes ? 1u : 0u);
+      expectSameElement(O, Full, /*SamePartition=*/false);
+      if (::testing::Test::HasFatalFailure())
+        return;
+      expectSameElement(O, Pivot);
+      if (::testing::Test::HasFatalFailure())
+        return;
+    }
+    // As in DeferredClose, every kind of closed element was a start.
+    EXPECT_TRUE(Kinds.count(DbmKind::Dense));
+    if (C.Sparse && C.Threshold < 0.5) {
+      EXPECT_TRUE(Kinds.count(DbmKind::Sparse));
+    }
+    if (C.Decomposition) {
+      EXPECT_TRUE(Kinds.count(DbmKind::Top));
+      EXPECT_TRUE(Kinds.count(DbmKind::Decomposed));
+    }
+    EXPECT_GT(Closing, 96u);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Family, ClosedFormAssign,
                          ::testing::ValuesIn(deferCases()));
 
 } // namespace

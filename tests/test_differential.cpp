@@ -23,9 +23,10 @@
 /// checks nni must equal a recount of the finite entries, or 2n(n+1)
 /// on a Dense element, where the dense operators over-approximate it
 /// (Section 4.1); the random sequences check the same after every
-/// assignment that closes incrementally and every decomposed closure
-/// they reach. The suite also checks that the maintained partition
-/// always coarsens the exact one.
+/// assignment that closes and every decomposed closure they reach.
+/// They also check that every closed element they reach holds at most
+/// one block with a finite unary bound, and that the maintained
+/// partition always coarsens the exact one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,6 +92,25 @@ bool takesIncrementalClose(Octagon O, unsigned X, const LinExpr &E) {
     return true;
   Interval Iv = O.evalInterval(E);
   return !Iv.isBottom() && (isFinite(Iv.Hi) || isFinite(-Iv.Lo));
+}
+
+/// A closed element holds at most one block with a finite unary bound:
+/// strengthenAndMerge merges all of them, and the lattice operators and
+/// transfer functions keep it so. The closed form of an assignment
+/// relies on it.
+void expectOneBoundedBlock(Octagon &O, const char *What) {
+  if (!O.isClosed() || O.isBottom())
+    return;
+  const Partition &P = O.partition();
+  unsigned Bounded = 0;
+  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C)
+    for (unsigned V : P.component(C))
+      if (isFinite(O.entry(2 * V, 2 * V + 1)) ||
+          isFinite(O.entry(2 * V + 1, 2 * V))) {
+        ++Bounded;
+        break;
+      }
+  EXPECT_LE(Bounded, 1u) << What << ": blocks with a finite unary bound";
 }
 
 /// Closes a copy of a pending Decomposed element (the decomposed
@@ -385,7 +405,9 @@ TEST_P(OctagonDifferential, RandomSequencesMatchBaseline) {
     DomainPair P1(C.NumVars), P2(C.NumVars);
     for (unsigned S = 0; S != C.Steps; ++S) {
       step(P1, P2, R);
+      expectOneBoundedBlock(P1.Opt, "chain 1");
       step(P2, P1, R);
+      expectOneBoundedBlock(P2.Opt, "chain 2");
       expectDecomposedCloseCounted(P1.Opt);
       expectDecomposedCloseCounted(P2.Opt);
       if (S % 4 == 3) {
@@ -395,6 +417,8 @@ TEST_P(OctagonDifferential, RandomSequencesMatchBaseline) {
         DomainPair Check1 = P1, Check2 = P2;
         expectEquivalent(Check1, "chain 1");
         expectEquivalent(Check2, "chain 2");
+        expectOneBoundedBlock(Check1.Opt, "closed chain 1");
+        expectOneBoundedBlock(Check2.Opt, "closed chain 2");
         expectPartitionSound(Check1.Opt);
         expectPartitionSound(Check2.Opt);
       }
