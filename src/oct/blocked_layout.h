@@ -10,11 +10,13 @@
 /// kernels of oct/simd_kernels.h over a whole block — or over many small
 /// components' blocks laid end to end, so k tiny components pay one
 /// kernel dispatch instead of k — and scatter() writes the results back
-/// to the same slots pack() read. Closure uses the same pair: the
-/// decomposed closure (dense and sparse components alike) and the
-/// decomposed incremental closure pack one component at a time into
-/// ClosureScratch::DenseTmp, close it there and scatter it back, so no
-/// closure kernel walks a component in place.
+/// to the same slots pack() read. Closure uses the same pair: the full
+/// closure (dense and sparse components alike) and the incremental
+/// closure pack one component at a time into ClosureScratch::DenseTmp,
+/// close it there and scatter it back, so no closure kernel walks a
+/// component in place. A component over every variable is the one
+/// exception: its block is the matrix's own layout, so it is closed on
+/// the matrix with nothing packed.
 ///
 /// Slot-set equivalence (what keeps nni exact): a block holds exactly
 /// the stored lower-triangle slots whose variable pair lies inside the

@@ -9,14 +9,18 @@
 /// strengthening step. All of Algorithm 3's optimizations (column
 /// buffering, scalar replacement, vectorization) apply.
 ///
-/// In the library, only Octagon::close() runs them, over the variables
-/// a guard record holds: a whole-matrix element runs
-/// incrementalClosureDense; a decomposed one runs the pivot passes on
-/// each touched component packed into a contiguous block
-/// (oct/blocked_layout.h), with the touched variables renumbered to
-/// block positions, then the decomposed closure's strengthenAndMerge on
-/// the whole matrix. Assignments need neither: their record's closure
-/// writes x's closed rows directly (Octagon::writeAssignedRows).
+/// In the library, only Octagon::close() runs the pivot passes, over
+/// the variables a guard record holds: on each touched component as
+/// one block (oct/blocked_layout.h), with the touched variables
+/// renumbered to block positions (a whole partition's block is the
+/// matrix itself), then strengthenAndMerge on the whole matrix.
+/// Assignments need neither: their record's closure writes x's closed
+/// rows directly (Octagon::writeAssignedRows).
+///
+/// incrementalClosureDense is the whole-matrix entry point of
+/// bench_incremental and tests/test_closure.cpp. It runs the same pivot
+/// pass and the same strengthening kernel as that one leg on a
+/// whole-partition block, without the Octagon bookkeeping.
 ///
 //===----------------------------------------------------------------------===//
 

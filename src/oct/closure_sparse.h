@@ -9,11 +9,18 @@
 /// likewise indexes the finite diagonal operands. Complexity is
 /// O(n^2 + sum_k k_k * l_k), quadratic for very sparse matrices.
 ///
-/// The decomposed closure (Section 5.4) runs the shortest-path step on
-/// each sparse component packed into a contiguous block
-/// (oct/blocked_layout.h), the same pack its dense components take.
-/// Strengthening keeps a *restricted* form over a sorted variable list:
-/// the merged component it strengthens is rarely worth a pack.
+/// The Octagon's closure (Section 5.4) runs the shortest-path step on
+/// each sparse component as one block (oct/blocked_layout.h), the same
+/// block its dense components take; a whole partition's block is the
+/// matrix itself. Strengthening keeps a *restricted* form over a sorted
+/// variable list: the merged component it strengthens is rarely worth a
+/// pack.
+///
+/// closureSparse here and closureDense (oct/closure_dense.h) are the
+/// whole-matrix entry points of bench_closure_micro,
+/// bench_sparse_crossover and tests/test_closure.cpp. They run the same
+/// kernels as the Octagon's one closure leg on a whole-partition block,
+/// without its bookkeeping.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -37,6 +37,8 @@ struct OctConfig {
   double SparsityThreshold = 0.75;
 
   /// Maintain and exploit independent components (online decomposition).
+  /// Off, every element keeps the whole partition: each closure closes
+  /// it as one block and skips only the exact-partition recomputation.
   bool EnableDecomposition = true;
 
   /// Use the index-driven sparse closure when D >= SparsityThreshold.

@@ -220,7 +220,6 @@ void Octagon::close() {
 
 void Octagon::closeInner() {
   std::uint64_t Begin = StatsSink ? readCycles() : 0;
-  int Tag;
 
   // A whole partition means every pair lies inside the single
   // component, so the buffer is in fact fully initialized.
@@ -235,19 +234,13 @@ void Octagon::closeInner() {
     return;
   }
 
+  int Tag;
   if (P.empty()) {
     // Top closure (Section 5.5): nothing to minimize.
     Kind = DbmKind::Top;
     Tag = CK_Top;
-  } else if (!octConfig().EnableDecomposition || P.isWhole()) {
-    Tag = sparsity() >= octConfig().SparsityThreshold &&
-                  octConfig().EnableSparse
-              ? CK_Sparse
-              : CK_Dense;
-    closeMonolithic();
   } else {
-    Tag = CK_Decomposed;
-    closeDecomposed();
+    Tag = closeDecomposed();
   }
 
   Closed = true;
@@ -255,69 +248,70 @@ void Octagon::closeInner() {
     StatsSink->recordClosure(readCycles() - Begin, numVars(), Tag);
 }
 
-void Octagon::closeMonolithic() {
-  assert(FullyInit && "monolithic closure needs a materialized matrix");
-  OctConfig &Cfg = octConfig();
-  if (Cfg.EnableSparse && sparsity() >= Cfg.SparsityThreshold) {
-    std::size_t Nni = 0;
-    if (!closureSparse(M, scratch(), Nni)) {
-      markEmpty();
-      return;
-    }
-    NniExplicit = Nni;
-    // Piggyback the exact recomputation of the independent components
-    // on the sparse closure (Section 3.5).
-    if (Cfg.EnableDecomposition)
-      P = extractPartition(M);
-    reclassify();
+namespace {
+
+/// Runs \p Fn on the packed block of component \p Vars (sorted
+/// ascending) of \p M and writes the block back. The packed block of a
+/// component over all variables is M's own layout, so \p Fn then runs
+/// on \p M in place and nothing is packed or scattered; \p Tmp holds
+/// every other block.
+template <typename FnT>
+void onComponentBlock(HalfDbm &M, HalfDbm &Tmp,
+                      const std::vector<unsigned> &Vars, FnT Fn) {
+  if (Vars.size() == M.numVars()) {
+    Fn(M);
     return;
   }
-  if (!closureDense(M, scratch())) {
-    markEmpty();
-    return;
-  }
-  // Dense operators over-approximate nni as 2n^2+2n (Section 4.1).
-  NniExplicit = M.size();
-  reclassify();
+  Tmp.resizeDiscard(static_cast<unsigned>(Vars.size()));
+  packComponent(Tmp.data(), M, Vars);
+  Fn(Tmp);
+  scatterComponent(Tmp.data(), M, Vars);
 }
 
-void Octagon::closeDecomposed() {
+} // namespace
+
+int Octagon::closeDecomposed() {
   OctConfig &Cfg = octConfig();
 
   // Shortest-path closure per component; it cannot connect variables in
-  // different components (Section 5.4). Each component is packed into a
-  // contiguous temporary (the per-thread scratch, reused across
-  // closures), where its own sparsity is counted (Sections 3.3 and 4.3)
-  // and the dense or sparse kernel runs, then scattered back.
-  HalfDbm &Tmp = scratch().DenseTmp;
-  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C) {
-    const std::vector<unsigned> &Vars = P.component(C);
-    Tmp.resizeDiscard(static_cast<unsigned>(Vars.size()));
-    packComponent(Tmp.data(), M, Vars);
-    double SubD = 1.0 - static_cast<double>(Tmp.countFinite()) /
-                            static_cast<double>(Tmp.size());
-    if (Cfg.EnableSparse && SubD >= Cfg.SparsityThreshold)
-      shortestPathSparse(Tmp, scratch());
-    else
-      shortestPathDense(Tmp, scratch());
-    scatterComponent(Tmp.data(), M, Vars);
-  }
+  // different components (Section 5.4). Each component's block counts
+  // its own sparsity (Sections 3.3 and 4.3), and the dense or sparse
+  // kernel runs on it.
+  bool RanSparse = false;
+  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C)
+    onComponentBlock(M, scratch().DenseTmp, P.component(C), [&](HalfDbm &B) {
+      double SubD = 1.0 - static_cast<double>(B.countFinite()) /
+                              static_cast<double>(B.size());
+      RanSparse = Cfg.EnableSparse && SubD >= Cfg.SparsityThreshold;
+      if (RanSparse)
+        shortestPathSparse(B, scratch());
+      else
+        shortestPathDense(B, scratch());
+    });
+  // A whole partition is one block, and its trace tag names the kernel.
+  int Tag = !P.isWhole() ? CK_Decomposed : RanSparse ? CK_Sparse : CK_Dense;
 
   strengthenAndMerge();
   if (!normalizeCoveredDiagonal())
-    return;
+    return Tag;
 
-  // Exact recomputation of the components within each (possibly merged)
-  // block, counting nni in the same pass (Section 3.5).
-  Partition NewP(numVars());
-  std::size_t Nni = 0;
-  for (std::size_t C = 0, E = P.numComponents(); C != E; ++C)
-    Nni += NewP.appendExactComponents(M, P.component(C));
-  P = std::move(NewP);
-  if (FullyInit)
-    Nni += 2 * (numVars() - P.coveredVars());
-  NniExplicit = Nni;
+  if (P.isWhole() || !Cfg.EnableDecomposition) {
+    NniExplicit = recountNni();
+    refineWholePartition();
+  } else {
+    // Exact recomputation of the components within each (possibly
+    // merged) block, counting nni in the same pass (Section 3.5).
+    Partition NewP(numVars());
+    std::size_t Nni = 0;
+    for (std::size_t C = 0, E = P.numComponents(); C != E; ++C)
+      Nni += NewP.appendExactComponents(M, P.component(C));
+    P = std::move(NewP);
+    if (FullyInit)
+      Nni += 2 * (numVars() - P.coveredVars());
+    NniExplicit = Nni;
+  }
   reclassify();
+  return Tag;
 }
 
 bool Octagon::normalizeCoveredDiagonal() {
@@ -359,10 +353,16 @@ void Octagon::strengthenAndMerge() {
   int Merged = mergeBoundedComponents();
   if (Merged < 0)
     return;
-  // The merged submatrix is likely sparse: use the sparse strengthening
-  // (Section 5.4).
-  strengthenSparseRestricted(
-      M, P.component(static_cast<std::size_t>(Merged)), scratch());
+  // A merged block over every variable is the whole matrix, which the
+  // vectorized strengthening sweeps; any other is likely sparse and
+  // takes the sparse strengthening (Section 5.4). Both evaluate every
+  // entry as (m[i][i^1] + m[j^1][j]) / 2, so they agree bit for bit.
+  const std::vector<unsigned> &Vars =
+      P.component(static_cast<std::size_t>(Merged));
+  if (Vars.size() == numVars())
+    strengthenDense(M, scratch());
+  else
+    strengthenSparseRestricted(M, Vars, scratch());
 }
 
 void Octagon::reclassify() {
@@ -626,20 +626,18 @@ void Octagon::pivotTouchedComponents(const unsigned *Touched,
                       Comps.begin() + NumComps)
       Comps[NumComps++] = C;
   }
-  HalfDbm &Tmp = scratch().DenseTmp;
   for (unsigned K = 0; K != NumComps; ++K) {
     const std::vector<unsigned> &Vars =
         P.component(static_cast<std::size_t>(Comps[K]));
-    Tmp.resizeDiscard(static_cast<unsigned>(Vars.size()));
-    packComponent(Tmp.data(), M, Vars);
-    for (unsigned T = 0; T != NumTouched; ++T) {
-      if (P.componentOf(Touched[T]) != Comps[K])
-        continue;
-      auto Pos = std::lower_bound(Vars.begin(), Vars.end(), Touched[T]) -
-                 Vars.begin();
-      incrementalPivotPass(Tmp, static_cast<unsigned>(Pos), scratch());
-    }
-    scatterComponent(Tmp.data(), M, Vars);
+    onComponentBlock(M, scratch().DenseTmp, Vars, [&](HalfDbm &B) {
+      for (unsigned T = 0; T != NumTouched; ++T) {
+        if (P.componentOf(Touched[T]) != Comps[K])
+          continue;
+        auto Pos = std::lower_bound(Vars.begin(), Vars.end(), Touched[T]) -
+                   Vars.begin();
+        incrementalPivotPass(B, static_cast<unsigned>(Pos), scratch());
+      }
+    });
   }
 }
 
@@ -698,54 +696,36 @@ void Octagon::closeDeferred() {
   DeferredOp Op = DeferOp;
   NumDeferred = 0;
   DeferOp = DeferredOp::Guards;
-  OctConfig &Cfg = octConfig();
 
-  if (FullyInit && (P.isWhole() || !Cfg.EnableDecomposition)) {
-    // The whole-matrix leg of closeMonolithic, with the pivot passes of
-    // the recorded variables, or an assignment's rows, in place of the
-    // full shortest-path closure. The sparse-or-dense decision reads
-    // the same pre-closure sparsity, and the bookkeeping after it is
-    // the same.
-    bool SparseLeg = Cfg.EnableSparse && sparsity() >= Cfg.SparsityThreshold;
-    if (Op != DeferredOp::Guards) {
-      writeAssignedRows(Op, T[0], T[1]);
-    } else if (!incrementalClosureDense(M, T.data(), NumT, scratch())) {
-      markEmpty();
-      return;
-    }
-    if (SparseLeg) {
-      NniExplicit = M.countFinite();
-      if (Cfg.EnableDecomposition)
-        P = extractPartition(M);
-    } else {
-      NniExplicit = M.size(); // dense over-approximation (Section 4.1)
-    }
-    reclassify();
-    return;
-  }
-
-  // The decomposed leg. The maintained partition stays (it may be
-  // coarser than the exact one; only a full closure recomputes that).
   if (Op != DeferredOp::Guards) {
     // A closed element's nni is exact, so counting the writes keeps it
-    // exact; only a Dense element may carry Section 4.1's
-    // over-approximation (or one a forget lowered), and it is
-    // recounted.
-    bool Recount = Kind == DbmKind::Dense;
+    // exact.
     writeAssignedRows(Op, T[0], T[1]);
-    if (Recount)
-      NniExplicit = recountNni();
-    reclassify();
-    return;
+  } else {
+    // Guards: pivot passes on the touched components only, then the
+    // same strengthening and emptiness check as closeDecomposed. nni is
+    // recounted over the components.
+    pivotTouchedComponents(T.data(), NumT);
+    strengthenAndMerge();
+    if (!normalizeCoveredDiagonal())
+      return;
+    NniExplicit = recountNni();
   }
-  // Guards: pivot passes on the touched components only, then the same
-  // strengthening and emptiness check as closeDecomposed. nni is
-  // recounted over the components, so Section 3.5's kind decision reads
-  // an exact count whatever the element's history.
-  pivotTouchedComponents(T.data(), NumT);
-  strengthenAndMerge();
-  if (!normalizeCoveredDiagonal())
-    return;
-  NniExplicit = recountNni();
+  // A decomposed element keeps its maintained partition (it may be
+  // coarser than the exact one; only a full closure recomputes that).
+  refineWholePartition();
   reclassify();
+}
+
+void Octagon::refineWholePartition() {
+  // A whole partition carries no decomposition at all: kept whole on a
+  // sparse matrix, every later forget and assignment walks all n
+  // variables. On a dense one the kind decision keeps it whole, so the
+  // extraction would be thrown away.
+  const OctConfig &Cfg = octConfig();
+  if (!Cfg.EnableDecomposition || !P.isWhole() ||
+      sparsity() < Cfg.SparsityThreshold)
+    return;
+  FullyInit = true; // every pair lay inside the one component
+  P = extractPartition(M);
 }

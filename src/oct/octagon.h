@@ -14,11 +14,17 @@
 ///
 /// Operators follow Section 4: they work on the submatrices induced by
 /// the partition (meet merges components, join/widening intersect
-/// them), and closure dispatches between the dense (Algorithm 3),
-/// sparse, and decomposed algorithms of Section 5, recomputing the
-/// exact partition when the sparse paths run.
+/// them). A closure treats each component as one block and runs the
+/// dense (Algorithm 3) or the sparse shortest-path kernel on it, as the
+/// block's sparsity picks (Section 5); a whole partition is a single
+/// block, closed in place. A full closure then recomputes the exact
+/// partition, unless decomposition is disabled.
 ///
 /// Closure/consistency conventions:
+///   * nni is exact on every element: the operators' span kernels count
+///     the entries they write, the transfer functions count each cell
+///     they set, and every closure counts what it leaves, so Section
+///     3.5's kind decision always reads a true count.
 ///   * close() is idempotent and cached via the Closed flag; emptiness
 ///     is detected by closure and cached in the Empty flag.
 ///   * close() is the one way a closure runs, inside the audit when it
@@ -30,8 +36,10 @@
 ///     closure with the pivot passes over the recorded variables alone
 ///     (Section 5.6), recounts nni and takes Section 3.5's kind
 ///     decision. Strong closure is canonical, so the entries equal a
-///     full closure's; the partition may stay coarser than the exact one
-///     a full closure recomputes. Successive guards add to the record;
+///     full closure's; a decomposed partition may stay coarser than the
+///     exact one a full closure recomputes, and a whole one is replaced
+///     by the exact one when the count says the matrix is sparse.
+///     Successive guards add to the record;
 ///     x := +-x + c and addVars commute with closure and keep it; every
 ///     other change drops it, as does a record that outgrows
 ///     DeferredCloseCutoff variables, and a full closure runs instead.
@@ -272,11 +280,20 @@ private:
   /// Writes one full-DBM entry assuming its pair is inside a component.
   void setEntry(unsigned I, unsigned J, double Value);
 
-  /// Closure back ends (Section 5.2-5.5).
-  void closeMonolithic();
-  void closeDecomposed();
+  /// The full closure of a non-Top element (Sections 5.2-5.4): each
+  /// component is closed as one block by the dense or the sparse
+  /// kernel, as the block's own count picks; a whole partition is one
+  /// block, closed in place. Then strengthenAndMerge, the emptiness
+  /// check, the exact partition with nni counted in the same pass (a
+  /// whole partition: nni counted, then refineWholePartition), and the
+  /// kind decision. Returns the closure's trace tag: for a whole
+  /// partition the kernel its block ran (CK_Sparse or CK_Dense),
+  /// CK_Decomposed otherwise.
+  int closeDecomposed();
 
-  /// Kind dispatch of close() without the audit wrapper.
+  /// close() without the audit wrapper: the incremental closure for an
+  /// element that holds a record, else the Top closure or
+  /// closeDecomposed.
   void closeInner();
 
   /// Audited closure (support/audit.h): snapshots the pre-closure
@@ -300,8 +317,9 @@ private:
   /// diagonal entry.
   bool normalizeCoveredDiagonal();
 
-  /// Strengthening phase of the decomposed closure: merges components
-  /// holding finite unary bounds, then strengthens (Section 5.4).
+  /// Strengthening phase of every closure: merges components holding
+  /// finite unary bounds, then strengthens the merged block (Section
+  /// 5.4), with strengthenDense when it covers every variable.
   void strengthenAndMerge();
 
   /// The merge half of strengthenAndMerge: merges every component that
@@ -311,17 +329,18 @@ private:
 
   /// The incremental closure: closeInner's path for an element that
   /// holds a record. A guard record restores closure over the recorded
-  /// variables; an assignment record writes x's closed rows
-  /// (writeAssignedRows). Both then take the kind decision. The
-  /// whole-matrix leg recomputes nni and, on a sparse matrix, the
-  /// partition as closeMonolithic does; the decomposed leg keeps the
-  /// maintained partition.
+  /// variables (pivotTouchedComponents, strengthenAndMerge, the
+  /// emptiness check, nni recounted); an assignment record writes x's
+  /// closed rows (writeAssignedRows), which count nni as they go. Both
+  /// keep a decomposed element's maintained partition; a whole partition
+  /// that the count calls sparse is replaced by the exact one
+  /// (extractPartition). Then the kind decision.
   void closeDeferred();
 
-  /// The shortest-path half of the incremental closure on a decomposed
-  /// element: each component holding a touched variable is packed once,
-  /// the pivot passes of its touched variables run on the block, and
-  /// the block is scattered back.
+  /// The shortest-path half of the incremental closure: each component
+  /// holding a touched variable is one block, packed once (a whole
+  /// partition's block is M itself), the pivot passes of its touched
+  /// variables run on the block, and the block is scattered back.
   void pivotTouchedComponents(const unsigned *Touched, unsigned NumTouched);
 
   /// Adds \p V to the deferred guard record. Returns false, dropping
@@ -355,6 +374,16 @@ private:
 
   /// Recomputes Kind from the partition/sparsity after a closure.
   void reclassify();
+
+  /// After a closure that leaves a whole partition and an exact nni:
+  /// replaces the partition by the exact one when the count says the
+  /// matrix is sparse (Section 3.5). Decomposition off, it does nothing.
+  void refineWholePartition();
+
+  /// The kind of a lattice operator's result, read from its partition
+  /// and exact count: Top for an empty partition, Sparse or Dense by
+  /// Section 3.5's rule for a whole one, Decomposed otherwise.
+  DbmKind operatorKind() const;
 
   /// Forgets X's constraints and removes it from the partition
   /// (expects a closed octagon so no transitive information is lost).

@@ -19,6 +19,9 @@
 /// dispatch covers the whole batch; inclusion and equality pack one
 /// row pair at a time to keep their early exit cheap.
 ///
+/// Every operator counts nni exactly in the pass that writes the result
+/// (the *SpanCount kernels), so its result's kind follows the count.
+///
 /// Every kernel call goes through the active SIMD tier's table
 /// (oct/simd_kernels.h); pinning the scalar tier (OPTOCT_SIMD=scalar)
 /// is the scalar/vector ablation. tests/test_differential.cpp checks
@@ -29,6 +32,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "oct/blocked_layout.h"
+#include "oct/config.h"
 #include "oct/octagon.h"
 #include "oct/simd_dispatch.h"
 
@@ -171,6 +175,15 @@ const Octagon &Octagon::closedOperand(const Octagon &O, unsigned Slot) {
   return S;
 }
 
+DbmKind Octagon::operatorKind() const {
+  if (P.empty())
+    return DbmKind::Top;
+  if (!P.isWhole())
+    return DbmKind::Decomposed;
+  return sparsity() >= octConfig().SparsityThreshold ? DbmKind::Sparse
+                                                     : DbmKind::Dense;
+}
+
 Octagon Octagon::meet(const Octagon &A, const Octagon &B) {
   assert(A.numVars() == B.numVars() && "dimension mismatch");
   unsigned N = A.numVars();
@@ -186,18 +199,13 @@ Octagon Octagon::meet(const Octagon &A, const Octagon &B) {
   const SpanKernels &Kern = activeSpanKernels();
 
   if (A.FullyInit && B.FullyInit) {
-    // Dense fast path (Table 1: meet with a Dense input yields Dense
-    // with O(n^2) vectorized work over the packed buffer). Two-source
-    // kernels write the result directly — no preparatory buffer copy.
+    // Dense fast path (Table 1: meet with a Dense input is O(n^2)
+    // vectorized work over the packed buffer). Two-source kernels write
+    // the result directly — no preparatory buffer copy — and count it in
+    // the same pass.
     R.FullyInit = true;
-    if (A.P.isWhole() || B.P.isWhole()) {
-      Kern.MinSpan(R.M.data(), A.M.data(), B.M.data(), R.M.size());
-      R.NniExplicit = R.M.size(); // Section 4.1 over-approximation
-    } else {
-      // The same pass also yields the exact count (no re-scan).
-      R.NniExplicit =
-          Kern.MinSpanCount(R.M.data(), A.M.data(), B.M.data(), R.M.size());
-    }
+    R.NniExplicit =
+        Kern.MinSpanCount(R.M.data(), A.M.data(), B.M.data(), R.M.size());
   } else {
     R.NniExplicit = batchedEntryPass(Kern.MinSpanCount, R.P, R.M, A.M, A.P,
                                      A.FullyInit, B.M, B.P, B.FullyInit);
@@ -205,9 +213,7 @@ Octagon Octagon::meet(const Octagon &A, const Octagon &B) {
   }
 
   R.Closed = false;
-  R.Kind = R.P.empty()    ? DbmKind::Top
-           : R.P.isWhole() ? DbmKind::Dense
-                           : DbmKind::Decomposed;
+  R.Kind = R.operatorKind();
   if (R.Kind == DbmKind::Top)
     R.Closed = true;
   return R;
@@ -231,10 +237,11 @@ Octagon Octagon::join(const Octagon &AIn, const Octagon &BIn) {
 
   if (A.FullyInit && B.FullyInit && A.P.isWhole() && B.P.isWhole()) {
     // Dense/Dense fast path: one flat vectorized max over the packed
-    // buffers, written straight into the result.
-    Kern.MaxSpan(R.M.data(), A.M.data(), B.M.data(), R.M.size());
+    // buffers, written straight into the result and counted in the same
+    // pass.
+    R.NniExplicit =
+        Kern.MaxSpanCount(R.M.data(), A.M.data(), B.M.data(), R.M.size());
     R.FullyInit = true;
-    R.NniExplicit = R.M.size(); // Section 4.1 over-approximation
   } else {
     // Only the submatrices of the *intersected* components are read and
     // written (Fig. 4); everything else is implicitly trivial. A pair
@@ -258,9 +265,7 @@ Octagon Octagon::join(const Octagon &AIn, const Octagon &BIn) {
 
   // The pointwise max of two strongly closed DBMs is strongly closed.
   R.Closed = true;
-  R.Kind = R.P.empty()    ? DbmKind::Top
-           : R.P.isWhole() ? DbmKind::Dense
-                           : DbmKind::Decomposed;
+  R.Kind = R.operatorKind();
   return R;
 }
 
@@ -304,10 +309,9 @@ Octagon Octagon::widenWithThresholds(const Octagon &Old,
   const std::size_t UnN = Doubled.size();
 
   // A bound survives iff it did not grow; growing bounds jump to the
-  // next threshold or +inf. nni is counted exactly — widening is where
-  // sparsity reappears during analysis (Fig. 7), so the count must be
-  // real, not the dense over-approximation; the kernels return it from
-  // the same pass. As in join, refined pairs are covered by both
+  // next threshold or +inf. The kernels count nni in the same pass, as
+  // every operator's do; widening is where sparsity reappears during
+  // analysis (Fig. 7). As in join, refined pairs are covered by both
   // inputs' components, so the raw row spans are valid.
   std::size_t Count = 0;
   if (BinN == 0 && R.P.isWhole()) {
@@ -337,9 +341,7 @@ Octagon Octagon::widenWithThresholds(const Octagon &Old,
   R.FullyInit = R.P.isWhole();
   R.NniExplicit = Count;
   R.Closed = false;
-  R.Kind = R.P.empty()    ? DbmKind::Top
-           : R.P.isWhole() ? DbmKind::Dense
-                           : DbmKind::Decomposed;
+  R.Kind = R.operatorKind();
   if (R.Kind == DbmKind::Top)
     R.Closed = true;
   return R;
@@ -371,9 +373,7 @@ Octagon Octagon::narrow(const Octagon &OldIn, const Octagon &New) {
     R.FullyInit = R.P.isWhole();
   }
   R.Closed = false;
-  R.Kind = R.P.empty()    ? DbmKind::Top
-           : R.P.isWhole() ? DbmKind::Dense
-                           : DbmKind::Decomposed;
+  R.Kind = R.operatorKind();
   if (R.Kind == DbmKind::Top)
     R.Closed = true;
   return R;

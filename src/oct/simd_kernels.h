@@ -22,9 +22,12 @@
 ///   * Ties resolve like MAXPD/MINPD (second operand), no FMA
 ///     contraction is permitted, and the threshold search of the
 ///     widening kernel resolves to exactly the std::lower_bound result.
-///   * The *Count kernels return the number of finite entries written
-///     (!= +inf, matching isFinite), so the operators keep nni exact
-///     without a second scan over the result.
+///   * Every lattice-operator kernel that writes a result is a *Count
+///     kernel: it returns the number of finite entries written (!= +inf,
+///     matching isFinite), so the operators keep nni exact without a
+///     second scan over the result. There is no uncounted variant: a
+///     count costs one compare per entry, and an uncounted result would
+///     leave nni to be guessed.
 ///   * Loads are unaligned throughout: packed half-DBM rows start at
 ///     arbitrary offsets.
 ///
@@ -70,14 +73,10 @@ struct SpanKernels {
   const char *Name;
 
   // --- Lattice-operator span kernels, j in [0, Len) ---
-  /// Dst[j] = max(A[j], B[j]): the join's span map. Two-source, so the
-  /// Dense/Dense join is one pass with no preparatory buffer copy.
-  void (*MaxSpan)(double *Dst, const double *A, const double *B,
-                  std::size_t Len);
-  /// Dst[j] = min(A[j], B[j]): the meet's span map.
-  void (*MinSpan)(double *Dst, const double *A, const double *B,
-                  std::size_t Len);
-  /// MaxSpan / MinSpan returning the finite count.
+  /// Dst[j] = max(A[j], B[j]) (the join's span map) and
+  /// Dst[j] = min(A[j], B[j]) (the meet's), each returning the finite
+  /// count. Two-source, so a whole-partition join or meet is one pass
+  /// with no preparatory buffer copy, and it counts nni exactly.
   std::size_t (*MaxSpanCount)(double *Dst, const double *A, const double *B,
                               std::size_t Len);
   std::size_t (*MinSpanCount)(double *Dst, const double *A, const double *B,

@@ -46,37 +46,6 @@ inline int finiteLanes(__m256d V) {
 }
 
 OPTOCT_TARGET_AVX2
-void maxSpanAvx2(double *Dst, const double *A, const double *B,
-                 std::size_t Len) {
-  std::size_t J = 0;
-  for (; J + 4 <= Len; J += 4) {
-    __m256d VA = _mm256_loadu_pd(A + J);
-    __m256d VB = _mm256_loadu_pd(B + J);
-    _mm256_storeu_pd(Dst + J, _mm256_max_pd(VA, VB));
-  }
-  for (; J != Len; ++J) {
-    double VA = A[J], VB = B[J];
-    // VB on ties, like MAXPD, so tail and vector body agree bitwise.
-    Dst[J] = VA > VB ? VA : VB;
-  }
-}
-
-OPTOCT_TARGET_AVX2
-void minSpanAvx2(double *Dst, const double *A, const double *B,
-                 std::size_t Len) {
-  std::size_t J = 0;
-  for (; J + 4 <= Len; J += 4) {
-    __m256d VA = _mm256_loadu_pd(A + J);
-    __m256d VB = _mm256_loadu_pd(B + J);
-    _mm256_storeu_pd(Dst + J, _mm256_min_pd(VA, VB));
-  }
-  for (; J != Len; ++J) {
-    double VA = A[J], VB = B[J];
-    Dst[J] = VA < VB ? VA : VB;
-  }
-}
-
-OPTOCT_TARGET_AVX2
 std::size_t maxSpanCountAvx2(double *Dst, const double *A, const double *B,
                              std::size_t Len) {
   std::size_t J = 0, Count = 0;
@@ -89,6 +58,7 @@ std::size_t maxSpanCountAvx2(double *Dst, const double *A, const double *B,
   }
   for (; J != Len; ++J) {
     double VA = A[J], VB = B[J];
+    // VB on ties, like MAXPD, so tail and vector body agree bitwise.
     double V = VA > VB ? VA : VB;
     Dst[J] = V;
     Count += isFinite(V);
@@ -291,8 +261,6 @@ void strengthenRowAvx2(double *Dst, const double *T, double Di,
 
 const SpanKernels SpanKernelsAvx2 = {
     "avx2",
-    maxSpanAvx2,
-    minSpanAvx2,
     maxSpanCountAvx2,
     minSpanCountAvx2,
     narrowSpanCountAvx2,

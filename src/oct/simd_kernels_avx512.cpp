@@ -50,40 +50,6 @@ inline int finiteLanes512(__m512d V, __mmask8 M) {
 }
 
 OPTOCT_TARGET_AVX512
-void maxSpanAvx512(double *Dst, const double *A, const double *B,
-                   std::size_t Len) {
-  std::size_t J = 0;
-  for (; J + 8 <= Len; J += 8) {
-    __m512d VA = _mm512_loadu_pd(A + J);
-    __m512d VB = _mm512_loadu_pd(B + J);
-    _mm512_storeu_pd(Dst + J, _mm512_max_pd(VA, VB));
-  }
-  if (J != Len) {
-    __mmask8 M = tailMask(Len - J);
-    __m512d VA = _mm512_maskz_loadu_pd(M, A + J);
-    __m512d VB = _mm512_maskz_loadu_pd(M, B + J);
-    _mm512_mask_storeu_pd(Dst + J, M, _mm512_max_pd(VA, VB));
-  }
-}
-
-OPTOCT_TARGET_AVX512
-void minSpanAvx512(double *Dst, const double *A, const double *B,
-                   std::size_t Len) {
-  std::size_t J = 0;
-  for (; J + 8 <= Len; J += 8) {
-    __m512d VA = _mm512_loadu_pd(A + J);
-    __m512d VB = _mm512_loadu_pd(B + J);
-    _mm512_storeu_pd(Dst + J, _mm512_min_pd(VA, VB));
-  }
-  if (J != Len) {
-    __mmask8 M = tailMask(Len - J);
-    __m512d VA = _mm512_maskz_loadu_pd(M, A + J);
-    __m512d VB = _mm512_maskz_loadu_pd(M, B + J);
-    _mm512_mask_storeu_pd(Dst + J, M, _mm512_min_pd(VA, VB));
-  }
-}
-
-OPTOCT_TARGET_AVX512
 std::size_t maxSpanCountAvx512(double *Dst, const double *A, const double *B,
                                std::size_t Len) {
   std::size_t J = 0, Count = 0;
@@ -298,8 +264,6 @@ void strengthenRowAvx512(double *Dst, const double *T, double Di,
 
 const SpanKernels SpanKernelsAvx512 = {
     "avx512",
-    maxSpanAvx512,
-    minSpanAvx512,
     maxSpanCountAvx512,
     minSpanCountAvx512,
     narrowSpanCountAvx512,

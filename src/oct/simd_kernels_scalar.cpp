@@ -24,33 +24,13 @@ namespace optoct {
 namespace {
 
 OPTOCT_SCALAR_KERNEL
-void maxSpanScalar(double *Dst, const double *A, const double *B,
-                   std::size_t Len) {
-  OPTOCT_SCALAR_LOOP
-  for (std::size_t J = 0; J != Len; ++J) {
-    double VA = A[J], VB = B[J];
-    // VB on ties, like MAXPD, so scalar and vector agree bitwise.
-    Dst[J] = VA > VB ? VA : VB;
-  }
-}
-
-OPTOCT_SCALAR_KERNEL
-void minSpanScalar(double *Dst, const double *A, const double *B,
-                   std::size_t Len) {
-  OPTOCT_SCALAR_LOOP
-  for (std::size_t J = 0; J != Len; ++J) {
-    double VA = A[J], VB = B[J];
-    Dst[J] = VA < VB ? VA : VB;
-  }
-}
-
-OPTOCT_SCALAR_KERNEL
 std::size_t maxSpanCountScalar(double *Dst, const double *A, const double *B,
                                std::size_t Len) {
   std::size_t Count = 0;
   OPTOCT_SCALAR_LOOP
   for (std::size_t J = 0; J != Len; ++J) {
     double VA = A[J], VB = B[J];
+    // VB on ties, like MAXPD, so scalar and vector agree bitwise.
     double V = VA > VB ? VA : VB;
     Dst[J] = V;
     Count += isFinite(V);
@@ -166,8 +146,6 @@ void strengthenRowScalar(double *Dst, const double *T, double Di,
 
 const SpanKernels SpanKernelsScalar = {
     "scalar",
-    maxSpanScalar,
-    minSpanScalar,
     maxSpanCountScalar,
     minSpanCountScalar,
     narrowSpanCountScalar,

@@ -19,14 +19,13 @@
 ///
 /// Everything runs under every SIMD tier the machine supports. Each
 /// check compares the unclosed entries, then emptiness and the strongly
-/// closed entries, and the inclusion/equality verdicts. On the operator
-/// checks nni must equal a recount of the finite entries, or 2n(n+1)
-/// on a Dense element, where the dense operators over-approximate it
-/// (Section 4.1); the random sequences check the same after every
-/// assignment that closes and every decomposed closure they reach.
-/// They also check that every closed element they reach holds at most
-/// one block with a finite unary bound, and that the maintained
-/// partition always coarsens the exact one.
+/// closed entries, and the inclusion/equality verdicts. nni must equal
+/// a recount of the finite entries on every element compared, and the
+/// random sequences check the same after every step of both chains and
+/// after every decomposed closure they reach. They also check that
+/// every closed element they reach holds at most one block with a
+/// finite unary bound, and that the maintained partition always
+/// coarsens the exact one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,31 +66,15 @@ template <typename DomT> bool knownEmpty(DomT &O) {
   return O.isClosed() && O.isBottom();
 }
 
-/// nni must equal a from-scratch recount of the finite entries, except
-/// where a Dense element reports the Section 4.1 over-approximation
-/// 2n(n+1).
+/// nni must equal a from-scratch recount of the finite entries, on
+/// every kind of element, closed or not.
 void expectNniExact(const Octagon &O, const char *What) {
   std::size_t Finite = 0;
   for (unsigned I = 0, D = 2 * O.numVars(); I != D; ++I)
     for (unsigned J = 0; J <= (I | 1u); ++J)
       Finite += isFinite(O.entry(I, J));
-  std::size_t Nni = O.nni();
-  EXPECT_TRUE(Nni == Finite || (O.kind() == DbmKind::Dense &&
-                                Nni == HalfDbm::matSize(O.numVars())))
-      << What << ": nni " << Nni << ", finite entries " << Finite;
-}
-
-/// Whether assign(X, E) ends in the incremental closure: every exact
-/// octagonal form but the self-shift x := +-x + c, and the interval
-/// fallback when it bounds x on at least one side. Reads a copy, so
-/// \p O evolves exactly as the baseline does.
-bool takesIncrementalClose(Octagon O, unsigned X, const LinExpr &E) {
-  if (const auto *Term = E.octagonalTerm())
-    return Term->second != X;
-  if (E.Terms.empty())
-    return true;
-  Interval Iv = O.evalInterval(E);
-  return !Iv.isBottom() && (isFinite(Iv.Hi) || isFinite(-Iv.Lo));
+  EXPECT_EQ(O.nni(), Finite)
+      << What << ": nni " << O.nni() << ", finite entries " << Finite;
 }
 
 /// A closed element holds at most one block with a finite unary bound:
@@ -113,6 +96,14 @@ void expectOneBoundedBlock(Octagon &O, const char *What) {
   EXPECT_LE(Bounded, 1u) << What << ": blocks with a finite unary bound";
 }
 
+/// What every step of a random sequence leaves: an exact nni on every
+/// non-empty element, and at most one bounded block once closed.
+void expectStepInvariants(Octagon &O, const char *What) {
+  if (!knownEmpty(O))
+    expectNniExact(O, What);
+  expectOneBoundedBlock(O, What);
+}
+
 /// Closes a copy of a pending Decomposed element (the decomposed
 /// closure's exact partition and nni recomputation) and checks its nni.
 void expectDecomposedCloseCounted(const Octagon &O) {
@@ -124,33 +115,28 @@ void expectDecomposedCloseCounted(const Octagon &O) {
     expectNniExact(C, "decomposed close");
 }
 
-void expectSameEntries(const DomainPair &P, bool ExactNni, const char *What,
+void expectSameEntries(const DomainPair &P, const char *What,
                        const char *Form) {
   unsigned D = 2 * P.Opt.numVars();
   for (unsigned I = 0; I != D; ++I)
     for (unsigned J = 0; J <= (I | 1u); ++J)
       ASSERT_EQ(P.Opt.entry(I, J), P.Ref.entry(I, J))
           << What << ": " << Form << " entry (" << I << "," << J << ")";
-  if (ExactNni)
-    expectNniExact(P.Opt, What);
+  expectNniExact(P.Opt, What);
 }
 
 /// Compares the representations as they stand — before any closure —
 /// unless one side already knows it is empty (its entries are then
-/// meaningless), and then the strongly closed forms. Closes \p P.
-/// \p ExactNni also requires an exact nni: the lattice operators keep
-/// it exact, but the transfer functions (addConstraints on a
-/// non-trivial element, havoc, and the assignments that do not close)
-/// let it drift, so the random sequences leave it out here and check
-/// the closures that restore it instead.
-void expectEquivalent(DomainPair &P, const char *What, bool ExactNni = false) {
+/// meaningless), and then the strongly closed forms, each with an exact
+/// nni. Closes \p P.
+void expectEquivalent(DomainPair &P, const char *What) {
   if (!knownEmpty(P.Opt) && !knownEmpty(P.Ref))
-    expectSameEntries(P, ExactNni, What, "unclosed");
+    expectSameEntries(P, What, "unclosed");
   P.Opt.close();
   P.Ref.close();
   ASSERT_EQ(P.Opt.isBottom(), P.Ref.isBottom()) << What;
   if (!P.Opt.isBottom())
-    expectSameEntries(P, ExactNni, What, "closed");
+    expectSameEntries(P, What, "closed");
 }
 
 /// The maintained partition must coarsen the exact partition of the
@@ -246,9 +232,9 @@ void checkOp(Op O, const DomainPair &A, const DomainPair &B) {
   R.Opt = applyOp(O, X.Opt, Y.Opt, OptVerdict);
   R.Ref = applyOp(O, X.Ref, Y.Ref, RefVerdict);
   EXPECT_EQ(OptVerdict, RefVerdict) << What;
-  expectEquivalent(R, What, /*ExactNni=*/true);
-  expectEquivalent(X, What, /*ExactNni=*/true);
-  expectEquivalent(Y, What, /*ExactNni=*/true);
+  expectEquivalent(R, What);
+  expectEquivalent(X, What);
+  expectEquivalent(Y, What);
 }
 
 void checkAllOps(const DomainPair &A, const DomainPair &B) {
@@ -328,11 +314,8 @@ void step(DomainPair &P, DomainPair &Other, Rng &R) {
   case 5: { // assignment
     unsigned X = static_cast<unsigned>(R.indexBelow(N));
     LinExpr E = randomExpr(R, N);
-    bool Incremental = takesIncrementalClose(P.Opt, X, E);
     P.Opt.assign(X, E);
     P.Ref.assign(X, E);
-    if (Incremental && !knownEmpty(P.Opt))
-      expectNniExact(P.Opt, "assign");
     break;
   }
   case 6: { // havoc
@@ -405,9 +388,9 @@ TEST_P(OctagonDifferential, RandomSequencesMatchBaseline) {
     DomainPair P1(C.NumVars), P2(C.NumVars);
     for (unsigned S = 0; S != C.Steps; ++S) {
       step(P1, P2, R);
-      expectOneBoundedBlock(P1.Opt, "chain 1");
+      expectStepInvariants(P1.Opt, "chain 1");
       step(P2, P1, R);
-      expectOneBoundedBlock(P2.Opt, "chain 2");
+      expectStepInvariants(P2.Opt, "chain 2");
       expectDecomposedCloseCounted(P1.Opt);
       expectDecomposedCloseCounted(P2.Opt);
       if (S % 4 == 3) {

@@ -128,9 +128,10 @@ TEST_P(SpanKernelTest, MaxMinSpanMatchScalar) {
   std::vector<double> A = randomSpan(R, Len, 0.3);
   std::vector<double> B = randomSpan(R, Len, 0.3);
 
+  // The values the counting kernels write are the pointwise max/min.
   std::vector<double> ScalarMax(Len), ScalarMin(Len);
-  SpanKernelsScalar.MaxSpan(ScalarMax.data(), A.data(), B.data(), Len);
-  SpanKernelsScalar.MinSpan(ScalarMin.data(), A.data(), B.data(), Len);
+  SpanKernelsScalar.MaxSpanCount(ScalarMax.data(), A.data(), B.data(), Len);
+  SpanKernelsScalar.MinSpanCount(ScalarMin.data(), A.data(), B.data(), Len);
   for (std::size_t I = 0; I != Len; ++I) {
     EXPECT_EQ(ScalarMax[I], std::max(A[I], B[I]));
     EXPECT_EQ(ScalarMin[I], std::min(A[I], B[I]));
@@ -138,8 +139,8 @@ TEST_P(SpanKernelTest, MaxMinSpanMatchScalar) {
   forEachSimdTier([&](SimdTier Tier) {
     const SpanKernels &K = activeSpanKernels();
     std::vector<double> Max(Len), Min(Len);
-    K.MaxSpan(Max.data(), A.data(), B.data(), Len);
-    K.MinSpan(Min.data(), A.data(), B.data(), Len);
+    K.MaxSpanCount(Max.data(), A.data(), B.data(), Len);
+    K.MinSpanCount(Min.data(), A.data(), B.data(), Len);
     EXPECT_EQ(Max, ScalarMax) << simdTierName(Tier);
     EXPECT_EQ(Min, ScalarMin) << simdTierName(Tier);
   });

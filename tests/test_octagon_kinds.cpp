@@ -3,13 +3,15 @@
 /// \file
 /// The Section 3 type system in motion: Top -> Decomposed -> Dense ->
 /// (widening) -> Sparse/Decomposed transitions, the sparsity rule
-/// D < t, nni bookkeeping invariants, and the exact-assignment forms.
+/// D < t, the exact nni of every kind (Dense included), and the
+/// exact-assignment forms.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "oct/config.h"
 #include "oct/octagon.h"
 #include "support/random.h"
+#include "support/stats.h"
 
 #include <gtest/gtest.h>
 
@@ -24,21 +26,21 @@ protected:
   OctConfig Saved;
 };
 
+/// The number of finite entries of the materialized matrix.
+std::size_t finiteEntries(const Octagon &O) {
+  std::size_t Finite = 0;
+  for (unsigned I = 0, D = 2 * O.numVars(); I != D; ++I)
+    for (unsigned J = 0; J <= (I | 1u); ++J)
+      Finite += isFinite(O.entry(I, J));
+  return Finite;
+}
+
 /// nni() must equal the number of finite entries of the materialized
-/// matrix, except for the documented Dense over-approximation.
+/// matrix, on every kind. Closes \p O.
 void expectNniExact(Octagon &O) {
   if (O.isBottom())
     return;
-  unsigned N = O.numVars();
-  std::size_t Finite = 0;
-  for (unsigned I = 0; I != 2 * N; ++I)
-    for (unsigned J = 0; J <= (I | 1u); ++J)
-      Finite += isFinite(O.entry(I, J));
-  if (O.kind() == DbmKind::Dense) {
-    EXPECT_GE(O.nni(), Finite); // over-approximation allowed (S 4.1)
-    return;
-  }
-  EXPECT_EQ(O.nni(), Finite);
+  EXPECT_EQ(O.nni(), finiteEntries(O));
 }
 
 TEST_F(KindTest, ProgressionTopToDecomposedToDense) {
@@ -124,6 +126,89 @@ TEST_F(KindTest, NniStaysExactThroughRandomOps) {
     Octagon W = Octagon::widen(A, B);
     expectNniExact(W);
   }
+}
+
+// A whole partition whose closure is sparse: decomposition off, a few
+// constraints over eight variables. The meet and the join of two such
+// elements, and a guard closed incrementally on the join, count nni
+// exactly, and each kind follows that count.
+TEST_F(KindTest, WholeSparsePartitionCountsExactly) {
+  octConfig().EnableDecomposition = false;
+  octConfig().SparsityThreshold = 0.75;
+  const unsigned N = 8;
+  auto build = [&](double C) {
+    Octagon O(N);
+    O.addConstraints({OctCons::diff(0, 1, C), OctCons::diff(1, 2, C + 1),
+                      OctCons::upper(3, C), OctCons::sum(4, 5, C)});
+    O.close();
+    return O;
+  };
+  auto expectKindFollowsCount = [&](const Octagon &O, const char *What) {
+    SCOPED_TRACE(What);
+    EXPECT_TRUE(O.partition().isWhole());
+    EXPECT_EQ(O.nni(), finiteEntries(O));
+    EXPECT_GE(O.sparsity(), octConfig().SparsityThreshold);
+    EXPECT_EQ(O.kind(), DbmKind::Sparse);
+  };
+  Octagon A = build(1.0), B = build(2.0);
+  expectKindFollowsCount(A, "closed");
+
+  Octagon Met = Octagon::meet(A, B);
+  ASSERT_FALSE(Met.isClosed());
+  expectKindFollowsCount(Met, "meet");
+  Met.close();
+  expectKindFollowsCount(Met, "closed meet");
+
+  Octagon J = Octagon::join(A, B);
+  ASSERT_TRUE(J.isClosed());
+  expectKindFollowsCount(J, "join");
+
+  J.addConstraint(OctCons::diff(2, 0, 0.0));
+  OctStats Stats;
+  setOctStatsSink(&Stats);
+  J.close();
+  setOctStatsSink(nullptr);
+  EXPECT_EQ(Stats.numIncrementalClosures(), 1u);
+  EXPECT_EQ(Stats.numClosures(), 0u);
+  ASSERT_FALSE(J.isBottom());
+  expectKindFollowsCount(J, "guard on the join");
+}
+
+// With decomposition on, the join of two Dense elements over different
+// five-variable blocks is a whole partition that its count calls
+// Sparse. A guard closed incrementally on it leaves the exact
+// partition, the one block {3, 4} both inputs share, not the whole one:
+// kept whole, every later forget would walk all eight variables.
+TEST_F(KindTest, GuardOnWholeSparseJoinExtractsItsPartition) {
+  const unsigned N = 8;
+  auto denseBlock = [&](unsigned First) {
+    Octagon O(N);
+    std::vector<OctCons> Cs;
+    for (unsigned V = First; V != First + 5; ++V) {
+      Cs.push_back(OctCons::upper(V, 10.0));
+      Cs.push_back(OctCons::lower(V, 0.0));
+    }
+    O.addConstraints(Cs);
+    O.close();
+    EXPECT_EQ(O.kind(), DbmKind::Dense);
+    return O;
+  };
+  Octagon J = Octagon::join(denseBlock(0), denseBlock(3));
+  ASSERT_TRUE(J.partition().isWhole());
+  EXPECT_EQ(J.nni(), finiteEntries(J));
+  EXPECT_EQ(J.kind(), DbmKind::Sparse);
+
+  J.addConstraint(OctCons::diff(3, 4, 1.0));
+  OctStats Stats;
+  setOctStatsSink(&Stats);
+  J.close();
+  setOctStatsSink(nullptr);
+  EXPECT_EQ(Stats.numIncrementalClosures(), 1u);
+  EXPECT_EQ(J.partition(), extractPartition(J.dbm()));
+  ASSERT_EQ(J.partition().numComponents(), 1u);
+  EXPECT_EQ(J.partition().component(0), (std::vector<unsigned>{3, 4}));
+  EXPECT_EQ(J.kind(), DbmKind::Sparse); // one materialized component
+  EXPECT_EQ(J.nni(), finiteEntries(J));
 }
 
 TEST_F(KindTest, ShiftAssignPreservesClosureAndRelations) {

@@ -26,6 +26,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -576,8 +578,7 @@ TEST_F(Supervisor, ParentSigkillThenResumeIsByteIdentical) {
 // worker's lifetime: one healthy worker running ms-scale jobs that add up
 // to more CPU than the backstop must never be killed by it.
 TEST_F(Supervisor, CpuBackstopIsPerJobNotPerWorkerLifetime) {
-  // Twelve octagon variables: about a millisecond of CPU per job, far
-  // below the deadline even in a sanitizer build.
+  // Twelve octagon variables: about a millisecond of CPU per job.
   std::string Vars, Init, Body;
   for (int V = 0; V != 12; ++V) {
     std::string N = "v";
@@ -591,15 +592,22 @@ TEST_F(Supervisor, CpuBackstopIsPerJobNotPerWorkerLifetime) {
                     "n = havoc(); assume(n >= 0 && n <= 100);\n" + Init +
                     Loop + Loop + "assert(v0 <= 100);\n";
 
-  // Size the batch from the measured per-job CPU so the worker's total
-  // exceeds the 2 s backstop by half again on any host or build.
+  // Size everything from the measured per-job CPU. The wall-clock
+  // deadline is 50x that CPU, never below 100 ms, so a loaded host
+  // cannot push one job past it. The batch then makes the worker's total
+  // CPU exceed the resulting backstop (4x the deadline + 2 s) by half
+  // again, so a backstop armed once per worker would kill it.
   std::vector<BatchJob> Probe(20, BatchJob{"probe", Src});
   BatchOptions Serial;
   Serial.Jobs = 1;
   std::clock_t C0 = std::clock();
   runBatch(Probe, Serial);
   double PerJob = double(std::clock() - C0) / CLOCKS_PER_SEC / Probe.size();
-  std::size_t Count = static_cast<std::size_t>(3.0 / std::max(PerJob, 1e-4));
+  std::uint64_t DeadlineMs = std::max<std::uint64_t>(
+      100, static_cast<std::uint64_t>(std::ceil(50 * PerJob * 1000)));
+  double BackstopS = 4.0 * static_cast<double>(DeadlineMs) / 1000 + 2;
+  std::size_t Count =
+      static_cast<std::size_t>(1.5 * BackstopS / std::max(PerJob, 1e-4));
   std::vector<BatchJob> Jobs;
   for (std::size_t I = 0; I != Count; ++I)
     Jobs.push_back({"cpu" + std::to_string(I), Src});
@@ -607,10 +615,11 @@ TEST_F(Supervisor, CpuBackstopIsPerJobNotPerWorkerLifetime) {
   BatchOptions Opts;
   Opts.Jobs = 1;
   Opts.Isolation = IsolationMode::Process;
-  Opts.Budget.DeadlineMs = 100;
+  Opts.Budget.DeadlineMs = DeadlineMs;
   BatchReport Report = runBatch(Jobs, Opts);
 
-  EXPECT_EQ(Report.JobsOk, Jobs.size()) << "per-job CPU " << PerJob << " s";
+  EXPECT_EQ(Report.JobsOk, Jobs.size())
+      << "per-job CPU " << PerJob << " s, deadline " << DeadlineMs << " ms";
   for (const JobResult &R : Report.Results)
     ASSERT_EQ(R.Status, JobStatus::Ok) << R.Name << ": " << R.Error;
   EXPECT_EQ(Report.Supervisor.WorkersCrashed, 0u);
